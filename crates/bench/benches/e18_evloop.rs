@@ -3,11 +3,9 @@
 //! Two questions, answered with numbers:
 //!
 //! * **Fan-out** — how fast does one poll-loop thread deliver trigger
-//!   firings to 1k and 10k live subscriber connections, against the
-//!   retained thread-per-connection baseline? The baseline is capped
-//!   at 1k subscribers: it spawns two OS threads per connection, so
-//!   10k subscribers would mean twenty thousand stacks — the sickness
-//!   the reactor exists to cure.
+//!   firings to 1k and 10k live subscriber connections? (The retired
+//!   thread-per-connection front end's 1k figure is kept in the
+//!   committed `BENCH_e18_evloop.json` and EXPERIMENTS.md E18.)
 //! * **Timer wheel** — is the cost of one `advance-clock` tick flat in
 //!   the number of armed-but-not-due timers? The naive sorted scan it
 //!   replaced is measured alongside for reference (capped where a
@@ -25,7 +23,7 @@ use ode_db::clock::{Clock, Recurrence, Timer, TimerScope};
 use ode_db::{Database, ObjectId, SharedDatabase};
 use ode_server::reactor::raise_nofile_limit;
 use ode_server::spec::stockroom_spec;
-use ode_server::{Client, ReplyResult, Server, ServerConfig, ServerMsg};
+use ode_server::{Client, ReplyResult, Server, ServerMsg};
 
 const FIRINGS: usize = 20;
 
@@ -80,11 +78,10 @@ impl RawSub {
 
 /// Deliver `FIRINGS` firings to `fleet` subscribers; returns
 /// (deliveries/sec, seconds).
-fn run_fanout(config: ServerConfig, fleet: usize) -> (f64, f64) {
+fn run_fanout(fleet: usize) -> (f64, f64) {
     let db = SharedDatabase::new(Database::new());
     let mut server = Server::builder(db)
         .tcp("127.0.0.1:0")
-        .config(config)
         .start()
         .expect("bind");
     let addr = server.tcp_addr().expect("tcp addr");
@@ -179,32 +176,17 @@ fn main() {
     eprintln!("\n== E18: reactor fan-out (TCP loopback) ==");
     json.push_str("  \"fanout\": [\n");
     let mut first = true;
-    for (mode, thread_per_conn) in [("reactor", false), ("thread_per_conn", true)] {
-        // The baseline spawns two threads per connection — 10k
-        // subscribers would need 20k stacks, so it stops at 1k.
-        let fleets: &[usize] = if thread_per_conn {
-            &[1_000]
-        } else {
-            &[1_000, 10_000]
-        };
-        for &want in fleets {
-            let fleet = want.min(max_fleet);
-            let config = ServerConfig {
-                thread_per_conn,
-                ..ServerConfig::default()
-            };
-            let (dps, secs) = run_fanout(config, fleet);
-            eprintln!(
-                "{mode:>16} {fleet:>6} subscribers: {dps:>10.0} deliveries/sec  ({secs:.2}s)"
-            );
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            json.push_str(&format!(
-                "    {{\"mode\": \"{mode}\", \"subscribers\": {fleet}, \"deliveries_per_sec\": {dps:.0}, \"secs\": {secs:.3}}}"
-            ));
+    for want in [1_000usize, 10_000] {
+        let fleet = want.min(max_fleet);
+        let (dps, secs) = run_fanout(fleet);
+        eprintln!("reactor {fleet:>6} subscribers: {dps:>10.0} deliveries/sec  ({secs:.2}s)");
+        if !first {
+            json.push_str(",\n");
         }
+        first = false;
+        json.push_str(&format!(
+            "    {{\"mode\": \"reactor\", \"subscribers\": {fleet}, \"deliveries_per_sec\": {dps:.0}, \"secs\": {secs:.3}}}"
+        ));
     }
     json.push_str("\n  ],\n");
 

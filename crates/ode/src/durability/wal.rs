@@ -279,6 +279,15 @@ pub enum WalError {
     Poisoned(String),
     /// Snapshot/log (de)serialization or replay failed.
     Logical(OdeError),
+    /// A checkpoint's serialized snapshot exceeds what one frame can
+    /// hold. Refused before the log is touched: nothing was written
+    /// and the WAL is not poisoned.
+    SnapshotTooLarge {
+        /// Serialized snapshot length.
+        bytes: u64,
+        /// The frame payload limit ([`frame::MAX_FRAME`]).
+        max: u64,
+    },
 }
 
 impl fmt::Display for WalError {
@@ -288,6 +297,10 @@ impl fmt::Display for WalError {
             WalError::Corrupt(m) => write!(f, "wal corrupt: {m}"),
             WalError::Poisoned(m) => write!(f, "wal poisoned: {m}"),
             WalError::Logical(e) => write!(f, "wal logical error: {e}"),
+            WalError::SnapshotTooLarge { bytes, max } => write!(
+                f,
+                "snapshot is {bytes} bytes serialized; a checkpoint frame holds at most {max}"
+            ),
         }
     }
 }
@@ -304,6 +317,26 @@ impl From<OdeError> for WalError {
     fn from(e: OdeError) -> Self {
         WalError::Logical(e)
     }
+}
+
+/// A checkpoint body must fit one frame; [`frame::encode`] asserts it.
+fn check_snapshot_len(bytes: usize) -> Result<(), WalError> {
+    if bytes > frame::MAX_FRAME as usize {
+        return Err(WalError::SnapshotTooLarge {
+            bytes: bytes as u64,
+            max: frame::MAX_FRAME as u64,
+        });
+    }
+    Ok(())
+}
+
+/// Serialize `snap` as one checkpoint frame, or refuse it as too large
+/// — before any WAL lock is taken, so a refusal leaves the log exactly
+/// as it was.
+fn frame_snapshot(snap: &Snapshot) -> Result<Vec<u8>, WalError> {
+    let body = snap.to_json()?;
+    check_snapshot_len(body.len())?;
+    Ok(frame::encode(body.as_bytes()))
 }
 
 /// Per-segment decode cost observed by recovery.
@@ -1055,8 +1088,7 @@ impl DiskWal {
     ) -> Result<CheckpointReport, WalError> {
         self.check_poison()?;
         let i = &*self.inner;
-        let body = snap.to_json()?;
-        let framed = frame::encode(body.as_bytes());
+        let framed = frame_snapshot(snap)?;
 
         // Hold `buf` for the whole installation: no append may
         // interleave with the generation switch.
@@ -1148,8 +1180,7 @@ impl DiskWal {
     pub fn reset_to(&self, snap: &Snapshot, lsn: u64) -> Result<CheckpointReport, WalError> {
         self.check_poison()?;
         let i = &*self.inner;
-        let body = snap.to_json()?;
-        let framed = frame::encode(body.as_bytes());
+        let framed = frame_snapshot(snap)?;
 
         let mut buf = lock(&i.buf);
         let mut disk = lock(&i.disk);
@@ -1621,6 +1652,19 @@ impl Drop for WalArchiver {
 #[cfg(test)]
 mod policy_tests {
     use super::*;
+
+    #[test]
+    fn snapshot_length_is_checked_against_the_frame_limit() {
+        let max = frame::MAX_FRAME as usize;
+        assert!(check_snapshot_len(0).is_ok());
+        assert!(check_snapshot_len(max).is_ok(), "the limit itself fits");
+        match check_snapshot_len(max + 1) {
+            Err(WalError::SnapshotTooLarge { bytes, max: m }) => {
+                assert_eq!((bytes, m), (max as u64 + 1, max as u64));
+            }
+            other => panic!("expected SnapshotTooLarge, got {other:?}"),
+        }
+    }
 
     #[test]
     fn parse_accepts_every_valid_surface_form() {

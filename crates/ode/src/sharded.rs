@@ -202,6 +202,14 @@ impl ShardedDatabase {
         &self.shards[s]
     }
 
+    /// Lock every shard's engine, in shard order — the same order the
+    /// two-phase commit takes its guards, so whole-database operations
+    /// (consistent snapshot, checkpoint, schema change) cannot deadlock
+    /// against it. Guard `i` is shard `i`.
+    pub fn lock_all(&self) -> Vec<MutexGuard<'_, Database>> {
+        self.shards.iter().map(SharedDatabase::lock).collect()
+    }
+
     /// Which shard a global object id lives on.
     pub fn shard_of(&self, obj: ObjectId) -> usize {
         shard_of(obj, self.shards.len())

@@ -1,8 +1,9 @@
 //! Recovery edge cases the crash matrix doesn't isolate: empty
 //! directories, zero-tail checkpoints, duplicate checkpoint files,
 //! idempotent re-recovery, interior corruption, fsync-failure
-//! poisoning, and a property test that random `LogOp` sequences survive
-//! the framed round trip bit for bit.
+//! poisoning, an oversized checkpoint refused without poisoning, and a
+//! property test that random `LogOp` sequences survive the framed round
+//! trip bit for bit.
 #![cfg(feature = "persistence")]
 
 use std::path::{Path, PathBuf};
@@ -13,8 +14,10 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use ode_db::durability::frame;
+use ode_db::persist::ObjectSnapshot;
 use ode_db::{
     demo, Database, DiskWal, Fault, FaultyIo, FsyncPolicy, LogOp, SharedIo, StdIo, WalConfig,
+    WalError,
 };
 
 fn cfg() -> WalConfig {
@@ -248,6 +251,54 @@ fn fsync_failure_poisons_the_wal_but_keeps_prior_records() {
     // The appended records themselves survive for recovery.
     let (_, recovery) = DiskWal::open(&dir, cfg(), std_io()).unwrap();
     assert_eq!(recovery.ops.len(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn oversized_checkpoint_is_refused_without_poisoning_the_wal() {
+    let dir = tmp_dir("oversized-ckpt");
+    let (wal, _) = DiskWal::open(&dir, cfg(), std_io()).unwrap();
+    let begin = LogOp::Begin {
+        txn: 1,
+        user: Value::Str("alice".into()),
+    };
+    wal.append(&begin).unwrap();
+
+    // One field whose serialized form alone is past the frame limit.
+    let mut snap = fresh().snapshot().unwrap();
+    snap.objects.push(ObjectSnapshot {
+        id: 1,
+        class: "stockRoom".into(),
+        fields: [(
+            "blob".to_string(),
+            Value::Str("x".repeat(frame::MAX_FRAME as usize + 1)),
+        )]
+        .into(),
+        deleted: false,
+        triggers: vec![],
+        history: vec![],
+    });
+    match wal.checkpoint(&snap) {
+        Err(WalError::SnapshotTooLarge { bytes, max }) => {
+            assert_eq!(max, frame::MAX_FRAME as u64);
+            assert!(bytes > max);
+        }
+        other => panic!("expected SnapshotTooLarge, got {other:?}"),
+    }
+    drop(snap);
+
+    // Nothing was written and nothing latched: the log keeps working.
+    assert!(
+        wal.poisoned().is_none(),
+        "a refused checkpoint is not a fault"
+    );
+    let lsn = wal.append(&LogOp::Commit { txn: 1 }).unwrap();
+    wal.wait_durable(lsn).unwrap();
+    drop(wal);
+
+    let (_, recovery) = DiskWal::open(&dir, cfg(), std_io()).unwrap();
+    assert!(recovery.snapshot.is_none(), "no checkpoint was installed");
+    assert_eq!(recovery.ops.len(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -26,6 +26,7 @@ pub mod protocol;
 pub mod reactor;
 pub mod repl;
 pub mod server;
+pub(crate) mod session;
 pub mod spec;
 
 pub use client::{backoff_delay, Client, ClientError, QueryOutcome, QuerySpec};

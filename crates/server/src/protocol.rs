@@ -436,6 +436,16 @@ impl WireError {
         }
     }
 
+    /// A write-ahead-log failure: retryable, because a restart (or a
+    /// retry against a healthy node) can succeed where this one did not.
+    pub fn wal(e: impl std::fmt::Display) -> WireError {
+        WireError {
+            code: "wal".to_string(),
+            message: e.to_string(),
+            retryable: true,
+        }
+    }
+
     /// Map an engine error onto a wire error. Lock conflicts are the
     /// only retryable class: the engine returns them immediately rather
     /// than blocking, so the client aborts and retries (no deadlock).
@@ -481,8 +491,7 @@ pub struct WireStats {
     /// Firing notifications dropped because a subscriber's outbox or
     /// socket write failed.
     pub subscriber_drops: u64,
-    /// Connections currently open (sessions live on the reactor loop,
-    /// or legacy session threads).
+    /// Connections currently open (sessions live on the reactor loop).
     pub conns_open: u64,
     /// Connections refused by the `--max-conns` accept guard with a
     /// `server_full` notice since startup.

@@ -1,6 +1,7 @@
 //! The reactor event loop and its command worker pool.
 //!
-//! One loop thread owns every socket: it accepts, reads framed lines
+//! One loop thread owns every socket: it accepts (refusing past
+//! `max_conns` with a typed `server_full` notice), reads framed lines
 //! (partial lines carried across readiness events by
 //! [`crate::codec::LineReader`]), drains outbox rings with
 //! write-interest-driven flushing, emits replication heartbeats, and
@@ -31,8 +32,7 @@
 //! `closed`/`running` handshake so a lock is never leaked and never
 //! double-aborted. A clean EOF with queued work or unflushed replies
 //! defers teardown until both drain, so half-closing clients still
-//! receive every answer (the legacy writer thread behaved the same
-//! way).
+//! receive every answer.
 
 use std::collections::HashMap;
 use std::net::TcpListener;
@@ -45,14 +45,14 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use super::outbox::{encode_frame, ConnOutbox, Notify, Sink};
+use super::outbox::{encode_frame, ConnOutbox, Notify};
 use super::poller::{Event, Interest, Poller};
 use crate::codec::{LineEvent, LineReader};
 use crate::conn::Conn;
 use crate::protocol::{ReplyResult, ServerMsg, WireError};
 use crate::repl::HEARTBEAT_INTERVAL;
-use crate::server::{handle_line, notice, release_session, Shared};
-use ode_db::TxnId;
+use crate::server::Shared;
+use crate::session::{handle_line, notice, Session};
 
 /// A bound listener handed to the loop.
 pub(crate) enum ListenSocket {
@@ -78,13 +78,6 @@ impl ListenSocket {
     }
 }
 
-/// Session state a worker mutates while holding the lock: the open
-/// transaction and the replication flag `execute` toggles.
-pub(crate) struct SessionCore {
-    pub(crate) open_txn: Option<TxnId>,
-    pub(crate) replicating: bool,
-}
-
 /// The per-connection command FIFO and its dispatch latch.
 struct CmdQueue {
     lines: std::collections::VecDeque<String>,
@@ -95,8 +88,9 @@ struct CmdQueue {
 
 /// State shared between the loop and the workers for one connection.
 pub(crate) struct ConnState {
-    pub(crate) conn_id: u64,
-    pub(crate) outbox: Arc<ConnOutbox>,
+    /// The loop's handle on the ring the session writes to, reachable
+    /// without the session lock (a worker may hold that for seconds).
+    outbox: Arc<ConnOutbox>,
     /// Teardown has begun: workers stop executing queued lines and the
     /// survivor of the `closed`/`running` handshake releases the
     /// session.
@@ -104,10 +98,8 @@ pub(crate) struct ConnState {
     /// The session's transaction has been released (idempotence guard
     /// for the reap race — both sides of the handshake may qualify).
     reaped: AtomicBool,
-    /// Mirror of `SessionCore::replicating` for the loop's lock-free
-    /// heartbeat sweep.
-    replicating: AtomicBool,
-    session: Mutex<SessionCore>,
+    /// Locked by a worker for the duration of each command.
+    session: Mutex<Session>,
     queue: Mutex<CmdQueue>,
 }
 
@@ -143,13 +135,13 @@ fn worker_loop(
         run_batch(&inner, &st);
         // Wake the loop: flush whatever the batch wrote, re-arm a
         // gated read, finalize a deferred EOF teardown.
-        notify.mark(st.conn_id);
+        notify.mark(st.outbox.conn_id);
     }
 }
 
 /// Execute this connection's queued lines until the queue is empty,
 /// then hand the dispatch latch back.
-fn run_batch(inner: &Arc<Shared>, st: &ConnState) {
+fn run_batch(inner: &Shared, st: &ConnState) {
     loop {
         let line = {
             let mut q = st.queue.lock();
@@ -164,22 +156,7 @@ fn run_batch(inner: &Arc<Shared>, st: &ConnState) {
         if st.closed.load(Ordering::SeqCst) {
             continue; // drain and drop: the peer is gone
         }
-        let sink = Sink::Ring(Arc::clone(&st.outbox));
-        let mut s = st.session.lock();
-        let mut open_txn = s.open_txn;
-        let mut replicating = s.replicating;
-        handle_line(
-            inner,
-            st.conn_id,
-            &line,
-            &mut open_txn,
-            &sink,
-            &mut replicating,
-        );
-        s.open_txn = open_txn;
-        s.replicating = replicating;
-        drop(s);
-        st.replicating.store(replicating, Ordering::SeqCst);
+        handle_line(inner, &mut st.session.lock(), &line);
     }
     if st.closed.load(Ordering::SeqCst) {
         try_reap(inner, st);
@@ -189,43 +166,69 @@ fn run_batch(inner: &Arc<Shared>, st: &ConnState) {
 /// Handle to the running reactor: the doorbell plus the threads to
 /// join on shutdown.
 pub(crate) struct ReactorHandle {
-    pub(crate) notify: Arc<Notify>,
-    pub(crate) loop_thread: Option<JoinHandle<()>>,
-    pub(crate) workers: Vec<JoinHandle<()>>,
+    notify: Arc<Notify>,
+    loop_thread: JoinHandle<()>,
+    workers: Vec<JoinHandle<()>>,
 }
 
-/// Spawn the worker pool and the loop thread.
+impl ReactorHandle {
+    /// Wake the loop so it notices the shutdown flag; it tears down
+    /// every connection and exits, dropping the worker injector; the
+    /// workers then drain and exit.
+    pub(crate) fn stop(self) {
+        self.notify.waker.wake();
+        let _ = self.loop_thread.join();
+        join_all(self.workers);
+    }
+}
+
+fn join_all(threads: Vec<JoinHandle<()>>) {
+    for h in threads {
+        let _ = h.join();
+    }
+}
+
+/// Register the listeners, then spawn the worker pool and the loop
+/// thread. The loop is built on the calling thread so a poller or
+/// registration failure is the caller's error, not a server that
+/// silently never accepts.
 pub(crate) fn start(
     inner: Arc<Shared>,
     listeners: Vec<ListenSocket>,
 ) -> std::io::Result<ReactorHandle> {
     let notify = Arc::new(Notify::new()?);
     let (inj_tx, inj_rx) = mpsc::channel::<Arc<ConnState>>();
+    let mut el = EventLoop::new(Arc::clone(&inner), listeners, Arc::clone(&notify), inj_tx)?;
     let inj_rx = Arc::new(Mutex::new(inj_rx));
     let mut workers = Vec::new();
-    for i in 0..inner.config.workers.max(1) {
-        let (w_inner, w_notify, w_rx) =
-            (Arc::clone(&inner), Arc::clone(&notify), Arc::clone(&inj_rx));
-        workers.push(
-            thread::Builder::new()
+    let spawned = (0..inner.config.workers.max(1))
+        .try_for_each(|i| {
+            let (w_inner, w_notify, w_rx) =
+                (Arc::clone(&inner), Arc::clone(&notify), Arc::clone(&inj_rx));
+            let worker = thread::Builder::new()
                 .name(format!("ode-worker-{i}"))
-                .spawn(move || worker_loop(w_inner, w_notify, w_rx))?,
-        );
+                .spawn(move || worker_loop(w_inner, w_notify, w_rx))?;
+            workers.push(worker);
+            Ok(())
+        })
+        .and_then(|()| {
+            thread::Builder::new()
+                .name("ode-reactor".into())
+                .spawn(move || el.run())
+        });
+    match spawned {
+        Ok(loop_thread) => Ok(ReactorHandle {
+            notify,
+            loop_thread,
+            workers,
+        }),
+        // Either failed spawn dropped the closure that owned the loop,
+        // and with it the injector the running workers block on.
+        Err(e) => {
+            join_all(workers);
+            Err(e)
+        }
     }
-    let loop_notify = Arc::clone(&notify);
-    let loop_thread = thread::Builder::new()
-        .name("ode-reactor".into())
-        .spawn(
-            move || match EventLoop::new(inner, listeners, loop_notify, inj_tx) {
-                Ok(mut el) => el.run(),
-                Err(e) => eprintln!("reactor failed to start: {e}"),
-            },
-        )?;
-    Ok(ReactorHandle {
-        notify,
-        loop_thread: Some(loop_thread),
-        workers,
-    })
 }
 
 /// Stop reading a connection once this many lines are queued unexecuted;
@@ -327,44 +330,41 @@ impl EventLoop {
     /// idle-transaction timer.
     fn sweep(&mut self) {
         let idle_limit = self.inner.config.txn_idle_timeout;
-        let mut expired: Vec<RawFd> = Vec::new();
-        for (&fd, entry) in self.conns.iter_mut() {
-            if entry.state.replicating.load(Ordering::SeqCst)
-                && entry.last_heartbeat.elapsed() >= HEARTBEAT_INTERVAL
-            {
+        for entry in self.conns.values_mut() {
+            let beat = entry.last_heartbeat.elapsed() >= HEARTBEAT_INTERVAL;
+            let idle = idle_limit.is_some_and(|limit| entry.last_activity.elapsed() >= limit);
+            if !(beat || idle) {
+                continue;
+            }
+            // `try_lock`: a held session lock means a command is
+            // mid-execution — not idle, and about to answer anyway.
+            let Some(mut sess) = entry.state.session.try_lock() else {
+                continue;
+            };
+            if beat {
                 entry.last_heartbeat = Instant::now();
-                if let Some(ws) = &self.inner.wal {
-                    let sink = Sink::Ring(Arc::clone(&entry.state.outbox));
+                if let (true, Some(ws)) = (sess.replicating, &self.inner.wal) {
+                    // The heads a replica should chase are the durable
+                    // ones: buffered-but-unflushed records aren't
+                    // shippable yet. One report per shard stream.
                     let epoch = self.inner.epochs.history_epoch();
-                    for s in 0..ws.wal.shard_count() {
-                        let _ = sink.send(ServerMsg::ReplHeartbeat {
+                    for (s, wal) in ws.wal.wals().iter().enumerate() {
+                        let _ = sess.outbox.send(ServerMsg::ReplHeartbeat {
                             shard: s as u64,
-                            head: ws.wal.wal(s).durable_lsn(),
+                            head: wal.durable_lsn(),
                             epoch,
                         });
                     }
                 }
             }
-            if let Some(limit) = idle_limit {
-                if entry.last_activity.elapsed() >= limit {
-                    // `try_lock`: a held session lock means a command
-                    // is mid-execution, which is not idle.
-                    if let Some(mut s) = entry.state.session.try_lock() {
-                        if let Some(t) = s.open_txn.take() {
-                            let _ = self.inner.db.abort(t);
-                            expired.push(fd);
-                        }
-                    }
+            if idle {
+                if let Some(t) = sess.open_txn.take() {
+                    let _ = self.inner.db.abort(t);
+                    let _ = sess.outbox.send(notice(
+                        "txn_timeout",
+                        "open transaction aborted after idle timeout".to_string(),
+                    ));
                 }
-            }
-        }
-        for fd in expired {
-            if let Some(entry) = self.conns.get(&fd) {
-                let sink = Sink::Ring(Arc::clone(&entry.state.outbox));
-                let _ = sink.send(notice(
-                    "txn_timeout",
-                    "open transaction aborted after idle timeout".to_string(),
-                ));
             }
         }
     }
@@ -391,12 +391,12 @@ impl EventLoop {
         let conn_id = self.inner.next_conn.fetch_add(1, Ordering::SeqCst) + 1;
         let outbox = Arc::new(ConnOutbox::new(conn_id, Arc::clone(&self.notify)));
         let state = Arc::new(ConnState {
-            conn_id,
-            outbox,
+            outbox: Arc::clone(&outbox),
             closed: AtomicBool::new(false),
             reaped: AtomicBool::new(false),
-            replicating: AtomicBool::new(false),
-            session: Mutex::new(SessionCore {
+            session: Mutex::new(Session {
+                conn_id,
+                outbox,
                 open_txn: None,
                 replicating: false,
             }),
@@ -462,8 +462,7 @@ impl EventLoop {
                 }
                 Ok(LineEvent::Tick) => break,
                 Ok(LineEvent::Overlong) => {
-                    let sink = Sink::Ring(Arc::clone(&entry.state.outbox));
-                    let _ = sink.send(notice(
+                    let _ = entry.state.outbox.send(notice(
                         "overlong",
                         format!(
                             "request line exceeds {} bytes",
@@ -602,7 +601,8 @@ impl EventLoop {
             return;
         };
         let st = &entry.state;
-        self.by_id.remove(&st.conn_id);
+        let conn_id = st.outbox.conn_id;
+        self.by_id.remove(&conn_id);
         let _ = self.poller.deregister(fd);
         st.closed.store(true, Ordering::SeqCst);
         let stranded = st.outbox.close();
@@ -611,7 +611,13 @@ impl EventLoop {
                 .subscriber_drops
                 .fetch_add(stranded, Ordering::Relaxed);
         }
-        release_session(&self.inner, st.conn_id);
+        self.inner.subs.lock().remove(&conn_id);
+        if let Some(ws) = &self.inner.wal {
+            for subs in &ws.repl_subs {
+                subs.lock().remove(&conn_id);
+            }
+        }
+        self.inner.conns_open.fetch_sub(1, Ordering::SeqCst);
         entry.conn.shutdown_both();
         try_reap(&self.inner, st);
         // `entry.conn` drops here, closing the fd after deregistration.
@@ -642,12 +648,10 @@ fn reject_full(conn: Conn, max: u64) {
             retryable: true,
         }),
     };
+    let mut conn = conn;
     if let Some(frame) = encode_frame(&msg) {
         let _ = conn.set_nonblocking(true);
-        let mut c = conn;
-        let _ = std::io::Write::write(&mut c, &frame);
-        c.shutdown_both();
-        return;
+        let _ = std::io::Write::write(&mut conn, &frame);
     }
     conn.shutdown_both();
 }

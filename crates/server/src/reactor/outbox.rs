@@ -1,24 +1,22 @@
-//! Per-connection outbox rings and the [`Sink`] abstraction over them.
+//! Per-connection outbox rings: how every message leaves the server.
 //!
-//! A [`ConnOutbox`] is the reactor-mode replacement for the legacy
-//! per-connection writer thread + mpsc channel: producers (worker
-//! threads answering commands, the engine's firing sink running under
-//! the engine lock, each shard WAL's durable sink) enqueue *pre-
-//! serialized* frames; the event loop drains them to the socket with
-//! write-interest-driven flushing. Fan-out paths serialize a message
-//! **once** and enqueue the same `Arc<[u8]>` into every subscriber's
-//! ring, so a firing's cost under the engine lock is one JSON encode
-//! plus N pointer pushes — not N encodes and no socket I/O at all.
+//! Producers — worker threads answering commands, the engine's firing
+//! sink running under the engine lock, each shard WAL's durable sink —
+//! enqueue *pre-serialized* frames on a connection's [`ConnOutbox`];
+//! the event loop drains them to the socket with write-interest-driven
+//! flushing. Fan-out ([`broadcast`]) serializes a message **once** and
+//! enqueues the same `Arc<[u8]>` into every subscriber's ring, so a
+//! firing's cost under the engine lock is one JSON encode plus N
+//! pointer pushes — no socket I/O at all, and no encode at all when
+//! nobody is subscribed.
 //!
-//! The ring is unbounded, matching the legacy unbounded channel: every
-//! accepted message is eventually written or accounted. The only
-//! messages ever *dropped* are [`ServerMsg::Firing`] notifications
-//! enqueued after the connection closed (or stranded in the ring when
-//! it dies) — exactly the cases the legacy writer counted in
+//! The ring is unbounded: every accepted message is eventually written
+//! or accounted. The only messages ever *dropped* are
+//! [`ServerMsg::Firing`] notifications enqueued after the connection
+//! closed (or stranded in the ring when it dies); both count in
 //! `subscriber_drops`.
 
-use std::collections::VecDeque;
-use std::sync::mpsc;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -119,6 +117,15 @@ impl ConnOutbox {
         Ok(())
     }
 
+    /// Serialize and enqueue one message for this connection. `Err(())`
+    /// means the connection is gone (ring closed).
+    pub(crate) fn send(&self, msg: ServerMsg) -> Result<(), ()> {
+        match encode_frame(&msg) {
+            Some(bytes) => self.push(bytes, matches!(msg, ServerMsg::Firing(_))),
+            None => Ok(()),
+        }
+    }
+
     /// Close the ring (teardown): refuse future pushes and return how
     /// many queued firing notifications were stranded — they'll never
     /// reach the peer, so they count as subscriber drops.
@@ -133,72 +140,27 @@ impl ConnOutbox {
 }
 
 /// Serialize a message as one wire frame (line + newline). `None` if
-/// serialization fails — the legacy writer skipped such messages too.
+/// serialization fails; such a message is skipped, not an error.
 pub(crate) fn encode_frame(msg: &ServerMsg) -> Option<Arc<[u8]>> {
     let mut line = serde_json::to_string(msg).ok()?;
     line.push('\n');
     Some(Arc::from(line.into_bytes().into_boxed_slice()))
 }
 
-/// Where a session's outgoing messages go: the legacy writer-thread
-/// channel, or a reactor outbox ring. Every delivery path
-/// (`execute`, the firing sink, the replication sinks) speaks this,
-/// so both server modes share one command layer.
-#[derive(Clone)]
-pub(crate) enum Sink {
-    /// Thread-per-connection mode: an unbounded channel drained by the
-    /// connection's writer thread.
-    Channel(mpsc::Sender<ServerMsg>),
-    /// Reactor mode: a shared outbox ring drained by the event loop.
-    Ring(Arc<ConnOutbox>),
-}
-
-impl Sink {
-    /// Deliver one message to this connection. `Err(())` means the
-    /// connection is gone (channel receiver dropped / ring closed).
-    pub(crate) fn send(&self, msg: ServerMsg) -> Result<(), ()> {
-        match self {
-            Sink::Channel(tx) => tx.send(msg).map_err(|_| ()),
-            Sink::Ring(ring) => {
-                let firing = matches!(msg, ServerMsg::Firing(_));
-                match encode_frame(&msg) {
-                    Some(bytes) => ring.push(bytes, firing),
-                    None => Ok(()),
-                }
-            }
-        }
+/// Fan `msg` out to every ring in `subs`: encoded once and shared by
+/// `Arc` clone, or not at all when `subs` is empty. Returns how many
+/// rings refused the frame (already closed).
+pub(crate) fn broadcast(subs: &HashMap<u64, Arc<ConnOutbox>>, msg: &ServerMsg) -> u64 {
+    if subs.is_empty() {
+        return 0;
     }
-
-    /// Fan-out delivery: ring recipients share `frame`'s one-time
-    /// encoding; channel recipients take a message clone (their writer
-    /// thread serializes).
-    pub(crate) fn send_shared(&self, msg: &ServerMsg, frame: &SharedFrame) -> Result<(), ()> {
-        match self {
-            Sink::Channel(tx) => tx.send(msg.clone()).map_err(|_| ()),
-            Sink::Ring(ring) => match frame.get(msg) {
-                Some(bytes) => ring.push(bytes, matches!(msg, ServerMsg::Firing(_))),
-                None => Ok(()),
-            },
-        }
-    }
-}
-
-/// Lazily-encoded shared frame for fan-out: encoded at most once no
-/// matter how many ring subscribers the broadcast reaches, and not at
-/// all when every subscriber is a channel.
-#[derive(Default)]
-pub(crate) struct SharedFrame {
-    cell: std::cell::OnceCell<Option<Arc<[u8]>>>,
-}
-
-impl SharedFrame {
-    pub(crate) fn new() -> SharedFrame {
-        SharedFrame::default()
-    }
-
-    fn get(&self, msg: &ServerMsg) -> Option<Arc<[u8]>> {
-        self.cell.get_or_init(|| encode_frame(msg)).clone()
-    }
+    let Some(bytes) = encode_frame(msg) else {
+        return 0;
+    };
+    let firing = matches!(msg, ServerMsg::Firing(_));
+    subs.values()
+        .filter(|ring| ring.push(Arc::clone(&bytes), firing).is_err())
+        .count() as u64
 }
 
 #[cfg(test)]
@@ -219,16 +181,28 @@ mod tests {
     }
 
     #[test]
-    fn shared_frame_encodes_once_and_matches_send() {
+    fn broadcast_encodes_once_and_matches_send() {
         let msg = ServerMsg::Reply {
             id: 3,
             result: crate::protocol::ReplyResult::Ok(crate::protocol::Reply::Pong),
         };
-        let shared = SharedFrame::new();
-        let a = shared.get(&msg).unwrap();
-        let b = shared.get(&msg).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(broadcast(&HashMap::new(), &msg), 0, "nobody subscribed");
+
+        let notify = Arc::new(Notify::new().unwrap());
+        let subs: HashMap<u64, Arc<ConnOutbox>> = (1..=3)
+            .map(|id| (id, Arc::new(ConnOutbox::new(id, Arc::clone(&notify)))))
+            .collect();
+        subs[&3].close();
+        assert_eq!(broadcast(&subs, &msg), 1, "the closed ring refuses");
+
+        let front = |id: u64| Arc::clone(&subs[&id].inner.lock().queue[0].bytes);
+        let (a, b) = (front(1), front(2));
+        assert!(Arc::ptr_eq(&a, &b), "one encoding shared by every ring");
         assert_eq!(&*a, &*encode_frame(&msg).unwrap());
         assert_eq!(a.last(), Some(&b'\n'));
+
+        subs[&1].send(msg).unwrap();
+        let q = subs[&1].inner.lock();
+        assert_eq!(&*q.queue[1].bytes, &*a, "send and broadcast frame alike");
     }
 }

@@ -3,14 +3,18 @@
 //! release transaction locks, idle transactions expire, and the
 //! session-level transaction protocol rejects misuse.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
 use std::time::Duration;
 
 use ode_core::Value;
 use ode_db::{Database, SharedDatabase};
 use ode_server::spec::stockroom_spec;
-use ode_server::{Client, ClientError, ReplyResult, Server, ServerConfig, ServerMsg};
+use ode_server::{
+    Client, ClientError, Command, Reply, ReplyResult, Request, Server, ServerConfig, ServerMsg,
+};
 
 fn start_server(config: ServerConfig) -> (Server, std::net::SocketAddr) {
     let db = SharedDatabase::new(Database::new());
@@ -24,7 +28,11 @@ fn start_server(config: ServerConfig) -> (Server, std::net::SocketAddr) {
 }
 
 fn define_stockroom(addr: std::net::SocketAddr) -> (Client, u64) {
-    let mut admin = Client::connect_tcp(addr).expect("connect");
+    stockroom_on(Client::connect_tcp(addr).expect("connect"))
+}
+
+/// Define the stockroom class and create one room over `admin`.
+fn stockroom_on(mut admin: Client) -> (Client, u64) {
     admin.define_class(stockroom_spec()).expect("define");
     let room = admin
         .txn("admin", |c| c.new_object("room", &[]))
@@ -33,7 +41,7 @@ fn define_stockroom(addr: std::net::SocketAddr) -> (Client, u64) {
 }
 
 /// Read one NDJSON server message from a raw socket.
-fn read_msg(reader: &mut BufReader<TcpStream>) -> ServerMsg {
+fn read_msg<S: Read>(reader: &mut BufReader<S>) -> ServerMsg {
     let mut line = String::new();
     reader.read_line(&mut line).expect("read server line");
     serde_json::from_str(&line).expect("valid server message")
@@ -244,5 +252,160 @@ fn unix_socket_sessions_work() {
 
     server.shutdown();
     assert!(!path.exists(), "socket file removed on shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A Unix-socket server (so Nagle never sets the pace of a pipelined
+/// burst) with the stockroom class defined and one room created.
+fn start_unix_stockroom(tag: &str) -> (Server, PathBuf, u64) {
+    let dir = std::env::temp_dir().join(format!("ode-sock-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = SharedDatabase::new(Database::new());
+    let server = Server::builder(db)
+        .unix(dir.join("ode.sock"))
+        .start()
+        .expect("bind unix");
+    let admin = Client::connect_unix(server.unix_path().unwrap()).expect("connect");
+    let (_admin, room) = stockroom_on(admin);
+    (server, dir, room)
+}
+
+/// `Begin`, then `calls` one-bolt `method` calls on `room`.
+fn open_txn_cmds(room: u64, method: &str, calls: usize) -> Vec<Command> {
+    let mut cmds = vec![Command::Begin {
+        user: Value::from("pipeliner"),
+    }];
+    cmds.extend((0..calls).map(|_| Command::Call {
+        object: room,
+        method: method.into(),
+        args: vec![Value::from("bolt"), Value::Int(1)],
+    }));
+    cmds
+}
+
+/// The commands as request lines with ids 1.. in order, concatenated
+/// into one byte burst.
+fn pipeline(cmds: Vec<Command>) -> Vec<u8> {
+    let mut burst = String::new();
+    for (i, cmd) in cmds.into_iter().enumerate() {
+        let req = Request {
+            id: i as u64 + 1,
+            cmd,
+        };
+        burst.push_str(&serde_json::to_string(&req).unwrap());
+        burst.push('\n');
+    }
+    burst.into_bytes()
+}
+
+/// Read replies until EOF, asserting each is `Ok` and that ids count up
+/// from 1; returns how many arrived.
+fn read_ok_replies_in_order(reader: &mut BufReader<UnixStream>, stop_after: Option<u64>) -> u64 {
+    let mut seen = 0u64;
+    let mut line = String::new();
+    while stop_after != Some(seen) {
+        line.clear();
+        if reader.read_line(&mut line).expect("read server line") == 0 {
+            break;
+        }
+        match serde_json::from_str(&line).expect("valid server message") {
+            ServerMsg::Reply {
+                id,
+                result: ReplyResult::Ok(_),
+            } => {
+                seen += 1;
+                assert_eq!(id, seen, "replies arrive in request order");
+            }
+            other => panic!("expected an Ok reply, got {other:?}"),
+        }
+    }
+    seen
+}
+
+#[test]
+fn thousand_pipelined_requests_are_answered_in_order_across_the_read_gate() {
+    let (mut server, dir, room) = start_unix_stockroom("pipeline");
+    let stream = UnixStream::connect(server.unix_path().unwrap()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+
+    // Begin + 997 deposits, then Commit and a read-back: 1 000 lines in
+    // one write, several times the loop's 128-line read gate.
+    const CALLS: usize = 997;
+    let mut cmds = open_txn_cmds(room, "deposit", CALLS);
+    cmds.push(Command::Commit);
+    cmds.push(Command::PeekField {
+        object: room,
+        field: "items".into(),
+    });
+    writer.write_all(&pipeline(cmds)).unwrap();
+
+    let total = CALLS as u64 + 3;
+    assert_eq!(
+        read_ok_replies_in_order(&mut reader, Some(total - 1)),
+        total - 1
+    );
+    // The last reply proves the lines also *executed* in order: every
+    // deposit ran inside the transaction and before the commit.
+    match read_msg(&mut reader) {
+        ServerMsg::Reply {
+            id,
+            result: ReplyResult::Ok(Reply::Value(items)),
+        } => {
+            assert_eq!(id, total);
+            let bolt = items.member("bolt").and_then(Value::as_int).expect("bolt");
+            assert_eq!(bolt, 500 + CALLS as i64);
+        }
+        other => panic!("expected the peeked items, got {other:?}"),
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn half_closed_pipeline_gets_every_reply_then_eof_and_its_locks_are_released() {
+    let (mut server, dir, room) = start_unix_stockroom("halfclose");
+    let stream = UnixStream::connect(server.unix_path().unwrap()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+
+    // An open transaction holding the room's write lock, never
+    // committed; then the client half-closes.
+    const CALLS: usize = 299;
+    writer
+        .write_all(&pipeline(open_txn_cmds(room, "withdraw", CALLS)))
+        .unwrap();
+    writer.shutdown(Shutdown::Write).unwrap();
+
+    // Every queued command still executes and every reply still
+    // flushes before the server closes its side.
+    assert_eq!(
+        read_ok_replies_in_order(&mut reader, None),
+        CALLS as u64 + 1,
+        "all replies, then EOF"
+    );
+
+    // The abandoned transaction is aborted by the same teardown that
+    // closed the socket: its lock frees (`Client::txn` retries through
+    // the instant between the two) and its withdrawals roll back.
+    let mut b = Client::connect_unix(server.unix_path().unwrap()).expect("connect B");
+    b.txn("b", |c| {
+        c.call(room, "withdraw", &[Value::from("bolt"), Value::Int(70)])
+    })
+    .expect("B's withdraw commits once the abandoned lock is released");
+    let bolt = b
+        .peek_field(room, "items")
+        .expect("peek")
+        .member("bolt")
+        .and_then(Value::as_int)
+        .expect("bolt");
+    assert_eq!(bolt, 500 - 70);
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
