@@ -1,10 +1,10 @@
 //! E15 — sharded engines and per-shard WAL streams: throughput vs
-//! shard count, committer count, and fsync policy, with the
-//! ack-after-durable rule held throughout.
+//! shard count and committer count, with the ack-after-durable rule
+//! held throughout.
 //!
-//! E14 showed group commit amortizes the fsync across concurrent
-//! committers — but one engine lock and one WAL stream still serialize
-//! everything behind a single flusher. This experiment measures what
+//! Concurrent committers share one stream's fsyncs — but one engine
+//! lock and one WAL stream still serialize everything behind a single
+//! flusher. This experiment measures what
 //! hash-partitioning buys: N committer threads run deposit+withdraw
 //! transactions against rooms spread over S shards, each shard with its
 //! own engine lock, WAL stream, and flusher. Two workloads:
@@ -35,8 +35,7 @@ use std::time::{Duration, Instant};
 
 use ode_core::Value;
 use ode_db::{
-    demo, Database, FsyncPolicy, LogOp, ObjectId, ShardedDatabase, ShardedWal, SharedIo, StdIo,
-    WalConfig, WalIo,
+    demo, Database, LogOp, ObjectId, ShardedDatabase, ShardedWal, SharedIo, StdIo, WalConfig, WalIo,
 };
 
 const TXNS_PER_COMMITTER: usize = 60;
@@ -118,18 +117,9 @@ fn bolt(db: &Database, room: ObjectId) -> i64 {
 }
 
 /// One measured run. Returns (acked txns/sec, total fsyncs, max batch).
-fn run(
-    tag: &str,
-    shards: usize,
-    committers: usize,
-    fsync: FsyncPolicy,
-    cross: bool,
-) -> (f64, u64, u64) {
+fn run(tag: &str, shards: usize, committers: usize, cross: bool) -> (f64, u64, u64) {
     let root = tmp_dir(tag);
-    let cfg = WalConfig {
-        fsync,
-        ..WalConfig::default()
-    };
+    let cfg = WalConfig::default();
     let ios: Vec<SharedIo> = (0..shards)
         .map(|_| SharedIo::new(SlowIo(StdIo::new())))
         .collect();
@@ -257,7 +247,7 @@ fn run(
 }
 
 fn main() {
-    eprintln!("\n== E15: sharded engines — shards x committers x fsync, ack-after-durable ==\n");
+    eprintln!("\n== E15: sharded engines — shards x committers, ack-after-durable ==\n");
     eprintln!("{TXNS_PER_COMMITTER} txns per committer; modeled fsync latency {FSYNC_LATENCY:?}\n");
 
     let mut json = String::from("{\n  \"experiment\": \"e15_shard\",\n");
@@ -268,86 +258,58 @@ fn main() {
     ));
 
     let mut rows = Vec::new();
-    // (1-shard, 8-shard) tps at 8 committers, disjoint, per policy.
-    let mut head_commit = (0.0, 0.0);
-    let mut head_group = (0.0, 0.0);
+    // (1-shard, 8-shard) tps at 8 committers, disjoint.
+    let mut head = (0.0, 0.0);
     for (workload, cross) in [("disjoint", false), ("cross", true)] {
         for &committers in &[1usize, 4, 8] {
-            for (policy, fsync) in [
-                ("commit", FsyncPolicy::OnCommit),
-                (
-                    "group",
-                    FsyncPolicy::Group {
-                        max_batch: committers,
-                        max_delay: Duration::from_micros(100),
-                    },
-                ),
-            ] {
-                let mut base_tps = 0.0;
-                for &shards in &[1usize, 2, 4, 8] {
-                    let tag = format!("{workload}-{policy}-c{committers}-s{shards}");
-                    let (tps, fsyncs, max_batch) = run(&tag, shards, committers, fsync, cross);
-                    if shards == 1 {
-                        base_tps = tps;
-                    }
-                    if workload == "disjoint" && committers == 8 && (shards == 1 || shards == 8) {
-                        let slot = if policy == "commit" {
-                            &mut head_commit
-                        } else {
-                            &mut head_group
-                        };
-                        if shards == 1 {
-                            slot.0 = tps;
-                        } else {
-                            slot.1 = tps;
-                        }
-                    }
-                    let speedup = tps / base_tps;
-                    eprintln!(
-                        "{workload:>8} {policy:>6} {committers} committer(s) {shards} shard(s): \
-                         {tps:>8.0} txns/sec ({speedup:.2}x vs 1 shard, \
-                         {fsyncs} fsyncs, max batch {max_batch})",
-                    );
-                    rows.push(format!(
-                        "    {{\"workload\": \"{workload}\", \"policy\": \"{policy}\", \
-                         \"committers\": {committers}, \"shards\": {shards}, \
-                         \"txns_per_sec\": {tps:.0}, \"speedup_vs_1_shard\": {speedup:.2}, \
-                         \"fsyncs_total\": {fsyncs}, \"group_commit_max_batch\": {max_batch}}}"
-                    ));
+            let mut base_tps = 0.0;
+            for &shards in &[1usize, 2, 4, 8] {
+                let tag = format!("{workload}-c{committers}-s{shards}");
+                let (tps, fsyncs, max_batch) = run(&tag, shards, committers, cross);
+                if shards == 1 {
+                    base_tps = tps;
                 }
+                if workload == "disjoint" && committers == 8 {
+                    if shards == 1 {
+                        head.0 = tps;
+                    } else if shards == 8 {
+                        head.1 = tps;
+                    }
+                }
+                let speedup = tps / base_tps;
+                eprintln!(
+                    "{workload:>8} {committers} committer(s) {shards} shard(s): \
+                     {tps:>8.0} txns/sec ({speedup:.2}x vs 1 shard, \
+                     {fsyncs} fsyncs, max batch {max_batch})",
+                );
+                rows.push(format!(
+                    "    {{\"workload\": \"{workload}\", \
+                     \"committers\": {committers}, \"shards\": {shards}, \
+                     \"txns_per_sec\": {tps:.0}, \"speedup_vs_1_shard\": {speedup:.2}, \
+                     \"fsyncs_total\": {fsyncs}, \"group_commit_max_batch\": {max_batch}}}"
+                ));
             }
             eprintln!();
         }
     }
     json.push_str(&rows.join(",\n"));
-    // Two headlines for the 8-committer disjoint sweep. `commit` drives
-    // every transaction through the flusher with a private fsync — the
-    // strictest per-txn durability — and is where parallel per-shard
-    // streams pay off on any hardware: S streams keep S fsyncs in
-    // flight. `group` lets a lone stream coalesce all committers into
-    // one fsync, so on a single-core host the 1-shard baseline is
-    // already fsync-optimal and the sharded win requires the multi-core
-    // regime where the single engine lock (not the fsync) saturates.
+    // A lone stream already coalesces concurrent committers into shared
+    // fsyncs, so on a single-core host the 1-shard baseline is close to
+    // fsync-optimal; S streams keep S fsyncs in flight, and the sharded
+    // win grows in the multi-core regime where the single engine lock
+    // (not the fsync) saturates.
     json.push_str(&format!(
-        "\n  ],\n  \"headline_disjoint_commit_8c_8shards_vs_1shard\": {:.2},\n  \
-         \"headline_disjoint_group_8c_8shards_vs_1shard\": {:.2},\n  \
-         \"cores\": {},\n  \
-         \"note\": \"'commit' = per-commit fsync through the flusher, ack-after-durable; \
-         its 8-shard speedup is the parallel-stream win. 'group' at 1 shard batches all \
-         committers into one modeled fsync, so its sharded speedup only appears on \
-         multi-core hosts where the single engine lock saturates first.\"\n}}\n",
-        head_commit.1 / head_commit.0,
-        head_group.1 / head_group.0,
+        "\n  ],\n  \"headline_disjoint_8c_8shards_vs_1shard\": {:.2},\n  \
+         \"cores\": {}\n}}\n",
+        head.1 / head.0,
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     ));
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e15_shard.json");
     std::fs::write(path, &json).unwrap();
     eprintln!(
-        "headline (8 committers, disjoint): per-commit fsync 8 shards = {:.2}x 1 shard; \
-         batched group 8 shards = {:.2}x 1 shard",
-        head_commit.1 / head_commit.0,
-        head_group.1 / head_group.0,
+        "headline (8 committers, disjoint): 8 shards = {:.2}x 1 shard",
+        head.1 / head.0,
     );
     eprintln!("wrote {path}");
 }

@@ -49,25 +49,19 @@ fn start_primary(dir: &Path) -> Server {
         .expect("primary starts")
 }
 
-/// Replicas run group commit with a wide batch window. Two reasons,
-/// both artifacts of every topology sharing one bench machine and one
-/// disk: per-commit fsyncs on the followers would serialize against
-/// the primary's (measuring disk contention, not stream-serving
-/// cost), and because downstream shipping is durable-watermark-gated,
-/// a wide window also batches the mid→leaf hop so leaf apply work
-/// doesn't compete with the primary for the same cores mid-burst. (A
-/// real fleet keeps followers on their own spindles and cores.) The
-/// deferred cost shows up honestly in the deep-lag and drain columns.
-/// The primary keeps the default per-commit durability.
+/// Replicas skip the fsync call (`Never`): every topology shares one
+/// bench machine and one disk, so per-commit fsyncs on the followers
+/// would serialize against the primary's and measure disk contention,
+/// not stream-serving cost. (A real fleet keeps followers on their own
+/// spindles.) Downstream shipping stays watermark-gated — a follower
+/// forwards a transaction once its commit's flush has written it. The
+/// primary keeps the default per-commit durability.
 fn start_replica(dir: &Path, upstream: SocketAddr) -> Server {
     Server::builder(SharedDatabase::new(Database::new()))
         .tcp("127.0.0.1:0")
         .wal_dir(dir)
         .wal_config(WalConfig {
-            fsync: FsyncPolicy::Group {
-                max_batch: 1024,
-                max_delay: Duration::from_millis(200),
-            },
+            fsync: FsyncPolicy::Never,
             ..WalConfig::default()
         })
         .replicate_from(ReplSource::Tcp(upstream.to_string()))

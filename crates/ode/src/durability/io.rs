@@ -184,7 +184,8 @@ impl FaultyIo {
         Arc::clone(&self.ops)
     }
 
-    /// Whether a planned `Crash` has fired.
+    /// Whether a planned `Crash` has fired. Storing `true` kills the io
+    /// from outside, at a moment the caller chooses.
     pub fn crashed_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.crashed)
     }

@@ -1,5 +1,5 @@
 //! The on-disk write-ahead log: segmented, checksummed, checkpointed,
-//! group-committed.
+//! with one self-clocking flush pipeline.
 //!
 //! ## Layout
 //!
@@ -20,44 +20,47 @@
 //!
 //! ## Two-phase append: buffer, then flush
 //!
-//! [`DiskWal::append`] is split into two steps so the fsync never runs
-//! under the lock that orders the log:
+//! Every record takes the same two steps, so the fsync never runs under
+//! the lock that orders the log:
 //!
-//! 1. **buffer + assign LSN** — the record is framed, stamped with the
-//!    next LSN, and (under the group policies) pushed onto an in-memory
+//! 1. **buffer + assign LSN** — [`DiskWal::append`] frames the record,
+//!    stamps it with the next LSN and pushes it onto the in-memory
 //!    pending queue. This step does no I/O; callers holding an engine
 //!    lock pay only a queue push. The caller's lock still orders the
-//!    LSN assignment, so the log stays deterministic and replication
-//!    LSNs are unchanged.
-//! 2. **durability** — a flush (run by a dedicated flusher thread, by a
-//!    [`DiskWal::wait_durable`] caller when no flusher is attached, or
-//!    inline for the non-group policies) drains the pending queue,
-//!    writes the batch with one coalesced append per segment, fsyncs
-//!    once, and advances the published **durable watermark**. One fsync
+//!    LSN assignment, so the log stays deterministic.
+//! 2. **flush** — one flush cycle steals *everything* pending, writes
+//!    it with one coalesced append per segment, fsyncs at most once,
+//!    and advances the published **durable watermark**. One fsync
 //!    releases every committer waiting at or below the watermark.
 //!
-//! Under [`FsyncPolicy::Always`], [`FsyncPolicy::EveryN`], and
-//! [`FsyncPolicy::Never`] appends still write (and sync, per policy)
-//! inline — those callers asked for per-append behavior. `OnCommit` is
-//! implemented on top of the group pipeline (`max_batch = 1`,
-//! `max_delay = 0`) whenever a flusher is attached, preserving its
-//! one-fsync-per-transaction-boundary semantics while moving the fsync
-//! off the appending thread; without a flusher it keeps its legacy
-//! inline behavior (write per op, sync at txn ends) so single-threaded
-//! users and deterministic tests observe the same I/O sequence as ever.
+//! A flush becomes *due* when a **durability point** is queued. Which
+//! records are durability points is the whole of [`FsyncPolicy`]: under
+//! the default `OnCommit` they are the transaction-ending records
+//! (commit, abort) and the records outside any transaction
+//! (`AdvanceClock`, `EpochBump`). Mid-transaction records (`Begin`,
+//! `Call`, `Prepare`, ...) only queue: recovery discards them without
+//! their commit, so they ride in their transaction's own flush — one
+//! write and one fsync per transaction.
+//!
+//! The due flush runs on the flusher thread when one is attached
+//! ([`DiskWal::start_flusher`]), otherwise on the thread that queued
+//! the durability point. The flusher is *self-clocking*: it sleeps
+//! until a flush is due, flushes at once when idle, and whatever is
+//! appended while its fsync is in flight becomes the next batch.
+//! Batches therefore grow with load and shrink to one transaction at
+//! idle; the device sets the batch size, not a knob.
 //!
 //! ## The durable watermark and the ack rule
 //!
-//! [`DiskWal::durable_lsn`] publishes one past the highest LSN that is
-//! safe to acknowledge or ship: under the group policies it advances
-//! only when an fsync completes, so a record below the watermark can
-//! never be lost to a crash. Commit paths buffer under their own lock,
-//! release it, then block on [`DiskWal::wait_durable`] — acking only
-//! after durability, with the fsync cost shared by every transaction in
-//! the batch. Under the inline policies the watermark tracks appends
-//! (`Always` fsyncs each one; `EveryN`/`Never` keep their documented
-//! loss windows), which preserves their ship-on-append replication
-//! behavior.
+//! [`DiskWal::durable_lsn`] publishes one past the highest LSN a
+//! completed flush covers: a record below the watermark is safe to
+//! acknowledge and to ship (under [`FsyncPolicy::Never`], safe to that
+//! policy's documented standard). Commit paths buffer under their own
+//! lock, release it, then block on [`DiskWal::wait_durable`] — acking
+//! only after the flush, with its cost shared by every transaction in
+//! the batch. A waiter whose record is still queued with no durability
+//! point behind it asks for the flush itself, so no LSN can be waited
+//! on forever.
 //!
 //! ## Lock order
 //!
@@ -114,131 +117,45 @@ use super::reader::{
     TMP_NAME,
 };
 
-/// When appended records are forced to stable storage.
+/// Which appended records are *durability points* — records whose
+/// arrival makes a flush due (see the module docs). Three points on one
+/// axis; how many transactions share a flush is not a policy, it
+/// follows the load.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Fsync after every appended op. Maximum durability, minimum speed.
+    /// Every record is a durability point. Maximum durability, minimum
+    /// speed.
     Always,
-    /// Fsync after every `n` appended ops.
-    EveryN(u64),
-    /// Fsync whenever the appended op commits or aborts a transaction —
-    /// one durability point per transaction boundary. With a flusher
-    /// attached this runs as [`FsyncPolicy::Group`] with `max_batch = 1`
-    /// and no delay (the fsync moves off the appending thread, batch
-    /// semantics preserved); standalone it syncs inline as it always
-    /// has.
+    /// Transaction-ending records (commit, abort) and records outside
+    /// any transaction (`AdvanceClock`, `EpochBump`) are durability
+    /// points: one write and one fsync per transaction. The default.
     OnCommit,
-    /// Never fsync on append (rotation and checkpoints still sync).
-    /// An OS crash can lose the unsynced suffix; a process crash cannot.
+    /// The `OnCommit` schedule, but the flush skips its `fsync` call
+    /// (rotation seals and checkpoints still sync). An OS crash can
+    /// lose the unsynced suffix; a process crash cannot lose a
+    /// committed transaction.
     Never,
-    /// Group commit: buffer appends in memory and make them durable in
-    /// batches — one write, one fsync — releasing every waiting
-    /// committer at once. A flush happens when `max_batch` transaction
-    /// boundaries are pending or the oldest pending record has waited
-    /// `max_delay`, whichever comes first. Committers must ack only
-    /// after [`DiskWal::wait_durable`]; `max_delay` bounds their
-    /// latency.
-    Group {
-        /// Flush once this many txn-ending records (commits/aborts) are
-        /// pending. Clamped to at least 1.
-        max_batch: usize,
-        /// Flush once the oldest pending record has waited this long.
-        max_delay: Duration,
-    },
 }
 
 impl FsyncPolicy {
-    /// A `Group` policy with defaults that suit interactive servers:
-    /// batches of up to 64 commits, flushed at most 2ms after the
-    /// oldest buffered record — small enough that a lone committer
-    /// barely notices, large enough that concurrent committers share
-    /// fsyncs.
-    pub fn default_group() -> Self {
-        FsyncPolicy::Group {
-            max_batch: 64,
-            max_delay: Duration::from_millis(2),
-        }
+    /// Does queueing `op` make a flush due?
+    fn is_durability_point(self, op: &LogOp) -> bool {
+        self == FsyncPolicy::Always
+            || op.ends_txn()
+            || matches!(op, LogOp::AdvanceClock { .. } | LogOp::EpochBump { .. })
     }
 
-    /// The group-commit parameters `(max_batch, max_delay)` of a policy
-    /// that runs through the flusher pipeline; `None` for the inline
-    /// policies.
-    pub fn group_params(&self) -> Option<(usize, Duration)> {
-        match self {
-            FsyncPolicy::OnCommit => Some((1, Duration::ZERO)),
-            FsyncPolicy::Group {
-                max_batch,
-                max_delay,
-            } => Some(((*max_batch).max(1), *max_delay)),
-            _ => None,
-        }
-    }
-
-    /// Upper bound a parsed `group:BATCH:DELAYMS` delay may take.
-    /// `max_delay` is the worst-case ack latency of every committer in a
-    /// batch; past a few seconds it stops being group commit and starts
-    /// being a hang, so [`FsyncPolicy::parse`] refuses it.
-    pub const MAX_GROUP_DELAY_MS: u64 = 10_000;
-
-    /// Parse a `--fsync` operand: `always`, `commit`, `never`, `group`,
-    /// `group:BATCH:DELAYMS`, or a bare number `N` for every-N-ops.
-    /// Invalid specs return an error naming the offending piece instead
-    /// of silently degrading durability: a batch of 0 would never flush
-    /// on count (every committer would ride the delay timer), `N = 0`
-    /// would mean "sync constantly or never" depending on reading, and
-    /// a delay beyond [`FsyncPolicy::MAX_GROUP_DELAY_MS`] stalls every
-    /// ack behind a sleeping flusher.
+    /// Parse a `--fsync` operand: `always`, `commit` or `never`.
     pub fn parse(s: &str) -> Result<FsyncPolicy, String> {
         match s {
-            "always" => return Ok(FsyncPolicy::Always),
-            "commit" => return Ok(FsyncPolicy::OnCommit),
-            "never" => return Ok(FsyncPolicy::Never),
-            "group" => return Ok(FsyncPolicy::default_group()),
-            _ => {}
+            "always" => Ok(FsyncPolicy::Always),
+            "commit" => Ok(FsyncPolicy::OnCommit),
+            "never" => Ok(FsyncPolicy::Never),
+            _ => Err(format!(
+                "fsync policy {s:?}: expected always|commit|never (batching is automatic; \
+                 `group`, `group:BATCH:DELAYMS` and every-N were retired)"
+            )),
         }
-        if let Some(rest) = s.strip_prefix("group:") {
-            let mut parts = rest.split(':');
-            let batch = parts.next().unwrap_or("");
-            let delay = parts
-                .next()
-                .ok_or_else(|| format!("fsync policy {s:?}: expected group:BATCH:DELAYMS"))?;
-            if parts.next().is_some() {
-                return Err(format!(
-                    "fsync policy {s:?}: expected exactly group:BATCH:DELAYMS"
-                ));
-            }
-            let max_batch: usize = batch
-                .parse()
-                .map_err(|_| format!("fsync policy {s:?}: BATCH {batch:?} is not a number"))?;
-            if max_batch == 0 {
-                return Err(format!(
-                    "fsync policy {s:?}: a batch of 0 would never flush on count; use BATCH >= 1"
-                ));
-            }
-            let delay_ms: u64 = delay
-                .parse()
-                .map_err(|_| format!("fsync policy {s:?}: DELAYMS {delay:?} is not a number"))?;
-            if delay_ms > Self::MAX_GROUP_DELAY_MS {
-                return Err(format!(
-                    "fsync policy {s:?}: a {delay_ms}ms flush delay stalls every commit ack; \
-                     the maximum is {}ms",
-                    Self::MAX_GROUP_DELAY_MS
-                ));
-            }
-            return Ok(FsyncPolicy::Group {
-                max_batch,
-                max_delay: Duration::from_millis(delay_ms),
-            });
-        }
-        let n: u64 = s.parse().map_err(|_| {
-            format!("fsync policy {s:?}: expected always|commit|group|group:BATCH:DELAYMS|never|N")
-        })?;
-        if n == 0 {
-            return Err(format!(
-                "fsync policy {s:?}: every-0-ops is meaningless; use `never` or N >= 1"
-            ));
-        }
-        Ok(FsyncPolicy::EveryN(n))
     }
 }
 
@@ -339,6 +256,17 @@ fn frame_snapshot(snap: &Snapshot) -> Result<Vec<u8>, WalError> {
     Ok(frame::encode(body.as_bytes()))
 }
 
+/// If `name` is a segment or checkpoint file of a generation before
+/// `generation`: whether it is a segment.
+fn superseded(name: &str, generation: u64) -> Option<bool> {
+    let old = |parsed: Option<(u64, u64)>| parsed.is_some_and(|(g, _)| g < generation);
+    if old(parse_segment(name)) {
+        Some(true)
+    } else {
+        old(parse_checkpoint(name)).then_some(false)
+    }
+}
+
 /// Per-segment decode cost observed by recovery.
 #[derive(Clone, Debug, Default)]
 pub struct SegmentTiming {
@@ -429,13 +357,13 @@ pub type DurableSink = Arc<dyn Fn(&[DurableRecord]) + Send + Sync>;
 /// server's wire protocol).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WalStats {
-    /// Total fsyncs issued (appends, batch flushes, segment seals, and
-    /// checkpoint installation).
+    /// Total fsyncs issued (flushes, segment seals, and checkpoint
+    /// installation).
     pub fsyncs_total: u64,
-    /// Group-commit flush cycles completed (0 under inline policies).
+    /// Flush cycles that wrote a batch.
     pub group_commit_batches: u64,
     /// The most txn-ending records (commits/aborts) ever made durable
-    /// by a single flush cycle — >1 proves batching engaged.
+    /// by a single flush cycle — >1 proves commits shared an fsync.
     pub group_commit_max_batch: u64,
     /// One past the highest LSN covered by the durable watermark.
     pub durable_lsn: u64,
@@ -472,13 +400,22 @@ struct PendingRec {
 
 /// Pending queue + LSN assignment. Guarded by the first lock in the
 /// order; held only for queue pushes and batch steals, never across
-/// I/O of a deferred flush.
+/// the I/O of a flush.
 struct BufState {
     next_lsn: u64,
     pending: Vec<PendingRec>,
-    pending_txn_ends: usize,
-    first_pending_at: Option<Instant>,
+    /// A flush is due: a durability point is queued, or a
+    /// `wait_durable` caller asked for a queued record.
+    due: bool,
     stop: bool,
+}
+
+impl BufState {
+    /// Take everything pending — the next flush's batch.
+    fn steal(&mut self) -> Vec<PendingRec> {
+        self.due = false;
+        std::mem::take(&mut self.pending)
+    }
 }
 
 /// Segment-file state. Guarded by the second lock; held across the
@@ -611,9 +548,7 @@ impl DiskWal {
         // unexplainable future-generation files are deleted.
         let mut retired: Vec<String> = Vec::new();
         for n in &index.stale {
-            let old_seg = parse_segment(n).is_some_and(|(g, _)| g < index.generation);
-            let old_ckpt = parse_checkpoint(n).is_some_and(|(g, _)| g < index.generation);
-            if cfg.archive && (old_seg || old_ckpt) {
+            if cfg.archive && superseded(n, index.generation).is_some() {
                 retired.push(n.clone());
             } else {
                 let _ = io.with(|f| f.remove(&dir.join(n)));
@@ -645,8 +580,7 @@ impl DiskWal {
                 buf: Mutex::new(BufState {
                     next_lsn: head,
                     pending: Vec::new(),
-                    pending_txn_ends: 0,
-                    first_pending_at: None,
+                    due: false,
                     stop: false,
                 }),
                 flush_cv: Condvar::new(),
@@ -686,8 +620,7 @@ impl DiskWal {
         lock(&self.inner.buf).next_lsn
     }
 
-    /// One past the highest LSN that is durable (group policies) or
-    /// appended (inline policies — see the module docs). Records below
+    /// One past the highest LSN a completed flush covers. Records below
     /// this are safe to acknowledge and to ship to replicas.
     pub fn durable_lsn(&self) -> u64 {
         lock(&self.inner.durable).durable_lsn
@@ -756,75 +689,49 @@ impl DiskWal {
         Err(e)
     }
 
-    /// Whether appends defer their durability to a flush (the buffer
-    /// step of the two-phase pipeline).
-    fn deferred(&self) -> bool {
-        match self.inner.cfg.fsync {
-            FsyncPolicy::Group { .. } => true,
-            FsyncPolicy::OnCommit => self.inner.flusher_running.load(Ordering::SeqCst),
-            _ => false,
-        }
-    }
-
-    /// Append one op and return its assigned LSN.
-    ///
-    /// Under the group policies this is the cheap buffer+assign-LSN
-    /// step: no I/O happens here, and durability arrives when a flush
-    /// covers the record — ack only after [`DiskWal::wait_durable`].
-    /// Under the inline policies the record is written (and synced, per
-    /// policy) before returning, exactly as before. Any I/O failure
-    /// poisons the WAL: the record may be torn on disk, so no further
-    /// appends are allowed (recovery will truncate it).
+    /// Append one op and return its assigned LSN: frame it, stamp the
+    /// next LSN, push it on the pending queue. No I/O happens here;
+    /// durability arrives when a flush covers the record — ack only
+    /// after [`DiskWal::wait_durable`]. A durability point (see
+    /// [`FsyncPolicy`]) makes a flush due: the flusher is woken, or —
+    /// with none attached — this thread runs the flush before
+    /// returning, and its failure is this append's failure. Any I/O
+    /// failure poisons the WAL: a record may be torn on disk, so no
+    /// further appends are allowed (recovery will truncate it).
     pub fn append(&self, op: &LogOp) -> Result<u64, WalError> {
         self.check_poison()?;
         let line = op.to_json_line()?;
-        let rec = PendingRec {
-            lsn: 0, // assigned below, under the buf lock
-            frame: frame::encode(line.as_bytes()),
-            ends_txn: op.ends_txn(),
-        };
+        let frame = frame::encode(line.as_bytes());
+        let ends_txn = op.ends_txn();
+        let point = self.inner.cfg.fsync.is_durability_point(op);
 
         let i = &*self.inner;
-        let mut buf = lock(&i.buf);
-        let lsn = buf.next_lsn;
-        buf.next_lsn += 1;
-        let rec = PendingRec { lsn, ..rec };
-
-        if self.deferred() {
-            if rec.ends_txn {
-                buf.pending_txn_ends += 1;
-            }
-            if buf.first_pending_at.is_none() {
-                buf.first_pending_at = Some(Instant::now());
-            }
-            buf.pending.push(rec);
-            drop(buf);
-            i.flush_cv.notify_all();
-            return Ok(lsn);
-        }
-
-        // Inline policies: write (and maybe sync) now, holding `buf`
-        // so concurrent appenders stay LSN-ordered on disk.
-        let mut disk = lock(&i.disk);
-        let sync_now = match i.cfg.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => disk.since_sync + 1 >= n.max(1),
-            FsyncPolicy::OnCommit => rec.ends_txn,
-            FsyncPolicy::Never => false,
-            FsyncPolicy::Group { .. } => unreachable!("group appends defer"),
+        let lsn = {
+            let mut buf = lock(&i.buf);
+            let lsn = buf.next_lsn;
+            buf.next_lsn += 1;
+            buf.pending.push(PendingRec {
+                lsn,
+                frame,
+                ends_txn,
+            });
+            buf.due |= point;
+            lsn
         };
-        let batch = [rec];
-        if let Err(e) = self.write_batch(&mut disk, &batch, sync_now) {
-            return self.poison(e);
+        if point {
+            if i.flusher_running.load(Ordering::SeqCst) {
+                i.flush_cv.notify_all();
+            } else {
+                self.flush_once(false)?;
+            }
         }
-        let [rec] = batch;
-        self.publish(&mut disk, lsn + 1, vec![rec], None);
         Ok(lsn)
     }
 
     /// Write a batch of framed records: segment rotation with
     /// seal-syncs, one coalesced append per segment run, and optionally
-    /// one final fsync.
+    /// one final fsync (of whatever this or earlier batches left
+    /// unsynced).
     fn write_batch(
         &self,
         disk: &mut DiskState,
@@ -874,13 +781,7 @@ impl DiskWal {
     /// hand the newly-covered records to the durable sink. Runs with
     /// the disk lock held so shipping stays serialized against the
     /// replication handshake.
-    fn publish(
-        &self,
-        _disk: &mut DiskState,
-        upto: u64,
-        batch: Vec<PendingRec>,
-        txn_ends: Option<usize>,
-    ) {
+    fn publish(&self, _disk: &mut DiskState, upto: u64, batch: Vec<PendingRec>) {
         let i = &*self.inner;
         {
             let mut d = lock(&i.durable);
@@ -889,10 +790,6 @@ impl DiskWal {
             }
         }
         i.durable_cv.notify_all();
-        if let Some(ends) = txn_ends {
-            i.batches.fetch_add(1, Ordering::Relaxed);
-            i.max_batch.fetch_max(ends as u64, Ordering::Relaxed);
-        }
         if batch.is_empty() {
             return;
         }
@@ -910,82 +807,51 @@ impl DiskWal {
         }
     }
 
-    /// Steal a batch from the pending queue: everything when
-    /// `drain_all` (or when no txn boundary is pending — a
-    /// delay-triggered flush), otherwise the prefix through the
-    /// `max_batch`-th txn-ending record.
-    fn steal(&self, buf: &mut BufState, drain_all: bool) -> Vec<PendingRec> {
-        let take = if drain_all || buf.pending_txn_ends == 0 {
-            buf.pending.len()
-        } else {
-            let (max_batch, _) = self
-                .inner
-                .cfg
-                .fsync
-                .group_params()
-                .unwrap_or((usize::MAX, Duration::ZERO));
-            let mut ends = 0usize;
-            let mut take = buf.pending.len();
-            for (idx, r) in buf.pending.iter().enumerate() {
-                if r.ends_txn {
-                    ends += 1;
-                    if ends >= max_batch {
-                        take = idx + 1;
-                        break;
-                    }
-                }
-            }
-            take
+    /// The flush proper, under the disk lock: one coalesced write of
+    /// `batch`, at most one fsync (skipped under [`FsyncPolicy::Never`]
+    /// unless `force_fsync`), then publish. The only code that writes
+    /// segment bytes and the only place the policy's fsync rule lives.
+    fn flush_batch(
+        &self,
+        disk: &mut DiskState,
+        batch: Vec<PendingRec>,
+        force_fsync: bool,
+    ) -> Result<(), WalError> {
+        let i = &*self.inner;
+        let fsync = force_fsync || i.cfg.fsync != FsyncPolicy::Never;
+        if let Err(e) = self.write_batch(disk, &batch, fsync) {
+            return self.poison(e);
+        }
+        let Some(last) = batch.last() else {
+            return Ok(());
         };
-        let batch: Vec<PendingRec> = buf.pending.drain(..take).collect();
-        buf.pending_txn_ends -= batch.iter().filter(|r| r.ends_txn).count();
-        buf.first_pending_at = if buf.pending.is_empty() {
-            None
-        } else {
-            Some(Instant::now())
-        };
-        batch
+        let upto = last.lsn + 1;
+        let ends = batch.iter().filter(|r| r.ends_txn).count() as u64;
+        i.batches.fetch_add(1, Ordering::Relaxed);
+        i.max_batch.fetch_max(ends, Ordering::Relaxed);
+        self.publish(disk, upto, batch);
+        Ok(())
     }
 
-    /// One flush cycle: steal a pending batch (under `buf` + `disk`),
-    /// release `buf`, write once + fsync once (under `disk`), publish
-    /// the watermark. Returns the watermark afterwards.
-    fn flush_once(&self, drain_all: bool) -> Result<u64, WalError> {
+    /// One flush cycle: steal everything pending (under `buf` +
+    /// `disk`), release `buf` so appends proceed during the I/O, then
+    /// [`flush_batch`](Self::flush_batch) under `disk` alone.
+    fn flush_once(&self, force_fsync: bool) -> Result<(), WalError> {
         self.check_poison()?;
         let i = &*self.inner;
         let mut buf = lock(&i.buf);
         let mut disk = lock(&i.disk);
-        let batch = self.steal(&mut buf, drain_all);
-        let head = buf.next_lsn;
-        drop(buf); // appends may proceed while we do the I/O
-        if batch.is_empty() {
-            // Nothing pending; a drain still forces unsynced inline
-            // bytes (EveryN/Never) to disk.
-            if drain_all && disk.seg_bytes > 0 && disk.since_sync > 0 {
-                let path = self.seg_path(&disk);
-                if let Err(e) = i.io.with(|f| f.fsync(&path)) {
-                    return self.poison(e.into());
-                }
-                i.fsyncs_total.fetch_add(1, Ordering::Relaxed);
-                disk.since_sync = 0;
-            }
-            let _ = head;
-            return Ok(lock(&i.durable).durable_lsn);
-        }
-        let upto = batch.last().expect("non-empty").lsn + 1;
-        let ends = batch.iter().filter(|r| r.ends_txn).count();
-        if let Err(e) = self.write_batch(&mut disk, &batch, true) {
-            return self.poison(e);
-        }
-        self.publish(&mut disk, upto, batch, Some(ends));
-        Ok(upto)
+        let batch = buf.steal();
+        drop(buf);
+        self.flush_batch(&mut disk, batch, force_fsync)
     }
 
     /// Block until the record at `lsn` is durable (the watermark passes
-    /// it). With a flusher attached this just waits to be released by a
-    /// batch fsync; without one, the caller flushes the pending queue
-    /// itself — leader-style group commit. Errors if the WAL poisons
-    /// before the record is covered: the caller must not ack.
+    /// it). With a flusher attached this waits to be released by a
+    /// flush — asking for one first if the record is still queued with
+    /// no durability point behind it; without one, the caller flushes
+    /// the pending queue itself. Errors if the WAL poisons before the
+    /// record is covered: the caller must not ack.
     pub fn wait_durable(&self, lsn: u64) -> Result<(), WalError> {
         let i = &*self.inner;
         if lsn >= self.lsn() {
@@ -993,6 +859,7 @@ impl DiskWal {
                 "wait_durable({lsn}) is beyond the head"
             )));
         }
+        let mut asked = false;
         loop {
             {
                 let mut d = lock(&i.durable);
@@ -1003,11 +870,11 @@ impl DiskWal {
                     if d.durable_lsn > lsn {
                         return Ok(());
                     }
-                    if !i.flusher_running.load(Ordering::SeqCst) {
-                        break; // self-service below
+                    if !asked || !i.flusher_running.load(Ordering::SeqCst) {
+                        break;
                     }
-                    // The timeout is only a lost-wakeup backstop; the
-                    // flusher's max_delay bounds real latency.
+                    // The timeout is only a lost-wakeup backstop (the
+                    // flusher going away mid-wait).
                     let (g, _) = i
                         .durable_cv
                         .wait_timeout(d, Duration::from_millis(250))
@@ -1015,33 +882,40 @@ impl DiskWal {
                     d = g;
                 }
             }
-            self.flush_once(true)?;
+            if i.flusher_running.load(Ordering::SeqCst) {
+                let mut buf = lock(&i.buf);
+                if !buf.due && buf.pending.first().is_some_and(|r| r.lsn <= lsn) {
+                    buf.due = true;
+                    i.flush_cv.notify_all();
+                }
+                asked = true;
+            } else {
+                self.flush_once(false)?;
+            }
         }
     }
 
     /// Force everything appended so far to stable storage regardless of
     /// policy: drain the pending queue and fsync.
     pub fn sync(&self) -> Result<(), WalError> {
-        self.flush_once(true).map(|_| ())
+        self.flush_once(true)
     }
 
-    /// Spawn the dedicated flusher thread that drives the durability
-    /// step for [`FsyncPolicy::Group`] / [`FsyncPolicy::OnCommit`].
-    /// Returns `None` for inline policies. Dropping (or `stop`ping) the
-    /// handle drains the queue and joins the thread.
-    pub fn start_flusher(&self) -> Option<WalFlusher> {
-        let (max_batch, max_delay) = self.inner.cfg.fsync.group_params()?;
+    /// Spawn the dedicated flusher thread: from here on due flushes run
+    /// on it instead of on the appending thread. Dropping (or
+    /// `stop`ping) the handle drains the queue and joins the thread.
+    pub fn start_flusher(&self) -> WalFlusher {
         lock(&self.inner.buf).stop = false;
         self.inner.flusher_running.store(true, Ordering::SeqCst);
         let wal = self.clone();
         let handle = std::thread::Builder::new()
             .name("wal-flusher".to_string())
-            .spawn(move || run_flusher(wal, max_batch, max_delay))
+            .spawn(move || run_flusher(wal))
             .expect("spawn wal flusher");
-        Some(WalFlusher {
+        WalFlusher {
             wal: self.clone(),
             handle: Some(handle),
-        })
+        }
     }
 
     fn seg_path(&self, disk: &DiskState) -> PathBuf {
@@ -1097,43 +971,11 @@ impl DiskWal {
 
         // First make the buffered tail durable — and shipped — so the
         // replication stream never skips an LSN the snapshot covers.
-        let batch = self.steal(&mut buf, true);
-        if !batch.is_empty() {
-            let upto = batch.last().expect("non-empty").lsn + 1;
-            let ends = batch.iter().filter(|r| r.ends_txn).count();
-            if let Err(e) = self.write_batch(&mut disk, &batch, true) {
-                return self.poison(e);
-            }
-            self.publish(&mut disk, upto, batch, Some(ends));
-        }
+        let batch = buf.steal();
+        self.flush_batch(&mut disk, batch, true)?;
 
         let lsn = at.unwrap_or(buf.next_lsn);
-        let tmp = i.dir.join(TMP_NAME);
-        let next_generation = disk.generation + 1;
-        let finalname = i.dir.join(checkpoint_name(next_generation, lsn));
-
-        // A leftover tmp from a crashed earlier attempt would otherwise
-        // be appended after; clear it first.
-        let names = i.io.with(|f| f.list(&i.dir))?;
-        if names.iter().any(|n| n == TMP_NAME) {
-            if let Err(e) = i.io.with(|f| f.remove(&tmp)) {
-                return self.poison(e.into());
-            }
-        }
-
-        // write tmp -> fsync -> rename -> fsync dir: the checkpoint is
-        // either fully durable under its final name or invisible.
-        let res = (|| -> Result<(), WalError> {
-            i.io.with(|f| f.append(&tmp, &framed))?;
-            i.io.with(|f| f.fsync(&tmp))?;
-            i.io.with(|f| f.rename(&tmp, &finalname))?;
-            i.io.with(|f| f.fsync_dir(&i.dir))?;
-            Ok(())
-        })();
-        i.fsyncs_total.fetch_add(2, Ordering::Relaxed);
-        if let Err(e) = res {
-            return self.poison(e);
-        }
+        let names = self.install_snapshot(&mut buf, &mut disk, &framed, lsn)?;
 
         // The new checkpoint supersedes everything older, but nothing
         // is unlinked here: superseded names go on the retire queue,
@@ -1143,29 +985,65 @@ impl DiskWal {
         {
             let mut q = lock(&i.retired);
             for n in names {
-                let old_seg = parse_segment(&n).is_some_and(|(g, _)| g <= disk.generation);
-                let old_ckpt = parse_checkpoint(&n).is_some_and(|(g, _)| g <= disk.generation);
-                if (old_seg || old_ckpt) && !q.names.contains(&n) {
-                    if old_seg {
-                        swept += 1;
+                if let Some(is_segment) = superseded(&n, disk.generation) {
+                    if !q.names.contains(&n) {
+                        swept += u64::from(is_segment);
+                        q.names.push(n);
                     }
-                    q.names.push(n);
                 }
             }
         }
 
-        disk.generation = next_generation;
-        disk.seg_idx = 0;
-        disk.seg_bytes = 0;
-        disk.since_sync = 0;
-        buf.next_lsn = lsn;
         // The checkpoint itself is a durability point: everything at or
         // below its LSN is covered by the durable snapshot.
-        self.publish(&mut disk, lsn, Vec::new(), None);
+        self.publish(&mut disk, lsn, Vec::new());
         Ok(CheckpointReport {
             lsn,
             swept_segments: swept,
         })
+    }
+
+    /// Make `framed` the durable recovery base at `lsn` — write tmp →
+    /// fsync → rename → fsync dir, so the checkpoint is either fully
+    /// durable under its final name or invisible — then switch the log
+    /// to the generation it opens. The caller holds `buf` + `disk` and
+    /// has already dealt with the pending queue. Returns the directory
+    /// listing taken before the install, for the caller to retire or
+    /// delete what the new generation supersedes.
+    fn install_snapshot(
+        &self,
+        buf: &mut BufState,
+        disk: &mut DiskState,
+        framed: &[u8],
+        lsn: u64,
+    ) -> Result<Vec<String>, WalError> {
+        let i = &*self.inner;
+        let tmp = i.dir.join(TMP_NAME);
+        let finalname = i.dir.join(checkpoint_name(disk.generation + 1, lsn));
+        let names = i.io.with(|f| f.list(&i.dir))?;
+        let res = (|| -> Result<(), WalError> {
+            // A leftover tmp from a crashed earlier attempt would
+            // otherwise be appended after; clear it first.
+            if names.iter().any(|n| n == TMP_NAME) {
+                i.io.with(|f| f.remove(&tmp))?;
+            }
+            i.io.with(|f| f.append(&tmp, framed))?;
+            i.io.with(|f| f.fsync(&tmp))?;
+            i.fsyncs_total.fetch_add(1, Ordering::Relaxed);
+            i.io.with(|f| f.rename(&tmp, &finalname))?;
+            i.io.with(|f| f.fsync_dir(&i.dir))?;
+            i.fsyncs_total.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        })();
+        if let Err(e) = res {
+            return self.poison(e);
+        }
+        disk.generation += 1;
+        disk.seg_idx = 0;
+        disk.seg_bytes = 0;
+        disk.since_sync = 0;
+        buf.next_lsn = lsn;
+        Ok(names)
     }
 
     /// Abandon this log's history and restart it from `snap` at `lsn` —
@@ -1186,29 +1064,8 @@ impl DiskWal {
         let mut disk = lock(&i.disk);
 
         // Discard, don't flush: the pending tail is fork debris.
-        let dropped = self.steal(&mut buf, true);
-        drop(dropped);
-
-        let tmp = i.dir.join(TMP_NAME);
-        let next_generation = disk.generation + 1;
-        let finalname = i.dir.join(checkpoint_name(next_generation, lsn));
-        let names = i.io.with(|f| f.list(&i.dir))?;
-        if names.iter().any(|n| n == TMP_NAME) {
-            if let Err(e) = i.io.with(|f| f.remove(&tmp)) {
-                return self.poison(e.into());
-            }
-        }
-        let res = (|| -> Result<(), WalError> {
-            i.io.with(|f| f.append(&tmp, &framed))?;
-            i.io.with(|f| f.fsync(&tmp))?;
-            i.io.with(|f| f.rename(&tmp, &finalname))?;
-            i.io.with(|f| f.fsync_dir(&i.dir))?;
-            Ok(())
-        })();
-        i.fsyncs_total.fetch_add(2, Ordering::Relaxed);
-        if let Err(e) = res {
-            return self.poison(e);
-        }
+        drop(buf.steal());
+        let names = self.install_snapshot(&mut buf, &mut disk, &framed, lsn)?;
 
         // A reset deletes inline (no retirement): the superseded files
         // are fork debris, and archiving a deposed fork's history would
@@ -1216,13 +1073,9 @@ impl DiskWal {
         // and any already-written archives are purged.
         let mut swept = 0u64;
         for n in names {
-            let old_seg = parse_segment(&n).is_some_and(|(g, _)| g <= disk.generation);
-            let old_ckpt = parse_checkpoint(&n).is_some_and(|(g, _)| g <= disk.generation);
-            if old_seg || old_ckpt {
+            if let Some(is_segment) = superseded(&n, disk.generation) {
                 let removed = i.io.with(|f| f.remove(&i.dir.join(n))).is_ok();
-                if removed && old_seg {
-                    swept += 1;
-                }
+                swept += u64::from(removed && is_segment);
             }
         }
         lock(&i.retired).names.clear();
@@ -1230,11 +1083,6 @@ impl DiskWal {
             archive::purge_archives(&i.io, &i.dir);
         }
 
-        disk.generation = next_generation;
-        disk.seg_idx = 0;
-        disk.seg_bytes = 0;
-        disk.since_sync = 0;
-        buf.next_lsn = lsn;
         // Rewind (not just advance) the watermark: durability claims
         // about the abandoned fork must not leak into the new history.
         {
@@ -1497,57 +1345,29 @@ fn decode_segments(
     Ok((ops, timings, torn))
 }
 
-/// The dedicated flusher thread's loop: wait until `max_batch` txn
-/// boundaries are pending or the oldest pending record has waited
-/// `max_delay`, then run one flush cycle. On stop, drain what's left.
-fn run_flusher(wal: DiskWal, max_batch: usize, max_delay: Duration) {
+/// The dedicated flusher thread's loop. Self-clocking: park until a
+/// flush is due, run one flush cycle, repeat — whatever was appended
+/// while the fsync was in flight is the next batch. On stop, drain
+/// what's left.
+fn run_flusher(wal: DiskWal) {
     let i = Arc::clone(&wal.inner);
     loop {
-        let stopping;
-        {
+        let stopping = {
             let mut buf = lock(&i.buf);
-            loop {
-                if buf.stop {
-                    stopping = true;
-                    break;
-                }
-                if i.poisoned.load(Ordering::SeqCst) || buf.pending.is_empty() {
-                    // Nothing to do (or nothing we can do): park until
-                    // an append or a stop wakes us.
-                    let (g, _) = i
-                        .flush_cv
-                        .wait_timeout(buf, Duration::from_millis(250))
-                        .unwrap_or_else(|p| p.into_inner());
-                    buf = g;
-                    continue;
-                }
-                if buf.pending_txn_ends >= max_batch {
-                    stopping = false;
-                    break;
-                }
-                let elapsed = buf
-                    .first_pending_at
-                    .map(|t| t.elapsed())
-                    .unwrap_or_default();
-                if elapsed >= max_delay {
-                    stopping = false;
-                    break;
-                }
+            // A poisoned WAL can flush nothing: park until stopped.
+            while !buf.stop && (!buf.due || i.poisoned.load(Ordering::SeqCst)) {
                 let (g, _) = i
                     .flush_cv
-                    .wait_timeout(buf, max_delay - elapsed)
+                    .wait_timeout(buf, Duration::from_millis(250))
                     .unwrap_or_else(|p| p.into_inner());
                 buf = g;
             }
-        }
-        // Flush errors poison the WAL and wake every waiter; the loop
-        // then parks until stopped.
-        let _ = wal.flush_once(stopping);
+            buf.stop
+        };
+        // Flush errors poison the WAL and wake every waiter.
+        let _ = wal.flush_once(false);
         if stopping {
-            let drained = lock(&i.buf).pending.is_empty();
-            if drained || i.poisoned.load(Ordering::SeqCst) {
-                return;
-            }
+            return;
         }
     }
 }
@@ -1667,63 +1487,18 @@ mod policy_tests {
     }
 
     #[test]
-    fn parse_accepts_every_valid_surface_form() {
+    fn parse_accepts_the_three_policies() {
         assert_eq!(FsyncPolicy::parse("always").unwrap(), FsyncPolicy::Always);
         assert_eq!(FsyncPolicy::parse("commit").unwrap(), FsyncPolicy::OnCommit);
         assert_eq!(FsyncPolicy::parse("never").unwrap(), FsyncPolicy::Never);
-        assert_eq!(
-            FsyncPolicy::parse("group").unwrap(),
-            FsyncPolicy::default_group()
-        );
-        assert_eq!(FsyncPolicy::parse("64").unwrap(), FsyncPolicy::EveryN(64));
-        assert_eq!(
-            FsyncPolicy::parse("group:32:5").unwrap(),
-            FsyncPolicy::Group {
-                max_batch: 32,
-                max_delay: Duration::from_millis(5),
-            }
-        );
-        assert_eq!(
-            FsyncPolicy::parse("group:1:0").unwrap(),
-            FsyncPolicy::Group {
-                max_batch: 1,
-                max_delay: Duration::ZERO,
-            }
-        );
     }
 
     #[test]
-    fn parse_rejects_zero_batch_with_a_message_naming_the_cause() {
-        let err = FsyncPolicy::parse("group:0:2").unwrap_err();
-        assert!(err.contains("batch of 0"), "unhelpful error: {err}");
-    }
-
-    #[test]
-    fn parse_rejects_absurd_delays() {
-        let max = FsyncPolicy::MAX_GROUP_DELAY_MS;
-        assert!(FsyncPolicy::parse(&format!("group:64:{max}")).is_ok());
-        let err = FsyncPolicy::parse(&format!("group:64:{}", max + 1)).unwrap_err();
-        assert!(err.contains("stalls every commit ack"), "bad error: {err}");
-        let err = FsyncPolicy::parse("group:64:86400000").unwrap_err();
-        assert!(err.contains("maximum"), "bad error: {err}");
-    }
-
-    #[test]
-    fn parse_rejects_malformed_specs() {
-        for bad in [
-            "",
-            "Group",
-            "group:",
-            "group:8",
-            "group:8:2:9",
-            "group:x:2",
-            "group:8:y",
-            "0",
-            "-3",
-            "3.5",
-            "sometimes",
-        ] {
-            assert!(FsyncPolicy::parse(bad).is_err(), "{bad:?} must be rejected");
+    fn parse_rejects_retired_and_malformed_specs_naming_the_accepted_forms() {
+        for bad in ["group", "group:8:2", "64", "0", "", "Always", "sometimes"] {
+            let err = FsyncPolicy::parse(bad).unwrap_err();
+            assert!(err.contains("always|commit|never"), "{bad:?}: {err}");
+            assert!(err.contains("batching is automatic"), "{bad:?}: {err}");
         }
     }
 }

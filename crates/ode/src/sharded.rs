@@ -866,10 +866,9 @@ mod wal_coord {
             &self.wals
         }
 
-        /// Start one group-commit flusher per shard (no-ops for
-        /// non-group fsync policies).
+        /// Start one flusher thread per shard.
         pub fn start_flushers(&self) -> Vec<WalFlusher> {
-            self.wals.iter().filter_map(|w| w.start_flusher()).collect()
+            self.wals.iter().map(|w| w.start_flusher()).collect()
         }
 
         /// Start one archiver thread per shard (empty unless the config

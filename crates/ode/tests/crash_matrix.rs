@@ -14,7 +14,6 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use ode_core::event::calendar::HR;
 use ode_core::Value;
@@ -22,7 +21,8 @@ use parking_lot::Mutex;
 
 use ode_db::{
     demo, replay, shard_dir, Database, DiskWal, EpochRecord, EpochTable, FaultyIo, FsyncPolicy,
-    LogOp, ObjectId, RedoLog, ShardedDatabase, ShardedWal, SharedIo, Stats, StdIo, WalConfig,
+    LogOp, ObjectId, RedoLog, ShardedDatabase, ShardedWal, SharedIo, Stats, StdIo, TxnId,
+    WalConfig,
 };
 
 /// Tiny segments + fsync-per-op maximize the number of distinct I/O
@@ -283,17 +283,15 @@ fn crash_at_every_io_op_recovers_a_consistent_prefix() {
 // would have acked it errors).
 // ---------------------------------------------------------------------
 
-/// Group policy with a batch window nothing spontaneously closes: no
-/// flusher thread is started and `max_delay` is an hour, so the only
-/// flushes are the ones `wait_durable`/`sync` perform — giving every
-/// faulted run the same deterministic I/O sequence.
+/// The default policy with no flusher thread: a transaction's records
+/// queue in memory until its commit record arrives, and that commit's
+/// own flush — run on the committing thread — writes the whole
+/// transaction as one batch. Every faulted run therefore sees the same
+/// deterministic I/O sequence.
 fn group_cfg() -> WalConfig {
     WalConfig {
         segment_bytes: 256,
-        fsync: FsyncPolicy::Group {
-            max_batch: 64,
-            max_delay: Duration::from_secs(3600),
-        },
+        fsync: FsyncPolicy::OnCommit,
         archive: false,
     }
 }
@@ -306,16 +304,34 @@ struct GroupRun {
     buffered_head: u64,
     /// Whether the ack wait succeeded.
     wait_ok: bool,
-    /// Whether the final `sync` succeeded (`None`: not attempted).
+    /// Whether the tail's commit flush succeeded (`None`: the tail was
+    /// left open, never committed).
     sync_ok: Option<bool>,
-    /// Mutating-I/O count right after the ack wait / right after sync —
-    /// the faulted runs aim their crash between these.
+    /// Mutating-I/O count right before / right after the tail's commit
+    /// — the faulted runs aim their crash between these.
     ops_before_sync: u64,
     ops_after_sync: u64,
 }
 
+/// The unacked tail both the live session and the ground truth run: an
+/// open transaction of two withdrawals (the second fires T6).
+fn open_tail(db: &mut Database, room: ObjectId) -> TxnId {
+    let t = db.begin_as(Value::Str("bob".into()));
+    for (item, q) in [("gear", 30), ("bolt", 120)] {
+        db.call(
+            t,
+            room,
+            "withdraw",
+            &[Value::Str(item.into()), Value::Int(q)],
+        )
+        .unwrap();
+    }
+    t
+}
+
 /// The group-commit session: one acked withdrawal, then a buffered
-/// unacked tail, then (optionally) a multi-record batch flush.
+/// unacked tail — an open transaction — then (optionally) its commit,
+/// whose flush writes the whole transaction as one multi-record batch.
 fn run_group_session(dir: &Path, io: FaultyIo, do_sync: bool) -> GroupRun {
     let ops = io.op_counter();
     let shared = SharedIo::new(io);
@@ -343,12 +359,22 @@ fn run_group_session(dir: &Path, io: FaultyIo, do_sync: bool) -> GroupRun {
     let wait_ok = wal.wait_durable(acked_head - 1).is_ok();
     let ops_before_sync = ops.load(Ordering::SeqCst);
 
-    // Unacked tail: buffered + LSN-assigned, never waited on.
-    demo::withdraw_txn(&mut db, "bob", room, "gear", 30).unwrap();
-    demo::withdraw_txn(&mut db, "alice", room, "bolt", 120).unwrap(); // T6 again
-    let buffered_head = last.load(Ordering::SeqCst);
+    // Unacked tail: buffered + LSN-assigned, never flushed — nothing
+    // in it is a durability point.
+    let t = open_tail(&mut db, room);
+    assert_eq!(
+        ops.load(Ordering::SeqCst),
+        ops_before_sync,
+        "an open transaction performs no I/O"
+    );
 
-    let sync_ok = do_sync.then(|| wal.sync().is_ok());
+    // The commit's own flush carries the whole transaction. The sink
+    // swallows its error, so ask the WAL: a dead flush poisoned it.
+    let sync_ok = do_sync.then(|| {
+        db.commit(t).unwrap();
+        wal.sync().is_ok()
+    });
+    let buffered_head = last.load(Ordering::SeqCst);
     GroupRun {
         acked_head,
         buffered_head,
@@ -359,8 +385,9 @@ fn run_group_session(dir: &Path, io: FaultyIo, do_sync: bool) -> GroupRun {
     }
 }
 
-/// The in-memory ground truth for the same session.
-fn group_truth() -> Vec<LogOp> {
+/// The in-memory ground truth for the same session, with the tail
+/// transaction committed or left open.
+fn group_truth(commit_tail: bool) -> Vec<LogOp> {
     let mut db = fresh();
     db.enable_logging();
     db.advance_clock_to(9 * HR);
@@ -368,8 +395,10 @@ fn group_truth() -> Vec<LogOp> {
     let room = db.create_object(t, "stockRoom", &[]).unwrap();
     db.commit(t).unwrap();
     demo::withdraw_txn(&mut db, "alice", room, "bolt", 120).unwrap();
-    demo::withdraw_txn(&mut db, "bob", room, "gear", 30).unwrap();
-    demo::withdraw_txn(&mut db, "alice", room, "bolt", 120).unwrap();
+    let t = open_tail(&mut db, room);
+    if commit_tail {
+        db.commit(t).unwrap();
+    }
     db.take_log().expect("logging enabled").ops
 }
 
@@ -401,7 +430,7 @@ fn recover_and_check(dir: &Path, all_ops: &[LogOp], tag: &str) -> u64 {
 /// the ack wait covered.
 #[test]
 fn group_commit_crash_between_buffer_and_flush_loses_only_the_unacked_tail() {
-    let all_ops = group_truth();
+    let all_ops = group_truth(false);
     let dir = tmp_dir("group-buffered");
     let run = run_group_session(&dir, FaultyIo::counting(), false);
     assert!(run.wait_ok, "healthy io: the ack wait flushes and succeeds");
@@ -426,13 +455,14 @@ fn group_commit_crash_between_buffer_and_flush_loses_only_the_unacked_tail() {
 }
 
 /// Crash points *inside* the batch flush: for every mutating I/O op of
-/// the multi-record sync (segment appends, rotation seal-fsyncs, the
-/// final fsync), die there and prove the recovered prefix never loses
-/// an acked transaction and the harness was never told the batch made
-/// it (`sync` errors, so nothing in it was acked).
+/// the tail commit's multi-record flush (segment appends, rotation
+/// seal-fsyncs, the final fsync), die there and prove the recovered
+/// prefix never loses an acked transaction and the harness was never
+/// told the batch made it (the WAL is poisoned and `sync` errors, so
+/// nothing in it was acked).
 #[test]
 fn group_commit_crash_mid_batch_flush_never_loses_an_acked_txn() {
-    let all_ops = group_truth();
+    let all_ops = group_truth(true);
 
     // Fault-free counting run sizes the injection window.
     let dir = tmp_dir("group-count");
@@ -505,8 +535,8 @@ fn group_commit_crash_mid_batch_flush_never_loses_an_acked_txn() {
 struct ShardedRun {
     /// The merged-watermark ack for the gear withdrawal succeeded.
     acked_ok: bool,
-    /// Shard 1's final batch flush result (`None`: not attempted).
-    sync1_ok: Option<bool>,
+    /// Whether shard 1's final batch flush succeeded.
+    sync1_ok: bool,
     /// Shard 1's mutating-I/O count just before / after its final
     /// flush — the faulted runs aim their crash between these.
     ops_before_sync: u64,
@@ -514,11 +544,12 @@ struct ShardedRun {
 }
 
 /// The session: one cross-shard txn creating a room on each shard, an
-/// *acked* cross-shard gear withdrawal, then an *unacked* buffered
-/// cross-shard bolt withdrawal. Shard 1 flushes first (the crash
-/// target), then shard 0 — healthy — flushes everything it has,
-/// including its half of the unacked transaction.
-fn run_sharded_session(root: &Path, io0: FaultyIo, io1: FaultyIo, do_sync: bool) -> ShardedRun {
+/// *acked* cross-shard gear withdrawal, then an *unacked* cross-shard
+/// bolt withdrawal whose records stay buffered on both shards until its
+/// two-phase commit. That commit stamps shard 0 first — healthy, so its
+/// flush lands its half of the unacked transaction — then shard 1 (the
+/// crash target), whose flush carries its whole half as one batch.
+fn run_sharded_session(root: &Path, io0: FaultyIo, io1: FaultyIo) -> ShardedRun {
     let ops1 = io1.op_counter();
     let (wal0, rec0) =
         DiskWal::open(&shard_dir(root, 0, 2), group_cfg(), SharedIo::new(io0)).expect("shard 0");
@@ -572,30 +603,28 @@ fn run_sharded_session(root: &Path, io0: FaultyIo, io1: FaultyIo, do_sync: bool)
         let head = last.load(Ordering::SeqCst);
         head > 0 && wal.wait_durable(head - 1).is_ok()
     });
-    let ops_before_sync = ops1.load(Ordering::SeqCst);
 
     // The unacked tail: withdraw 7 bolts from each room. Buffered and
     // LSN-assigned on both shards, never waited on.
-    db.run_txn("alice", |db, t| {
+    let t = db.begin("alice");
+    for room in [rooms.0, rooms.1] {
         db.call(
             t,
-            rooms.0,
-            "withdraw",
-            &[Value::Str("bolt".into()), Value::Int(7)],
-        )?;
-        db.call(
-            t,
-            rooms.1,
+            room,
             "withdraw",
             &[Value::Str("bolt".into()), Value::Int(7)],
         )
-    })
-    .unwrap();
+        .unwrap();
+    }
+    let ops_before_sync = ops1.load(Ordering::SeqCst);
 
-    let sync1_ok = do_sync.then(|| wal1.sync().is_ok());
+    // The sinks swallow a dying flush's error, so ask shard 1's WAL: a
+    // dead flush poisoned it.
+    db.commit(t).unwrap();
+    let sync1_ok = wal1.sync().is_ok();
     let ops_after_sync = ops1.load(Ordering::SeqCst);
-    // Shard 0's flusher was untouched by the fault: it lands its whole
-    // stream, including its half of the unacked transaction.
+    // Shard 0 was untouched by the fault: it landed its whole stream,
+    // including its half of the unacked transaction.
     wal0.sync().expect("shard 0's io is healthy");
 
     ShardedRun {
@@ -659,9 +688,9 @@ fn sharded_crash_in_one_flusher_keeps_acked_cross_shard_txns_atomic() {
     // Fault-free counting run: sizes shard 1's injection window and
     // pins down the fully-durable end state.
     let root = tmp_dir("shard-count");
-    let clean = run_sharded_session(&root, FaultyIo::counting(), FaultyIo::counting(), true);
+    let clean = run_sharded_session(&root, FaultyIo::counting(), FaultyIo::counting());
     assert!(clean.acked_ok, "healthy io acks the gear withdrawal");
-    assert_eq!(clean.sync1_ok, Some(true));
+    assert!(clean.sync1_ok);
     assert!(
         clean.ops_after_sync > clean.ops_before_sync,
         "shard 1's final flush performs mutating I/O"
@@ -680,14 +709,13 @@ fn sharded_crash_in_one_flusher_keeps_acked_cross_shard_txns_atomic() {
     let mut last_bolt = 0;
     for k in clean.ops_before_sync..clean.ops_after_sync {
         let root = tmp_dir(&format!("shard-k{k}"));
-        let run = run_sharded_session(&root, FaultyIo::counting(), FaultyIo::crash_at(k), true);
+        let run = run_sharded_session(&root, FaultyIo::counting(), FaultyIo::crash_at(k));
         assert!(
             run.acked_ok,
             "crash point {k} lies after the merged-watermark ack"
         );
-        assert_eq!(
-            run.sync1_ok,
-            Some(false),
+        assert!(
+            !run.sync1_ok,
             "crash point {k}: the dying flush must not report success"
         );
 

@@ -223,9 +223,9 @@ fn interior_corruption_is_a_hard_error() {
 #[test]
 fn fsync_failure_poisons_the_wal_but_keeps_prior_records() {
     let dir = tmp_dir("fsync-fail");
-    // OnCommit policy: op 0 = append(Begin), 1 = append(Create),
-    // 2 = append(Commit), 3 = fsync <- fail it.
-    let io = FaultyIo::new(std::collections::HashMap::from([(3, Fault::FailOp)]));
+    // OnCommit policy: Begin and Create only queue; the Commit's flush
+    // is op 0 = one coalesced append, op 1 = fsync <- fail it.
+    let io = FaultyIo::new(std::collections::HashMap::from([(1, Fault::FailOp)]));
     let (wal, _) = DiskWal::open(&dir, cfg(), SharedIo::new(io)).unwrap();
     let begin = LogOp::Begin {
         txn: 1,

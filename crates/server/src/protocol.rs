@@ -504,16 +504,14 @@ pub struct WireStats {
     /// trails `last_applied_lsn` only by records not yet flushed.
     pub wal_lsn: Option<u64>,
     /// One past the highest LSN the WAL guarantees durable (`None`
-    /// without a WAL). Under group commit this trails `wal_lsn` by the
-    /// records buffered for the next batch fsync; commits are only
-    /// acked at or below it.
+    /// without a WAL). It trails `wal_lsn` by the records buffered for
+    /// the next flush; commits are only acked at or below it.
     pub durable_lsn: Option<u64>,
     /// Total fsyncs the WAL has issued since startup (`0` without a
-    /// WAL). With group commit this grows far slower than
-    /// `txns_committed` — that gap is the batching win.
+    /// WAL): about one per transaction at idle, fewer as concurrent
+    /// committers share flushes.
     pub fsyncs_total: u64,
-    /// Group-commit flush cycles completed (`0` under inline fsync
-    /// policies).
+    /// WAL flush cycles that wrote a batch.
     pub group_commit_batches: u64,
     /// The most commits/aborts ever made durable by one fsync — `>1`
     /// proves batching engaged.

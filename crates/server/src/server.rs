@@ -654,9 +654,8 @@ impl ServerBuilder {
                     move |records: &[DurableRecord]| {
                         // The history indexer applies a batch only once
                         // the WAL covers its LSN; this watermark bump is
-                        // a mutex store + notify, safe under any fsync
-                        // policy (inline policies publish on the
-                        // committing thread).
+                        // a mutex store + notify, cheap enough for the
+                        // flushing thread.
                         if let (Some(store), Some(last)) = (&sink_hist, records.last()) {
                             store.advance_durable_through(last.lsn);
                         }
@@ -683,12 +682,12 @@ impl ServerBuilder {
                     },
                 )));
                 // Runs with the shard's engine locked, on the
-                // committing thread. Under the group policies this only
-                // buffers and assigns the LSN — the fsync happens on
-                // the shard's flusher thread, and the session waits for
-                // it *outside* every lock (see `Command::Commit`).
-                // Errors poison that shard's wal; the session that
-                // triggered the write surfaces them from `handle_line`.
+                // committing thread. It only buffers and assigns the
+                // LSN — the write and fsync happen on the shard's
+                // flusher thread, and the session waits for them
+                // *outside* every lock (see `Command::Commit`). Errors
+                // poison that shard's wal; the next mutating command
+                // surfaces them from `handle_line`.
                 let sink_wal = ws.wal.wal(s).clone();
                 let sink_cur = Arc::clone(shard_cur);
                 let sink: LogSink = Arc::new(move |op: &LogOp| {
@@ -879,7 +878,7 @@ impl Server {
         }
         // Every session is gone, so no more appends: drain the pending
         // queues (each flusher's stop does a final flush), then push
-        // any EveryN/Never-policy unsynced bytes to disk, best effort.
+        // any `Never`-policy unsynced bytes to disk, best effort.
         for f in self.wal_flushers.drain(..) {
             f.stop();
         }

@@ -330,12 +330,9 @@ fn execute(
             // The in-memory commit is done and every engine mutex is
             // released; other sessions proceed. Ack only once each
             // participating shard's commit record is durable — the
-            // merged-watermark rule. Under group commit this blocks
-            // (outside every lock) until each shard's batch fsync
-            // covers its record, and one fsync releases every session
-            // waiting on that shard. Inline policies are already
-            // durable to their own standard, so the wait returns
-            // immediately.
+            // merged-watermark rule. This blocks (outside every lock)
+            // until each shard's flush covers its record, and one
+            // fsync releases every session waiting on that shard.
             if let Some(ws) = &inner.wal {
                 let acks = lsns_take();
                 if !acks.is_empty() {

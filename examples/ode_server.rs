@@ -5,7 +5,6 @@
 //! cargo run --release --example ode_server -- --tcp 127.0.0.1:7878
 //! cargo run --release --example ode_server -- --tcp 127.0.0.1:7878 --seconds 60
 //! cargo run --release --example ode_server -- --wal-dir /var/lib/ode --fsync commit
-//! cargo run --release --example ode_server -- --wal-dir /var/lib/ode --fsync group
 //! cargo run --release --example ode_server -- \
 //!     --tcp 127.0.0.1:7879 --wal-dir /tmp/ode-replica --replicate-from 127.0.0.1:7878
 //! ```
@@ -13,13 +12,14 @@
 //! Starts an empty database — clients define classes over the wire
 //! (see `examples/ode_client.rs`). With `--shards N` objects and
 //! trigger state hash-partition into N engine shards, each with its
-//! own engine lock, WAL stream, and group-commit flusher (a WAL
+//! own engine lock, WAL stream, and flusher thread (a WAL
 //! directory written with one shard count refuses another). With
 //! `--wal-dir DIR` every engine op is written to a crash-safe log in
 //! DIR, the directory is recovered on startup, and clients may issue
-//! `Checkpoint`; `--fsync` picks the append durability (`always`,
-//! `commit` [default], `group` or `group:BATCH:DELAYMS` for batched
-//! group commit, `never`, or a number N for every-N-ops). With
+//! `Checkpoint`; `--fsync` picks which records force a flush
+//! (`always`: every record; `commit` [default]: one flush per
+//! transaction; `never`: the same schedule without the fsync call —
+//! concurrent commits share flushes under all three). With
 //! `--history` (requires `--wal-dir`) every committed event is also
 //! indexed into a per-shard columnar history store under
 //! `DIR/hist`, enabling `Query` over past events and retroactive
@@ -114,7 +114,7 @@ fn main() {
                     "unknown flag {other}; use --tcp ADDR, --unix PATH, --seconds N, \
                      --wal-dir DIR, --history, --wal-archive, --wal-restore LSN, \
                      --replicate-from SRC[,FALLBACK...], --shards N, \
-                     --max-conns N, --fsync always|commit|group|group:BATCH:DELAYMS|never|N"
+                     --max-conns N, --fsync always|commit|never"
                 );
                 std::process::exit(2);
             }
