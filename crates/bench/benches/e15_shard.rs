@@ -123,7 +123,7 @@ fn run(tag: &str, shards: usize, committers: usize, cross: bool) -> (f64, u64, u
     let ios: Vec<SharedIo> = (0..shards)
         .map(|_| SharedIo::new(SlowIo(StdIo::new())))
         .collect();
-    let (wal, recovery) = ShardedWal::open_per_shard(&root, cfg, ios).expect("open");
+    let (wal, recovery) = ShardedWal::open(&root, cfg, ios, true).expect("open");
     assert!(recovery.report.demoted.is_empty());
 
     let db = ShardedDatabase::new(shards);
@@ -164,12 +164,12 @@ fn run(tag: &str, shards: usize, committers: usize, cross: bool) -> (f64, u64, u
     wal.sync_all().expect("setup durable");
 
     let t0 = Instant::now();
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for (i, &room) in rooms.iter().enumerate() {
             let db = db.clone();
             let wal = &wal;
             let peer = rooms[(i + 1) % committers];
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..TXNS_PER_COMMITTER {
                     db.run_txn("alice", |db, t| {
                         db.call(
@@ -196,8 +196,7 @@ fn run(tag: &str, shards: usize, committers: usize, cross: bool) -> (f64, u64, u
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let secs = t0.elapsed().as_secs_f64();
 
     for f in flushers {
@@ -215,8 +214,8 @@ fn run(tag: &str, shards: usize, committers: usize, cross: bool) -> (f64, u64, u
 
     // Recovery must reproduce every acked transaction exactly, on every
     // shard.
-    let (_wal2, recovery) =
-        ShardedWal::open(&root, shards, cfg, SharedIo::new(StdIo::new())).expect("reopen");
+    let reopen_ios = vec![SharedIo::new(StdIo::new()); shards];
+    let (_wal2, recovery) = ShardedWal::open(&root, cfg, reopen_ios, true).expect("reopen");
     assert!(
         recovery.report.demoted.is_empty(),
         "clean shutdown demotes nothing"

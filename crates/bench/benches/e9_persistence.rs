@@ -12,7 +12,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ode_core::event::calendar;
 use ode_db::demo::{self, stockroom_class};
-use ode_db::{wal, Database};
+use ode_db::{oplog, Database};
 
 /// A recorded session: n committed withdraw transactions.
 fn record_session(txns: usize) -> (Database, ode_db::RedoLog) {
@@ -67,7 +67,7 @@ fn bench_persistence(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("replay_log", txns), &log, |b, log| {
             b.iter(|| {
                 let (mut db2, _room) = demo::setup();
-                wal::replay(&mut db2, log).unwrap();
+                oplog::replay(&mut db2, log).unwrap();
                 std::hint::black_box(db2.stats().txns_committed)
             })
         });

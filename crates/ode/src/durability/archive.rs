@@ -42,8 +42,8 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use crate::oplog::LogOp;
 use crate::persist::Snapshot;
-use crate::wal::LogOp;
 
 use super::compress::{compress, decompress};
 use super::frame;

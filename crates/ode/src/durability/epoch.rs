@@ -2,7 +2,7 @@
 //! node has observed, where each one started in every shard's log, and
 //! whether the node has been deposed.
 //!
-//! Epochs fence forked histories. Every [`crate::wal::LogOp::EpochBump`]
+//! Epochs fence forked histories. Every [`crate::oplog::LogOp::EpochBump`]
 //! is a normal WAL record — it ships downstream like any other op, so
 //! the whole replica tree learns a promotion in-band at a defined LSN —
 //! but WAL segments are swept by checkpoints, so the epoch *summary*
@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use crate::durability::frame::{self, Tail};
 use crate::durability::io::SharedIo;
 use crate::durability::wal::WalError;
-use crate::wal::LogOp;
+use crate::oplog::LogOp;
 
 /// File name of the epoch table, stored in the WAL root directory
 /// (beside `shard-NNN/` and `schema.wal`).

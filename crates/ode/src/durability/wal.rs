@@ -106,8 +106,9 @@ use std::time::{Duration, Instant};
 
 use crate::engine::Database;
 use crate::error::OdeError;
+use crate::oplog::LogOp;
 use crate::persist::Snapshot;
-use crate::wal::{replay, LogOp, RedoLog};
+use crate::replication::Applier;
 
 use super::archive::{self, ArchiveDrainReport};
 use super::frame;
@@ -322,15 +323,7 @@ impl Recovery {
     /// output); callers who only want post-recovery firings should drain
     /// it with `take_output`.
     pub fn restore_into(&self, db: &mut Database) -> Result<(), WalError> {
-        if let Some(snap) = &self.snapshot {
-            db.restore(snap)?;
-        }
-        replay(
-            db,
-            &RedoLog {
-                ops: self.ops.clone(),
-            },
-        )?;
+        Applier::bootstrap(db, self, |_| {}).map_err(OdeError::from)?;
         Ok(())
     }
 }

@@ -156,7 +156,7 @@ pub type EventTap = Arc<dyn Fn(TxnId, u64, &[TapEvent]) + Send + Sync>;
 /// swallow their own errors (a disk WAL latches failures internally and
 /// the caller checks its health out of band).
 #[cfg(feature = "persistence")]
-pub type LogSink = Arc<dyn Fn(&crate::wal::LogOp) + Send + Sync>;
+pub type LogSink = Arc<dyn Fn(&crate::oplog::LogOp) + Send + Sync>;
 
 /// Engine counters (used by the experiment harness).
 #[derive(Clone, Copy, Debug, Default)]
@@ -244,7 +244,7 @@ pub struct Database {
     /// Mask-memo scratch for schema postings.
     schema_memo: MaskMemo,
     #[cfg(feature = "persistence")]
-    redo_log: Option<crate::wal::RedoLog>,
+    redo_log: Option<crate::oplog::RedoLog>,
     /// Streaming observer for logged operations (see [`LogSink`]).
     #[cfg(feature = "persistence")]
     log_sink: Option<LogSink>,
@@ -328,17 +328,17 @@ impl Database {
     }
 
     /// Start recording a logical redo log of application-level
-    /// operations (see [`crate::wal`]).
+    /// operations (see [`crate::oplog`]).
     #[cfg(feature = "persistence")]
     pub fn enable_logging(&mut self) {
         if self.redo_log.is_none() {
-            self.redo_log = Some(crate::wal::RedoLog::default());
+            self.redo_log = Some(crate::oplog::RedoLog::default());
         }
     }
 
     /// Stop logging and take the recorded log.
     #[cfg(feature = "persistence")]
-    pub fn take_log(&mut self) -> Option<crate::wal::RedoLog> {
+    pub fn take_log(&mut self) -> Option<crate::oplog::RedoLog> {
         self.redo_log.take()
     }
 
@@ -357,7 +357,7 @@ impl Database {
     /// automatically during replay. The sink sees the op before it is
     /// pushed onto any in-memory log.
     #[cfg(feature = "persistence")]
-    fn log_op(&mut self, op: impl FnOnce() -> crate::wal::LogOp) {
+    fn log_op(&mut self, op: impl FnOnce() -> crate::oplog::LogOp) {
         if self.entry_depth != 0 {
             return;
         }
@@ -498,7 +498,7 @@ impl Database {
         #[cfg(feature = "persistence")]
         {
             let u = user.clone();
-            self.log_op(|| crate::wal::LogOp::Begin { txn: id.0, user: u });
+            self.log_op(|| crate::oplog::LogOp::Begin { txn: id.0, user: u });
         }
         self.next_txn += 1;
         self.txns.insert(
@@ -538,7 +538,7 @@ impl Database {
     /// then post `after tcommit` from a system transaction.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), OdeError> {
         #[cfg(feature = "persistence")]
-        self.log_op(|| crate::wal::LogOp::Commit { txn: txn.0 });
+        self.log_op(|| crate::oplog::LogOp::Commit { txn: txn.0 });
         self.user_entry(txn, |db| db.commit_inner(txn))
     }
 
@@ -554,7 +554,7 @@ impl Database {
     /// and reproduces even an aborted outcome deterministically.
     pub fn prepare(&mut self, txn: TxnId) -> Result<(), OdeError> {
         #[cfg(feature = "persistence")]
-        self.log_op(|| crate::wal::LogOp::Prepare { txn: txn.0 });
+        self.log_op(|| crate::oplog::LogOp::Prepare { txn: txn.0 });
         self.user_entry(txn, |db| {
             let state = db.txn_state(txn)?;
             if !state.is_system && !state.prepared {
@@ -566,7 +566,7 @@ impl Database {
     }
 
     /// Phase two of a two-phase commit: commit the local branch `txn` of
-    /// global transaction `gtxn`, logging a [`crate::wal::LogOp::Commit2pc`]
+    /// global transaction `gtxn`, logging a [`crate::oplog::LogOp::Commit2pc`]
     /// record naming every participating shard. The caller must have
     /// [`Database::prepare`]d the transaction first; the fixpoint is then
     /// skipped and the commit cannot fail.
@@ -574,7 +574,7 @@ impl Database {
         #[cfg(feature = "persistence")]
         {
             let parts = parts.to_vec();
-            self.log_op(|| crate::wal::LogOp::Commit2pc {
+            self.log_op(|| crate::oplog::LogOp::Commit2pc {
                 txn: txn.0,
                 gtxn,
                 parts,
@@ -596,7 +596,7 @@ impl Database {
     pub fn abort(&mut self, txn: TxnId) -> Result<(), OdeError> {
         self.txn_state(txn)?;
         #[cfg(feature = "persistence")]
-        self.log_op(|| crate::wal::LogOp::Abort { txn: txn.0 });
+        self.log_op(|| crate::oplog::LogOp::Abort { txn: txn.0 });
         self.finish_abort(txn, AbortReason::Explicit);
         Ok(())
     }
@@ -854,7 +854,7 @@ impl Database {
         #[cfg(feature = "persistence")]
         {
             let obj = result.as_ref().map(|id| id.0).unwrap_or(0);
-            self.log_op(|| crate::wal::LogOp::Create {
+            self.log_op(|| crate::oplog::LogOp::Create {
                 txn: txn.0,
                 obj,
                 class: class_name.to_string(),
@@ -931,7 +931,7 @@ impl Database {
     /// Delete an object: posts `before delete`, then tombstones it.
     pub fn delete_object(&mut self, txn: TxnId, obj: ObjectId) -> Result<(), OdeError> {
         #[cfg(feature = "persistence")]
-        self.log_op(|| crate::wal::LogOp::Delete {
+        self.log_op(|| crate::oplog::LogOp::Delete {
             txn: txn.0,
             obj: obj.0,
         });
@@ -998,7 +998,7 @@ impl Database {
         args: &[Value],
     ) -> Result<Value, OdeError> {
         #[cfg(feature = "persistence")]
-        self.log_op(|| crate::wal::LogOp::Call {
+        self.log_op(|| crate::oplog::LogOp::Call {
             txn: txn.0,
             obj: obj.0,
             method: method.to_string(),
@@ -1122,7 +1122,7 @@ impl Database {
         params: &[Value],
     ) -> Result<(), OdeError> {
         #[cfg(feature = "persistence")]
-        self.log_op(|| crate::wal::LogOp::Activate {
+        self.log_op(|| crate::oplog::LogOp::Activate {
             txn: txn.0,
             obj: obj.0,
             trigger: name.to_string(),
@@ -1214,7 +1214,7 @@ impl Database {
     /// occurrences, and install the resulting monitoring state — as if
     /// the trigger had been active since inception. The computed
     /// outcome, not the computation, is logged
-    /// ([`crate::wal::LogOp::ActivateRetro`]), so recovery re-installs
+    /// ([`crate::oplog::LogOp::ActivateRetro`]), so recovery re-installs
     /// it while the history store is itself still rebuilding. Retro
     /// firings are reported through the firing sink with
     /// [`FiringNotice::retro`] set and `seq` = the completing posting's
@@ -1264,7 +1264,7 @@ impl Database {
 
     /// Install a recorded retroactive-activation outcome — the logged
     /// form of [`Database::activate_trigger_retro`], also the replay
-    /// path for [`crate::wal::LogOp::ActivateRetro`].
+    /// path for [`crate::oplog::LogOp::ActivateRetro`].
     #[cfg(feature = "persistence")]
     pub fn apply_activate_retro(
         &mut self,
@@ -1274,7 +1274,7 @@ impl Database {
         params: &[Value],
         outcome: crate::histstore::RetroOutcome,
     ) -> Result<(), OdeError> {
-        self.log_op(|| crate::wal::LogOp::ActivateRetro {
+        self.log_op(|| crate::oplog::LogOp::ActivateRetro {
             txn: txn.0,
             obj: obj.0,
             trigger: name.to_string(),
@@ -1365,7 +1365,7 @@ impl Database {
         name: &str,
     ) -> Result<(), OdeError> {
         #[cfg(feature = "persistence")]
-        self.log_op(|| crate::wal::LogOp::Deactivate {
+        self.log_op(|| crate::oplog::LogOp::Deactivate {
             txn: txn.0,
             obj: obj.0,
             trigger: name.to_string(),
@@ -1682,7 +1682,7 @@ impl Database {
     /// objects", Section 3.1).
     pub fn advance_clock_to(&mut self, target: u64) {
         #[cfg(feature = "persistence")]
-        self.log_op(|| crate::wal::LogOp::AdvanceClock { to: target });
+        self.log_op(|| crate::oplog::LogOp::AdvanceClock { to: target });
         let due = self.clock.advance_to(target);
         for (_, timer) in due {
             let alive = self

@@ -59,7 +59,7 @@ pub struct RetroReplay {
 }
 
 /// The installable part of a [`RetroReplay`] — exactly what
-/// [`crate::wal::LogOp::ActivateRetro`] records, so recovery can
+/// [`crate::oplog::LogOp::ActivateRetro`] records, so recovery can
 /// re-install the outcome without recomputing the replay.
 #[derive(Clone, Copy, Debug)]
 pub struct RetroOutcome {

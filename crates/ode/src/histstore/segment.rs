@@ -95,6 +95,12 @@ pub struct Segment {
 }
 
 impl Segment {
+    /// Does the segment hold a row at or past `lsn`? A store whose log
+    /// ends (or was cut) at `lsn` must not keep it.
+    pub fn reaches(&self, lsn: u64) -> bool {
+        self.meta.rows > 0 && self.meta.max_lsn >= lsn
+    }
+
     /// Read and decode the full column body.
     pub fn rows(&self) -> Result<Vec<EventRow>, HistError> {
         let bytes = fs::read(&self.path)?;

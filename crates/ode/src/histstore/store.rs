@@ -128,6 +128,9 @@ struct State {
     submitted_excl: u64,
     /// Mirror of `Indexed::applied_excl`, for cheap sync waits.
     applied_excl: u64,
+    /// The indexer holds batches it popped but has not yet applied; a
+    /// rebase waits this out so no batch from before it lands after.
+    applying: bool,
     stop: bool,
 }
 
@@ -200,7 +203,7 @@ impl HistStore {
                 break;
             }
             match read_segment_meta(path) {
-                Ok(seg) if seg.meta.rows > 0 && seg.meta.max_lsn >= valid_lsn_excl => {
+                Ok(seg) if seg.reaches(valid_lsn_excl) => {
                     drop_from = Some(pos);
                     break;
                 }
@@ -237,6 +240,7 @@ impl HistStore {
                 durable_excl: 0,
                 submitted_excl: 0,
                 applied_excl,
+                applying: false,
                 stop: false,
             }),
             work: Condvar::new(),
@@ -267,6 +271,41 @@ impl HistStore {
             inner,
             indexer: Some(indexer),
         })
+    }
+
+    /// Re-base the live store on a log that was replaced underneath it
+    /// (fork reset: `base_lsn` 0; snapshot jump: `base_lsn` past the
+    /// cursor). Everything at or past `base_lsn` belongs to the
+    /// discarded timeline and goes the way [`HistStore::open`] drops
+    /// what the log disowns — sealed segments from the first one that
+    /// reaches `base_lsn`, active rows and queued batches by LSN — and
+    /// the cursors rewind to `base_lsn`, so batches submitted from there
+    /// are indexed instead of being skipped as already seen. No
+    /// submission may race the rebase (the caller is the shard's only
+    /// writer, or holds its engine lock).
+    pub fn rebase(&self, base_lsn: u64) {
+        let mut st = self.inner.state.lock();
+        while st.applying && !st.stop {
+            st = cv_wait(&self.inner.idle, st);
+        }
+        let mut idx = self.inner.indexed.write();
+        let keep =
+            (idx.sealed.iter().position(|s| s.reaches(base_lsn))).unwrap_or(idx.sealed.len());
+        for seg in idx.sealed.split_off(keep) {
+            let _ = fs::remove_file(&seg.path);
+            idx.disk_bytes -= seg.bytes;
+        }
+        idx.next_seg_index = keep as u64;
+        idx.active.retain(|r| r.lsn < base_lsn);
+        idx.rows_total =
+            idx.sealed.iter().map(|s| s.meta.rows).sum::<u64>() + idx.active.len() as u64;
+        idx.applied_excl = idx.applied_excl.min(base_lsn);
+        idx.last_batch_lsn = idx.last_batch_lsn.min(base_lsn.saturating_sub(1));
+        idx.pending_seal = idx.active.len() >= self.inner.cfg.segment_rows;
+        st.queue.retain(|b| b.lsn < base_lsn);
+        st.durable_excl = st.durable_excl.min(base_lsn);
+        st.submitted_excl = st.submitted_excl.min(base_lsn);
+        st.applied_excl = idx.applied_excl;
     }
 
     /// Record (or extend) the class-name table: `code` is the engine's
@@ -513,12 +552,14 @@ fn indexer_loop(inner: &Arc<Inner>) {
             while st.queue.front().is_some_and(|b| b.lsn < st.durable_excl) {
                 v.push(st.queue.pop_front().expect("front checked"));
             }
+            st.applying = true;
             v
         };
         let applied = apply_batches(inner, ready);
         {
             let mut st = inner.state.lock();
             st.applied_excl = st.applied_excl.max(applied);
+            st.applying = false;
         }
         inner.idle.notify_all();
     }

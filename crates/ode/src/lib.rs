@@ -56,6 +56,8 @@ pub mod histstore;
 pub mod ids;
 pub mod object;
 #[cfg(feature = "persistence")]
+pub mod oplog;
+#[cfg(feature = "persistence")]
 pub mod persist;
 #[cfg(feature = "persistence")]
 pub mod replication;
@@ -63,8 +65,6 @@ pub mod report;
 pub mod schema;
 pub mod sharded;
 pub mod shared;
-#[cfg(feature = "persistence")]
-pub mod wal;
 
 pub use class::{
     Action, ActionCtx, ActionFn, ClassBuilder, ClassDef, MaskFn, MaskFnCtx, MethodBody, MethodCtx,
@@ -91,6 +91,8 @@ pub use histstore::{
 pub use ids::{ClassId, ObjectId, TxnId};
 pub use object::{Object, PostStatus, PostedRecord, TriggerInstance};
 #[cfg(feature = "persistence")]
+pub use oplog::{replay, LogOp, RedoLog};
+#[cfg(feature = "persistence")]
 pub use persist::Snapshot;
 #[cfg(feature = "persistence")]
 pub use replication::{Applied, Applier, ApplyError};
@@ -103,5 +105,3 @@ pub use sharded::{
 };
 pub use sharded::{shard_of, to_global, to_local, ShardStats, ShardedDatabase};
 pub use shared::{SharedDatabase, SharedTxn};
-#[cfg(feature = "persistence")]
-pub use wal::{replay, LogOp, RedoLog};

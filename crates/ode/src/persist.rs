@@ -98,7 +98,7 @@ pub struct Snapshot {
     /// Pending timers `(due, timer)`.
     pub timers: Vec<(u64, Timer)>,
     /// Highest cross-shard commit sequence (`gtxn` of a
-    /// [`crate::wal::LogOp::Commit2pc`]) this store has applied. Sharded
+    /// [`crate::oplog::LogOp::Commit2pc`]) this store has applied. Sharded
     /// recovery treats any cross-shard commit at or below a
     /// participant's floor as present even after a checkpoint pruned the
     /// record itself. `0` when no cross-shard commit ever ran.

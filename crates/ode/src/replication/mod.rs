@@ -8,18 +8,19 @@
 //! the engine-side entry point for that: a stateful, incremental
 //! re-application of [`LogOp`]s that
 //!
-//! * keeps the recording-id → local-id maps **alive between calls**
-//!   (unlike [`crate::wal::replay`], which replays a whole log and
-//!   drops them), so a stream can be applied op by op as it arrives,
-//!   across transactions that span many network messages;
+//! * keeps the recording-id → local-id maps **alive between calls**, so
+//!   a stream can be applied op by op as it arrives, across
+//!   transactions that span many network messages;
 //! * enforces **exactly-once** application by LSN: an op below the
 //!   cursor is a duplicate (skipped — retransmission after a
 //!   reconnect), an op above it is a gap (refused — the stream must
 //!   resync), and only the op *at* the cursor advances it;
-//! * can [`Applier::bootstrap`] from a [`Recovery`] — restore the
-//!   snapshot, apply the recovered tail, and keep the maps — which is
-//!   how a replica resumes from its own local log after a restart,
-//!   even when the stream was cut mid-transaction.
+//! * is the one interpreter of a [`Recovery`]: [`Applier::bootstrap`]
+//!   restores the snapshot, applies the recovered tail and keeps the
+//!   maps. Primary restart, replica restart (which resumes the stream
+//!   from there, even when it was cut mid-transaction), sharded
+//!   recovery and point-in-time restore all bring an engine up through
+//!   it.
 //!
 //! Operation *failures* are part of the history (a trigger-aborted
 //! call must abort on the replica too, and full-history triggers
@@ -33,7 +34,7 @@ use crate::durability::Recovery;
 use crate::engine::Database;
 use crate::error::OdeError;
 use crate::ids::{ObjectId, TxnId};
-use crate::wal::LogOp;
+use crate::oplog::LogOp;
 
 /// What [`Applier::apply`] did with an op.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,22 +142,29 @@ impl Applier {
         a
     }
 
-    /// Bootstrap a follower from a local [`Recovery`]: restore the
-    /// snapshot (if any), apply the recovered tail, drain the replayed
-    /// output, and return the applier positioned at the recovery's
-    /// head — with the id maps of any transaction the tail left open
-    /// still live, so the stream can resume mid-transaction.
-    pub fn bootstrap(db: &mut Database, recovery: &Recovery) -> Result<Applier, ApplyError> {
+    /// Bring an engine up from a [`Recovery`] — the single
+    /// implementation of "snapshot + replay the logged ops". `db` has
+    /// the schema defined and an empty store: restore the snapshot (if
+    /// any), apply the recovered tail in LSN order (`observe` sees each
+    /// op's LSN just before it is applied), and return the applier
+    /// positioned at the recovery's head — with the id maps of any
+    /// transaction the tail left open still live, so a stream can
+    /// resume mid-transaction. The firing lines the tail regenerates
+    /// are left in `db`'s output (snapshots do not carry output); a
+    /// caller that serves output must drain them first.
+    pub fn bootstrap(
+        db: &mut Database,
+        recovery: &Recovery,
+        mut observe: impl FnMut(u64),
+    ) -> Result<Applier, ApplyError> {
         if let Some(snap) = &recovery.snapshot {
             db.restore(snap)?;
         }
         let mut a = Applier::resume(db, recovery.base_lsn);
-        for (i, op) in recovery.ops.iter().enumerate() {
-            a.apply(db, recovery.base_lsn + i as u64, op)?;
+        for (lsn, op) in (recovery.base_lsn..).zip(&recovery.ops) {
+            observe(lsn);
+            a.apply(db, lsn, op)?;
         }
-        // Replay re-emits historical firing lines; a follower must not
-        // serve them as fresh output.
-        db.take_output();
         Ok(a)
     }
 

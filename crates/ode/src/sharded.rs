@@ -36,7 +36,7 @@
 //! 3. assigns a global commit sequence (`gtxn`) **while holding all
 //!    participant locks** — so two cross-shard commits that share a
 //!    shard carry `gtxn`s in that shard's log order — and stamps one
-//!    [`crate::wal::LogOp::Commit2pc`] record, naming every
+//!    [`crate::oplog::LogOp::Commit2pc`] record, naming every
 //!    participant, into each shard's stream via the per-shard log sink.
 //!
 //! A commit is acknowledged only once every participating shard's
@@ -663,7 +663,7 @@ mod wal_coord {
     use crate::durability::{
         ArchiveStats, DiskWal, Recovery, SharedIo, WalArchiver, WalConfig, WalError, WalFlusher,
     };
-    use crate::wal::LogOp;
+    use crate::oplog::LogOp;
 
     /// Name of the shard-count marker a multi-shard WAL root carries.
     pub const SHARDS_META: &str = "shards.meta";
@@ -709,60 +709,22 @@ mod wal_coord {
     }
 
     impl ShardedWal {
-        /// Open (or create) `shards` WAL streams under `root` and
-        /// recover each, reconciling cross-shard commits. Shard streams
-        /// are opened and replay-scanned on parallel threads.
+        /// Open (or create) one WAL stream per entry of `ios` under
+        /// `root` and recover each on its own thread. `ios[s]` serves
+        /// shard `s` (`ios[0]` also maintains the root marker): a
+        /// [`SharedIo`] is a mutex around a single io, so clones of one
+        /// handle serialize every shard's fsyncs behind it, while
+        /// independent handles let the flushers hit the disk in
+        /// parallel.
+        ///
+        /// `reconcile` runs the cross-shard pass
+        /// ([`reconcile_cross_shard`]) over the recovered tails. A
+        /// primary needs it; a replica must skip it: every record in a
+        /// replica's local log was shipped by a primary that had
+        /// already decided commit, so demoting a `Commit2pc` whose
+        /// sibling hasn't arrived yet would fork the replica's history
+        /// from the primary's.
         pub fn open(
-            root: &Path,
-            shards: usize,
-            cfg: WalConfig,
-            io: SharedIo,
-        ) -> Result<(ShardedWal, ShardedRecovery), WalError> {
-            Self::open_inner(root, cfg, vec![io; shards], true)
-        }
-
-        /// Like [`ShardedWal::open`] but **without** the cross-shard
-        /// reconciliation pass. For replicas: every record in a
-        /// replica's local log was shipped by a primary that had already
-        /// decided commit, so demoting a `Commit2pc` whose sibling
-        /// hasn't arrived yet would fork the replica's history from the
-        /// primary's. A replica's log is a committed prefix by
-        /// construction; replay it verbatim.
-        pub fn open_raw(
-            root: &Path,
-            shards: usize,
-            cfg: WalConfig,
-            io: SharedIo,
-        ) -> Result<(ShardedWal, ShardedRecovery), WalError> {
-            Self::open_inner(root, cfg, vec![io; shards], false)
-        }
-
-        /// Like [`ShardedWal::open`], but with one *independent* io
-        /// handle per shard (`ios[s]` serves shard `s`; `ios[0]` also
-        /// maintains the root marker). A [`SharedIo`] is a mutex around
-        /// a single io, so cloning one handle across shards — what
-        /// [`ShardedWal::open`] does — serializes every shard's fsyncs
-        /// behind it; production deployments that want flushers to hit
-        /// the disk in parallel must hand each shard its own handle.
-        pub fn open_per_shard(
-            root: &Path,
-            cfg: WalConfig,
-            ios: Vec<SharedIo>,
-        ) -> Result<(ShardedWal, ShardedRecovery), WalError> {
-            Self::open_inner(root, cfg, ios, true)
-        }
-
-        /// [`ShardedWal::open_per_shard`] without reconciliation — the
-        /// replica variant (see [`ShardedWal::open_raw`]).
-        pub fn open_raw_per_shard(
-            root: &Path,
-            cfg: WalConfig,
-            ios: Vec<SharedIo>,
-        ) -> Result<(ShardedWal, ShardedRecovery), WalError> {
-            Self::open_inner(root, cfg, ios, false)
-        }
-
-        fn open_inner(
             root: &Path,
             cfg: WalConfig,
             ios: Vec<SharedIo>,
@@ -977,7 +939,8 @@ mod wal_coord {
     }
 
     /// Open + recover a full sharded deployment in one call: open every
-    /// shard stream ([`ShardedWal::open`], parallel), then build one
+    /// shard stream ([`ShardedWal::open`] over clones of `io`,
+    /// reconciled), then build one
     /// engine per shard — `schema` defines classes into each fresh
     /// engine, recovery restores and replays — again on parallel
     /// threads, and wrap them in a [`ShardedDatabase`]. Log sinks are
@@ -990,7 +953,7 @@ mod wal_coord {
         io: SharedIo,
         schema: impl Fn(&mut Database) -> Result<(), OdeError> + Sync,
     ) -> Result<(ShardedWal, ShardedDatabase, ReconcileReport), WalError> {
-        let (wal, recovery) = ShardedWal::open(root, shards, cfg, io)?;
+        let (wal, recovery) = ShardedWal::open(root, cfg, vec![io; shards], true)?;
         let schema = &schema;
         let mut engines: Vec<Option<Result<Database, WalError>>> =
             (0..shards).map(|_| None).collect();

@@ -227,11 +227,11 @@ mod tests {
             v
         });
 
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for tid in 0..6 {
                 let shared = shared.clone();
                 let objs = &objs;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for k in 0..40 {
                         let obj = objs[(tid + k) % objs.len()];
                         shared
@@ -240,8 +240,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
 
         let total: i64 = shared.with(|db| {
             objs.iter()

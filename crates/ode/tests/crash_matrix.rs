@@ -642,7 +642,7 @@ fn run_sharded_session(root: &Path, io0: FaultyIo, io1: FaultyIo) -> ShardedRun 
 fn recover_sharded_rooms(root: &Path, tag: &str) -> ([i64; 2], [i64; 2], Vec<(usize, u64)>) {
     let open = || {
         let io = SharedIo::new(StdIo::new());
-        let (_wal, recovery) = ShardedWal::open(root, 2, group_cfg(), io)
+        let (_wal, recovery) = ShardedWal::open(root, group_cfg(), vec![io; 2], true)
             .unwrap_or_else(|e| panic!("{tag}: sharded recovery failed: {e}"));
         let engines: Vec<Database> = recovery
             .shards

@@ -169,11 +169,11 @@ fn concurrent_commits_batch_fsyncs_and_match_serial_firings() {
     wal.wait_durable(LAST_LSN.with(|c| c.get()).expect("creation logged"))
         .expect("setup commit becomes durable");
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..THREADS {
             let shared = shared.clone();
             let wal = wal.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..TXNS_PER_THREAD {
                     shared
                         .run_txn("alice", |t| {
@@ -198,8 +198,7 @@ fn concurrent_commits_batch_fsyncs_and_match_serial_firings() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     flusher.stop();
     wal.sync().expect("final drain");

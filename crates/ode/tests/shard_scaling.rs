@@ -114,10 +114,10 @@ fn disjoint_shard_transactions_scale_near_linearly() {
             })
             .collect();
         let started = std::time::Instant::now();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for room in rooms.iter().copied() {
                 let db = db.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..TXNS {
                         db.run_txn("alice", |db, t| {
                             for _ in 0..PAIRS {
@@ -140,8 +140,7 @@ fn disjoint_shard_transactions_scale_near_linearly() {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         (started.elapsed(), db)
     };
 
@@ -190,10 +189,10 @@ fn lock_wait_accounting_attributes_contention_to_the_hot_shard() {
         .run_txn("alice", |db, t| db.create_object_on(t, 0, "stockRoom", &[]))
         .unwrap()
         .0;
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..4 {
             let db = db.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..50 {
                     db.run_txn("alice", |db, t| {
                         db.call(
@@ -207,8 +206,7 @@ fn lock_wait_accounting_attributes_contention_to_the_hot_shard() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let stats = db.stats();
     assert_eq!(stats.commits[0], 4 * 50 + 1, "all commits hit shard 0");
     assert_eq!(stats.commits[1], 0, "shard 1 idled");

@@ -35,5 +35,5 @@ pub use protocol::{
     WireStats,
 };
 pub use repl::{ReplSource, StreamFault};
-pub use server::{load_schema, Server, ServerBuilder, ServerConfig};
+pub use server::{load_schema, recover_shard, Server, ServerBuilder, ServerConfig};
 pub use spec::{ActionSpec, ClassSpec, FieldSpec, MaskFnSpec, MethodOp, MethodSpec, TriggerSpec};

@@ -33,8 +33,8 @@
 //! cursor runs past a bump it hasn't seen — the definition of holding
 //! a deposed fork — by answering a `ReplSnapshot` with `fence_lsn`
 //! set, upon which the runner discards the shard's entire local
-//! history (engine, applier, local WAL, epoch-table entries) and
-//! re-replicates it from zero. The same invariant is enforced
+//! history (engine, applier, local WAL, history-store rows, epoch-table
+//! entries) and re-replicates it from zero. The same invariant is enforced
 //! receiver-side: **an epoch bump is never a duplicate** — a bump
 //! arriving *below* the cursor with an epoch above our history proves
 //! the records we hold past it are fork debris (the upstream healed
@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 use ode_db::durability::archive::decode_archive_bytes;
 use ode_db::durability::frame;
 use ode_db::replication::{Applier, ApplyError};
-use ode_db::{Database, LogOp, Snapshot};
+use ode_db::{CheckpointReport, Database, DiskWal, LogOp, Snapshot, WalError};
 use parking_lot::Mutex;
 
 use crate::client::backoff_delay;
@@ -70,7 +70,7 @@ use crate::codec::{LineEvent, LineReader};
 use crate::conn::Conn;
 use crate::protocol::{hex_decode, Command, Reply, ReplyResult, Request, ServerMsg};
 use crate::server::{append_schema, load_schema, Shared};
-use crate::spec::{compile_class, ClassSpec};
+use crate::spec::{compile_class, define_specs, ClassSpec};
 
 /// A snapshot message must fit in one line; segments cap op frames far
 /// below this.
@@ -408,23 +408,7 @@ fn handle_msg(
         }
         ServerMsg::ReplSchema(spec) => {
             rs.note_contact();
-            let flow = define_spec(inner, &spec);
-            // Cascade: re-ship the class to our own downstream
-            // replicas (idempotent at the receiver) before any op
-            // referencing it can flow through our durable sink —
-            // mirroring the primary's DefineClass ordering.
-            if matches!(flow, Flow::Continue) {
-                if let Some(ws) = &inner.wal {
-                    for s in 0..ws.wal.shard_count() {
-                        ws.wal.wal(s).frozen(|_| {
-                            for rtx in ws.repl_subs[s].lock().values() {
-                                let _ = rtx.send(ServerMsg::ReplSchema(spec.clone()));
-                            }
-                        });
-                    }
-                }
-            }
-            flow
+            define_spec(inner, &spec)
         }
         ServerMsg::ReplSnapshot {
             shard,
@@ -470,41 +454,21 @@ fn handle_msg(
             let Ok(snap) = Snapshot::from_json(&json) else {
                 return Flow::Fatal;
             };
+            // Persisting the jump in the local log makes a restart
+            // resume this shard from `lsn` instead of a stale local head.
             let applier = &mut appliers[s];
-            let rebuilt = inner.db.shard(s).with(|db| -> Result<Applier, String> {
-                applier.abort_open(db);
-                let mut fresh = Database::new();
-                for spec in &schema {
-                    let def = compile_class(spec).map_err(|e| e.to_string())?;
-                    fresh.define_class(def).map_err(|e| e.to_string())?;
-                }
-                fresh.restore(&snap).map_err(|e| e.to_string())?;
-                fresh.take_output();
-                fresh.set_firing_sink(inner.firing_sinks.get(s).cloned());
-                fresh.set_log_sink(inner.log_sinks.get(s).cloned());
-                fresh.set_event_tap(inner.event_taps.get(s).cloned());
-                let next = Applier::resume(&fresh, lsn);
-                *db = fresh;
-                Ok(next)
+            let jumped = rebuild_shard(inner, applier, s, &schema, Some(&snap), lsn, |wal| {
+                wal.checkpoint_at(&snap, lsn)
             });
-            match rebuilt {
-                Ok(mut next) => {
-                    if let Some(ws) = &inner.wal {
-                        // Persist the jump so a restart resumes this
-                        // shard from `lsn` instead of a stale local
-                        // head.
-                        let _ = ws.wal.wal(s).checkpoint_at(&snap, lsn);
-                    }
-                    // The jump carried us across any bumps in the
-                    // skipped range; adopt the node's fencing floor so
-                    // the fresh cursor doesn't accept stale stamps.
-                    next.set_epoch(inner.epochs.history_epoch());
-                    *applier = next;
-                    rs.applied[s].store(lsn, Ordering::SeqCst);
-                    Flow::Continue
-                }
-                Err(_) => Flow::Fatal,
+            if jumped.is_err() {
+                return Flow::Fatal;
             }
+            // The jump carried us across any bumps in the skipped
+            // range; adopt the node's fencing floor so the fresh cursor
+            // doesn't accept stale stamps.
+            applier.set_epoch(inner.epochs.history_epoch());
+            rs.applied[s].store(lsn, Ordering::SeqCst);
+            Flow::Continue
         }
         ServerMsg::ReplOp {
             shard,
@@ -575,56 +539,14 @@ fn handle_msg(
             let Ok(op) = LogOp::from_json_line(text) else {
                 return Flow::Fatal;
             };
-            // Receiver-side fork detection: an epoch bump is never a
-            // duplicate. One landing below our cursor with an epoch
-            // above our history proves the records we hold past it
-            // belong to a deposed lineage (the upstream healed or was
-            // replaced underneath us while our cursor let its rebuilt
-            // records duplicate-skip by). Discard the shard.
-            if let LogOp::EpochBump { epoch: bump } = &op {
-                if *bump > inner.epochs.history_epoch() && lsn < appliers[s].next_lsn() {
-                    inner
-                        .epochs
-                        .stale_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    return reset_shard(inner, rs, appliers, s);
-                }
+            let flow = apply_replayed(inner, rs, appliers, s, shard, lsn, &op);
+            if matches!(
+                (&flow, fault),
+                (Flow::Continue, Some(StreamFault::Duplicate))
+            ) {
+                return apply_replayed(inner, rs, appliers, s, shard, lsn, &op);
             }
-            let applies = if matches!(fault, Some(StreamFault::Duplicate)) {
-                2
-            } else {
-                1
-            };
-            let applier = &mut appliers[s];
-            let fresh = lsn == applier.next_lsn();
-            for _ in 0..applies {
-                match inner.db.shard(s).with(|db| applier.apply(db, lsn, &op)) {
-                    Ok(_) => {}
-                    Err(ApplyError::Gap { .. }) => return Flow::Resync,
-                    Err(_) => return Flow::Fatal,
-                }
-            }
-            rs.applied[s].store(applier.next_lsn(), Ordering::SeqCst);
-            if fresh {
-                if let LogOp::EpochBump { epoch: bump } = &op {
-                    // The engine no-ops a bump, so the log sink never
-                    // re-logs it. Append it by hand to keep the local
-                    // log record-for-record identical with the
-                    // upstream's — the downstream tree depends on
-                    // that 1:1 LSN alignment — then record the
-                    // durable start in the epoch table.
-                    if let Some(ws) = &inner.wal {
-                        match ws.wal.wal(s).append(&op) {
-                            Ok(got) if got == lsn => {}
-                            _ => return Flow::Fatal,
-                        }
-                    }
-                    if inner.epochs.note_start(*bump, shard, lsn).is_err() {
-                        return Flow::Fatal;
-                    }
-                }
-            }
-            Flow::Continue
+            flow
         }
         ServerMsg::ReplArchive {
             shard,
@@ -676,10 +598,10 @@ fn handle_msg(
     }
 }
 
-/// Apply one record replayed out of a shipped archive — the same tail
-/// as a live `ReplOp`: duplicate LSNs skip, a gap resyncs, and a fresh
-/// epoch bump is re-appended to the local log (the engine no-ops it,
-/// so the log sink never would) and recorded in the epoch table.
+/// Apply one shipped record — live (`ReplOp`) or replayed out of a
+/// shipped archive: duplicate LSNs skip, a gap resyncs, and a fresh
+/// epoch bump is re-appended to the local log and recorded in the epoch
+/// table.
 fn apply_replayed(
     inner: &Arc<Shared>,
     rs: &ReplicaState,
@@ -689,6 +611,12 @@ fn apply_replayed(
     lsn: u64,
     op: &LogOp,
 ) -> Flow {
+    // Receiver-side fork detection: an epoch bump is never a
+    // duplicate. One landing below our cursor with an epoch above our
+    // history proves the records we hold past it belong to a deposed
+    // lineage (the upstream healed or was replaced underneath us while
+    // our cursor let its rebuilt records duplicate-skip by). Discard
+    // the shard.
     if let LogOp::EpochBump { epoch: bump } = op {
         if *bump > inner.epochs.history_epoch() && lsn < appliers[s].next_lsn() {
             inner
@@ -708,6 +636,11 @@ fn apply_replayed(
     rs.applied[s].store(applier.next_lsn(), Ordering::SeqCst);
     if fresh {
         if let LogOp::EpochBump { epoch: bump } = op {
+            // The engine no-ops a bump, so the log sink never re-logs
+            // it. Append it by hand to keep the local log
+            // record-for-record identical with the upstream's — the
+            // downstream tree depends on that 1:1 LSN alignment — then
+            // record the durable start in the epoch table.
             if let Some(ws) = &inner.wal {
                 match ws.wal.wal(s).append(op) {
                     Ok(got) if got == lsn => {}
@@ -723,11 +656,11 @@ fn apply_replayed(
 }
 
 /// Fork healing: discard shard `s`'s entire local history — engine,
-/// applier, local WAL (durable watermark rewound to zero), and
-/// epoch-table entries — so the next connect re-replicates the shard
-/// from LSN 0. Classes survive: they are re-defined from the local
-/// schema log (shared across shards), and the upstream re-ships them
-/// on reconnect anyway.
+/// applier, local WAL (durable watermark rewound to zero), history-store
+/// rows, and epoch-table entries — so the next connect re-replicates
+/// the shard from LSN 0. Classes survive: they are re-defined from the
+/// local schema log (shared across shards), and the upstream re-ships
+/// them on reconnect anyway.
 fn reset_shard(inner: &Arc<Shared>, rs: &ReplicaState, appliers: &mut [Applier], s: usize) -> Flow {
     let mut specs: Vec<ClassSpec> = Vec::new();
     if let Some(ws) = &inner.wal {
@@ -736,40 +669,58 @@ fn reset_shard(inner: &Arc<Shared>, rs: &ReplicaState, appliers: &mut [Applier],
             Err(_) => return Flow::Fatal,
         }
     }
-    let applier = &mut appliers[s];
-    let rebuilt = inner.db.shard(s).with(|db| -> Result<(), String> {
-        applier.abort_open(db);
-        let mut fresh = Database::new();
-        for spec in &specs {
-            let def = compile_class(spec).map_err(|e| e.to_string())?;
-            fresh.define_class(def).map_err(|e| e.to_string())?;
-        }
-        fresh.take_output();
-        fresh.set_firing_sink(inner.firing_sinks.get(s).cloned());
-        fresh.set_log_sink(inner.log_sinks.get(s).cloned());
-        fresh.set_event_tap(inner.event_taps.get(s).cloned());
-        *db = fresh;
-        Ok(())
-    });
-    if rebuilt.is_err() {
+    let Ok(empty) = Database::new().snapshot() else {
         return Flow::Fatal;
-    }
-    *applier = Applier::new();
-    if let Some(ws) = &inner.wal {
-        let empty = Database::new();
-        let Ok(snap) = empty.snapshot() else {
-            return Flow::Fatal;
-        };
-        if ws.wal.wal(s).reset_to(&snap, 0).is_err() {
-            return Flow::Fatal;
-        }
-    }
-    if inner.epochs.note_reset(s as u64).is_err() {
+    };
+    let reset = rebuild_shard(inner, &mut appliers[s], s, &specs, None, 0, |wal| {
+        wal.reset_to(&empty, 0)
+    });
+    if reset.is_err() || inner.epochs.note_reset(s as u64).is_err() {
         return Flow::Fatal;
     }
     rs.applied[s].store(0, Ordering::SeqCst);
     rs.head[s].store(0, Ordering::SeqCst);
     Flow::Resync
+}
+
+/// The one way a replica abandons a shard's local history (snapshot
+/// jump: `snapshot` at `base_lsn`; fork healing: nothing, at 0): swap in
+/// a fresh engine — `specs` defined, `snapshot` restored, the server's
+/// sinks re-installed — then `install_log` moves the shard's local WAL
+/// to the new base, and the history store re-bases there. `applier` is
+/// replaced by one positioned at `base_lsn` over the new engine. The
+/// open transactions' aborts still reach the *old* log (the engine goes
+/// first), where `install_log` ships or discards them with the rest.
+fn rebuild_shard(
+    inner: &Shared,
+    applier: &mut Applier,
+    s: usize,
+    specs: &[ClassSpec],
+    snapshot: Option<&Snapshot>,
+    base_lsn: u64,
+    install_log: impl FnOnce(&DiskWal) -> Result<CheckpointReport, WalError>,
+) -> Result<(), String> {
+    inner.db.shard(s).with(|db| -> Result<(), String> {
+        applier.abort_open(db);
+        let mut fresh = Database::new();
+        define_specs(&mut fresh, specs).map_err(|e| e.to_string())?;
+        if let Some(snap) = snapshot {
+            fresh.restore(snap).map_err(|e| e.to_string())?;
+        }
+        fresh.set_firing_sink(inner.firing_sinks.get(s).cloned());
+        fresh.set_log_sink(inner.log_sinks.get(s).cloned());
+        fresh.set_event_tap(inner.event_taps.get(s).cloned());
+        *applier = Applier::resume(&fresh, base_lsn);
+        *db = fresh;
+        Ok(())
+    })?;
+    if let Some(ws) = &inner.wal {
+        install_log(ws.wal.wal(s)).map_err(|e| e.to_string())?;
+    }
+    if let Some(store) = inner.hist.get(s) {
+        store.rebase(base_lsn);
+    }
+    Ok(())
 }
 
 /// Define a shipped class on every shard engine (classes exist on all
@@ -800,6 +751,19 @@ fn define_spec(inner: &Arc<Shared>, spec: &ClassSpec) -> Flow {
     if fresh {
         if let Some(ws) = &inner.wal {
             let _ = append_schema(&ws.io, &ws.schema_path, spec);
+            // Cascade: re-ship the class to our own downstream replicas
+            // (idempotent at the receiver) before any op referencing it
+            // can flow through our durable sink — mirroring the
+            // primary's DefineClass ordering. A class learned from a
+            // handshake's `ReplSnapshot` cascades too: a leaf that
+            // registered before we had it must not meet its ops first.
+            for s in 0..ws.wal.shard_count() {
+                ws.wal.wal(s).frozen(|_| {
+                    for rtx in ws.repl_subs[s].lock().values() {
+                        let _ = rtx.send(ServerMsg::ReplSchema(spec.clone()));
+                    }
+                });
+            }
         }
     }
     Flow::Continue

@@ -65,8 +65,8 @@ use ode_db::engine::{EventTap, FiringSink, LogSink};
 use ode_db::replication::Applier;
 use ode_db::{
     shard_dir, Batch, Database, DurableRecord, EpochRecord, EpochTable, FiringNotice, HistConfig,
-    HistStore, LogOp, ShardedDatabase, ShardedWal, SharedDatabase, SharedIo, StdIo, TapEvent,
-    TxnId, WalArchiver, WalConfig, WalFlusher,
+    HistStore, LogOp, Recovery, ShardedDatabase, ShardedWal, SharedDatabase, SharedIo, StdIo,
+    TapEvent, TxnId, WalArchiver, WalConfig, WalFlusher,
 };
 use parking_lot::Mutex;
 
@@ -75,7 +75,7 @@ use crate::reactor::event_loop::{start as start_reactor, ListenSocket, ReactorHa
 use crate::reactor::outbox::{broadcast, ConnOutbox};
 use crate::repl::{run_replica, ReplSource, ReplicaState, StreamFault};
 use crate::session::note_commit_lsn;
-use crate::spec::{compile_class, ClassSpec};
+use crate::spec::{define_specs, ClassSpec};
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -457,41 +457,31 @@ impl ServerBuilder {
         let mut hist: Vec<Arc<HistStore>> = Vec::new();
         let mut event_taps: Vec<EventTap> = Vec::new();
         // Recover *before* installing the log sinks: replayed ops must
-        // not be re-appended to the logs they came from. A replica
-        // bootstraps through per-shard `Applier`s instead of
-        // `restore_into` so the id maps of transactions its local logs
-        // left open stay live for the stream to resume mid-transaction.
-        // A replica also recovers *raw* (no cross-shard reconciliation):
-        // everything in its local logs was shipped by a primary that
-        // had already decided commit, so demoting a `Commit2pc` whose
-        // sibling hasn't arrived yet would fork its history.
+        // not be re-appended to the logs they came from. Every shard
+        // comes up through [`recover_shard`]; a replica keeps the
+        // returned appliers so the id maps of transactions its local
+        // logs left open stay live for the stream to resume
+        // mid-transaction.
         let mut appliers: Vec<Applier> = (0..n).map(|_| Applier::new()).collect();
         let mut epoch_table = EpochTable::new();
         let mut epoch_store: Option<(SharedIo, PathBuf)> = None;
         let wal = match &self.wal_dir {
             None => None,
             Some(dir) => {
-                let io = self
-                    .wal_io
-                    .clone()
-                    .unwrap_or_else(|| SharedIo::new(StdIo::new()));
                 let schema_path = dir.join("schema.wal");
                 // An injected io (fault plans in tests) is shared by
                 // every shard so the plan sees all traffic; the default
                 // gives each shard its own handle, so shard flushers
                 // fsync in parallel instead of queuing on one io mutex.
-                let ios: Vec<SharedIo> = match &self.wal_io {
-                    Some(custom) => vec![custom.clone(); n],
-                    None => std::iter::once(io.clone())
-                        .chain((1..n).map(|_| SharedIo::new(StdIo::new())))
-                        .collect(),
-                };
-                let open = if is_replica {
-                    ShardedWal::open_raw_per_shard(dir, self.wal_config, ios)
-                } else {
-                    ShardedWal::open_per_shard(dir, self.wal_config, ios)
-                };
-                let (wal, recovery) = open.map_err(|e| std::io::Error::other(e.to_string()))?;
+                let fresh_io = || SharedIo::new(StdIo::new());
+                let ios: Vec<SharedIo> = (0..n)
+                    .map(|_| self.wal_io.clone().unwrap_or_else(fresh_io))
+                    .collect();
+                let io = ios[0].clone();
+                // A replica recovers without cross-shard reconciliation
+                // (see [`ShardedWal::open`]).
+                let (wal, recovery) = ShardedWal::open(dir, self.wal_config, ios, !is_replica)
+                    .map_err(|e| std::io::Error::other(e.to_string()))?;
                 // Shards recover in parallel, so the user-visible
                 // recovery time is the slowest shard's, not the sum.
                 let recovery_ms = recovery
@@ -520,22 +510,29 @@ impl ServerBuilder {
                 }
                 epoch_store = Some((io.clone(), dir.clone()));
                 let specs = load_schema(&io, &schema_path).map_err(std::io::Error::other)?;
-                if self.history {
-                    for (s, rec) in recovery.shards.iter().enumerate() {
+                for (s, rec) in recovery.shards.iter().enumerate() {
+                    let head = rec.base_lsn + rec.ops.len() as u64;
+                    if self.history {
                         // A shard with a demoted Commit2pc had that
                         // record rewritten to an Abort in memory only —
                         // sealed history at or past the recovered base
                         // may contain the phantom commit, so rebuild
                         // everything the snapshot doesn't cover.
                         let demoted = recovery.report.demoted.iter().any(|(ds, _)| *ds == s);
-                        let valid_excl = if demoted {
-                            rec.base_lsn
-                        } else {
-                            rec.base_lsn + rec.ops.len() as u64
-                        };
+                        let valid_excl = if demoted { rec.base_lsn } else { head };
                         let hdir = shard_dir(dir, s, n).join("hist");
                         let store = HistStore::open(&hdir, self.hist_config, valid_excl)
                             .map_err(|e| std::io::Error::other(e.to_string()))?;
+                        // History backfill: the recovered tail is on
+                        // disk by definition, so durability is
+                        // pre-advanced over all of it; the tap goes in
+                        // *before* replay so re-applied ops re-submit
+                        // their batches — the store drops everything
+                        // below its rebuild cursor, so only the lost
+                        // suffix re-indexes, with identical rows.
+                        if head > 0 {
+                            store.advance_durable_through(head - 1);
+                        }
                         hist.push(Arc::new(store));
                         let tap_store = Arc::clone(&hist[s]);
                         let cur = Arc::clone(&cur_lsns[s]);
@@ -550,59 +547,19 @@ impl ServerBuilder {
                             });
                         event_taps.push(tap);
                     }
-                }
-                for (s, rec) in recovery.shards.iter().enumerate() {
                     appliers[s] = handles[s]
                         .with(|db| -> Result<Applier, String> {
-                            for spec in &specs {
-                                let def = compile_class(spec).map_err(|e| e.to_string())?;
-                                db.define_class(def).map_err(|e| e.to_string())?;
+                            if let Some(tap) = event_taps.get(s) {
+                                db.set_event_tap(Some(tap.clone()));
                             }
+                            let stamp = |lsn| cur_lsns[s].store(lsn, Ordering::SeqCst);
+                            let applier = recover_shard(db, &specs, rec, stamp)?;
                             if let Some(store) = hist.get(s) {
-                                // History backfill: the recovered tail
-                                // is on disk by definition, so durability
-                                // is pre-advanced over all of it; the tap
-                                // goes in *before* replay so re-applied
-                                // ops re-submit their batches — the store
-                                // drops everything below its rebuild
-                                // cursor, so only the lost suffix
-                                // re-indexes, with identical rows.
-                                db.set_event_tap(Some(event_taps[s].clone()));
-                                let head = rec.base_lsn + rec.ops.len() as u64;
-                                if head > 0 {
-                                    store.advance_durable_through(head - 1);
-                                }
-                                if let Some(snap) = &rec.snapshot {
-                                    db.restore(snap).map_err(|e| e.to_string())?;
-                                }
-                                let mut a = Applier::resume(db, rec.base_lsn);
-                                for (i, op) in rec.ops.iter().enumerate() {
-                                    let lsn = rec.base_lsn + i as u64;
-                                    cur_lsns[s].store(lsn, Ordering::SeqCst);
-                                    a.apply(db, lsn, op).map_err(|e| e.to_string())?;
-                                }
-                                db.take_output();
                                 for (code, name) in db.class_names().iter().enumerate() {
                                     store.observe_class(code as u32, name);
                                 }
-                                // A primary discards the applier; a
-                                // replica keeps its id maps live so the
-                                // stream can resume mid-transaction.
-                                if is_replica {
-                                    Ok(a)
-                                } else {
-                                    Ok(Applier::new())
-                                }
-                            } else if is_replica {
-                                Applier::bootstrap(db, rec).map_err(|e| e.to_string())
-                            } else {
-                                rec.restore_into(db).map_err(|e| e.to_string())?;
-                                // Replay re-emits historical firing
-                                // lines; don't serve them as fresh
-                                // output.
-                                db.take_output();
-                                Ok(Applier::new())
                             }
+                            Ok(applier)
                         })
                         .map_err(std::io::Error::other)?;
                 }
@@ -929,6 +886,24 @@ pub fn load_schema(io: &SharedIo, path: &Path) -> Result<Vec<ClassSpec>, String>
         specs.push(serde_json::from_str(json).map_err(|e| format!("schema wal: {e}"))?);
     }
     Ok(specs)
+}
+
+/// Bring one shard engine up from the wire-defined schema and its
+/// [`Recovery`]: define `specs`, restore and replay through
+/// [`Applier::bootstrap`] (`observe` sees each replayed op's LSN), and
+/// drain the firing lines the replay regenerated so they are not served
+/// as fresh output. Startup recovery of primaries and replicas and
+/// `ode_server --wal-restore` all come up through this.
+pub fn recover_shard(
+    db: &mut Database,
+    specs: &[ClassSpec],
+    rec: &Recovery,
+    observe: impl FnMut(u64),
+) -> Result<Applier, String> {
+    define_specs(db, specs).map_err(|e| e.to_string())?;
+    let applier = Applier::bootstrap(db, rec, observe).map_err(|e| e.to_string())?;
+    db.take_output();
+    Ok(applier)
 }
 
 /// Append one framed `ClassSpec` to `schema.wal` and fsync it. Called

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ode_core::{parse_mask, MaskEnv, MaskExpr, Value};
-use ode_db::{Action, ActionCtx, ClassDef, MaskFnCtx, MethodCtx, MethodKind, OdeError};
+use ode_db::{Action, ActionCtx, ClassDef, Database, MaskFnCtx, MethodCtx, MethodKind, OdeError};
 use serde::{Deserialize, Serialize};
 
 /// A wire-transmissible class definition.
@@ -371,6 +371,14 @@ pub fn compile_class(spec: &ClassSpec) -> Result<ClassDef, OdeError> {
     b.build()
 }
 
+/// Compile and define `specs`, in order, on `db`.
+pub fn define_specs(db: &mut Database, specs: &[ClassSpec]) -> Result<(), OdeError> {
+    for spec in specs {
+        db.define_class(compile_class(spec)?)?;
+    }
+    Ok(())
+}
+
 /// A ready-made stockroom-shaped spec (the paper's running example):
 /// a record field of item quantities, `withdraw`/`deposit` methods
 /// written with the record builtins, an `authorized` mask function,
@@ -433,7 +441,6 @@ pub fn stockroom_spec() -> ClassSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ode_db::Database;
 
     #[test]
     fn spec_round_trips_through_json() {

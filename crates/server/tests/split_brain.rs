@@ -15,7 +15,7 @@ use ode_core::Value;
 use ode_db::{Database, FsyncPolicy, SegmentReader, SharedDatabase, SharedIo, StdIo, WalConfig};
 use ode_server::protocol::{Command, Firing};
 use ode_server::spec::stockroom_spec;
-use ode_server::{Client, ClientError, ReplSource, Server, StreamFault};
+use ode_server::{Client, ClientError, QuerySpec, ReplSource, Server, ServerBuilder, StreamFault};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -37,13 +37,15 @@ fn cfg() -> WalConfig {
     }
 }
 
-fn start_primary(dir: &Path) -> Server {
+fn node(dir: &Path) -> ServerBuilder {
     Server::builder(SharedDatabase::new(Database::new()))
         .tcp("127.0.0.1:0")
         .wal_dir(dir)
         .wal_config(cfg())
-        .start()
-        .expect("primary starts")
+}
+
+fn start_primary(dir: &Path) -> Server {
+    node(dir).start().expect("primary starts")
 }
 
 fn tcp_source(upstream: &Server) -> ReplSource {
@@ -57,11 +59,7 @@ fn start_replica_chain(
     sources: Vec<ReplSource>,
     plan: HashMap<u64, StreamFault>,
 ) -> Server {
-    let mut b = Server::builder(SharedDatabase::new(Database::new()))
-        .tcp("127.0.0.1:0")
-        .wal_dir(dir)
-        .wal_config(cfg())
-        .repl_fault_plan(plan);
+    let mut b = node(dir).repl_fault_plan(plan);
     for s in sources {
         b = b.replicate_from(s);
     }
@@ -146,7 +144,9 @@ fn forced_promotion_fences_the_forked_primary() {
     let adir = tmp_dir("fence-a");
     let bdir = tmp_dir("fence-b");
 
-    let mut a = start_primary(&adir);
+    // The node that will fork indexes its committed events, so the
+    // heal below must carry its history store along with its log.
+    let mut a = node(&adir).history(true).start().expect("primary starts");
     let mut ac = Client::connect_tcp(a.tcp_addr().unwrap()).expect("connect");
     ac.define_class(stockroom_spec()).expect("define");
     let room = ac
@@ -252,7 +252,11 @@ fn forced_promotion_fences_the_forked_primary() {
     // the shard discards its forked history and re-replicates from
     // zero — no acked-post-deposal write survives anywhere.
     a.shutdown();
-    let mut a = start_replica(&adir, &b, HashMap::new());
+    let mut a = node(&adir)
+        .history(true)
+        .replicate_from(tcp_source(&b))
+        .start()
+        .expect("replica starts");
     let mut ac = Client::connect_tcp(a.tcp_addr().unwrap()).expect("reconnect");
     let target = bc.stats().expect("stats").wal_lsn.expect("wal");
     wait_applied(&mut ac, target);
@@ -260,6 +264,30 @@ fn forced_promotion_fences_the_forked_primary() {
         bolt(&mut ac, room),
         500 - 120 - 11 - 13,
         "the healed node holds the new lineage, fork debris demoted"
+    );
+    // Rows index once the replica's *local* log has made them durable,
+    // which trails `last_applied_lsn` by a flush.
+    let mut withdrawn: Vec<i64> = Vec::new();
+    wait_until(
+        || {
+            let q = QuerySpec {
+                kind: Some("withdraw".into()),
+                qualifier: Some("after".into()),
+                ..QuerySpec::default()
+            };
+            let rows = ac.query(q).expect("query").rows;
+            withdrawn = rows
+                .iter()
+                .map(|r| r.args[1].as_int().expect("qty"))
+                .collect();
+            withdrawn.len() >= 3
+        },
+        "the healed store to index the re-shipped rows",
+    );
+    assert_eq!(
+        withdrawn,
+        [120, 11, 13],
+        "the history store was reset with the log: no fork rows, every re-shipped row"
     );
     let stats = ac.stats().expect("stats");
     assert_eq!(stats.epoch, 1, "the bump arrived in-band");
@@ -414,6 +442,60 @@ fn leaf_reparents_to_fallback_when_mid_tier_dies() {
         wal_records(&ldir),
         "no repeats, no holes across the re-parent"
     );
+    for dir in [pdir, mdir, ldir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A leaf that registered with a mid-tier *before* the mid-tier had
+/// heard of a class must still learn it: the mid-tier's own handshake
+/// delivers the class inside `ReplSnapshot`, and that path has to
+/// cascade it downstream exactly like a live `ReplSchema` — otherwise
+/// the leaf applies a `Create` of a class it never heard of, diverges,
+/// and parks for good (the `wait_applied` timeouts this suite used to
+/// show under load).
+#[test]
+fn class_learned_at_handshake_cascades_to_registered_leaves() {
+    let pdir = tmp_dir("late-class-p");
+    let mdir = tmp_dir("late-class-m");
+    let ldir = tmp_dir("late-class-l");
+    let sock = tmp_dir("late-class-sock").with_extension("sock");
+
+    // A primary's history, written ahead of time.
+    let (room, head) = {
+        let mut p = start_primary(&pdir);
+        let mut pc = Client::connect_tcp(p.tcp_addr().unwrap()).expect("connect");
+        pc.define_class(stockroom_spec()).expect("define");
+        let room = pc
+            .txn("admin", |c| c.new_object("room", &[]))
+            .expect("room");
+        withdraw(&mut pc, room, "alice", 120);
+        let head = pc.stats().expect("stats").wal_lsn.expect("wal");
+        p.shutdown();
+        (room, head)
+    };
+
+    // The tree comes up bottom-first: the mid-tier's upstream does not
+    // exist yet, so the leaf registers with a mid-tier that knows no
+    // class and holds no record.
+    let mut m = start_replica_chain(&mdir, vec![ReplSource::Unix(sock.clone())], HashMap::new());
+    let mut l = start_replica(&ldir, &m, HashMap::new());
+    let mut lc = Client::connect_tcp(l.tcp_addr().unwrap()).expect("connect");
+    wait_until(
+        || lc.stats().expect("stats").repl_connected,
+        "the leaf to register with the empty mid-tier",
+    );
+
+    // Now the primary appears, with the class and the records already
+    // in its log.
+    let mut p = node(&pdir).unix(&sock).start().expect("primary restarts");
+    wait_applied(&mut lc, head);
+    assert_eq!(bolt(&mut lc, room), 500 - 120);
+
+    l.shutdown();
+    m.shutdown();
+    p.shutdown();
+    assert_eq!(wal_records(&pdir), wal_records(&ldir));
     for dir in [pdir, mdir, ldir] {
         let _ = std::fs::remove_dir_all(&dir);
     }

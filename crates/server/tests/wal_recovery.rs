@@ -8,9 +8,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 
 use ode_core::Value;
-use ode_db::{Database, FaultyIo, FsyncPolicy, SharedDatabase, SharedIo, WalConfig};
+use ode_db::{
+    recover_sharded, Database, FaultyIo, FsyncPolicy, ShardedDatabase, SharedDatabase, SharedIo,
+    StdIo, WalConfig,
+};
 use ode_server::protocol::Command;
-use ode_server::spec::stockroom_spec;
+use ode_server::spec::{define_specs, stockroom_spec};
 use ode_server::{Client, ClientError, Server};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -255,4 +258,115 @@ fn wal_failure_latches_read_only_and_the_prefix_recovers() {
     .expect("writes work again after recovery");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("mkdir");
+    for entry in std::fs::read_dir(from).expect("read_dir") {
+        let entry = entry.expect("entry");
+        let dest = to.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            copy_dir(&entry.path(), &dest);
+        } else {
+            std::fs::copy(entry.path(), &dest).expect("copy");
+        }
+    }
+}
+
+fn shard_states(db: &ShardedDatabase) -> Vec<String> {
+    db.shards()
+        .iter()
+        .map(|shard| shard.with(|db| db.snapshot().unwrap().to_json().unwrap()))
+        .collect()
+}
+
+/// Every way of bringing a WAL directory up is the same interpreter:
+/// one directory, restarted as a plain primary, as a `--history`
+/// primary, and recovered in-process by `recover_sharded`, yields
+/// byte-identical engines shard for shard.
+#[test]
+fn every_bring_up_path_recovers_the_same_engines() {
+    let dir = tmp_dir("one-arm");
+    let rooms;
+    let start = |dir: &Path, history: bool| {
+        Server::builder(SharedDatabase::new(Database::new()))
+            .tcp("127.0.0.1:0")
+            .shards(2)
+            .wal_dir(dir)
+            .wal_config(small_cfg())
+            .history(history)
+            .start()
+            .expect("server starts")
+    };
+    {
+        let mut server = start(&dir, false);
+        let mut c = Client::connect_tcp(server.tcp_addr().unwrap()).expect("connect");
+        c.define_class(stockroom_spec()).expect("define");
+        // Round-robin placement: one room per shard, created by a
+        // cross-shard commit.
+        let (a, b) = c
+            .txn("admin", |c| {
+                Ok((c.new_object("room", &[])?, c.new_object("room", &[])?))
+            })
+            .expect("rooms");
+        let withdraw = |c: &mut Client, room: u64, n: i64| {
+            c.call(room, "withdraw", &[Value::from("bolt"), Value::Int(n)])
+                .map(|_| ())
+        };
+        c.txn("alice", |c| withdraw(c, a, 120))
+            .expect("single-shard");
+        c.txn("alice", |c| {
+            withdraw(c, a, 5)?;
+            withdraw(c, b, 7)
+        })
+        .expect("cross-shard");
+        // T1 aborts mallory: the aborted transaction is part of the log.
+        c.begin("mallory").expect("begin");
+        assert!(withdraw(&mut c, b, 1).is_err());
+        c.abort().expect("abort");
+        c.request(Command::Checkpoint).expect("checkpoint");
+        // The tail past the checkpoint: both kinds of commit again.
+        c.txn("bob", |c| withdraw(c, b, 150))
+            .expect("tail single-shard");
+        c.txn("bob", |c| {
+            withdraw(c, b, 3)?;
+            withdraw(c, a, 4)
+        })
+        .expect("tail cross-shard");
+        rooms = (a, b);
+        server.shutdown();
+    }
+    let with_history = tmp_dir("one-arm-history");
+    let in_process = tmp_dir("one-arm-in-process");
+    copy_dir(&dir, &with_history);
+    copy_dir(&dir, &in_process);
+
+    let mut plain = start(&dir, false);
+    let mut c = Client::connect_tcp(plain.tcp_addr().unwrap()).expect("reconnect");
+    assert_eq!(bolt(&mut c, rooms.0), 500 - 120 - 5 - 4);
+    assert_eq!(bolt(&mut c, rooms.1), 500 - 7 - 150 - 3);
+    drop(c);
+    let want = shard_states(plain.sharded_db());
+    plain.shutdown();
+    assert_eq!(want.len(), 2);
+    assert_ne!(want[0], want[1], "the shards hold different rooms");
+
+    let mut indexed = start(&with_history, true);
+    assert_eq!(shard_states(indexed.sharded_db()), want, "history primary");
+    indexed.shutdown();
+
+    let (_wal, db, report) = recover_sharded(
+        &in_process,
+        2,
+        small_cfg(),
+        SharedIo::new(StdIo::new()),
+        |db| define_specs(db, &[stockroom_spec()]),
+    )
+    .expect("in-process recovery");
+    assert!(report.demoted.is_empty());
+    assert_eq!(shard_states(&db), want, "recover_sharded");
+
+    for d in [dir, with_history, in_process] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }

@@ -52,7 +52,7 @@
 
 use ode_db::durability::{frame, restore_to_lsn, SharedIo, StdIo};
 use ode_db::{Database, FsyncPolicy, SharedDatabase, WalConfig};
-use ode_server::{load_schema, spec::compile_class, ReplSource, Server};
+use ode_server::{load_schema, recover_shard, ReplSource, Server};
 use std::path::Path;
 
 fn main() {
@@ -150,18 +150,10 @@ fn main() {
             eprintln!("restore: {e}");
             std::process::exit(1);
         });
-        let build = (|| -> Result<(), String> {
-            for spec in &specs {
-                let def = compile_class(spec).map_err(|e| e.to_string())?;
-                db.define_class(def).map_err(|e| e.to_string())?;
-            }
-            rec.restore_into(&mut db).map_err(|e| e.to_string())
-        })();
-        if let Err(e) = build {
+        if let Err(e) = recover_shard(&mut db, &specs, &rec, |_| {}) {
             eprintln!("restore replay failed: {e}");
             std::process::exit(1);
         }
-        db.take_output();
         let fingerprint = db
             .snapshot()
             .and_then(|s| s.to_json())

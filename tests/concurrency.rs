@@ -46,13 +46,13 @@ fn interleaved_transactions_respect_object_locks() {
     let committed = Mutex::new(vec![0i64; objs.len()]);
     let conflicts = Mutex::new(0u64);
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..8 {
             let db = &db;
             let committed = &committed;
             let conflicts = &conflicts;
             let objs = &objs;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rng = t as u64; // cheap xorshift seed
                 let mut next = move || {
                     rng ^= rng << 13;
@@ -88,8 +88,7 @@ fn interleaved_transactions_respect_object_locks() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let db = db.into_inner().unwrap();
     let committed = committed.into_inner().unwrap();
