@@ -190,7 +190,7 @@ fn ref_every(inner: &Dfa, n: u32, w: &[Symbol]) -> bool {
             count += 1;
         }
     }
-    !w.is_empty() && last_is_occ && count.is_multiple_of(n)
+    !w.is_empty() && last_is_occ && count % n == 0
 }
 
 #[test]

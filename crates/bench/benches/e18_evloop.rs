@@ -151,10 +151,8 @@ fn naive_tick_ns(n: usize, ticks: usize) -> f64 {
     let entries: Vec<(u64, u64)> = (0..n)
         .map(|i| (1_000_000 + (i as u64 * 997) % 1_000_000_000, i as u64))
         .collect();
-    let mut now = 0u64;
     let t0 = Instant::now();
-    for _ in 0..ticks {
-        now += 1;
+    for now in 1..=ticks as u64 {
         let due = entries
             .iter()
             .min_by_key(|(d, c)| (*d, *c))

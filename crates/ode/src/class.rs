@@ -379,8 +379,11 @@ pub(crate) struct ClassRuntime {
     /// remaps over all the class's trigger alphabets.
     pub(crate) router: ode_core::ClassRouter,
     /// Whether postings to objects of this class must be recorded in
-    /// the per-object history: true iff the class has committed-history
-    /// monitors or mask functions (the only readers of the history).
+    /// the per-object history: true iff the class has mask functions
+    /// (which read the history) or committed-history monitors. The
+    /// monitors themselves never read it — their automaton word is
+    /// rolled back on abort — but audit-log consumers of
+    /// [`crate::object::Object::history`] expect records for them.
     /// History-free classes skip the per-post record allocation.
     pub(crate) needs_history: bool,
     /// Event codes for the fixed (string-free) kinds, by qualifier ×

@@ -38,6 +38,13 @@
 //! trigger activations — and, for triggers monitoring the *committed*
 //! history, the automaton state itself; full-history triggers keep their
 //! state (Section 6's two implementation options).
+//!
+//! History records are appended in strictly increasing posting `seq`, and
+//! a transaction's records all follow the `seq` it began at (its
+//! `begin_seq`). Commit and abort therefore set record statuses by
+//! walking each accessed object's history backwards only down to that
+//! watermark: their cost is the postings made while the transaction was
+//! open, not the object's age.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -200,6 +207,9 @@ enum UndoOp {
 struct TxnState {
     user: Value,
     is_system: bool,
+    /// The engine's posting `seq` at begin: the commit/abort status walk
+    /// stops at the first history record at or below it.
+    begin_seq: u64,
     accessed: Vec<ObjectId>,
     undo: Vec<UndoOp>,
     aborted: Option<AbortReason>,
@@ -506,6 +516,7 @@ impl Database {
             TxnState {
                 user,
                 is_system: false,
+                begin_seq: self.seq,
                 accessed: Vec::new(),
                 undo: Vec::new(),
                 aborted: None,
@@ -524,6 +535,7 @@ impl Database {
             TxnState {
                 user: Value::Str("system".into()),
                 is_system: true,
+                begin_seq: self.seq,
                 accessed: Vec::new(),
                 undo: Vec::new(),
                 aborted: None,
@@ -689,10 +701,13 @@ impl Database {
 
         // Commit proper.
         let state = self.txns.remove(&txn.0).expect("checked above");
+        let begin_seq = state.begin_seq;
         for obj in &state.accessed {
             if let Some(o) = self.objects.get_mut(&obj.0) {
-                for r in o.history.iter_mut().filter(|r| r.txn == txn) {
-                    r.status = PostStatus::Committed;
+                for r in o.history.iter_mut().rev().take_while(|r| r.seq > begin_seq) {
+                    if r.txn == txn {
+                        r.status = PostStatus::Committed;
+                    }
                 }
                 if o.deleted {
                     self.clock.cancel_object(*obj);
@@ -746,6 +761,7 @@ impl Database {
         }
 
         let state = self.txns.remove(&txn.0).expect("checked above");
+        let begin_seq = state.begin_seq;
         // Undo in reverse order.
         for op in state.undo.into_iter().rev() {
             match op {
@@ -794,8 +810,10 @@ impl Database {
         // Mark this transaction's history records aborted.
         for obj in &accessed {
             if let Some(o) = self.objects.get_mut(&obj.0) {
-                for r in o.history.iter_mut().filter(|r| r.txn == txn) {
-                    r.status = PostStatus::Aborted;
+                for r in o.history.iter_mut().rev().take_while(|r| r.seq > begin_seq) {
+                    if r.txn == txn {
+                        r.status = PostStatus::Aborted;
+                    }
                 }
             }
         }

@@ -84,6 +84,9 @@ pub struct Object {
     /// Trigger instances, parallel to the class's trigger list.
     pub triggers: Vec<TriggerInstance>,
     /// The event history (audit log; detection never replays it).
+    /// Records are appended in strictly increasing `seq`, and every record
+    /// of a transaction follows the engine `seq` at which it began — so
+    /// commit and abort find a transaction's records in the tail.
     pub history: Vec<PostedRecord>,
 }
 

@@ -670,3 +670,171 @@ fn wrong_arity_and_unknown_names_error_cleanly() {
         Err(OdeError::UnknownTxn(_))
     ));
 }
+
+// ------------------------------------------------ history status edges
+//
+// Commit and abort set record statuses by walking each accessed object's
+// history back only to the seq at which the transaction began. These
+// cases pin that walk at its edges.
+
+/// The statuses of `txn`'s records on `obj`, in posting order.
+fn statuses_of(db: &Database, obj: ObjectId, txn: TxnId) -> Vec<PostStatus> {
+    db.object(obj)
+        .unwrap()
+        .history
+        .iter()
+        .filter(|r| r.txn == txn)
+        .map(|r| r.status)
+        .collect()
+}
+
+#[test]
+fn abort_marks_only_its_own_records_behind_a_later_commit() {
+    let (mut db, setup, obj) = db_with_monitored_account();
+    db.commit(setup).unwrap();
+    let t1 = db.begin();
+    let t2 = db.begin();
+    db.call(t2, obj, "depositCash", &[Value::Int(5)]).unwrap();
+    db.commit(t2).unwrap();
+    db.call(t1, obj, "depositCash", &[Value::Int(7)]).unwrap();
+    db.abort(t1).unwrap();
+
+    let t1s = statuses_of(&db, obj, t1);
+    let t2s = statuses_of(&db, obj, t2);
+    assert!(!t1s.is_empty() && t1s.iter().all(|s| *s == PostStatus::Aborted));
+    assert!(!t2s.is_empty() && t2s.iter().all(|s| *s == PostStatus::Committed));
+    assert_eq!(db.peek_field(obj, "balance"), Some(Value::Int(5)));
+}
+
+#[test]
+fn trigger_abort_inside_tcomplete_fixpoint_marks_records_aborted() {
+    let mut db = Database::new();
+    db.define_class(
+        ClassDef::builder("guarded")
+            .field("n", 0i64)
+            .method("poke", MethodKind::Update, &[], |ctx| {
+                let n = ctx.get_required("n")?.as_int().unwrap_or(0);
+                ctx.set("n", n + 1);
+                Ok(Value::Null)
+            })
+            .trigger("veto", false, "before tcomplete", Action::Abort)
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let setup = db.begin();
+    let obj = db.create_object(setup, "guarded", &[]).unwrap();
+    db.commit(setup).unwrap();
+
+    let t = db.begin();
+    db.call(t, obj, "poke", &[]).unwrap();
+    db.activate_trigger(t, obj, "veto", &[]).unwrap();
+    let err = db.commit(t).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            OdeError::Aborted(ode_db::AbortReason::TriggerAbort { .. })
+        ),
+        "{err}"
+    );
+    let ts = statuses_of(&db, obj, t);
+    assert!(ts.len() > 1 && ts.iter().all(|s| *s == PostStatus::Aborted));
+    assert!(statuses_of(&db, obj, setup)
+        .iter()
+        .all(|s| *s == PostStatus::Committed));
+    assert_eq!(db.peek_field(obj, "n"), Some(Value::Int(0)));
+}
+
+#[test]
+fn prepare_then_commit_sharded_commits_records() {
+    let (mut db, setup, obj) = db_with_monitored_account();
+    db.commit(setup).unwrap();
+    let t = db.begin();
+    db.call(t, obj, "depositCash", &[Value::Int(3)]).unwrap();
+    db.prepare(t).unwrap();
+    assert!(statuses_of(&db, obj, t)
+        .iter()
+        .all(|s| *s == PostStatus::Pending));
+    db.commit_sharded(t, 1, &[0, 1]).unwrap();
+    let ts = statuses_of(&db, obj, t);
+    assert!(!ts.is_empty() && ts.iter().all(|s| *s == PostStatus::Committed));
+    assert_eq!(db.gtxn_floor(), 1);
+}
+
+#[test]
+fn object_created_by_the_committing_txn_is_covered() {
+    let (mut db, setup, first) = db_with_monitored_account();
+    db.commit(setup).unwrap();
+    let t = db.begin();
+    db.call(t, first, "depositCash", &[Value::Int(1)]).unwrap();
+    let fresh = db.create_object(t, "account", &[]).unwrap();
+    db.call(t, fresh, "depositCash", &[Value::Int(2)]).unwrap();
+    db.commit(t).unwrap();
+    let o = db.object(fresh).unwrap();
+    assert!(o.history.iter().any(|r| r.txn == t));
+    assert!(o.history.iter().all(|r| r.status == PostStatus::Committed));
+}
+
+#[test]
+fn txn_after_restoring_long_histories_is_covered() {
+    let counter = || {
+        ClassDef::builder("counter")
+            .field("n", 0i64)
+            .method("incr", MethodKind::Update, &[], |ctx| {
+                let n = ctx.get_required("n")?.as_int().unwrap_or(0);
+                ctx.set("n", n + 1);
+                Ok(Value::Null)
+            })
+            .trigger(
+                "pair",
+                true,
+                "relative(after incr, after incr)",
+                Action::Emit("pair".into()),
+            )
+            .activate_on_create(&["pair"])
+            .build()
+            .unwrap()
+    };
+    let mut db = Database::new();
+    db.define_class(counter()).unwrap();
+    let setup = db.begin();
+    let obj = db.create_object(setup, "counter", &[]).unwrap();
+    db.commit(setup).unwrap();
+    for i in 0..50 {
+        let t = db.begin();
+        db.call(t, obj, "incr", &[]).unwrap();
+        if i % 7 == 0 {
+            db.abort(t).unwrap();
+        } else {
+            db.commit(t).unwrap();
+        }
+    }
+    let snap = db.snapshot().unwrap();
+
+    let mut db2 = Database::new();
+    db2.define_class(counter()).unwrap();
+    db2.restore(&snap).unwrap();
+    let restored: Vec<PostStatus> = db2
+        .object(obj)
+        .unwrap()
+        .history
+        .iter()
+        .map(|r| r.status)
+        .collect();
+    assert!(restored.len() > 400);
+
+    let kept = db2.begin();
+    db2.call(kept, obj, "incr", &[]).unwrap();
+    db2.commit(kept).unwrap();
+    let dropped = db2.begin();
+    db2.call(dropped, obj, "incr", &[]).unwrap();
+    db2.abort(dropped).unwrap();
+
+    let h = &db2.object(obj).unwrap().history;
+    let now: Vec<PostStatus> = h[..restored.len()].iter().map(|r| r.status).collect();
+    assert_eq!(now, restored, "restored records must keep their statuses");
+    let ks = statuses_of(&db2, obj, kept);
+    let ds = statuses_of(&db2, obj, dropped);
+    assert!(!ks.is_empty() && ks.iter().all(|s| *s == PostStatus::Committed));
+    assert!(!ds.is_empty() && ds.iter().all(|s| *s == PostStatus::Aborted));
+}

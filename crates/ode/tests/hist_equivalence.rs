@@ -170,10 +170,10 @@ fn naive_eval(rows: &[NaiveRow], q: &QSpec, seq_lo: u64, seq_hi: u64) -> (Vec<Na
     let mut out = Vec::new();
     let mut truncated = false;
     for r in rows {
-        let ok = q.class.as_ref().is_none_or(|c| *c == r.class)
-            && q.object.is_none_or(|o| o == r.object)
-            && q.kind.as_ref().is_none_or(|k| k == kind_name(&r.basic))
-            && q.qualifier.is_none_or(|qu| qual_of(&r.basic) == Some(qu))
+        let ok = q.class.as_ref().map_or(true, |c| *c == r.class)
+            && q.object.map_or(true, |o| o == r.object)
+            && q.kind.as_ref().map_or(true, |k| k == kind_name(&r.basic))
+            && q.qualifier.map_or(true, |qu| qual_of(&r.basic) == Some(qu))
             && r.seq >= min_seq
             && r.seq <= max_seq
             && r.time >= min_time
@@ -490,6 +490,9 @@ fn meter_script(db: &mut Database, obj: ObjectId) {
     db.abort(t).unwrap();
 }
 
+/// One live firing: `(txn, trigger, completing event, its args)`.
+type LiveFiring = (u64, String, String, Vec<Value>);
+
 /// `(def_index, state, active)` per instance. The per-instance `fired`
 /// counter is deliberately left out: live notices are emitted at fire
 /// time even when the transaction later aborts (and the counter keeps
@@ -510,8 +513,7 @@ fn trigger_states(db: &Database, obj: ObjectId) -> Vec<(usize, u32, bool)> {
 fn retro_activation_matches_live_since_inception() {
     // Live side: triggers active from creation; collect committed
     // firings (notices carry the completing event + args).
-    let firings: Arc<Mutex<Vec<(u64, String, String, Vec<Value>)>>> =
-        Arc::new(Mutex::new(Vec::new()));
+    let firings: Arc<Mutex<Vec<LiveFiring>>> = Arc::new(Mutex::new(Vec::new()));
     let committed_txns: Arc<Mutex<std::collections::HashSet<u64>>> =
         Arc::new(Mutex::new(std::collections::HashSet::new()));
     let mut live = Database::new();

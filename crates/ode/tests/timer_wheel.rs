@@ -90,17 +90,14 @@ impl NaiveClock {
 
     fn advance_to(&mut self, target: u64) -> Vec<(u64, Timer)> {
         let mut fired = Vec::new();
-        loop {
-            // Linear scan for the earliest (due, arming-seq) entry.
-            let Some(best) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (due, c, _))| (*due, *c))
-                .map(|(i, _)| i)
-            else {
-                break;
-            };
+        // Linear scan for the earliest (due, arming-seq) entry.
+        while let Some(best) = self
+            .entries
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, (due, c, _))| (*due, *c))
+            .map(|(i, _)| i)
+        {
             let (due, _, timer) = self.entries[best].clone();
             if due > target {
                 break;

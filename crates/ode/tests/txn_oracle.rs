@@ -1,9 +1,13 @@
 //! Transactional integrity under random operation scripts: the engine's
 //! committed state must always equal a shadow oracle that applies only
-//! committed writes.
+//! committed writes, and every history record's status must match its
+//! transaction's outcome.
 
+use std::collections::HashMap;
+
+use ode_core::event::calendar;
 use ode_core::Value;
-use ode_db::{ClassDef, Database, MethodKind, ObjectId, OdeError};
+use ode_db::{Action, ClassDef, Database, MethodKind, ObjectId, OdeError, PostStatus, TxnId};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -47,6 +51,91 @@ fn cell_class() -> ClassDef {
         })
         .build()
         .unwrap()
+}
+
+/// One step of an interleaved script over up to three concurrent
+/// transactions, addressed by slot.
+#[derive(Clone, Debug)]
+enum Step {
+    Begin,
+    Call {
+        slot: usize,
+        obj: usize,
+    },
+    Commit {
+        slot: usize,
+    },
+    Abort {
+        slot: usize,
+    },
+    /// `prepare`, then `commit_sharded` (`commit`) or `abort`.
+    TwoPhase {
+        slot: usize,
+        commit: bool,
+    },
+    /// Advance the virtual clock by this many quarter hours.
+    Tick {
+        quarters: u64,
+    },
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        2 => Just(Step::Begin),
+        5 => (0usize..3, 0usize..3).prop_map(|(slot, obj)| Step::Call { slot, obj }),
+        2 => (0usize..3).prop_map(|slot| Step::Commit { slot }),
+        1 => (0usize..3).prop_map(|slot| Step::Abort { slot }),
+        1 => (0usize..3, any::<bool>()).prop_map(|(slot, commit)| Step::TwoPhase { slot, commit }),
+        2 => (1u64..=6).prop_map(|quarters| Step::Tick { quarters }),
+    ]
+}
+
+/// A cell whose class records history (one committed-history monitor)
+/// and receives hourly system postings, which land between a
+/// transaction's `begin` and its first access.
+fn audited_cell_class() -> ClassDef {
+    ClassDef::builder("cell")
+        .field("v", 0i64)
+        .method("incr", MethodKind::Update, &[], |ctx| {
+            let v = ctx.get_required("v")?.as_int().unwrap_or(0);
+            ctx.set("v", v + 1);
+            Ok(Value::Null)
+        })
+        .trigger("audit", true, "after tcommit", Action::Emit("audit".into()))
+        .trigger(
+            "hourly",
+            true,
+            "every time(HR=1)",
+            Action::Emit("hour".into()),
+        )
+        .activate_on_create(&["audit", "hourly"])
+        .build()
+        .unwrap()
+}
+
+/// Every record of every object carries the status its transaction's
+/// outcome implies: `Committed` for committed or system transactions,
+/// `Aborted` for aborted ones, `Pending` for ones still open.
+fn check_statuses(
+    db: &Database,
+    objs: &[ObjectId],
+    outcomes: &HashMap<TxnId, PostStatus>,
+    open: &[Option<TxnId>],
+) -> Result<(), TestCaseError> {
+    for obj in objs {
+        for r in &db.object(*obj).unwrap().history {
+            let want = if open.contains(&Some(r.txn)) {
+                PostStatus::Pending
+            } else {
+                outcomes
+                    .get(&r.txn)
+                    .copied()
+                    .unwrap_or(PostStatus::Committed)
+            };
+            prop_assert_eq!(r.status, want, "record {:?} on {}", r, obj);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -137,6 +226,70 @@ proptest! {
                 Op::Abort => db.abort(t).map(|_| Value::Null),
             };
             let _ = r; // errors are fine; panics are not
+        }
+    }
+
+    /// Record status ⇔ transaction outcome, checked after every step of
+    /// an interleaving of concurrent transactions, two-phase commits and
+    /// clock advances.
+    #[test]
+    fn record_status_matches_txn_outcome(steps in prop::collection::vec(step_strategy(), 0..60)) {
+        let mut db = Database::new();
+        db.define_class(audited_cell_class()).unwrap();
+        let setup = db.begin();
+        let objs: Vec<ObjectId> = (0..3)
+            .map(|_| db.create_object(setup, "cell", &[]).unwrap())
+            .collect();
+        db.commit(setup).unwrap();
+
+        let mut outcomes: HashMap<TxnId, PostStatus> = HashMap::new();
+        outcomes.insert(setup, PostStatus::Committed);
+        let mut open: [Option<TxnId>; 3] = [None; 3];
+        let mut gtxn = 0u64;
+
+        for step in &steps {
+            match *step {
+                Step::Begin => {
+                    if let Some(slot) = open.iter().position(Option::is_none) {
+                        open[slot] = Some(db.begin());
+                    }
+                }
+                Step::Call { slot, obj } => {
+                    if let Some(t) = open[slot] {
+                        match db.call(t, objs[obj], "incr", &[]) {
+                            Ok(_) | Err(OdeError::LockConflict { .. }) => {}
+                            Err(e) => panic!("call failed: {e}"),
+                        }
+                    }
+                }
+                Step::Commit { slot } => {
+                    if let Some(t) = open[slot].take() {
+                        db.commit(t).unwrap();
+                        outcomes.insert(t, PostStatus::Committed);
+                    }
+                }
+                Step::Abort { slot } => {
+                    if let Some(t) = open[slot].take() {
+                        db.abort(t).unwrap();
+                        outcomes.insert(t, PostStatus::Aborted);
+                    }
+                }
+                Step::TwoPhase { slot, commit } => {
+                    if let Some(t) = open[slot].take() {
+                        db.prepare(t).unwrap();
+                        if commit {
+                            gtxn += 1;
+                            db.commit_sharded(t, gtxn, &[0, 1]).unwrap();
+                            outcomes.insert(t, PostStatus::Committed);
+                        } else {
+                            db.abort(t).unwrap();
+                            outcomes.insert(t, PostStatus::Aborted);
+                        }
+                    }
+                }
+                Step::Tick { quarters } => db.advance_clock_by(quarters * 15 * calendar::MIN),
+            }
+            check_statuses(&db, &objs, &outcomes, &open)?;
         }
     }
 }

@@ -701,7 +701,7 @@ pub fn hex_encode(bytes: &[u8]) -> String {
 
 /// Decode [`hex_encode`] output; `None` on odd length or non-hex bytes.
 pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    if s.len() % 2 != 0 {
         return None;
     }
     let digits = s.as_bytes();
