@@ -3,23 +3,41 @@
 //! One loop thread owns every socket: it accepts (refusing past
 //! `max_conns` with a typed `server_full` notice), reads framed lines
 //! (partial lines carried across readiness events by
-//! [`crate::codec::LineReader`]), drains outbox rings with
-//! write-interest-driven flushing, emits replication heartbeats, and
-//! expires idle transactions. It never executes a command and never
-//! blocks on anything but the poller — commands run on a small worker
-//! pool, because `Commit` blocks on the WAL's group-commit fsync and
-//! `Promote` can wait seconds for the stream to drain.
+//! [`crate::codec::LineReader`]) and parses each one exactly once,
+//! drains outbox rings with write-interest-driven flushing, emits
+//! replication heartbeats, and expires idle transactions.
+//!
+//! ## Run to completion
+//!
+//! A command that cannot block ([`runs_inline`]: `Begin`, `Call`, an
+//! in-memory `Commit`, `PeekField`, …) executes right on the loop
+//! thread when its connection is idle, and its reply — with any firing
+//! it caused — is written before the loop polls again: the loop's own
+//! outbox pushes mark connections dirty without ringing the waker, and
+//! every turn ends by draining the dirty list (a mark that drain leaves
+//! behind makes the next poll return at once).
+//! Everything that may wait (a durable `Commit`'s fsync, `Query`,
+//! `Checkpoint`, a `Promote` stream drain, …) runs on a small worker
+//! pool. The loop blocks on nothing but the poller, with one documented
+//! exception: while a worker holds every shard lock (`Checkpoint`,
+//! `Snapshot`, a durable `DefineClass`), an inline command waits for
+//! its shard on the loop thread — the stall that already pauses every
+//! session.
 //!
 //! ## Per-connection command FIFO
 //!
-//! Lines parsed by the loop are queued per connection; a connection is
-//! *dispatched* to the pool only when it isn't already running there,
-//! so one connection's commands always execute in arrival order (the
-//! session contract) while distinct connections interleave freely. If
-//! a client pipelines past a high-water mark the loop gates that
-//! socket's read interest **off** (level-triggered pollers would
-//! otherwise spin on the un-consumed readiness) and re-arms it when
-//! the worker drains the queue.
+//! A request runs inline only when nothing of its connection is queued
+//! or running on the pool. Otherwise it, and every line after it, is
+//! queued per connection — `parse` and `overlong` notices included —
+//! and the connection is *dispatched* to the pool only when it isn't
+//! already running there. So one connection's replies always leave in
+//! arrival order (the session contract) while distinct connections
+//! interleave freely. A connection runs at most [`READ_HIGH_WATER`]
+//! lines inline per read; the rest queue, so a firehosing client
+//! cannot hold the loop. If a client pipelines past that mark the loop
+//! gates the socket's read interest **off** (level-triggered pollers
+//! would otherwise spin on the un-consumed readiness) and re-arms it
+//! when the worker drains the queue.
 //!
 //! ## One teardown path
 //!
@@ -41,7 +59,7 @@ use std::os::unix::net::UnixListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -49,10 +67,10 @@ use super::outbox::{encode_frame, ConnOutbox, Notify};
 use super::poller::{Event, Interest, Poller};
 use crate::codec::{LineEvent, LineReader};
 use crate::conn::Conn;
-use crate::protocol::{ReplyResult, ServerMsg, WireError};
+use crate::protocol::{ReplyResult, Request, ServerMsg, WireError};
 use crate::repl::HEARTBEAT_INTERVAL;
 use crate::server::Shared;
-use crate::session::{handle_line, notice, Session};
+use crate::session::{handle_request, notice, parse_line, runs_inline, Session};
 
 /// A bound listener handed to the loop.
 pub(crate) enum ListenSocket {
@@ -72,15 +90,34 @@ impl ListenSocket {
 
     fn accept(&self) -> std::io::Result<Conn> {
         match self {
-            ListenSocket::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            // Replies are small separate writes: without this, Nagle
+            // holds one back until the peer's delayed ACK.
+            ListenSocket::Tcp(l) => l.accept().map(|(s, _)| {
+                let _ = s.set_nodelay(true);
+                Conn::Tcp(s)
+            }),
             ListenSocket::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
+        }
+    }
+}
+
+/// One framed line, parsed once on the loop: a request to execute, or
+/// the notice (`parse`, `overlong`) that answers a line that is not one.
+type Queued = Result<Request, ServerMsg>;
+
+/// Execute one queued item against its session.
+fn run_item(inner: &Shared, sess: &mut Session, item: Queued) {
+    match item {
+        Ok(req) => handle_request(inner, sess, req),
+        Err(msg) => {
+            let _ = sess.outbox.send(msg);
         }
     }
 }
 
 /// The per-connection command FIFO and its dispatch latch.
 struct CmdQueue {
-    lines: std::collections::VecDeque<String>,
+    items: std::collections::VecDeque<Queued>,
     /// A worker currently owns this connection's session (it is either
     /// executing a command or about to re-check the queue).
     running: bool,
@@ -98,9 +135,40 @@ pub(crate) struct ConnState {
     /// The session's transaction has been released (idempotence guard
     /// for the reap race — both sides of the handshake may qualify).
     reaped: AtomicBool,
-    /// Locked by a worker for the duration of each command.
+    /// Locked by the loop or a worker for the duration of each command.
     session: Mutex<Session>,
     queue: Mutex<CmdQueue>,
+}
+
+impl ConnState {
+    /// Take the connection's next item, in arrival order. It runs here,
+    /// on the loop thread, if `inline` allows and the connection is idle
+    /// (nothing queued, no worker owns the session) — so FIFO holds
+    /// across the inline/worker boundary. Otherwise it is queued, and
+    /// the connection is dispatched to the pool unless a worker already
+    /// owns it. Returns the queue length.
+    fn submit(
+        self: &Arc<Self>,
+        inner: &Shared,
+        injector: &mpsc::Sender<Arc<ConnState>>,
+        item: Queued,
+        inline: bool,
+    ) -> usize {
+        let mut q = self.queue.lock();
+        if inline && !q.running && q.items.is_empty() {
+            drop(q);
+            run_item(inner, &mut self.session.lock(), item);
+            return 0;
+        }
+        q.items.push_back(item);
+        let len = q.items.len();
+        let dispatch = !std::mem::replace(&mut q.running, true);
+        drop(q);
+        if dispatch {
+            let _ = injector.send(Arc::clone(self));
+        }
+        len
+    }
 }
 
 /// Release the session's transaction exactly once, from whichever side
@@ -139,14 +207,14 @@ fn worker_loop(
     }
 }
 
-/// Execute this connection's queued lines until the queue is empty,
+/// Execute this connection's queued items until the queue is empty,
 /// then hand the dispatch latch back.
 fn run_batch(inner: &Shared, st: &ConnState) {
     loop {
-        let line = {
+        let item = {
             let mut q = st.queue.lock();
-            match q.lines.pop_front() {
-                Some(l) => l,
+            match q.items.pop_front() {
+                Some(item) => item,
                 None => {
                     q.running = false;
                     break;
@@ -156,7 +224,7 @@ fn run_batch(inner: &Shared, st: &ConnState) {
         if st.closed.load(Ordering::SeqCst) {
             continue; // drain and drop: the peer is gone
         }
-        handle_line(inner, &mut st.session.lock(), &line);
+        run_item(inner, &mut st.session.lock(), item);
     }
     if st.closed.load(Ordering::SeqCst) {
         try_reap(inner, st);
@@ -234,6 +302,7 @@ pub(crate) fn start(
 /// Stop reading a connection once this many lines are queued unexecuted;
 /// re-arm when the worker drains them. Bounds per-connection memory
 /// under hostile pipelining without ever stalling other connections.
+/// Also the most lines one read runs inline before the rest queue.
 const READ_HIGH_WATER: usize = 128;
 
 struct Entry {
@@ -287,10 +356,19 @@ impl EventLoop {
     }
 
     fn run(&mut self) {
+        self.notify.claim_loop();
         let mut events: Vec<Event> = Vec::new();
         let tick = self.inner.config.poll_interval;
         while !self.inner.shutdown.load(Ordering::SeqCst) {
-            if self.poller.wait(&mut events, tick).is_err() {
+            // The loop's own marks (an inline command run while draining,
+            // a sweep notice) rang no waker: while one is pending, poll
+            // without waiting.
+            let timeout = if self.notify.pending() {
+                Duration::ZERO
+            } else {
+                tick
+            };
+            if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
             for ev in std::mem::take(&mut events) {
@@ -401,7 +479,7 @@ impl EventLoop {
                 replicating: false,
             }),
             queue: Mutex::new(CmdQueue {
-                lines: std::collections::VecDeque::new(),
+                items: std::collections::VecDeque::new(),
                 running: false,
             }),
         });
@@ -427,8 +505,8 @@ impl EventLoop {
         );
     }
 
-    /// Drain readable bytes into framed lines and dispatch the
-    /// connection to the worker pool.
+    /// Drain readable bytes into framed lines, parse each once, and run
+    /// or queue it ([`ConnState::submit`]).
     fn read_lines(&mut self, fd: RawFd) {
         let Some(entry) = self.conns.get_mut(&fd) else {
             return;
@@ -436,40 +514,26 @@ impl EventLoop {
         if entry.read_gated || entry.peer_eof {
             return;
         }
+        let durable = self.inner.wal.is_some();
+        let mut inline_budget = READ_HIGH_WATER;
         let mut dead = false;
         loop {
-            match entry.reader.read_event(&mut entry.conn) {
+            let item = match entry.reader.read_event(&mut entry.conn) {
                 Ok(LineEvent::Line(line)) => {
                     entry.last_activity = Instant::now();
-                    let (dispatch, len) = {
-                        let mut q = entry.state.queue.lock();
-                        q.lines.push_back(line);
-                        let dispatch = if q.running {
-                            false
-                        } else {
-                            q.running = true;
-                            true
-                        };
-                        (dispatch, q.lines.len())
-                    };
-                    if dispatch {
-                        let _ = self.injector.send(Arc::clone(&entry.state));
-                    }
-                    if len >= READ_HIGH_WATER {
-                        entry.read_gated = true;
-                        break;
+                    match parse_line(&line) {
+                        Some(item) => item,
+                        None => continue,
                     }
                 }
+                Ok(LineEvent::Overlong) => Err(notice(
+                    "overlong",
+                    format!(
+                        "request line exceeds {} bytes",
+                        self.inner.config.max_line_bytes
+                    ),
+                )),
                 Ok(LineEvent::Tick) => break,
-                Ok(LineEvent::Overlong) => {
-                    let _ = entry.state.outbox.send(notice(
-                        "overlong",
-                        format!(
-                            "request line exceeds {} bytes",
-                            self.inner.config.max_line_bytes
-                        ),
-                    ));
-                }
                 Ok(LineEvent::Eof) => {
                     entry.peer_eof = true;
                     break;
@@ -478,6 +542,19 @@ impl EventLoop {
                     dead = true;
                     break;
                 }
+            };
+            let inline = inline_budget > 0
+                && match &item {
+                    Ok(req) => runs_inline(&req.cmd, durable),
+                    Err(_) => true,
+                };
+            inline_budget -= usize::from(inline);
+            let queued = entry
+                .state
+                .submit(&self.inner, &self.injector, item, inline);
+            if queued >= READ_HIGH_WATER {
+                entry.read_gated = true;
+                break;
             }
         }
         if dead {
@@ -496,7 +573,7 @@ impl EventLoop {
         if !entry.read_gated {
             return;
         }
-        if entry.state.queue.lock().lines.len() < READ_HIGH_WATER {
+        if entry.state.queue.lock().items.len() < READ_HIGH_WATER {
             entry.read_gated = false;
             self.update_interest(fd);
             self.read_lines(fd);
@@ -570,7 +647,7 @@ impl EventLoop {
         }
         let busy = {
             let q = entry.state.queue.lock();
-            q.running || !q.lines.is_empty()
+            q.running || !q.items.is_empty()
         };
         let unflushed = {
             let g = entry.state.outbox.inner.lock();

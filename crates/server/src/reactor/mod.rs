@@ -1,8 +1,9 @@
 //! The reactor subsystem: the server's connection front end — a
 //! poll/epoll-driven event loop over non-blocking sockets plus a pool
 //! of command workers. This is the only module that knows how
-//! connections are served: one loop thread + `workers` executors,
-//! producers → outbox ring → socket, one teardown path.
+//! connections are served: one loop thread that also runs every command
+//! that cannot block, `workers` executors for the rest, producers →
+//! outbox ring → socket, one teardown path.
 //!
 //! Layout:
 //!
@@ -13,8 +14,9 @@
 //!   broadcast: every message a connection receives is enqueued here.
 //! * [`event_loop`] — the loop itself: accept and admission, framed
 //!   non-blocking reads with partial-line carry, write-interest-driven
-//!   flushing, replication heartbeats, idle-transaction expiry, the
-//!   command worker pool, and the single connection-teardown path.
+//!   flushing, replication heartbeats, idle-transaction expiry, inline
+//!   execution, the command worker pool, and the single
+//!   connection-teardown path.
 
 pub(crate) mod event_loop;
 pub(crate) mod outbox;

@@ -1,8 +1,8 @@
 //! Per-connection outbox rings: how every message leaves the server.
 //!
-//! Producers — worker threads answering commands, the engine's firing
-//! sink running under the engine lock, each shard WAL's durable sink —
-//! enqueue *pre-serialized* frames on a connection's [`ConnOutbox`];
+//! Producers — the loop or a worker answering a command, the engine's
+//! firing sink running under the engine lock, each shard WAL's durable
+//! sink — enqueue *pre-serialized* frames on a connection's [`ConnOutbox`];
 //! the event loop drains them to the socket with write-interest-driven
 //! flushing. Fan-out ([`broadcast`]) serializes a message **once** and
 //! enqueues the same `Arc<[u8]>` into every subscriber's ring, so a
@@ -17,7 +17,8 @@
 //! `subscriber_drops`.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, ThreadId};
 
 use parking_lot::Mutex;
 
@@ -51,6 +52,9 @@ pub(crate) struct OutboxInner {
 pub(crate) struct Notify {
     dirty: Mutex<Vec<u64>>,
     pub(crate) waker: Waker,
+    /// The loop thread, once it runs. It drains `dirty` at the end of
+    /// every turn, so its own marks need no wake.
+    loop_thread: OnceLock<ThreadId>,
 }
 
 impl Notify {
@@ -58,13 +62,26 @@ impl Notify {
         Ok(Notify {
             dirty: Mutex::new(Vec::new()),
             waker: Waker::new()?,
+            loop_thread: OnceLock::new(),
         })
     }
 
-    /// Mark `conn_id` dirty and wake the loop.
+    /// Claim the calling thread as the loop that drains this doorbell.
+    pub(crate) fn claim_loop(&self) {
+        let _ = self.loop_thread.set(thread::current().id());
+    }
+
+    /// Mark `conn_id` dirty, and wake the loop unless this is the loop.
     pub(crate) fn mark(&self, conn_id: u64) {
         self.dirty.lock().push(conn_id);
-        self.waker.wake();
+        if self.loop_thread.get() != Some(&thread::current().id()) {
+            self.waker.wake();
+        }
+    }
+
+    /// Whether any connection is marked dirty (loop side).
+    pub(crate) fn pending(&self) -> bool {
+        !self.dirty.lock().is_empty()
     }
 
     /// Take the dirty list (loop side).
@@ -178,6 +195,33 @@ mod tests {
         assert_eq!(notify.take(), vec![7], "one wake per scheduling edge");
         assert_eq!(ring.close(), 2, "two stranded firings");
         assert!(ring.push(frame, true).is_err(), "closed ring refuses");
+    }
+
+    #[test]
+    fn only_marks_from_other_threads_ring_the_waker() {
+        use super::super::poller::{Interest, Poller};
+        use std::time::Duration;
+
+        let notify = Arc::new(Notify::new().unwrap());
+        let mut poller = Poller::new().unwrap();
+        poller.register(notify.waker.fd(), Interest::READ).unwrap();
+        let mut rung = || {
+            let mut events = Vec::new();
+            poller.wait(&mut events, Duration::ZERO).unwrap();
+            notify.waker.drain();
+            !events.is_empty()
+        };
+        notify.mark(1);
+        assert!(rung(), "with no loop claimed, every mark wakes");
+        notify.claim_loop();
+        notify.mark(2);
+        assert!(!rung(), "the loop's own mark only queues");
+        let other = Arc::clone(&notify);
+        thread::spawn(move || other.mark(3)).join().unwrap();
+        assert!(rung(), "another thread's mark wakes the loop");
+        assert!(notify.pending());
+        assert_eq!(notify.take(), vec![1, 2, 3]);
+        assert!(!notify.pending());
     }
 
     #[test]

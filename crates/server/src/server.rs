@@ -93,9 +93,11 @@ pub struct ServerConfig {
     /// Refuse connections past this count with a typed `server_full`
     /// notice instead of accepting and stalling (`None` = unlimited).
     pub max_conns: Option<u64>,
-    /// Command-executor threads. Commands block (group-commit fsync
-    /// waits, `Promote` stream drains), so they run on this pool rather
-    /// than the event loop.
+    /// Command-executor threads for the commands that may block: a
+    /// durable `Commit`'s group-commit fsync wait, `Query`,
+    /// `Checkpoint`, `DefineClass`, `Promote`'s stream drain and the
+    /// rest of the slow set. Every other command runs on the event loop
+    /// thread and never reaches this pool.
     pub workers: usize,
 }
 

@@ -3,12 +3,15 @@
 //!
 //! A [`Session`] is the state a connection carries between request
 //! lines — its outbox, its open transaction, whether it is tailing the
-//! replication stream. [`handle_line`] parses one line, turns state
-//! writers away when the node may not write ([`may_write`]), runs
-//! the command against the [`Shared`] node state, applies the
-//! WAL-degradation rule, and answers on the session's outbox. How
-//! lines arrive and how the outbox reaches the socket is the
-//! [`crate::reactor`]'s business; nothing here touches a socket.
+//! replication stream. [`parse_line`] turns one framed line into a
+//! [`Request`], once, on the loop thread. [`handle_request`] turns
+//! state writers away when the node may not write ([`may_write`]),
+//! runs the command against the [`Shared`] node state, applies the
+//! WAL-degradation rule, and answers on the session's outbox.
+//! [`runs_inline`] says where it runs: on the loop thread, or on the
+//! worker pool when it may wait. How lines arrive and how the outbox
+//! reaches the socket is the [`crate::reactor`]'s business; nothing
+//! here touches a socket.
 
 use std::cell::RefCell;
 use std::path::Path;
@@ -35,8 +38,8 @@ use crate::server::{append_schema, load_schema, Shared};
 use crate::spec::compile_class;
 
 /// One connection's session state. Owned by the reactor's per-
-/// connection record; a worker holds it exclusively for the duration
-/// of each command.
+/// connection record; whichever thread runs a command (the loop or a
+/// worker) holds it exclusively for the duration of that command.
 pub(crate) struct Session {
     pub(crate) conn_id: u64,
     /// Where this session's replies, query rows, and stream records go.
@@ -84,21 +87,17 @@ pub(crate) fn notice(code: &str, message: String) -> ServerMsg {
     }
 }
 
-/// Parse and execute one request line, answering on the session's
-/// outbox.
-pub(crate) fn handle_line(inner: &Shared, sess: &mut Session, line: &str) {
+/// Parse one framed request line: `None` for a blank line, the `parse`
+/// notice that answers it for a malformed one.
+pub(crate) fn parse_line(line: &str) -> Option<Result<Request, ServerMsg>> {
     if line.trim().is_empty() {
-        return;
+        return None;
     }
-    let req: Request = match serde_json::from_str(line) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = sess
-                .outbox
-                .send(notice("parse", format!("malformed request: {e}")));
-            return;
-        }
-    };
+    Some(serde_json::from_str(line).map_err(|e| notice("parse", format!("malformed request: {e}"))))
+}
+
+/// Execute one request, answering on the session's outbox.
+pub(crate) fn handle_request(inner: &Shared, sess: &mut Session, req: Request) {
     let is_mutation = mutates(&req.cmd);
     let allowed = if is_mutation {
         may_write(inner, &req.cmd)
@@ -152,6 +151,45 @@ fn mutates(cmd: &Command) -> bool {
             | Command::Demote { .. }
             | Command::Query { .. }
     )
+}
+
+/// Whether `cmd` cannot block, so the reactor may run it on the loop
+/// thread and write its reply in the same turn. Everything that waits on
+/// the disk, on another thread or on a long scan runs on the worker
+/// pool. `durable` is whether the server has a WAL, where `Commit` waits
+/// for the flusher. No wildcard arm: a new command does not compile
+/// until it is placed.
+pub(crate) fn runs_inline(cmd: &Command, durable: bool) -> bool {
+    match cmd {
+        Command::Ping
+        | Command::Begin { .. }
+        | Command::Abort
+        | Command::New { .. }
+        | Command::Call { .. }
+        | Command::Delete { .. }
+        | Command::Deactivate { .. }
+        | Command::AdvanceClockBy { .. }
+        | Command::AdvanceClockTo { .. }
+        | Command::Subscribe
+        | Command::Unsubscribe
+        | Command::TakeOutput
+        | Command::PeekField { .. } => true,
+        // `wait_durable` parks until a flush covers the commit record.
+        Command::Commit => !durable,
+        // A replay first waits for the history indexer (`store.sync`).
+        Command::Activate { replay_history, .. } => !replay_history,
+        // Disk writes (schema log, checkpoint, epoch table), `lock_all`
+        // stalls, unbounded DFA compilation, stream drains and scans.
+        Command::DefineClass(_)
+        | Command::Query { .. }
+        | Command::Checkpoint
+        | Command::Snapshot
+        | Command::Restore { .. }
+        | Command::Replicate { .. }
+        | Command::Promote { .. }
+        | Command::Demote { .. }
+        | Command::Stats => false,
+    }
 }
 
 /// Whether this node may run the state writer `cmd` right now; the
@@ -232,6 +270,23 @@ fn archive_catchup(
         cov = end;
     }
     (cov >= upto).then_some(msgs)
+}
+
+/// Wait until shard `s`'s history store has indexed every commit acked
+/// so far. The WAL releases a durable waiter before its durable sink
+/// advances the store's watermark, so an ack can overtake that advance:
+/// lift the watermark to the WAL's durable head first, holding the WAL
+/// lock that the sink and a fork reset also hold.
+fn sync_history(inner: &Shared, s: usize) {
+    let store = &inner.hist[s];
+    if let Some(ws) = &inner.wal {
+        ws.wal.wal(s).frozen(|head| {
+            if head > 0 {
+                store.advance_durable_through(head - 1);
+            }
+        });
+    }
+    store.sync();
 }
 
 fn no_txn() -> WireError {
@@ -396,11 +451,11 @@ fn execute(
             }
             let n = inner.db.shard_count();
             let obj = ObjectId(object);
-            let store = &inner.hist[shard_of(obj, n)];
+            let s = shard_of(obj, n);
+            let store = &inner.hist[s];
             // The replay input must cover everything this server has
-            // acked: sync waits for the indexer to drain the durable
-            // prefix (bounded — acked commits are durable already).
-            store.sync();
+            // acked (bounded — acked commits are durable already).
+            sync_history(inner, s);
             let events = store
                 .object_events(to_local(obj, n).0)
                 .map_err(|e| WireError::new("history", e.to_string()))?;
@@ -1051,7 +1106,7 @@ fn execute(
                 let store = &inner.hist[s];
                 // Read-your-writes: anything acked before this query
                 // was durable, so the indexer wait is bounded.
-                store.sync();
+                sync_history(inner, s);
                 let q = HistQuery {
                     class: class.clone(),
                     object: object.map(|o| to_local(ObjectId(o), n).0),
@@ -1103,6 +1158,109 @@ fn execute(
                 segments_scanned: scanned,
                 segments_skipped: skipped,
             })
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::stockroom_spec;
+
+    /// Every command with its placement `(without a WAL, with one)`:
+    /// `true` runs on the loop thread, `false` on the worker pool.
+    #[test]
+    fn every_command_has_its_placement() {
+        let query = Command::Query {
+            class: None,
+            object: None,
+            kind: None,
+            qualifier: None,
+            args: Vec::new(),
+            min_seq: None,
+            max_seq: None,
+            min_time: None,
+            max_time: None,
+            limit: None,
+        };
+        let activate = |replay_history| Command::Activate {
+            object: 1,
+            trigger: "T1".into(),
+            params: Vec::new(),
+            replay_history,
+        };
+        let table = [
+            (Command::Ping, true, true),
+            (Command::DefineClass(stockroom_spec()), false, false),
+            (Command::Begin { user: Value::Null }, true, true),
+            (Command::Commit, true, false),
+            (Command::Abort, true, true),
+            (
+                Command::New {
+                    class: "room".into(),
+                    overrides: Vec::new(),
+                },
+                true,
+                true,
+            ),
+            (
+                Command::Call {
+                    object: 1,
+                    method: "deposit".into(),
+                    args: Vec::new(),
+                },
+                true,
+                true,
+            ),
+            (Command::Delete { object: 1 }, true, true),
+            (activate(false), true, true),
+            (activate(true), false, false),
+            (
+                Command::Deactivate {
+                    object: 1,
+                    trigger: "T1".into(),
+                },
+                true,
+                true,
+            ),
+            (Command::AdvanceClockBy { ms: 1 }, true, true),
+            (Command::AdvanceClockTo { ms: 1 }, true, true),
+            (Command::Snapshot, false, false),
+            (
+                Command::Restore {
+                    snapshot: String::new(),
+                },
+                false,
+                false,
+            ),
+            (Command::Checkpoint, false, false),
+            (Command::Stats, false, false),
+            (Command::Subscribe, true, true),
+            (Command::Unsubscribe, true, true),
+            (Command::TakeOutput, true, true),
+            (
+                Command::PeekField {
+                    object: 1,
+                    field: "items".into(),
+                },
+                true,
+                true,
+            ),
+            (
+                Command::Replicate {
+                    from_lsns: vec![0],
+                    epoch: 0,
+                },
+                false,
+                false,
+            ),
+            (Command::Promote { force: false }, false, false),
+            (Command::Demote { epoch: 1 }, false, false),
+            (query, false, false),
+        ];
+        for (cmd, in_memory, durable) in &table {
+            assert_eq!(runs_inline(cmd, false), *in_memory, "{cmd:?} without a WAL");
+            assert_eq!(runs_inline(cmd, true), *durable, "{cmd:?} with a WAL");
         }
     }
 }

@@ -1,19 +1,24 @@
 //! Robustness: malformed and overlong input answers with structured
 //! errors on a still-usable connection, disconnects and shutdowns
 //! release transaction locks, idle transactions expire, and the
-//! session-level transaction protocol rejects misuse.
+//! session-level transaction protocol rejects misuse. Replies and
+//! notices keep send order whether a command ran on the loop thread or
+//! on a worker, and the loop thread never does WAL I/O.
 
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ode_core::Value;
-use ode_db::{Database, SharedDatabase};
+use ode_db::{Database, SharedDatabase, SharedIo, StdIo, WalIo};
 use ode_server::spec::stockroom_spec;
 use ode_server::{
-    Client, ClientError, Command, Reply, ReplyResult, Request, Server, ServerConfig, ServerMsg,
+    Client, ClientError, Command, QuerySpec, Reply, ReplyResult, Request, Server, ServerBuilder,
+    ServerConfig, ServerMsg,
 };
 
 fn start_server(config: ServerConfig) -> (Server, std::net::SocketAddr) {
@@ -256,13 +261,16 @@ fn unix_socket_sessions_work() {
 }
 
 /// A Unix-socket server (so Nagle never sets the pace of a pipelined
-/// burst) with the stockroom class defined and one room created.
-fn start_unix_stockroom(tag: &str) -> (Server, PathBuf, u64) {
+/// burst), configured further by `setup`, with the stockroom class
+/// defined and one room created.
+fn start_unix_stockroom(
+    tag: &str,
+    setup: impl FnOnce(ServerBuilder) -> ServerBuilder,
+) -> (Server, PathBuf, u64) {
     let dir = std::env::temp_dir().join(format!("ode-sock-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let db = SharedDatabase::new(Database::new());
-    let server = Server::builder(db)
-        .unix(dir.join("ode.sock"))
+    let server = setup(Server::builder(db).unix(dir.join("ode.sock")))
         .start()
         .expect("bind unix");
     let admin = Client::connect_unix(server.unix_path().unwrap()).expect("connect");
@@ -324,7 +332,7 @@ fn read_ok_replies_in_order(reader: &mut BufReader<UnixStream>, stop_after: Opti
 
 #[test]
 fn thousand_pipelined_requests_are_answered_in_order_across_the_read_gate() {
-    let (mut server, dir, room) = start_unix_stockroom("pipeline");
+    let (mut server, dir, room) = start_unix_stockroom("pipeline", |b| b);
     let stream = UnixStream::connect(server.unix_path().unwrap()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(20)))
@@ -367,7 +375,7 @@ fn thousand_pipelined_requests_are_answered_in_order_across_the_read_gate() {
 
 #[test]
 fn half_closed_pipeline_gets_every_reply_then_eof_and_its_locks_are_released() {
-    let (mut server, dir, room) = start_unix_stockroom("halfclose");
+    let (mut server, dir, room) = start_unix_stockroom("halfclose", |b| b);
     let stream = UnixStream::connect(server.unix_path().unwrap()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(20)))
@@ -408,4 +416,210 @@ fn half_closed_pipeline_gets_every_reply_then_eof_and_its_locks_are_released() {
     assert_eq!(bolt, 500 - 70);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh temporary WAL directory for `tag`.
+fn temp_wal_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ode-wal-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The next message must be the `id: 0` notice `code`.
+fn expect_notice(reader: &mut BufReader<UnixStream>, code: &str) {
+    match read_msg(reader) {
+        ServerMsg::Reply {
+            id: 0,
+            result: ReplyResult::Err(e),
+        } => assert_eq!(e.code, code),
+        other => panic!("expected the {code} notice in send order, got {other:?}"),
+    }
+}
+
+#[test]
+fn replies_and_notices_keep_send_order_across_inline_and_worker_execution() {
+    let wal = temp_wal_dir("fifo");
+    let (mut server, dir, room) = start_unix_stockroom("fifo", |b| {
+        b.wal_dir(&wal).config(ServerConfig {
+            max_line_bytes: 1024,
+            ..ServerConfig::default()
+        })
+    });
+    let sock = server.unix_path().unwrap().to_path_buf();
+    let stream = UnixStream::connect(&sock).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+
+    // 200 × [Begin, Call, Commit, PeekField] in one write. With a WAL the
+    // Commit waits for its flush on a worker, and the other three run on
+    // the loop whenever the connection is idle. Halfway through, one
+    // malformed and one overlong line.
+    const GROUPS: usize = 200;
+    let mut cmds = Vec::new();
+    for _ in 0..GROUPS {
+        cmds.extend(open_txn_cmds(room, "deposit", 1));
+        cmds.push(Command::Commit);
+        cmds.push(Command::PeekField {
+            object: room,
+            field: "items".into(),
+        });
+    }
+    let mut burst = pipeline(cmds);
+    let half = burst
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| **b == b'\n')
+        .nth(GROUPS * 2 - 1)
+        .map(|(at, _)| at + 1)
+        .expect("midpoint");
+    let mut bad = b"this is not json\n".to_vec();
+    bad.extend(vec![b'x'; 4096]);
+    bad.push(b'\n');
+    burst.splice(half..half, bad);
+    writer.write_all(&burst).unwrap();
+
+    for k in 0..GROUPS {
+        if k == GROUPS / 2 {
+            expect_notice(&mut reader, "parse");
+            expect_notice(&mut reader, "overlong");
+            // A second session checkpoints mid-stream: a worker takes
+            // every shard lock while the pipeline's inline commands wait
+            // for theirs. It is answered (a refusal while a transaction
+            // is open counts), and the pipeline carries on.
+            let mut admin = Client::connect_unix(&sock).expect("connect admin");
+            match admin.request(Command::Checkpoint) {
+                Ok(Reply::Checkpointed { .. }) | Err(ClientError::Server(_)) => {}
+                other => panic!("expected an answer to Checkpoint, got {other:?}"),
+            }
+        }
+        for i in 0..4 {
+            let want = (k * 4 + i + 1) as u64;
+            let (id, reply) = match read_msg(&mut reader) {
+                ServerMsg::Reply {
+                    id,
+                    result: ReplyResult::Ok(reply),
+                } => (id, reply),
+                other => panic!("expected the Ok reply to request {want}, got {other:?}"),
+            };
+            assert_eq!(id, want, "replies arrive in request order");
+            if let Reply::Value(items) = reply {
+                if i == 3 {
+                    // The peek follows its own durable commit.
+                    let bolt = items.member("bolt").and_then(Value::as_int).expect("bolt");
+                    assert_eq!(bolt, 500 + k as i64 + 1, "group {k}");
+                }
+            }
+        }
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&wal);
+}
+
+/// A `WalIo` that notes which thread made each call.
+struct ThreadNotingIo {
+    io: StdIo,
+    threads: Arc<Mutex<BTreeSet<String>>>,
+}
+
+impl ThreadNotingIo {
+    fn note(&self) {
+        let name = std::thread::current()
+            .name()
+            .unwrap_or("<unnamed>")
+            .to_string();
+        self.threads.lock().unwrap().insert(name);
+    }
+}
+
+impl WalIo for ThreadNotingIo {
+    fn create_dir_all(&mut self, dir: &Path) -> std::io::Result<()> {
+        self.note();
+        self.io.create_dir_all(dir)
+    }
+    fn list(&mut self, dir: &Path) -> std::io::Result<Vec<String>> {
+        self.note();
+        self.io.list(dir)
+    }
+    fn read(&mut self, path: &Path) -> std::io::Result<Vec<u8>> {
+        self.note();
+        self.io.read(path)
+    }
+    fn append(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.note();
+        self.io.append(path, bytes)
+    }
+    fn fsync(&mut self, path: &Path) -> std::io::Result<()> {
+        self.note();
+        self.io.fsync(path)
+    }
+    fn fsync_dir(&mut self, dir: &Path) -> std::io::Result<()> {
+        self.note();
+        self.io.fsync_dir(dir)
+    }
+    fn rename(&mut self, from: &Path, to: &Path) -> std::io::Result<()> {
+        self.note();
+        self.io.rename(from, to)
+    }
+    fn remove(&mut self, path: &Path) -> std::io::Result<()> {
+        self.note();
+        self.io.remove(path)
+    }
+    fn truncate(&mut self, path: &Path, len: u64) -> std::io::Result<()> {
+        self.note();
+        self.io.truncate(path, len)
+    }
+}
+
+#[test]
+fn the_loop_thread_never_touches_the_disk() {
+    let wal = temp_wal_dir("loop-io");
+    let threads = Arc::new(Mutex::new(BTreeSet::new()));
+    let io = SharedIo::new(ThreadNotingIo {
+        io: StdIo::new(),
+        threads: Arc::clone(&threads),
+    });
+    // The helper's DefineClass and room creation are part of the drive.
+    let (mut server, dir, room) =
+        start_unix_stockroom("loop-io", |b| b.wal_dir(&wal).history(true).wal_io(io));
+    let sock = server.unix_path().unwrap().to_path_buf();
+    let deposit = [Value::from("bolt"), Value::Int(5)];
+
+    let mut c = Client::connect_unix(&sock).expect("connect");
+    c.txn("io", |c| c.call(room, "deposit", &deposit))
+        .expect("durable commit");
+    c.begin("io").expect("begin");
+    c.call(room, "deposit", &deposit).expect("call");
+    c.abort().expect("abort");
+    match c.request(Command::Checkpoint) {
+        Ok(Reply::Checkpointed { .. }) => {}
+        other => panic!("expected a checkpoint, got {other:?}"),
+    }
+    let q = c.query(QuerySpec::default()).expect("query");
+    assert!(!q.rows.is_empty(), "the history store answers");
+
+    // Disconnect with an open transaction: the loop's teardown aborts it.
+    {
+        let mut d = Client::connect_unix(&sock).expect("connect");
+        d.begin("gone").expect("begin");
+        d.call(room, "deposit", &deposit).expect("call");
+    }
+    c.txn("io", |c| c.call(room, "deposit", &deposit))
+        .expect("the abandoned lock is released");
+    server.shutdown();
+
+    let threads = threads.lock().unwrap().clone();
+    assert!(
+        threads.contains("wal-flusher") && threads.iter().any(|t| t.starts_with("ode-worker-")),
+        "the recorder saw the flusher and the workers: {threads:?}"
+    );
+    assert!(
+        !threads.contains("ode-reactor"),
+        "the loop thread made WAL I/O calls: {threads:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&wal);
 }
