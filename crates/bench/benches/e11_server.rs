@@ -33,7 +33,7 @@ fn run(
     rooms: &[u64],
     clients: usize,
 ) -> (f64, f64, f64) {
-    let before = server.db().with(|db| db.stats());
+    let before = server.db().with_shard(0, |db| db.stats());
     let t0 = Instant::now();
     let workers: Vec<_> = (0..clients)
         .map(|w| {
@@ -53,7 +53,7 @@ fn run(
         h.join().expect("worker");
     }
     let secs = t0.elapsed().as_secs_f64();
-    let after = server.db().with(|db| db.stats());
+    let after = server.db().with_shard(0, |db| db.stats());
     let events = (after.events_posted - before.events_posted) as f64;
     let txns = (after.txns_committed - before.txns_committed) as f64;
     (events / secs, txns / secs, secs)

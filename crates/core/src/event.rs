@@ -18,11 +18,12 @@
 
 use std::fmt;
 
+use serde::{Deserialize, Serialize};
+
 use crate::error::EventError;
 
 /// `before` / `after` qualifier on a basic event.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Qualifier {
     /// Immediately before the happening.
     Before,
@@ -45,8 +46,9 @@ impl fmt::Display for Qualifier {
 /// The simulation calendar is deliberately simple and deterministic:
 /// 1 year = 12 months, 1 month = 30 days, 1 day = 24 h. Virtual time is
 /// milliseconds since epoch 0.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(
+    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub struct TimeSpec {
     /// Year (0-based in the simulation calendar).
     pub yr: Option<u32>,
@@ -242,8 +244,7 @@ impl fmt::Display for TimeSpec {
 }
 
 /// A time event (Section 3.1 item 3).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum TimeEvent {
     /// `at time(…)` — fires whenever virtual time matches the pattern.
     At(TimeSpec),
@@ -266,8 +267,7 @@ impl fmt::Display for TimeEvent {
 }
 
 /// The happening a basic event qualifies (Section 3.1).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum EventKind {
     /// Object creation (`after create` only).
     Create,
@@ -319,8 +319,7 @@ impl fmt::Display for EventKind {
 /// just prior to the first user specified logical event" (Section 3.4).
 /// It is fed to every trigger automaton at activation time and never
 /// fires triggers itself.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum BasicEvent {
     /// A qualified database happening.
     Db(Qualifier, EventKind),

@@ -28,6 +28,8 @@
 
 use std::fmt;
 
+use serde::{Deserialize, Serialize};
+
 use crate::error::EventError;
 use crate::event::{BasicEvent, EventKind};
 use crate::mask::MaskExpr;
@@ -35,8 +37,7 @@ use crate::mask::MaskExpr;
 /// A logical event: a basic event, its declared parameter names (binding
 /// the posted positional arguments for mask evaluation), and an optional
 /// mask (Section 3.2).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct LogicalEvent {
     /// The underlying basic event.
     pub basic: BasicEvent,
@@ -84,8 +85,7 @@ impl fmt::Display for LogicalEvent {
 }
 
 /// A composite event expression (Section 3.3 BNF).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum EventExpr {
     /// The empty event — never occurs (Section 4 item 1).
     Empty,

@@ -19,12 +19,13 @@
 
 use std::fmt;
 
+use serde::{Deserialize, Serialize};
+
 use crate::error::MaskError;
 use crate::value::Value;
 
 /// Binary operators available in mask expressions.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -84,8 +85,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum UnOp {
     /// Logical negation `!`.
     Not,
@@ -94,8 +94,7 @@ pub enum UnOp {
 }
 
 /// A mask expression AST.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum MaskExpr {
     /// Boolean literal.
     Bool(bool),
@@ -121,8 +120,7 @@ pub enum MaskExpr {
 
 /// An `f64` wrapper giving structural `Eq`/`Hash` via the bit pattern, so
 /// mask expressions can key minterm tables.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct FloatBits(pub u64);
 
 impl FloatBits {

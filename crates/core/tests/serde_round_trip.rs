@@ -1,8 +1,6 @@
-//! Serialization round trips (the `serde` feature): a persistent
-//! database must persist its trigger definitions, so event
-//! specifications, masks, and values serialize losslessly.
-
-#![cfg(feature = "serde")]
+//! Serialization round trips: a persistent database must persist its
+//! trigger definitions, so event specifications, masks, and values
+//! serialize losslessly.
 
 use ode_core::{parse_event, EventExpr, Value};
 

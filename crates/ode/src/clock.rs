@@ -34,12 +34,12 @@
 //! level-0 slot by counter.
 
 use ode_core::{TimeEvent, TimeSpec};
+use serde::{Deserialize, Serialize};
 
 use crate::ids::ObjectId;
 
 /// Who a time-event posting is visible to.
-#[cfg_attr(feature = "persistence", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum TimerScope {
     /// Every trigger on the object (absolute `at` patterns).
     Object,
@@ -49,8 +49,7 @@ pub enum TimerScope {
 }
 
 /// A registered timer.
-#[cfg_attr(feature = "persistence", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Timer {
     /// The object the event will be posted to.
     pub object: ObjectId,
@@ -64,8 +63,7 @@ pub struct Timer {
 }
 
 /// How a timer reschedules itself.
-#[cfg_attr(feature = "persistence", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Recurrence {
     /// Fire once.
     OneShot,

@@ -59,6 +59,7 @@ use crate::clock::{Clock, TimerScope};
 use crate::error::{AbortReason, OdeError};
 use crate::ids::{ClassId, ObjectId, TxnId};
 use crate::object::{Object, PostStatus, PostedRecord, TriggerInstance};
+use crate::oplog::{LogOp, RedoLog};
 
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -162,8 +163,7 @@ pub type EventTap = Arc<dyn Fn(TxnId, u64, &[TapEvent]) + Send + Sync>;
 /// stream. Implementations must not block or re-enter the engine; they
 /// swallow their own errors (a disk WAL latches failures internally and
 /// the caller checks its health out of band).
-#[cfg(feature = "persistence")]
-pub type LogSink = Arc<dyn Fn(&crate::oplog::LogOp) + Send + Sync>;
+pub type LogSink = Arc<dyn Fn(&LogOp) + Send + Sync>;
 
 /// Engine counters (used by the experiment harness).
 #[derive(Clone, Copy, Debug, Default)]
@@ -253,10 +253,8 @@ pub struct Database {
     router_memo: MaskMemo,
     /// Mask-memo scratch for schema postings.
     schema_memo: MaskMemo,
-    #[cfg(feature = "persistence")]
-    redo_log: Option<crate::oplog::RedoLog>,
+    redo_log: Option<RedoLog>,
     /// Streaming observer for logged operations (see [`LogSink`]).
-    #[cfg(feature = "persistence")]
     log_sink: Option<LogSink>,
     /// Observer for object-trigger firings (see [`FiringNotice`]).
     firing_sink: Option<FiringSink>,
@@ -300,9 +298,7 @@ impl Database {
             schema_router: ClassRouter::default(),
             router_memo: MaskMemo::default(),
             schema_memo: MaskMemo::default(),
-            #[cfg(feature = "persistence")]
             redo_log: None,
-            #[cfg(feature = "persistence")]
             log_sink: None,
             firing_sink: None,
             event_tap: None,
@@ -339,16 +335,14 @@ impl Database {
 
     /// Start recording a logical redo log of application-level
     /// operations (see [`crate::oplog`]).
-    #[cfg(feature = "persistence")]
     pub fn enable_logging(&mut self) {
         if self.redo_log.is_none() {
-            self.redo_log = Some(crate::oplog::RedoLog::default());
+            self.redo_log = Some(RedoLog::default());
         }
     }
 
     /// Stop logging and take the recorded log.
-    #[cfg(feature = "persistence")]
-    pub fn take_log(&mut self) -> Option<crate::oplog::RedoLog> {
+    pub fn take_log(&mut self) -> Option<RedoLog> {
         self.redo_log.take()
     }
 
@@ -357,7 +351,6 @@ impl Database {
     /// [`Database::enable_logging`]. When recovering from a WAL, install
     /// the sink only *after* replaying — otherwise every replayed op
     /// would be re-appended.
-    #[cfg(feature = "persistence")]
     pub fn set_log_sink(&mut self, sink: Option<LogSink>) {
         self.log_sink = sink;
     }
@@ -366,8 +359,7 @@ impl Database {
     /// operations are observed; nested trigger-action calls re-run
     /// automatically during replay. The sink sees the op before it is
     /// pushed onto any in-memory log.
-    #[cfg(feature = "persistence")]
-    fn log_op(&mut self, op: impl FnOnce() -> crate::oplog::LogOp) {
+    fn log_op(&mut self, op: impl FnOnce() -> LogOp) {
         if self.entry_depth != 0 {
             return;
         }
@@ -505,11 +497,10 @@ impl Database {
     /// `user()` mask function, as in trigger T1).
     pub fn begin_as(&mut self, user: Value) -> TxnId {
         let id = TxnId(self.next_txn);
-        #[cfg(feature = "persistence")]
-        {
-            let u = user.clone();
-            self.log_op(|| crate::oplog::LogOp::Begin { txn: id.0, user: u });
-        }
+        self.log_op(|| LogOp::Begin {
+            txn: id.0,
+            user: user.clone(),
+        });
         self.next_txn += 1;
         self.txns.insert(
             id.0,
@@ -549,8 +540,7 @@ impl Database {
     /// Commit: run the `before tcomplete` fixpoint, make effects durable,
     /// then post `after tcommit` from a system transaction.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), OdeError> {
-        #[cfg(feature = "persistence")]
-        self.log_op(|| crate::oplog::LogOp::Commit { txn: txn.0 });
+        self.log_op(|| LogOp::Commit { txn: txn.0 });
         self.user_entry(txn, |db| db.commit_inner(txn))
     }
 
@@ -565,8 +555,7 @@ impl Database {
     /// mirroring [`Database::commit`]: replay re-attempts the fixpoint
     /// and reproduces even an aborted outcome deterministically.
     pub fn prepare(&mut self, txn: TxnId) -> Result<(), OdeError> {
-        #[cfg(feature = "persistence")]
-        self.log_op(|| crate::oplog::LogOp::Prepare { txn: txn.0 });
+        self.log_op(|| LogOp::Prepare { txn: txn.0 });
         self.user_entry(txn, |db| {
             let state = db.txn_state(txn)?;
             if !state.is_system && !state.prepared {
@@ -578,22 +567,16 @@ impl Database {
     }
 
     /// Phase two of a two-phase commit: commit the local branch `txn` of
-    /// global transaction `gtxn`, logging a [`crate::oplog::LogOp::Commit2pc`]
+    /// global transaction `gtxn`, logging a [`LogOp::Commit2pc`]
     /// record naming every participating shard. The caller must have
     /// [`Database::prepare`]d the transaction first; the fixpoint is then
     /// skipped and the commit cannot fail.
     pub fn commit_sharded(&mut self, txn: TxnId, gtxn: u64, parts: &[u64]) -> Result<(), OdeError> {
-        #[cfg(feature = "persistence")]
-        {
-            let parts = parts.to_vec();
-            self.log_op(|| crate::oplog::LogOp::Commit2pc {
-                txn: txn.0,
-                gtxn,
-                parts,
-            });
-        }
-        #[cfg(not(feature = "persistence"))]
-        let _ = parts;
+        self.log_op(|| LogOp::Commit2pc {
+            txn: txn.0,
+            gtxn,
+            parts: parts.to_vec(),
+        });
         self.gtxn_floor = self.gtxn_floor.max(gtxn);
         self.user_entry(txn, |db| db.commit_inner(txn))
     }
@@ -607,8 +590,7 @@ impl Database {
     /// Explicitly abort the transaction.
     pub fn abort(&mut self, txn: TxnId) -> Result<(), OdeError> {
         self.txn_state(txn)?;
-        #[cfg(feature = "persistence")]
-        self.log_op(|| crate::oplog::LogOp::Abort { txn: txn.0 });
+        self.log_op(|| LogOp::Abort { txn: txn.0 });
         self.finish_abort(txn, AbortReason::Explicit);
         Ok(())
     }
@@ -869,19 +851,16 @@ impl Database {
         overrides: &[(&str, Value)],
     ) -> Result<ObjectId, OdeError> {
         let result = self.user_entry(txn, |db| db.create_object_inner(txn, class_name, overrides));
-        #[cfg(feature = "persistence")]
-        {
-            let obj = result.as_ref().map(|id| id.0).unwrap_or(0);
-            self.log_op(|| crate::oplog::LogOp::Create {
-                txn: txn.0,
-                obj,
-                class: class_name.to_string(),
-                overrides: overrides
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-            });
-        }
+        let obj = result.as_ref().map(|id| id.0).unwrap_or(0);
+        self.log_op(|| LogOp::Create {
+            txn: txn.0,
+            obj,
+            class: class_name.to_string(),
+            overrides: overrides
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+        });
         result
     }
 
@@ -948,8 +927,7 @@ impl Database {
 
     /// Delete an object: posts `before delete`, then tombstones it.
     pub fn delete_object(&mut self, txn: TxnId, obj: ObjectId) -> Result<(), OdeError> {
-        #[cfg(feature = "persistence")]
-        self.log_op(|| crate::oplog::LogOp::Delete {
+        self.log_op(|| LogOp::Delete {
             txn: txn.0,
             obj: obj.0,
         });
@@ -1015,8 +993,7 @@ impl Database {
         method: &str,
         args: &[Value],
     ) -> Result<Value, OdeError> {
-        #[cfg(feature = "persistence")]
-        self.log_op(|| crate::oplog::LogOp::Call {
+        self.log_op(|| LogOp::Call {
             txn: txn.0,
             obj: obj.0,
             method: method.to_string(),
@@ -1139,8 +1116,7 @@ impl Database {
         name: &str,
         params: &[Value],
     ) -> Result<(), OdeError> {
-        #[cfg(feature = "persistence")]
-        self.log_op(|| crate::oplog::LogOp::Activate {
+        self.log_op(|| LogOp::Activate {
             txn: txn.0,
             obj: obj.0,
             trigger: name.to_string(),
@@ -1232,13 +1208,12 @@ impl Database {
     /// occurrences, and install the resulting monitoring state — as if
     /// the trigger had been active since inception. The computed
     /// outcome, not the computation, is logged
-    /// ([`crate::oplog::LogOp::ActivateRetro`]), so recovery re-installs
+    /// ([`LogOp::ActivateRetro`]), so recovery re-installs
     /// it while the history store is itself still rebuilding. Retro
     /// firings are reported through the firing sink with
     /// [`FiringNotice::retro`] set and `seq` = the completing posting's
     /// event seq (deterministic and stable across restarts); trigger
     /// actions are *not* re-executed for past occurrences.
-    #[cfg(feature = "persistence")]
     pub fn activate_trigger_retro(
         &mut self,
         txn: TxnId,
@@ -1282,8 +1257,7 @@ impl Database {
 
     /// Install a recorded retroactive-activation outcome — the logged
     /// form of [`Database::activate_trigger_retro`], also the replay
-    /// path for [`crate::oplog::LogOp::ActivateRetro`].
-    #[cfg(feature = "persistence")]
+    /// path for [`LogOp::ActivateRetro`].
     pub fn apply_activate_retro(
         &mut self,
         txn: TxnId,
@@ -1292,7 +1266,7 @@ impl Database {
         params: &[Value],
         outcome: crate::histstore::RetroOutcome,
     ) -> Result<(), OdeError> {
-        self.log_op(|| crate::oplog::LogOp::ActivateRetro {
+        self.log_op(|| LogOp::ActivateRetro {
             txn: txn.0,
             obj: obj.0,
             trigger: name.to_string(),
@@ -1306,7 +1280,6 @@ impl Database {
         })
     }
 
-    #[cfg(feature = "persistence")]
     fn install_retro_inner(
         &mut self,
         txn: TxnId,
@@ -1382,8 +1355,7 @@ impl Database {
         obj: ObjectId,
         name: &str,
     ) -> Result<(), OdeError> {
-        #[cfg(feature = "persistence")]
-        self.log_op(|| crate::oplog::LogOp::Deactivate {
+        self.log_op(|| LogOp::Deactivate {
             txn: txn.0,
             obj: obj.0,
             trigger: name.to_string(),
@@ -1699,8 +1671,7 @@ impl Database {
     /// transactions (time events are "posted only to the relevant
     /// objects", Section 3.1).
     pub fn advance_clock_to(&mut self, target: u64) {
-        #[cfg(feature = "persistence")]
-        self.log_op(|| crate::oplog::LogOp::AdvanceClock { to: target });
+        self.log_op(|| LogOp::AdvanceClock { to: target });
         let due = self.clock.advance_to(target);
         for (_, timer) in due {
             let alive = self
@@ -1739,7 +1710,6 @@ impl Database {
     /// Capture a [`crate::persist::Snapshot`] of the object store.
     /// Requires quiescence: no transactions may be in flight (Section 2's
     /// persistent store outlives programs, not transactions).
-    #[cfg(feature = "persistence")]
     pub fn snapshot(&self) -> Result<crate::persist::Snapshot, OdeError> {
         if let Some(id) = self.txns.keys().next() {
             return Err(OdeError::Aborted(AbortReason::Error(format!(
@@ -1808,7 +1778,6 @@ impl Database {
     /// and every class (with every trigger) named by the snapshot must
     /// already be defined — classes are code and are re-linked, not
     /// persisted.
-    #[cfg(feature = "persistence")]
     pub fn restore(&mut self, snap: &crate::persist::Snapshot) -> Result<(), OdeError> {
         if !self.objects.is_empty() {
             return Err(OdeError::Method(

@@ -20,6 +20,16 @@
 //! tcommit` system round it spawns): the sealed `covered_lsn` cursor
 //! must imply "every batch at LSNs below me is sealed", because rebuild
 //! skips whole batches below the cursor.
+//!
+//! ## Duplicates
+//!
+//! The only re-submissions are replays: recovery re-taps history that
+//! the store sealed before it was opened. [`HistStore::submit`] drops a
+//! batch below the *rebuild floor* — what the sealed segments covered at
+//! [`HistStore::open`], lowered by [`HistStore::rebase`] — and nothing
+//! else. The live cursor cannot be the test: the `after tcommit` round
+//! is tapped after its commit's batch, with the same LSN, so the cursor
+//! has already passed it.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -126,12 +136,21 @@ struct State {
     durable_excl: u64,
     /// One past the highest submitted LSN.
     submitted_excl: u64,
-    /// Mirror of `Indexed::applied_excl`, for cheap sync waits.
-    applied_excl: u64,
-    /// The indexer holds batches it popped but has not yet applied; a
-    /// rebase waits this out so no batch from before it lands after.
-    applying: bool,
+    /// The rebuild floor: every batch below it is already in the store.
+    floor_excl: u64,
+    /// LSN of the first batch the indexer popped but has not yet
+    /// applied; a rebase waits this out so no batch from before it lands
+    /// after.
+    applying_from: Option<u64>,
     stop: bool,
+}
+
+impl State {
+    /// Whether a batch below `lsn` is still queued or being applied.
+    fn pending_below(&self, lsn: u64) -> bool {
+        self.applying_from.is_some_and(|l| l < lsn)
+            || self.queue.front().is_some_and(|b| b.lsn < lsn)
+    }
 }
 
 struct Indexed {
@@ -239,8 +258,8 @@ impl HistStore {
                 queue: VecDeque::new(),
                 durable_excl: 0,
                 submitted_excl: 0,
-                applied_excl,
-                applying: false,
+                floor_excl: applied_excl,
+                applying_from: None,
                 stop: false,
             }),
             work: Condvar::new(),
@@ -279,13 +298,13 @@ impl HistStore {
     /// discarded timeline and goes the way [`HistStore::open`] drops
     /// what the log disowns — sealed segments from the first one that
     /// reaches `base_lsn`, active rows and queued batches by LSN — and
-    /// the cursors rewind to `base_lsn`, so batches submitted from there
-    /// are indexed instead of being skipped as already seen. No
-    /// submission may race the rebase (the caller is the shard's only
-    /// writer, or holds its engine lock).
+    /// the cursors and the rebuild floor rewind to `base_lsn`, so
+    /// batches submitted from there are indexed instead of being skipped
+    /// as already seen. No submission may race the rebase (the caller is
+    /// the shard's only writer, or holds its engine lock).
     pub fn rebase(&self, base_lsn: u64) {
         let mut st = self.inner.state.lock();
-        while st.applying && !st.stop {
+        while st.applying_from.is_some() && !st.stop {
             st = cv_wait(&self.inner.idle, st);
         }
         let mut idx = self.inner.indexed.write();
@@ -305,7 +324,7 @@ impl HistStore {
         st.queue.retain(|b| b.lsn < base_lsn);
         st.durable_excl = st.durable_excl.min(base_lsn);
         st.submitted_excl = st.submitted_excl.min(base_lsn);
-        st.applied_excl = idx.applied_excl;
+        st.floor_excl = st.floor_excl.min(base_lsn);
     }
 
     /// Record (or extend) the class-name table: `code` is the engine's
@@ -324,13 +343,12 @@ impl HistStore {
     }
 
     /// Enqueue one committed batch (tap context: engine locked — this
-    /// only pushes and notifies). Batches below the rebuild cursor are
+    /// only pushes and notifies). Batches below the rebuild floor are
     /// dropped: recovery replay re-submits history the store already
     /// sealed.
     pub fn submit(&self, batch: Batch) {
         let mut st = self.inner.state.lock();
-        if batch.lsn < st.applied_excl {
-            // Strictly below the rebuild cursor: already sealed.
+        if batch.lsn < st.floor_excl {
             return;
         }
         st.submitted_excl = st.submitted_excl.max(batch.lsn + 1);
@@ -354,7 +372,7 @@ impl HistStore {
     pub fn sync(&self) {
         let mut st = self.inner.state.lock();
         let target = st.submitted_excl.min(st.durable_excl);
-        while st.applied_excl < target && !st.stop {
+        while st.pending_below(target) && !st.stop {
             st = cv_wait(&self.inner.idle, st);
         }
     }
@@ -369,7 +387,7 @@ impl HistStore {
             // Never wait past what was actually submitted: the caller
             // holds the engine lock, so no more submissions can arrive.
             let target = through_excl.min(st.submitted_excl);
-            while st.applied_excl < target && !st.stop {
+            while st.pending_below(target) && !st.stop {
                 st = cv_wait(&self.inner.idle, st);
             }
         }
@@ -552,25 +570,18 @@ fn indexer_loop(inner: &Arc<Inner>) {
             while st.queue.front().is_some_and(|b| b.lsn < st.durable_excl) {
                 v.push(st.queue.pop_front().expect("front checked"));
             }
-            st.applying = true;
+            st.applying_from = v.first().map(|b| b.lsn);
             v
         };
-        let applied = apply_batches(inner, ready);
-        {
-            let mut st = inner.state.lock();
-            st.applied_excl = st.applied_excl.max(applied);
-            st.applying = false;
-        }
+        apply_batches(inner, ready);
+        inner.state.lock().applying_from = None;
         inner.idle.notify_all();
     }
 }
 
-fn apply_batches(inner: &Arc<Inner>, batches: Vec<Batch>) -> u64 {
+fn apply_batches(inner: &Arc<Inner>, batches: Vec<Batch>) {
     let mut idx = inner.indexed.write();
     for b in batches {
-        if b.lsn < idx.applied_excl {
-            continue;
-        }
         // Seal only at a batch boundary that crosses to a higher LSN:
         // equal-LSN batches (user txn + its tcommit system round) must
         // land in the same sealed prefix.
@@ -593,7 +604,6 @@ fn apply_batches(inner: &Arc<Inner>, batches: Vec<Batch>) -> u64 {
             idx.pending_seal = true;
         }
     }
-    idx.applied_excl
 }
 
 fn seal_locked(inner: &Arc<Inner>, idx: &mut Indexed) -> Result<(), HistError> {

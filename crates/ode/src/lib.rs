@@ -46,20 +46,15 @@ pub mod class;
 pub mod clock;
 pub mod coupling;
 pub mod demo;
-#[cfg(feature = "persistence")]
 pub mod durability;
 pub mod engine;
 pub mod error;
 pub mod history;
-#[cfg(feature = "persistence")]
 pub mod histstore;
 pub mod ids;
 pub mod object;
-#[cfg(feature = "persistence")]
 pub mod oplog;
-#[cfg(feature = "persistence")]
 pub mod persist;
-#[cfg(feature = "persistence")]
 pub mod replication;
 pub mod report;
 pub mod schema;
@@ -71,37 +66,28 @@ pub use class::{
     MethodDef, MethodKind, Monitoring, TriggerDef,
 };
 pub use clock::{Clock, Recurrence, Timer, TimerScope};
-#[cfg(feature = "persistence")]
 pub use durability::{
     restore_to_lsn, ArchiveDrainReport, ArchiveError, ArchiveMeta, ArchiveSegment, ArchiveStats,
     CheckpointReport, DiskWal, DurableRecord, DurableSink, EpochRecord, EpochTable, Fault,
     FaultyIo, FsyncPolicy, Recovery, RecoveryReport, SegmentReader, SegmentTiming, SharedIo, StdIo,
     TornTail, WalArchiver, WalConfig, WalError, WalFlusher, WalIo, WalStats, EPOCHS_FILE,
 };
-#[cfg(feature = "persistence")]
-pub use engine::LogSink;
-pub use engine::{Config, Database, EventTap, FiringNotice, FiringSink, Stats, TapEvent};
+pub use engine::{Config, Database, EventTap, FiringNotice, FiringSink, LogSink, Stats, TapEvent};
 pub use error::{AbortReason, OdeError};
 pub use history::HistoryQuery;
-#[cfg(feature = "persistence")]
 pub use histstore::{
     ArgPred, Batch, CmpOp, EventRow, HistConfig, HistError, HistQuery, HistStats, HistStore,
     QueryResult, RetroFiring, RetroOutcome, RetroReplay,
 };
 pub use ids::{ClassId, ObjectId, TxnId};
 pub use object::{Object, PostStatus, PostedRecord, TriggerInstance};
-#[cfg(feature = "persistence")]
 pub use oplog::{replay, LogOp, RedoLog};
-#[cfg(feature = "persistence")]
 pub use persist::Snapshot;
-#[cfg(feature = "persistence")]
 pub use replication::{Applied, Applier, ApplyError};
 pub use report::describe;
 pub use schema::{SchemaAction, SchemaCtx, SchemaTrigger};
-#[cfg(feature = "persistence")]
 pub use sharded::{
-    reconcile_cross_shard, recover_sharded, shard_dir, ReconcileReport, ShardedRecovery,
-    ShardedWal, SHARDS_META,
+    reconcile_cross_shard, recover_sharded, shard_dir, shard_of, to_global, to_local,
+    ReconcileReport, ShardStats, ShardedDatabase, ShardedRecovery, ShardedWal, SHARDS_META,
 };
-pub use sharded::{shard_of, to_global, to_local, ShardStats, ShardedDatabase};
-pub use shared::{SharedDatabase, SharedTxn};
+pub use shared::SharedDatabase;

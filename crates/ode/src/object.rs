@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 
 use ode_automata::StateId;
 use ode_core::{BasicEvent, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::ids::{ClassId, ObjectId, TxnId};
 
@@ -12,8 +13,7 @@ use crate::ids::{ClassId, ObjectId, TxnId};
 /// history (Section 3.4: "an event history is associated with every
 /// object; it is an ordered set of logical events that were posted to the
 /// object").
-#[cfg_attr(feature = "persistence", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PostStatus {
     /// Posted by a still-running transaction.
     Pending,
@@ -24,8 +24,7 @@ pub enum PostStatus {
 }
 
 /// One entry of an object's event history.
-#[cfg_attr(feature = "persistence", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PostedRecord {
     /// Global sequence number (total order across the database).
     pub seq: u64,

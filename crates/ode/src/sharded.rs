@@ -47,7 +47,8 @@
 //! cross-shard transaction is all-or-nothing even when individual shard
 //! WALs crashed mid-batch.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -56,9 +57,13 @@ use parking_lot::{Mutex, MutexGuard};
 use ode_core::Value;
 
 use crate::class::ClassDef;
+use crate::durability::{
+    ArchiveStats, DiskWal, Recovery, SharedIo, WalArchiver, WalConfig, WalError, WalFlusher,
+};
 use crate::engine::Database;
 use crate::error::OdeError;
 use crate::ids::{ClassId, ObjectId, TxnId};
+use crate::oplog::LogOp;
 use crate::shared::SharedDatabase;
 
 // ------------------------------------------------------------ id mapping
@@ -124,6 +129,10 @@ impl ShardStats {
 /// the same lock.
 const OPEN_STRIPES: usize = 16;
 
+/// Lock-conflict retries [`ShardedDatabase::run_txn`] makes before it
+/// returns the conflict.
+const MAX_RETRIES: u32 = 64;
+
 struct Coord {
     next_handle: AtomicU64,
     /// Global commit sequence for cross-shard commits; assigned while
@@ -135,7 +144,6 @@ struct Coord {
     /// Open global transactions, striped by handle id.
     open: Vec<Mutex<HashMap<u64, GlobalTxn>>>,
     counters: Vec<ShardCounters>,
-    max_retries: u32,
 }
 
 /// A cloneable handle over `N` independently locked engines. See the
@@ -181,7 +189,6 @@ impl ShardedDatabase {
                     .map(|_| Mutex::new(HashMap::new()))
                     .collect(),
                 counters: (0..n).map(|_| ShardCounters::default()).collect(),
-                max_retries: 64,
             }),
         }
     }
@@ -568,7 +575,6 @@ impl ShardedDatabase {
     /// installing it, so occurrences that happened before activation
     /// fire now. Routes to the owning shard like
     /// [`ShardedDatabase::activate_trigger`].
-    #[cfg(feature = "persistence")]
     pub fn activate_trigger_retro(
         &self,
         g: TxnId,
@@ -613,10 +619,14 @@ impl ShardedDatabase {
     }
 
     /// Execute `f` inside a global transaction as `user`: commit on
-    /// `Ok`, abort on `Err`, retry on [`OdeError::LockConflict`] with
-    /// all engine locks released in between. The sharded analogue of
-    /// [`SharedDatabase::run_txn`]; returns the closure's value plus
-    /// the participating shards of the final (committed) attempt.
+    /// `Ok`, abort on `Err` (unless a trigger already finalized the
+    /// abort), retry on [`OdeError::LockConflict`] with all engine locks
+    /// released in between — the standard discipline for lock-based
+    /// transaction processing. A retry first yields; after a few it
+    /// sleeps (capped exponential backoff), because the lock holder is
+    /// then most likely off-CPU, and yielding alone can spend the whole
+    /// budget before it runs again. Returns the closure's value plus the
+    /// participating shards of the final (committed) attempt.
     pub fn run_txn<T>(
         &self,
         user: impl Into<Value>,
@@ -636,9 +646,14 @@ impl ShardedDatabase {
                 }
             };
             match result {
-                Err(OdeError::LockConflict { .. }) if attempts < self.coord.max_retries => {
+                Err(OdeError::LockConflict { .. }) if attempts < MAX_RETRIES => {
                     attempts += 1;
-                    std::thread::yield_now();
+                    if attempts < 4 {
+                        std::thread::yield_now();
+                    } else {
+                        let us = 1u64 << attempts.min(10);
+                        std::thread::sleep(std::time::Duration::from_micros(us));
+                    }
                 }
                 other => return other,
             }
@@ -648,342 +663,325 @@ impl ShardedDatabase {
 
 // --------------------------------------------------------- sharded WAL
 
-#[cfg(feature = "persistence")]
-pub use wal_coord::{
-    reconcile_cross_shard, recover_sharded, shard_dir, ReconcileReport, ShardedRecovery,
-    ShardedWal, SHARDS_META,
-};
+/// Name of the shard-count marker a multi-shard WAL root carries.
+pub const SHARDS_META: &str = "shards.meta";
 
-#[cfg(feature = "persistence")]
-mod wal_coord {
-    use std::collections::HashSet;
-    use std::path::{Path, PathBuf};
-
-    use super::*;
-    use crate::durability::{
-        ArchiveStats, DiskWal, Recovery, SharedIo, WalArchiver, WalConfig, WalError, WalFlusher,
-    };
-    use crate::oplog::LogOp;
-
-    /// Name of the shard-count marker a multi-shard WAL root carries.
-    pub const SHARDS_META: &str = "shards.meta";
-
-    /// The directory one shard's [`DiskWal`] lives in. A single-shard
-    /// root *is* the WAL directory — the pre-sharding on-disk layout —
-    /// so existing deployments reopen unchanged.
-    pub fn shard_dir(root: &Path, s: usize, shards: usize) -> PathBuf {
-        if shards == 1 {
-            root.to_path_buf()
-        } else {
-            root.join(format!("shard-{s:03}"))
-        }
+/// The directory one shard's [`DiskWal`] lives in. A single-shard
+/// root *is* the WAL directory — the pre-sharding on-disk layout —
+/// so existing deployments reopen unchanged.
+pub fn shard_dir(root: &Path, s: usize, shards: usize) -> PathBuf {
+    if shards == 1 {
+        root.to_path_buf()
+    } else {
+        root.join(format!("shard-{s:03}"))
     }
+}
 
-    /// One [`DiskWal`] per shard under a common root. `N = 1` is the
-    /// legacy flat layout; `N > 1` keeps each stream in `shard-NNN/`
-    /// plus a `shards.meta` marker, validated on reopen — a directory
-    /// written with one shard count never silently reopens with
-    /// another (the id arithmetic would scramble every object).
-    #[derive(Clone)]
-    pub struct ShardedWal {
-        wals: Vec<DiskWal>,
-    }
+/// One [`DiskWal`] per shard under a common root. `N = 1` is the
+/// legacy flat layout; `N > 1` keeps each stream in `shard-NNN/`
+/// plus a `shards.meta` marker, validated on reopen — a directory
+/// written with one shard count never silently reopens with
+/// another (the id arithmetic would scramble every object).
+#[derive(Clone)]
+pub struct ShardedWal {
+    wals: Vec<DiskWal>,
+}
 
-    /// What [`recover_sharded`] reconstructed.
-    pub struct ShardedRecovery {
-        /// Per-shard recoveries, after cross-shard reconciliation.
-        pub shards: Vec<Recovery>,
-        /// What the reconciliation pass decided.
-        pub report: ReconcileReport,
-    }
+/// What [`recover_sharded`] reconstructed.
+pub struct ShardedRecovery {
+    /// Per-shard recoveries, after cross-shard reconciliation.
+    pub shards: Vec<Recovery>,
+    /// What the reconciliation pass decided.
+    pub report: ReconcileReport,
+}
 
-    /// What [`reconcile_cross_shard`] decided.
-    #[derive(Clone, Debug, Default)]
-    pub struct ReconcileReport {
-        /// `(shard, gtxn)` of every `Commit2pc` demoted to an abort
-        /// because a participant's log lacked the matching record.
-        pub demoted: Vec<(usize, u64)>,
-        /// Highest cross-shard commit sequence seen anywhere (logs or
-        /// snapshot floors).
-        pub max_gtxn: u64,
-    }
+/// What [`reconcile_cross_shard`] decided.
+#[derive(Clone, Debug, Default)]
+pub struct ReconcileReport {
+    /// `(shard, gtxn)` of every `Commit2pc` demoted to an abort
+    /// because a participant's log lacked the matching record.
+    pub demoted: Vec<(usize, u64)>,
+    /// Highest cross-shard commit sequence seen anywhere (logs or
+    /// snapshot floors).
+    pub max_gtxn: u64,
+}
 
-    impl ShardedWal {
-        /// Open (or create) one WAL stream per entry of `ios` under
-        /// `root` and recover each on its own thread. `ios[s]` serves
-        /// shard `s` (`ios[0]` also maintains the root marker): a
-        /// [`SharedIo`] is a mutex around a single io, so clones of one
-        /// handle serialize every shard's fsyncs behind it, while
-        /// independent handles let the flushers hit the disk in
-        /// parallel.
-        ///
-        /// `reconcile` runs the cross-shard pass
-        /// ([`reconcile_cross_shard`]) over the recovered tails. A
-        /// primary needs it; a replica must skip it: every record in a
-        /// replica's local log was shipped by a primary that had
-        /// already decided commit, so demoting a `Commit2pc` whose
-        /// sibling hasn't arrived yet would fork the replica's history
-        /// from the primary's.
-        pub fn open(
-            root: &Path,
-            cfg: WalConfig,
-            ios: Vec<SharedIo>,
-            reconcile: bool,
-        ) -> Result<(ShardedWal, ShardedRecovery), WalError> {
-            let shards = ios.len();
-            assert!(shards > 0, "at least one shard");
-            ios[0].with(|f| f.create_dir_all(root))?;
-            Self::check_meta(root, shards, &ios[0])?;
-
-            // Shard streams already recover on parallel threads; split
-            // the decode-pool budget between them so S shards opening
-            // at once don't oversubscribe the machine S × 8 ways.
-            let per_shard_threads = (DiskWal::default_recovery_threads() / shards).max(1);
-            let mut opened: Vec<Option<Result<(DiskWal, Recovery), WalError>>> =
-                (0..shards).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (s, io) in ios.into_iter().enumerate() {
-                    let dir = shard_dir(root, s, shards);
-                    handles.push(scope.spawn(move || {
-                        DiskWal::open_with_threads(&dir, cfg, io, per_shard_threads)
-                    }));
-                }
-                for (s, h) in handles.into_iter().enumerate() {
-                    opened[s] = Some(h.join().expect("shard recovery thread panicked"));
-                }
-            });
-            let mut wals = Vec::with_capacity(shards);
-            let mut recoveries = Vec::with_capacity(shards);
-            for r in opened {
-                let (wal, rec) = r.expect("filled above")?;
-                wals.push(wal);
-                recoveries.push(rec);
-            }
-            let report = if reconcile {
-                reconcile_cross_shard(&mut recoveries)
-            } else {
-                ReconcileReport::default()
-            };
-            Ok((
-                ShardedWal { wals },
-                ShardedRecovery {
-                    shards: recoveries,
-                    report,
-                },
-            ))
-        }
-
-        fn check_meta(root: &Path, shards: usize, io: &SharedIo) -> Result<(), WalError> {
-            let meta = root.join(SHARDS_META);
-            match io.with(|f| f.read(&meta)) {
-                Ok(bytes) => {
-                    let text = String::from_utf8_lossy(&bytes);
-                    let found: usize = text.trim().parse().map_err(|_| {
-                        WalError::Corrupt(format!("unreadable {SHARDS_META}: {text:?}"))
-                    })?;
-                    if found != shards {
-                        return Err(WalError::Corrupt(format!(
-                            "wal root was written with {found} shard(s), reopened with {shards}"
-                        )));
-                    }
-                    Ok(())
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    if shards == 1 {
-                        return Ok(()); // legacy flat layout, no marker
-                    }
-                    // Refuse to shard a directory that already holds an
-                    // unsharded stream.
-                    let existing = io.with(|f| f.list(root)).unwrap_or_default();
-                    if existing.iter().any(|n| n.ends_with(".wal")) {
-                        return Err(WalError::Corrupt(
-                            "wal root holds an unsharded stream; cannot reopen with shards > 1"
-                                .into(),
-                        ));
-                    }
-                    io.with(|f| {
-                        f.append(&meta, format!("{shards}\n").as_bytes())?;
-                        f.fsync(&meta)?;
-                        f.fsync_dir(root)
-                    })?;
-                    Ok(())
-                }
-                Err(e) => Err(e.into()),
-            }
-        }
-
-        /// Number of shard streams.
-        pub fn shard_count(&self) -> usize {
-            self.wals.len()
-        }
-
-        /// One shard's WAL.
-        pub fn wal(&self, s: usize) -> &DiskWal {
-            &self.wals[s]
-        }
-
-        /// All shard WALs.
-        pub fn wals(&self) -> &[DiskWal] {
-            &self.wals
-        }
-
-        /// Start one flusher thread per shard.
-        pub fn start_flushers(&self) -> Vec<WalFlusher> {
-            self.wals.iter().map(|w| w.start_flusher()).collect()
-        }
-
-        /// Start one archiver thread per shard (empty unless the config
-        /// enables archive mode). Stop order matters at shutdown: stop
-        /// flushers and sync first, archivers last, so the final
-        /// checkpoint's retired segments still get drained.
-        pub fn start_archivers(&self) -> Vec<WalArchiver> {
-            self.wals
-                .iter()
-                .filter_map(|w| w.start_archiver())
-                .collect()
-        }
-
-        /// Run the deferred sweep on every shard (see
-        /// [`DiskWal::finish_sweep`]); returns segments deleted (plain
-        /// mode — archive mode returns 0 and nudges the archivers).
-        pub fn finish_sweep_all(&self) -> u64 {
-            self.wals.iter().map(|w| w.finish_sweep()).sum()
-        }
-
-        /// Archive progress summed across shards.
-        pub fn archive_stats(&self) -> ArchiveStats {
-            let mut total = ArchiveStats::default();
-            for w in &self.wals {
-                let s = w.archive_stats();
-                total.segments_archived += s.segments_archived;
-                total.bytes_archived += s.bytes_archived;
-                total.lag_segments += s.lag_segments;
-            }
-            total
-        }
-
-        /// Block until every `(shard, lsn)` ack is covered by that
-        /// shard's durable watermark — the merged-watermark ack rule: a
-        /// cross-shard transaction is acknowledged only when the max
-        /// over its participants' watermarks covers it.
-        pub fn wait_durable(&self, acks: &[(usize, u64)]) -> Result<(), WalError> {
-            for &(s, lsn) in acks {
-                self.wals[s].wait_durable(lsn)?;
-            }
-            Ok(())
-        }
-
-        /// Flush every shard stream to disk.
-        pub fn sync_all(&self) -> Result<(), WalError> {
-            for w in &self.wals {
-                w.sync()?;
-            }
-            Ok(())
-        }
-
-        /// The first poisoned shard stream's failure message, if any —
-        /// one bad stream makes the whole sharded log unreliable.
-        pub fn poisoned(&self) -> Option<String> {
-            self.wals.iter().find_map(|w| w.poisoned())
-        }
-    }
-
-    /// Enforce all-or-nothing across shard WALs: a `Commit2pc` record
-    /// is *effective* only if every participant shard either still has
-    /// the matching record in its recovered tail or has absorbed it
-    /// into a checkpoint (its snapshot's `gtxn_floor` covers the
-    /// sequence). Non-effective records — some participant crashed
-    /// before its copy was durable, so the transaction was never
-    /// acknowledged — are demoted to aborts in place, before replay.
+impl ShardedWal {
+    /// Open (or create) one WAL stream per entry of `ios` under
+    /// `root` and recover each on its own thread. `ios[s]` serves
+    /// shard `s` (`ios[0]` also maintains the root marker): a
+    /// [`SharedIo`] is a mutex around a single io, so clones of one
+    /// handle serialize every shard's fsyncs behind it, while
+    /// independent handles let the flushers hit the disk in
+    /// parallel.
     ///
-    /// The demotion is a pure function of the recovered logs, so
-    /// repeated crash/recover cycles reach the same verdict every time
-    /// (presumed abort).
-    pub fn reconcile_cross_shard(recoveries: &mut [Recovery]) -> ReconcileReport {
-        let n = recoveries.len();
-        let floors: Vec<u64> = recoveries
-            .iter()
-            .map(|r| r.snapshot.as_ref().map(|s| s.gtxn_floor).unwrap_or(0))
-            .collect();
-        let mut present: Vec<HashSet<u64>> = vec![HashSet::new(); n];
-        let mut max_gtxn = floors.iter().copied().max().unwrap_or(0);
-        for (s, r) in recoveries.iter().enumerate() {
-            for op in &r.ops {
-                if let LogOp::Commit2pc { gtxn, .. } = op {
-                    present[s].insert(*gtxn);
-                    max_gtxn = max_gtxn.max(*gtxn);
-                }
-            }
-        }
-        let mut report = ReconcileReport {
-            demoted: Vec::new(),
-            max_gtxn,
-        };
-        for (s, r) in recoveries.iter_mut().enumerate() {
-            for op in r.ops.iter_mut() {
-                let LogOp::Commit2pc { txn, gtxn, parts } = op else {
-                    continue;
-                };
-                let effective = parts.iter().all(|&p| {
-                    let p = p as usize;
-                    p == s || (p < n && (present[p].contains(gtxn) || *gtxn <= floors[p]))
-                });
-                if !effective {
-                    report.demoted.push((s, *gtxn));
-                    *op = LogOp::Abort { txn: *txn };
-                }
-            }
-        }
-        report
-    }
-
-    /// Open + recover a full sharded deployment in one call: open every
-    /// shard stream ([`ShardedWal::open`] over clones of `io`,
-    /// reconciled), then build one
-    /// engine per shard — `schema` defines classes into each fresh
-    /// engine, recovery restores and replays — again on parallel
-    /// threads, and wrap them in a [`ShardedDatabase`]. Log sinks are
-    /// *not* installed; the caller wires each shard's sink after
-    /// recovery (else replayed ops would re-append).
-    pub fn recover_sharded(
+    /// `reconcile` runs the cross-shard pass
+    /// ([`reconcile_cross_shard`]) over the recovered tails. A
+    /// primary needs it; a replica must skip it: every record in a
+    /// replica's local log was shipped by a primary that had
+    /// already decided commit, so demoting a `Commit2pc` whose
+    /// sibling hasn't arrived yet would fork the replica's history
+    /// from the primary's.
+    pub fn open(
         root: &Path,
-        shards: usize,
         cfg: WalConfig,
-        io: SharedIo,
-        schema: impl Fn(&mut Database) -> Result<(), OdeError> + Sync,
-    ) -> Result<(ShardedWal, ShardedDatabase, ReconcileReport), WalError> {
-        let (wal, recovery) = ShardedWal::open(root, cfg, vec![io; shards], true)?;
-        let schema = &schema;
-        let mut engines: Vec<Option<Result<Database, WalError>>> =
+        ios: Vec<SharedIo>,
+        reconcile: bool,
+    ) -> Result<(ShardedWal, ShardedRecovery), WalError> {
+        let shards = ios.len();
+        assert!(shards > 0, "at least one shard");
+        ios[0].with(|f| f.create_dir_all(root))?;
+        Self::check_meta(root, shards, &ios[0])?;
+
+        // Shard streams already recover on parallel threads; split
+        // the decode-pool budget between them so S shards opening
+        // at once don't oversubscribe the machine S × 8 ways.
+        let per_shard_threads = (DiskWal::default_recovery_threads() / shards).max(1);
+        let mut opened: Vec<Option<Result<(DiskWal, Recovery), WalError>>> =
             (0..shards).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            for rec in &recovery.shards {
-                handles.push(scope.spawn(move || {
-                    let mut db = Database::new();
-                    schema(&mut db)?;
-                    rec.restore_into(&mut db)?;
-                    db.take_output();
-                    Ok(db)
-                }));
+            for (s, io) in ios.into_iter().enumerate() {
+                let dir = shard_dir(root, s, shards);
+                handles.push(
+                    scope.spawn(move || {
+                        DiskWal::open_with_threads(&dir, cfg, io, per_shard_threads)
+                    }),
+                );
             }
             for (s, h) in handles.into_iter().enumerate() {
-                engines[s] = Some(h.join().expect("shard replay thread panicked"));
+                opened[s] = Some(h.join().expect("shard recovery thread panicked"));
             }
         });
-        let mut built = Vec::with_capacity(shards);
-        for e in engines {
-            built.push(e.expect("filled above")?);
+        let mut wals = Vec::with_capacity(shards);
+        let mut recoveries = Vec::with_capacity(shards);
+        for r in opened {
+            let (wal, rec) = r.expect("filled above")?;
+            wals.push(wal);
+            recoveries.push(rec);
         }
-        Ok((wal, ShardedDatabase::from_engines(built), recovery.report))
+        let report = if reconcile {
+            reconcile_cross_shard(&mut recoveries)
+        } else {
+            ReconcileReport::default()
+        };
+        Ok((
+            ShardedWal { wals },
+            ShardedRecovery {
+                shards: recoveries,
+                report,
+            },
+        ))
     }
+
+    fn check_meta(root: &Path, shards: usize, io: &SharedIo) -> Result<(), WalError> {
+        let meta = root.join(SHARDS_META);
+        match io.with(|f| f.read(&meta)) {
+            Ok(bytes) => {
+                let text = String::from_utf8_lossy(&bytes);
+                let found: usize = text.trim().parse().map_err(|_| {
+                    WalError::Corrupt(format!("unreadable {SHARDS_META}: {text:?}"))
+                })?;
+                if found != shards {
+                    return Err(WalError::Corrupt(format!(
+                        "wal root was written with {found} shard(s), reopened with {shards}"
+                    )));
+                }
+                Ok(())
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                if shards == 1 {
+                    return Ok(()); // legacy flat layout, no marker
+                }
+                // Refuse to shard a directory that already holds an
+                // unsharded stream.
+                let existing = io.with(|f| f.list(root)).unwrap_or_default();
+                if existing.iter().any(|n| n.ends_with(".wal")) {
+                    return Err(WalError::Corrupt(
+                        "wal root holds an unsharded stream; cannot reopen with shards > 1".into(),
+                    ));
+                }
+                io.with(|f| {
+                    f.append(&meta, format!("{shards}\n").as_bytes())?;
+                    f.fsync(&meta)?;
+                    f.fsync_dir(root)
+                })?;
+                Ok(())
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Number of shard streams.
+    pub fn shard_count(&self) -> usize {
+        self.wals.len()
+    }
+
+    /// One shard's WAL.
+    pub fn wal(&self, s: usize) -> &DiskWal {
+        &self.wals[s]
+    }
+
+    /// All shard WALs.
+    pub fn wals(&self) -> &[DiskWal] {
+        &self.wals
+    }
+
+    /// Start one flusher thread per shard.
+    pub fn start_flushers(&self) -> Vec<WalFlusher> {
+        self.wals.iter().map(|w| w.start_flusher()).collect()
+    }
+
+    /// Start one archiver thread per shard (empty unless the config
+    /// enables archive mode). Stop order matters at shutdown: stop
+    /// flushers and sync first, archivers last, so the final
+    /// checkpoint's retired segments still get drained.
+    pub fn start_archivers(&self) -> Vec<WalArchiver> {
+        self.wals
+            .iter()
+            .filter_map(|w| w.start_archiver())
+            .collect()
+    }
+
+    /// Run the deferred sweep on every shard (see
+    /// [`DiskWal::finish_sweep`]); returns segments deleted (plain
+    /// mode — archive mode returns 0 and nudges the archivers).
+    pub fn finish_sweep_all(&self) -> u64 {
+        self.wals.iter().map(|w| w.finish_sweep()).sum()
+    }
+
+    /// Archive progress summed across shards.
+    pub fn archive_stats(&self) -> ArchiveStats {
+        let mut total = ArchiveStats::default();
+        for w in &self.wals {
+            let s = w.archive_stats();
+            total.segments_archived += s.segments_archived;
+            total.bytes_archived += s.bytes_archived;
+            total.lag_segments += s.lag_segments;
+        }
+        total
+    }
+
+    /// Block until every `(shard, lsn)` ack is covered by that
+    /// shard's durable watermark — the merged-watermark ack rule: a
+    /// cross-shard transaction is acknowledged only when the max
+    /// over its participants' watermarks covers it.
+    pub fn wait_durable(&self, acks: &[(usize, u64)]) -> Result<(), WalError> {
+        for &(s, lsn) in acks {
+            self.wals[s].wait_durable(lsn)?;
+        }
+        Ok(())
+    }
+
+    /// Flush every shard stream to disk.
+    pub fn sync_all(&self) -> Result<(), WalError> {
+        for w in &self.wals {
+            w.sync()?;
+        }
+        Ok(())
+    }
+
+    /// The first poisoned shard stream's failure message, if any —
+    /// one bad stream makes the whole sharded log unreliable.
+    pub fn poisoned(&self) -> Option<String> {
+        self.wals.iter().find_map(|w| w.poisoned())
+    }
+}
+
+/// Enforce all-or-nothing across shard WALs: a `Commit2pc` record
+/// is *effective* only if every participant shard either still has
+/// the matching record in its recovered tail or has absorbed it
+/// into a checkpoint (its snapshot's `gtxn_floor` covers the
+/// sequence). Non-effective records — some participant crashed
+/// before its copy was durable, so the transaction was never
+/// acknowledged — are demoted to aborts in place, before replay.
+///
+/// The demotion is a pure function of the recovered logs, so
+/// repeated crash/recover cycles reach the same verdict every time
+/// (presumed abort).
+pub fn reconcile_cross_shard(recoveries: &mut [Recovery]) -> ReconcileReport {
+    let n = recoveries.len();
+    let floors: Vec<u64> = recoveries
+        .iter()
+        .map(|r| r.snapshot.as_ref().map(|s| s.gtxn_floor).unwrap_or(0))
+        .collect();
+    let mut present: Vec<HashSet<u64>> = vec![HashSet::new(); n];
+    let mut max_gtxn = floors.iter().copied().max().unwrap_or(0);
+    for (s, r) in recoveries.iter().enumerate() {
+        for op in &r.ops {
+            if let LogOp::Commit2pc { gtxn, .. } = op {
+                present[s].insert(*gtxn);
+                max_gtxn = max_gtxn.max(*gtxn);
+            }
+        }
+    }
+    let mut report = ReconcileReport {
+        demoted: Vec::new(),
+        max_gtxn,
+    };
+    for (s, r) in recoveries.iter_mut().enumerate() {
+        for op in r.ops.iter_mut() {
+            let LogOp::Commit2pc { txn, gtxn, parts } = op else {
+                continue;
+            };
+            let effective = parts.iter().all(|&p| {
+                let p = p as usize;
+                p == s || (p < n && (present[p].contains(gtxn) || *gtxn <= floors[p]))
+            });
+            if !effective {
+                report.demoted.push((s, *gtxn));
+                *op = LogOp::Abort { txn: *txn };
+            }
+        }
+    }
+    report
+}
+
+/// Open + recover a full sharded deployment in one call: open every
+/// shard stream ([`ShardedWal::open`] over clones of `io`,
+/// reconciled), then build one
+/// engine per shard — `schema` defines classes into each fresh
+/// engine, recovery restores and replays — again on parallel
+/// threads, and wrap them in a [`ShardedDatabase`]. Log sinks are
+/// *not* installed; the caller wires each shard's sink after
+/// recovery (else replayed ops would re-append).
+pub fn recover_sharded(
+    root: &Path,
+    shards: usize,
+    cfg: WalConfig,
+    io: SharedIo,
+    schema: impl Fn(&mut Database) -> Result<(), OdeError> + Sync,
+) -> Result<(ShardedWal, ShardedDatabase, ReconcileReport), WalError> {
+    let (wal, recovery) = ShardedWal::open(root, cfg, vec![io; shards], true)?;
+    let schema = &schema;
+    let mut engines: Vec<Option<Result<Database, WalError>>> = (0..shards).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for rec in &recovery.shards {
+            handles.push(scope.spawn(move || {
+                let mut db = Database::new();
+                schema(&mut db)?;
+                rec.restore_into(&mut db)?;
+                db.take_output();
+                Ok(db)
+            }));
+        }
+        for (s, h) in handles.into_iter().enumerate() {
+            engines[s] = Some(h.join().expect("shard replay thread panicked"));
+        }
+    });
+    let mut built = Vec::with_capacity(shards);
+    for e in engines {
+        built.push(e.expect("filled above")?);
+    }
+    Ok((wal, ShardedDatabase::from_engines(built), recovery.report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::demo;
+    use crate::error::AbortReason;
 
     #[test]
     fn id_mapping_round_trips_and_is_stable() {
@@ -1119,6 +1117,117 @@ mod tests {
                 db.with_obj(objs[0], |d, o| d.peek_field(o, "n").unwrap()),
                 Value::Int(1)
             );
+        }
+    }
+
+    /// A counter whose `cap` trigger aborts the transaction, then and
+    /// there, on the increment that takes `n` past 2.
+    fn counter_class() -> ClassDef {
+        use crate::class::{Action, MethodKind};
+        ClassDef::builder("counter")
+            .field("n", 0i64)
+            .method("incr", MethodKind::Update, &[], |ctx| {
+                let n = ctx.get_required("n")?.as_int().unwrap_or(0);
+                ctx.set("n", n + 1);
+                Ok(Value::Null)
+            })
+            .trigger("cap", true, "after incr && n > 2", Action::Abort)
+            .build()
+            .unwrap()
+    }
+
+    /// Three counters, one per shard when `db` has three.
+    fn three_counters(db: &ShardedDatabase) -> Vec<ObjectId> {
+        db.run_txn("admin", |db, g| {
+            (0..3)
+                .map(|_| db.create_object(g, "counter", &[]))
+                .collect()
+        })
+        .unwrap()
+        .0
+    }
+
+    #[test]
+    fn run_txn_commits_on_ok_and_aborts_on_err() {
+        for shards in [1usize, 3] {
+            let db = ShardedDatabase::new(shards);
+            db.define_class(&counter_class()).unwrap();
+            let objs = three_counters(&db);
+            let n_of = |obj| db.with_obj(obj, |d, o| d.peek_field(o, "n").unwrap());
+            db.run_txn("alice", |db, g| {
+                db.activate_trigger(g, objs[0], "cap", &[])?;
+                db.call(g, objs[0], "incr", &[])
+            })
+            .unwrap();
+
+            // `Err` from the closure aborts every branch it opened.
+            let r = db.run_txn("alice", |db, g| {
+                for &obj in &objs {
+                    db.call(g, obj, "incr", &[])?;
+                }
+                Err::<(), _>(OdeError::Method("nope".into()))
+            });
+            assert!(matches!(r, Err(OdeError::Method(_))), "{shards}: {r:?}");
+
+            // A trigger abort inside the closure finalizes the
+            // transaction before `run_txn` sees the error.
+            let r = db.run_txn("alice", |db, g| {
+                db.call(g, objs[1], "incr", &[])?;
+                for _ in 0..2 {
+                    db.call(g, objs[0], "incr", &[])?;
+                }
+                Ok(())
+            });
+            assert!(
+                matches!(r, Err(OdeError::Aborted(AbortReason::TriggerAbort { .. }))),
+                "{shards}: {r:?}"
+            );
+            assert_eq!(
+                objs.iter().map(|&o| n_of(o)).collect::<Vec<_>>(),
+                [Value::Int(1), Value::Int(0), Value::Int(0)],
+                "{shards}: only the first transaction's effects survive"
+            );
+
+            // No lock was left behind: one transaction over every
+            // counter commits.
+            let ((), parts) = db
+                .run_txn("alice", |db, g| {
+                    for &obj in &objs {
+                        db.call(g, obj, "incr", &[])?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(parts.len(), shards);
+            assert_eq!(n_of(objs[2]), Value::Int(1));
+        }
+    }
+
+    #[test]
+    fn concurrent_increments_all_land() {
+        for shards in [1usize, 3] {
+            let db = ShardedDatabase::new(shards);
+            db.define_class(&counter_class()).unwrap();
+            let objs = three_counters(&db);
+            std::thread::scope(|s| {
+                for tid in 0..6 {
+                    let db = db.clone();
+                    let objs = &objs;
+                    s.spawn(move || {
+                        for k in 0..40 {
+                            let obj = objs[(tid + k) % objs.len()];
+                            db.run_txn("worker", |db, g| db.call(g, obj, "incr", &[]))
+                                .expect("retry exhausts only under pathological contention");
+                        }
+                    });
+                }
+            });
+            let total: i64 = objs
+                .iter()
+                .map(|&obj| db.with_obj(obj, |d, o| d.peek_field(o, "n").unwrap()))
+                .map(|n| n.as_int().unwrap())
+                .sum();
+            assert_eq!(total, 6 * 40, "{shards} shard(s)");
         }
     }
 }

@@ -9,7 +9,6 @@
 //! by replaying a *prefix* of the ground-truth ops — fields, trigger
 //! automaton words, firing counts, captured params, histories, output,
 //! stats deltas, and the clock all compared byte for byte.
-#![cfg(feature = "persistence")]
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

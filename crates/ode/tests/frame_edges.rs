@@ -3,7 +3,6 @@
 //! declared length overruns its segment must surface as `Corrupt` when
 //! sealed records follow (silent truncation would drop committed
 //! history), but as a truncatable torn tail at the very end of the log.
-#![cfg(feature = "persistence")]
 
 use std::path::PathBuf;
 

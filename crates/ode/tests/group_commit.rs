@@ -8,7 +8,6 @@
 //! proving ack-after-durable held for every committed transaction.
 //! Then the schedule itself: one flush per transaction, nothing
 //! stranded in the queue, and `Always` flushing every record.
-#![cfg(feature = "persistence")]
 
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
@@ -116,16 +115,6 @@ fn roomy(fsync: FsyncPolicy) -> WalConfig {
     }
 }
 
-/// A firing line with its transaction id masked out: concurrent runs
-/// spend extra txn ids on lock-conflict retries, so ids differ from a
-/// serial run even when the committed work is identical.
-fn mask_txn(line: &str) -> String {
-    match line.strip_prefix('[').and_then(|r| r.split_once(' ')) {
-        Some((_txn, rest)) => format!("[_ {rest}"),
-        None => line.to_string(),
-    }
-}
-
 #[test]
 fn concurrent_commits_batch_fsyncs_and_match_serial_firings() {
     // Serial ground truth: the same committed transactions, one thread,
@@ -139,7 +128,7 @@ fn concurrent_commits_batch_fsyncs_and_match_serial_firings() {
         for _ in 0..THREADS * TXNS_PER_THREAD {
             demo::deposit_withdraw_txn(&mut db, "alice", room, "bolt", 150).unwrap();
         }
-        db.take_output().iter().map(|l| mask_txn(l)).collect()
+        db.take_output()
     };
 
     // Concurrent run: the default policy with a real flusher thread
@@ -155,17 +144,24 @@ fn concurrent_commits_batch_fsyncs_and_match_serial_firings() {
     assert!(recovery.is_empty());
     let flusher = wal.start_flusher();
 
-    let shared = SharedDatabase::new(fresh()).with_max_retries(100_000);
+    // Each transaction runs whole under the engine lock, as one shard
+    // of a server runs a client's; the fsync wait happens outside it.
+    let shared = SharedDatabase::new(fresh());
     let sink_wal = wal.clone();
-    shared.set_log_sink(Some(Arc::new(move |op: &LogOp| {
-        if let Ok(lsn) = sink_wal.append(op) {
-            LAST_LSN.with(|c| c.set(Some(lsn)));
-        }
-    })));
+    shared.with(|db| {
+        db.set_log_sink(Some(Arc::new(move |op: &LogOp| {
+            if let Ok(lsn) = sink_wal.append(op) {
+                LAST_LSN.with(|c| c.set(Some(lsn)));
+            }
+        })))
+    });
 
-    let room = shared
-        .run_txn("alice", |t| t.db.create_object(t.txn, "stockRoom", &[]))
-        .unwrap();
+    let room = shared.with(|db| {
+        let t = db.begin_as(Value::Str("alice".into()));
+        let room = db.create_object(t, "stockRoom", &[]).unwrap();
+        db.commit(t).unwrap();
+        room
+    });
     wal.wait_durable(LAST_LSN.with(|c| c.get()).expect("creation logged"))
         .expect("setup commit becomes durable");
 
@@ -175,22 +171,9 @@ fn concurrent_commits_batch_fsyncs_and_match_serial_firings() {
             let wal = wal.clone();
             s.spawn(move || {
                 for _ in 0..TXNS_PER_THREAD {
-                    shared
-                        .run_txn("alice", |t| {
-                            t.db.call(
-                                t.txn,
-                                room,
-                                "deposit",
-                                &[Value::Str("bolt".into()), Value::Int(150)],
-                            )?;
-                            t.db.call(
-                                t.txn,
-                                room,
-                                "withdraw",
-                                &[Value::Str("bolt".into()), Value::Int(150)],
-                            )
-                        })
-                        .expect("contended txn commits within the retry budget");
+                    let committed = shared
+                        .with(|db| demo::deposit_withdraw_txn(db, "alice", room, "bolt", 150));
+                    assert_eq!(committed, Ok(true), "contended txn commits");
                     // Ack-after-durable: the transaction only counts
                     // once a batch fsync covers its commit record.
                     let lsn = LAST_LSN.with(|c| c.get()).expect("commit logged");
@@ -230,14 +213,10 @@ fn concurrent_commits_batch_fsyncs_and_match_serial_firings() {
         objs.sort();
         objs.join("\n")
     });
-    // The committed work matches serial execution exactly (txn ids
-    // aside — retries consume ids): same firings, same multiset order
-    // after masking, and the shared room's fields are back to baseline.
-    let mut masked_live: Vec<String> = live_firings.iter().map(|l| mask_txn(l)).collect();
-    let mut masked_serial = serial_firings.clone();
-    masked_live.sort();
-    masked_serial.sort();
-    assert_eq!(masked_live, masked_serial, "firing content diverges");
+    // The committed work matches serial execution exactly: every
+    // transaction holds the engine lock from begin to commit, so the
+    // firings (txn ids included) are the serial run's.
+    assert_eq!(live_firings, serial_firings, "firing content diverges");
 
     // Serial replay of the recovered log must reproduce the live run
     // record for record: identical firing sequence (ids included) and

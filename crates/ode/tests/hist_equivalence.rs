@@ -17,8 +17,10 @@
 //!    triggers at all (the strongest `needs_history == false` case —
 //!    detection never records postings for it) still has its full
 //!    committed event stream indexed.
-
-#![cfg(feature = "persistence")]
+//!
+//! Batches carry LSNs the way the server assigns them: the LSN of the
+//! last logged op, so a commit's `after tcommit` round shares its
+//! commit record's LSN.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,7 +29,7 @@ use std::sync::Arc;
 use ode_core::{BasicEvent, EventKind, Qualifier, Value};
 use ode_db::{
     demo, Action, Batch, ClassDef, CmpOp, Database, EventTap, HistConfig, HistQuery, HistStore,
-    MethodKind, ObjectId, TxnId,
+    LogOp, MethodKind, ObjectId, TxnId,
 };
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -56,19 +58,30 @@ struct NaiveRow {
     args: Vec<Value>,
 }
 
-/// Install a tap that feeds both the store (one batch per delivery,
-/// LSNs from a counter — the server pairs batches with WAL commit
-/// LSNs the same way) and the naive vector.
+/// Number every logged op as the server's WAL does. Returns one past
+/// the last LSN (the head) and the last LSN itself, which is what a tap
+/// delivery pairs its batch with: the commit record, for a committed
+/// transaction and for the `after tcommit` round it spawns.
+fn stamp_lsns(db: &mut Database) -> (Arc<AtomicU64>, Arc<AtomicU64>) {
+    let (next, last) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let (n, l) = (Arc::clone(&next), Arc::clone(&last));
+    db.set_log_sink(Some(Arc::new(move |_: &LogOp| {
+        l.store(n.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+    })));
+    (next, last)
+}
+
+/// Install a tap that feeds both the store (one batch per delivery, at
+/// the `last` LSN of [`stamp_lsns`]) and the naive vector.
 fn dual_tap(
     store: Arc<HistStore>,
-    lsn: Arc<AtomicU64>,
+    last: Arc<AtomicU64>,
     naive: Arc<Mutex<Vec<NaiveRow>>>,
     classes: Vec<String>,
 ) -> EventTap {
     Arc::new(move |txn: TxnId, now: u64, events: &[ode_db::TapEvent]| {
-        let l = lsn.fetch_add(1, Ordering::SeqCst);
         store.submit(Batch {
-            lsn: l,
+            lsn: last.load(Ordering::SeqCst),
             txn: txn.0,
             time: now,
             events: events.to_vec(),
@@ -344,11 +357,11 @@ proptest! {
             for (i, name) in db.class_names().iter().enumerate() {
                 store.observe_class(i as u32, name);
             }
-            let lsn = Arc::new(AtomicU64::new(0));
+            let (next, last) = stamp_lsns(&mut db);
             let naive = Arc::new(Mutex::new(Vec::new()));
             db.set_event_tap(Some(dual_tap(
                 Arc::clone(&store),
-                Arc::clone(&lsn),
+                last,
                 Arc::clone(&naive),
                 db.class_names(),
             )));
@@ -358,9 +371,9 @@ proptest! {
             }
             db.set_event_tap(None);
 
-            // Everything submitted is durable in this test. (A script
-            // of bare clock advances may tap nothing at all.)
-            let head = lsn.load(Ordering::SeqCst);
+            // Everything logged is durable in this test. (A script of
+            // bare clock advances may tap nothing at all.)
+            let head = next.load(Ordering::SeqCst);
             if head > 0 {
                 store.advance_durable_through(head - 1);
                 store.sync();
@@ -420,6 +433,62 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Every committed transaction's `after tcommit` row is indexed, though
+/// its batch reaches the store after the commit's own batch with the
+/// same LSN — and the whole store is the naive list, row for row.
+#[test]
+fn after_tcommit_rows_share_their_commit_lsn_and_are_indexed() {
+    let dir = tmp_dir("tcommit");
+    let (mut db, room) = demo::setup();
+    let store = Arc::new(HistStore::open(&dir, HistConfig { segment_rows: 7 }, 0).unwrap());
+    for (i, name) in db.class_names().iter().enumerate() {
+        store.observe_class(i as u32, name);
+    }
+    let (next, last) = stamp_lsns(&mut db);
+    let naive = Arc::new(Mutex::new(Vec::new()));
+    db.set_event_tap(Some(dual_tap(
+        Arc::clone(&store),
+        last,
+        Arc::clone(&naive),
+        db.class_names(),
+    )));
+    for i in 0..12 {
+        demo::withdraw_txn(&mut db, "alice", room, ITEMS[i % 3], 5).unwrap();
+    }
+    demo::deposit_withdraw_txn(&mut db, "bob", room, "gear", 20).unwrap();
+    db.set_event_tap(None);
+    store.advance_durable_through(next.load(Ordering::SeqCst) - 1);
+    store.sync();
+
+    let naive = naive.lock().clone();
+    let after_tcommit = BasicEvent::Db(Qualifier::After, EventKind::TCommit);
+    let want_tcommits = naive.iter().filter(|r| r.basic == after_tcommit).count();
+    assert_eq!(want_tcommits, 13, "one per committed transaction");
+    let tcommits = store
+        .query(&HistQuery {
+            kind: Some("tcommit".into()),
+            qualifier: Some(Qualifier::After),
+            ..HistQuery::default()
+        })
+        .unwrap();
+    assert_eq!(tcommits.rows.len(), want_tcommits);
+
+    let rows = store.query(&HistQuery::default()).unwrap().rows;
+    let got: Vec<(u64, u64, String)> = rows
+        .iter()
+        .map(|r| (r.seq, r.txn, store.render_event(r)))
+        .collect();
+    let want: Vec<(u64, u64, String)> = naive
+        .iter()
+        .map(|r| (r.seq, r.txn, r.basic.to_string()))
+        .collect();
+    assert_eq!(got, want);
+    assert!(store.stats().segments >= 2, "rows crossed seal boundaries");
+
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---- retro vs live-since-inception ----

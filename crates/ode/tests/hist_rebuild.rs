@@ -13,8 +13,6 @@
 //! reset, snapshot jump): `rebase` re-runs the same pruning on the live
 //! store and rewinds its cursors.
 
-#![cfg(feature = "persistence")]
-
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -59,9 +57,15 @@ fn script(db: &mut Database, room: ObjectId) {
 /// The log sink + event tap pair, wired the way the server wires them:
 /// the sink stamps the LSN of the last appended op, the tap pairs each
 /// committed batch with it (both run under the engine lock, and the
-/// commit record is the last append before tap delivery).
-fn wire(db: &mut Database, store: &Arc<HistStore>, ops: &Arc<Mutex<Vec<LogOp>>>) -> Arc<AtomicU64> {
+/// commit record is the last append before tap delivery). Returns one
+/// past the last LSN and the seq of every tapped posting, in order.
+fn wire(
+    db: &mut Database,
+    store: &Arc<HistStore>,
+    ops: &Arc<Mutex<Vec<LogOp>>>,
+) -> (Arc<AtomicU64>, Arc<Mutex<Vec<u64>>>) {
     let next = Arc::new(AtomicU64::new(0));
+    let tapped = Arc::new(Mutex::new(Vec::new()));
     let cur = Arc::new(AtomicU64::new(0));
     let sink: LogSink = {
         let next = Arc::clone(&next);
@@ -77,7 +81,9 @@ fn wire(db: &mut Database, store: &Arc<HistStore>, ops: &Arc<Mutex<Vec<LogOp>>>)
     let tap: EventTap = {
         let store = Arc::clone(store);
         let cur = Arc::clone(&cur);
+        let tapped = Arc::clone(&tapped);
         Arc::new(move |txn: TxnId, now: u64, events: &[TapEvent]| {
+            tapped.lock().extend(events.iter().map(|e| e.seq));
             store.submit(Batch {
                 lsn: cur.load(Ordering::SeqCst),
                 txn: txn.0,
@@ -87,7 +93,7 @@ fn wire(db: &mut Database, store: &Arc<HistStore>, ops: &Arc<Mutex<Vec<LogOp>>>)
         })
     };
     db.set_event_tap(Some(tap));
-    next
+    (next, tapped)
 }
 
 fn all_rows(store: &HistStore) -> Vec<ode_db::EventRow> {
@@ -148,7 +154,7 @@ fn store_rebuilds_from_wal_after_tail_loss() {
         for (i, name) in db.class_names().iter().enumerate() {
             store.observe_class(i as u32, name);
         }
-        let next = wire(&mut db, &store, &ops);
+        let (next, tapped) = wire(&mut db, &store, &ops);
         script(&mut db, room);
         db.set_event_tap(None);
         db.set_log_sink(None);
@@ -159,7 +165,11 @@ fn store_rebuilds_from_wal_after_tail_loss() {
         store.sync();
         assert!(!store.failed());
         truth = all_rows(&store);
-        assert!(!truth.is_empty());
+        // The live store holds every tapped posting — `after tcommit`
+        // rounds included, though they share their commit's LSN — so
+        // the rebuilds below are compared against the whole stream.
+        let seqs: Vec<u64> = truth.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, *tapped.lock(), "live store == tapped stream");
         let st = store.stats();
         assert!(st.segments >= 2, "script seals several tiny segments");
         // Dropping the store abandons whatever the indexer had not yet
@@ -221,7 +231,7 @@ fn retro_firing_seqs_stable_across_rebuild() {
         for (i, name) in db.class_names().iter().enumerate() {
             store.observe_class(i as u32, name);
         }
-        let next = wire(&mut db, &store, &ops);
+        let (next, _) = wire(&mut db, &store, &ops);
         script(&mut db, room);
         db.set_event_tap(None);
         db.set_log_sink(None);
@@ -257,7 +267,7 @@ fn rebase_drops_the_discarded_timeline_and_indexes_from_the_new_base() {
         for (i, name) in db.class_names().iter().enumerate() {
             store.observe_class(i as u32, name);
         }
-        let next = wire(&mut db, store, &Arc::new(Mutex::new(Vec::new())));
+        let (next, _) = wire(&mut db, store, &Arc::new(Mutex::new(Vec::new())));
         script(&mut db, room);
         store.advance_durable_through(next.load(Ordering::SeqCst) - 1);
         store.sync();
@@ -276,8 +286,8 @@ fn rebase_drops_the_discarded_timeline_and_indexes_from_the_new_base() {
     assert_eq!((st.rows, st.segments, st.indexed_lsn), (0, 0, 0));
     assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
 
-    // The re-shipped timeline reuses the same LSNs; at the parent commit
-    // every one of these batches was dropped as `lsn < applied_excl`.
+    // The re-shipped timeline reuses the same LSNs; the rebase lowered
+    // the rebuild floor to 0, so every one of these batches is indexed.
     let (mut db, room, next) = run(&store);
     assert_eq!(all_rows(&store), truth);
     let head = next.load(Ordering::SeqCst);

@@ -4,7 +4,6 @@
 //! poisoning, an oversized checkpoint refused without poisoning, and a
 //! property test that random `LogOp` sequences survive the framed round
 //! trip bit for bit.
-#![cfg(feature = "persistence")]
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

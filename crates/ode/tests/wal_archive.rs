@@ -16,7 +16,6 @@
 //!   `finish_sweep` nudges it;
 //! * in plain (no-archive) mode `checkpoint_deferred` leaves the
 //!   unlink work off the checkpoint path until `finish_sweep` runs.
-#![cfg(feature = "persistence")]
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

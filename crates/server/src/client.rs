@@ -1,6 +1,6 @@
 //! A blocking client for the wire protocol, with typed helpers and a
 //! [`Client::txn`] retry loop mirroring
-//! [`ode_db::SharedDatabase::run_txn`].
+//! [`ode_db::ShardedDatabase::run_txn`].
 //!
 //! Trigger-firing notifications ([`crate::protocol::Firing`]) arrive
 //! interleaved with replies on subscribed connections; the client
@@ -575,7 +575,7 @@ impl Client {
     /// Retryable server errors (`lock_conflict`, `wal`) abort and rerun
     /// `f` after a capped, jittered exponential backoff
     /// ([`backoff_delay`]), up to [`Client::max_retries`] retries — the
-    /// wire analogue of [`ode_db::SharedDatabase::run_txn`]. An
+    /// wire analogue of [`ode_db::ShardedDatabase::run_txn`]. An
     /// exhausted budget returns [`ClientError::RetriesExhausted`] with
     /// the attempt count and the last retryable error.
     pub fn txn<T>(

@@ -1,7 +1,7 @@
 //! A socket that is either TCP or Unix-domain, with the small uniform
 //! surface the server and client need (clone, timeouts, shutdown).
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
@@ -81,6 +81,12 @@ impl Write for Conn {
         match self {
             Conn::Tcp(s) => s.write(buf),
             Conn::Unix(s) => s.write(buf),
+        }
+    }
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Conn::Tcp(s) => s.write_vectored(bufs),
+            Conn::Unix(s) => s.write_vectored(bufs),
         }
     }
     fn flush(&mut self) -> io::Result<()> {

@@ -4,8 +4,8 @@
 //! The server speaks newline-delimited JSON over TCP and Unix-domain
 //! sockets, one session (and one optional open transaction) per
 //! connection, served by a poll-driven [`reactor`] — one event-loop
-//! thread owning every socket plus a worker pool — over a shared
-//! [`ode_db::SharedDatabase`]. Classes — including their trigger
+//! thread owning every socket plus a worker pool — over one
+//! [`ode_db::ShardedDatabase`]. Classes — including their trigger
 //! events, written in the paper's §3 composite-event syntax — are
 //! defined over the wire from a declarative [`spec::ClassSpec`].
 //! Sessions that `subscribe` receive a push notification for every

@@ -587,52 +587,14 @@ impl EventLoop {
         let Some(entry) = self.conns.get_mut(&fd) else {
             return;
         };
-        let mut blocked = false;
-        let mut dead = false;
-        loop {
-            // Peek-clone the front frame so producers (who push under
-            // the engine lock) never wait on a write syscall.
-            let front = {
-                let mut g = entry.state.outbox.inner.lock();
-                match g.queue.front() {
-                    None => {
-                        g.scheduled = false;
-                        None
-                    }
-                    Some(f) => Some((Arc::clone(&f.bytes), g.front_off)),
-                }
-            };
-            let Some((bytes, off)) = front else { break };
-            match std::io::Write::write(&mut entry.conn, &bytes[off..]) {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    let mut g = entry.state.outbox.inner.lock();
-                    g.front_off += n;
-                    if g.front_off >= bytes.len() {
-                        g.queue.pop_front();
-                        g.front_off = 0;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    blocked = true;
-                    break;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
+        match entry.state.outbox.write_to(&mut entry.conn) {
+            // Want write readiness exactly while frames are left over.
+            Ok(drained) if entry.write_interest == drained => {
+                entry.write_interest = !drained;
+                self.update_interest(fd);
             }
-        }
-        if dead {
-            self.teardown(fd);
-            return;
-        }
-        if entry_write_interest(self.conns.get_mut(&fd), blocked) {
-            self.update_interest(fd);
+            Ok(_) => {}
+            Err(_) => self.teardown(fd),
         }
     }
 
@@ -698,17 +660,6 @@ impl EventLoop {
         entry.conn.shutdown_both();
         try_reap(&self.inner, st);
         // `entry.conn` drops here, closing the fd after deregistration.
-    }
-}
-
-/// Update `write_interest` on the entry; returns whether it changed.
-fn entry_write_interest(entry: Option<&mut Entry>, want: bool) -> bool {
-    match entry {
-        Some(e) if e.write_interest != want => {
-            e.write_interest = want;
-            true
-        }
-        _ => false,
     }
 }
 

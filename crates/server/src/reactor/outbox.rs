@@ -8,7 +8,8 @@
 //! enqueues the same `Arc<[u8]>` into every subscriber's ring, so a
 //! firing's cost under the engine lock is one JSON encode plus N
 //! pointer pushes — no socket I/O at all, and no encode at all when
-//! nobody is subscribed.
+//! nobody is subscribed. The loop drains a ring with one vectored write
+//! over every queued frame ([`ConnOutbox::write_to`]).
 //!
 //! The ring is unbounded: every accepted message is eventually written
 //! or accounted. The only messages ever *dropped* are
@@ -17,6 +18,7 @@
 //! `subscriber_drops`.
 
 use std::collections::{HashMap, VecDeque};
+use std::io::{self, IoSlice, Write};
 use std::sync::{Arc, OnceLock};
 use std::thread::{self, ThreadId};
 
@@ -24,6 +26,9 @@ use parking_lot::Mutex;
 
 use super::poller::Waker;
 use crate::protocol::ServerMsg;
+
+/// Frames handed to one vectored write.
+const MAX_IOV: usize = 64;
 
 /// One wire frame: a full serialized line (newline included).
 pub(crate) struct Frame {
@@ -143,6 +148,56 @@ impl ConnOutbox {
         }
     }
 
+    /// Drain the ring into `w`: one `write_vectored` over the queued
+    /// frames per call, a partial write carried across frame boundaries,
+    /// repeated until the ring is empty (`Ok(true)`) or `w` would block
+    /// (`Ok(false)`, frames still queued). Frames are cloned out under
+    /// the ring lock and written outside it, so producers (who push
+    /// under the engine lock) never wait on a write syscall. `Err` means
+    /// the peer is gone.
+    pub(crate) fn write_to(&self, w: &mut impl Write) -> io::Result<bool> {
+        // Stack buffers: a flush allocates nothing.
+        let mut frames: [Option<Arc<[u8]>>; MAX_IOV] = std::array::from_fn(|_| None);
+        loop {
+            let (off, count) = {
+                let mut g = self.inner.lock();
+                if g.queue.is_empty() {
+                    g.scheduled = false;
+                    return Ok(true);
+                }
+                let mut count = 0;
+                for (slot, f) in frames.iter_mut().zip(&g.queue) {
+                    *slot = Some(Arc::clone(&f.bytes));
+                    count += 1;
+                }
+                (g.front_off, count)
+            };
+            let mut slices = [IoSlice::new(&[]); MAX_IOV];
+            for (i, f) in frames[..count].iter().flatten().enumerate() {
+                slices[i] = IoSlice::new(if i == 0 { &f[off..] } else { f });
+            }
+            let slices = &slices[..count];
+            let mut n = match w.write_vectored(slices) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let mut g = self.inner.lock();
+            while let Some(front) = g.queue.front() {
+                let rest = front.bytes.len() - g.front_off;
+                if n < rest {
+                    g.front_off += n;
+                    break;
+                }
+                n -= rest;
+                g.queue.pop_front();
+                g.front_off = 0;
+            }
+        }
+    }
+
     /// Close the ring (teardown): refuse future pushes and return how
     /// many queued firing notifications were stranded — they'll never
     /// reach the peer, so they count as subscriber drops.
@@ -195,6 +250,118 @@ mod tests {
         assert_eq!(notify.take(), vec![7], "one wake per scheduling edge");
         assert_eq!(ring.close(), 2, "two stranded firings");
         assert!(ring.push(frame, true).is_err(), "closed ring refuses");
+    }
+
+    /// A writer that takes `caps[k % caps.len()]` bytes on its k-th call
+    /// (never more than one vectored call offers) and would block once
+    /// `budget` bytes are out.
+    struct Trickle {
+        out: Vec<u8>,
+        caps: Vec<usize>,
+        calls: usize,
+        budget: usize,
+    }
+
+    impl Trickle {
+        fn new(caps: &[usize], budget: usize) -> Trickle {
+            Trickle {
+                out: Vec::new(),
+                caps: caps.to_vec(),
+                calls: 0,
+                budget,
+            }
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let room = self.budget - self.out.len();
+            if room == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let mut cap = self.caps[self.calls % self.caps.len()].min(room);
+            self.calls += 1;
+            let before = self.out.len();
+            for b in bufs {
+                let take = b.len().min(cap);
+                self.out.extend_from_slice(&b[..take]);
+                cap -= take;
+            }
+            Ok(self.out.len() - before)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A ring of frames of assorted lengths, every third a firing;
+    /// returns it with the bytes it holds, in order.
+    fn filled_ring() -> (ConnOutbox, Vec<u8>, Vec<Arc<[u8]>>) {
+        let ring = ConnOutbox::new(1, Arc::new(Notify::new().unwrap()));
+        let frames: Vec<Arc<[u8]>> = (0..20)
+            .map(|i| {
+                let line = format!("{{\"frame\":{i},\"pad\":\"{}\"}}\n", "x".repeat(i * 7 % 23));
+                Arc::from(line.into_bytes().into_boxed_slice())
+            })
+            .collect();
+        for (i, f) in frames.iter().enumerate() {
+            ring.push(Arc::clone(f), i % 3 == 0).unwrap();
+        }
+        let wire = frames.iter().flat_map(|f| f.iter().copied()).collect();
+        (ring, wire, frames)
+    }
+
+    #[test]
+    fn write_to_carries_partial_writes_across_frames() {
+        let (_, wire, frames) = filled_ring();
+        let mid_frame = frames[0].len() + 3;
+        for caps in [
+            vec![1],
+            vec![2, 3, 5, 7, 11, 13, 97],
+            vec![mid_frame],
+            vec![usize::MAX],
+        ] {
+            let (ring, _, _) = filled_ring();
+            let mut w = Trickle::new(&caps, usize::MAX);
+            assert!(ring.write_to(&mut w).unwrap(), "{caps:?}: drained");
+            assert_eq!(w.out, wire, "{caps:?}: byte-identical to the queue");
+            let g = ring.inner.lock();
+            assert!(g.queue.is_empty() && g.front_off == 0 && !g.scheduled);
+        }
+        let (ring, _, _) = filled_ring();
+        let mut w = Trickle::new(&[usize::MAX], usize::MAX);
+        ring.write_to(&mut w).unwrap();
+        assert_eq!(w.calls, 1, "one vectored write drains the whole ring");
+    }
+
+    #[test]
+    fn write_to_resumes_after_blocking_and_keeps_drop_accounting() {
+        let (ring, wire, frames) = filled_ring();
+        // Block partway into frame 6 (a firing), with frames 0..=5 out.
+        let stop = frames[..6].iter().map(|f| f.len()).sum::<usize>() + 4;
+        let mut w = Trickle::new(&[5, 17], stop);
+        assert!(
+            !ring.write_to(&mut w).unwrap(),
+            "blocked with frames queued"
+        );
+        assert_eq!(w.out, wire[..stop]);
+        assert_eq!(ring.inner.lock().front_off, 4);
+
+        // Resuming continues mid-frame and finishes byte for byte.
+        w.budget = usize::MAX;
+        assert!(ring.write_to(&mut w).unwrap());
+        assert_eq!(w.out, wire);
+        assert_eq!(ring.close(), 0, "nothing stranded");
+
+        // Closing while blocked strands the unwritten firings, the
+        // partly written front one included: 6, 9, 12, 15, 18.
+        let (ring, _, _) = filled_ring();
+        let mut w = Trickle::new(&[usize::MAX], stop);
+        assert!(!ring.write_to(&mut w).unwrap());
+        assert_eq!(ring.close(), 5);
     }
 
     #[test]

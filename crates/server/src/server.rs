@@ -12,11 +12,11 @@
 //!
 //! Each connection is one *session* holding at most one open
 //! transaction. The engine mutex is held only for the duration of each
-//! individual command, so sessions interleave at transaction granularity
-//! exactly like in-process users of [`SharedDatabase`]: conflicting
-//! object access surfaces as a retryable `lock_conflict` error (the
-//! engine never blocks on locks, so there is no deadlock), and the
-//! client aborts and retries.
+//! individual command, so sessions interleave at transaction
+//! granularity exactly like in-process users of
+//! [`ShardedDatabase::run_txn`]: conflicting object access surfaces as a
+//! retryable `lock_conflict` error (the engine never blocks on locks, so
+//! there is no deadlock), and the client aborts and retries.
 //!
 //! ## Robustness
 //!
@@ -287,8 +287,8 @@ pub(crate) struct Shared {
     pub(crate) log_sinks: Vec<LogSink>,
     pub(crate) firing_sinks: Vec<FiringSink>,
     pub(crate) event_taps: Vec<EventTap>,
-    /// Per-shard event-history stores (`--history`); empty when the
-    /// feature is off.
+    /// Per-shard event-history stores; empty unless started with
+    /// [`ServerBuilder::history`].
     pub(crate) hist: Vec<Arc<HistStore>>,
 }
 
@@ -656,7 +656,7 @@ impl ServerBuilder {
                     }
                 });
                 log_sinks.push(Arc::clone(&sink));
-                db.shard(s).set_log_sink(Some(sink));
+                db.shard(s).with(|db| db.set_log_sink(Some(sink)));
             }
             wal_flushers = ws.wal.start_flushers();
             wal_archivers = ws.wal.start_archivers();
@@ -683,7 +683,7 @@ impl ServerBuilder {
                 }
             });
             firing_sinks.push(Arc::clone(&sink));
-            db.shard(s).set_firing_sink(Some(sink));
+            db.shard(s).with(|db| db.set_firing_sink(Some(sink)));
         }
 
         let repl = if is_replica {
@@ -769,8 +769,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Start configuring a server over `db`. Installs the engine's
-    /// firing sink on [`ServerBuilder::start`].
+    /// Start configuring a server over `db`, which becomes shard 0 of
+    /// [`Server::db`] (see [`ServerBuilder::shards`]). Installs the
+    /// engine's firing sink on [`ServerBuilder::start`].
     pub fn builder(db: SharedDatabase) -> ServerBuilder {
         ServerBuilder {
             db,
@@ -798,14 +799,9 @@ impl Server {
         self.unix_path.as_deref()
     }
 
-    /// The underlying database handle (shard 0 — the whole database
-    /// unless the server runs sharded).
-    pub fn db(&self) -> &SharedDatabase {
-        self.inner.db.shard(0)
-    }
-
-    /// The sharded database coordinator (all shards).
-    pub fn sharded_db(&self) -> &ShardedDatabase {
+    /// The server's database: every shard, behind the same coordinator
+    /// the sessions use.
+    pub fn db(&self) -> &ShardedDatabase {
         &self.inner.db
     }
 
@@ -831,9 +827,11 @@ impl Server {
             r.stop();
         }
         for shard in self.inner.db.shards() {
-            shard.set_firing_sink(None);
-            shard.set_log_sink(None);
-            shard.set_event_tap(None);
+            shard.with(|db| {
+                db.set_firing_sink(None);
+                db.set_log_sink(None);
+                db.set_event_tap(None);
+            });
         }
         // Every session is gone, so no more appends: drain the pending
         // queues (each flusher's stop does a final flush), then push

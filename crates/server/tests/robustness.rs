@@ -224,17 +224,13 @@ fn graceful_shutdown_aborts_open_txns_and_closes_sessions() {
 
     // The lock is gone and the withdrawal rolled back: the database is
     // immediately usable in-process.
+    let room = ode_db::ObjectId(room);
+    db.run_txn("after", |db, g| {
+        db.call(g, room, "deposit", &[Value::from("bolt"), Value::Int(1)])
+    })
+    .expect("db usable after shutdown");
     let bolt = db
-        .run_txn("after", |t| {
-            t.db.call(
-                t.txn,
-                ode_db::ObjectId(room),
-                "deposit",
-                &[Value::from("bolt"), Value::Int(1)],
-            )
-        })
-        .map(|_| db.with(|d| d.peek_field(ode_db::ObjectId(room), "items")))
-        .expect("db usable after shutdown")
+        .with_obj(room, |d, o| d.peek_field(o, "items"))
         .and_then(|v| v.member("bolt").and_then(Value::as_int))
         .expect("bolt");
     assert_eq!(bolt, 500 + 1, "uncommitted withdrawal rolled back");

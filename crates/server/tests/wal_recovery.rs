@@ -346,13 +346,13 @@ fn every_bring_up_path_recovers_the_same_engines() {
     assert_eq!(bolt(&mut c, rooms.0), 500 - 120 - 5 - 4);
     assert_eq!(bolt(&mut c, rooms.1), 500 - 7 - 150 - 3);
     drop(c);
-    let want = shard_states(plain.sharded_db());
+    let want = shard_states(plain.db());
     plain.shutdown();
     assert_eq!(want.len(), 2);
     assert_ne!(want[0], want[1], "the shards hold different rooms");
 
     let mut indexed = start(&with_history, true);
-    assert_eq!(shard_states(indexed.sharded_db()), want, "history primary");
+    assert_eq!(shard_states(indexed.db()), want, "history primary");
     indexed.shutdown();
 
     let (_wal, db, report) = recover_sharded(
