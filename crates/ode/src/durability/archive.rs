@@ -1,11 +1,13 @@
 //! Compressed WAL segment archives and point-in-time restore.
 //!
-//! A checkpoint supersedes the previous log generation, but deleting
-//! those segments throws away the only replayable history of the
-//! database. In archive mode the sweep instead *retires* them to a
-//! queue, and an archiver (a background thread, or a test calling
-//! [`super::wal::DiskWal::archive_now`] synchronously) compresses each
-//! one into `<wal-dir>/archive/`:
+//! A checkpoint supersedes the previous log generation and *retires*
+//! its files to a queue; the retire drain
+//! ([`super::wal::DiskWal::drain_retired`], on the retire thread or on
+//! the checkpointing thread when none is attached) is the one code path
+//! that removes them, in both modes. Plain mode just unlinks each
+//! retired segment, but that throws away the only replayable history of
+//! the database. In archive mode the drain first compresses each
+//! segment into `<wal-dir>/archive/`:
 //!
 //! ```text
 //! archive/archive-0000000002-00003-0000000000000217.alz
@@ -335,28 +337,41 @@ fn write_archive(
     Ok(bytes)
 }
 
-/// Progress counters from one archiver drain.
+/// Progress counters from one drain of the retire queue.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ArchiveDrainReport {
-    /// Segments archived (and then unlinked) by this drain.
-    pub segments: u64,
+pub struct DrainReport {
+    /// Segments made archive-durable before their unlink (always 0 in
+    /// plain mode).
+    pub archived: u64,
     /// Total archive bytes written.
     pub bytes: u64,
-    /// Superseded checkpoint/tmp files deleted.
-    pub deleted: u64,
+    /// Retired files unlinked: segments, superseded checkpoints and the
+    /// tmp file.
+    pub removed: u64,
 }
 
-/// Archive every retired segment in `names`, oldest first, unlinking
-/// each raw segment only after its archive is durable; then delete the
-/// retired checkpoint/tmp files. Returns the drain report plus the
-/// names *not* fully processed (so the caller can re-queue them) and
-/// the error that stopped the drain, if any.
+/// Unlink `path`; a file that is already gone counts as removed (a name
+/// can be queued twice, and an earlier drain removed it).
+fn unlink(io: &SharedIo, path: &Path) -> Result<(), WalError> {
+    match io.with(|f| f.remove(path)) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+        _ => Ok(()),
+    }
+}
+
+/// Remove every retired file in `names`: segments oldest first, then
+/// the superseded checkpoints and the tmp file. `archive` decides a
+/// segment's fate — compress it, make the archive durable, then unlink
+/// (archive mode), or just unlink (plain mode). Returns the drain
+/// report plus the names *not* processed (so the caller can re-queue
+/// them) and the error that stopped the drain, if any.
 pub(crate) fn drain_retired(
     io: &SharedIo,
     wal_dir: &Path,
     names: Vec<String>,
-) -> (ArchiveDrainReport, Vec<String>, Option<WalError>) {
-    let mut report = ArchiveDrainReport::default();
+    archive: bool,
+) -> (DrainReport, Vec<String>, Option<WalError>) {
+    let mut report = DrainReport::default();
     let mut segs: Vec<(u64, u64, String)> = Vec::new();
     let mut ckpts: Vec<(u64, u64, String)> = Vec::new();
     let mut tmps: Vec<String> = Vec::new();
@@ -368,7 +383,7 @@ pub(crate) fn drain_retired(
         } else if n == TMP_NAME {
             tmps.push(n);
         }
-        // Anything else was never queued by the sweep; drop it.
+        // Anything else was never retired; drop it.
     }
     segs.sort();
     ckpts.sort();
@@ -388,13 +403,23 @@ pub(crate) fn drain_retired(
     };
 
     let mut err: Option<WalError> = None;
-    let mut remaining: Vec<String> = Vec::new();
     // `(generation, next segment index, next base LSN)` carried across
     // consecutive segments of one generation within this drain.
     let mut chain: Option<(u64, u64, u64)> = None;
     let mut failed_at = segs.len();
     for (i, (g, k, name)) in segs.iter().enumerate() {
         let step = (|| -> Result<(), WalError> {
+            let path = wal_dir.join(name);
+            if !archive {
+                return unlink(io, &path);
+            }
+            let raw = match io.with(|f| f.read(&path)) {
+                // Queued twice (a checkpoint listed the directory while
+                // an earlier drain was still at work): already archived
+                // and unlinked.
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+                read => read?,
+            };
             let base = match chain {
                 Some((cg, ck, next)) if (cg, ck) == (*g, *k) => next,
                 _ if *k == 0 => gen_base(*g).ok_or_else(|| {
@@ -412,7 +437,6 @@ pub(crate) fn drain_retired(
                     meta.base_lsn + meta.records
                 }
             };
-            let raw = io.with(|f| f.read(&wal_dir.join(name)))?;
             let (payloads, tail) = frame::decode_all(&raw).map_err(|c| {
                 WalError::Corrupt(format!("retired segment {name}: bad frame at {}", c.offset))
             })?;
@@ -430,53 +454,38 @@ pub(crate) fn drain_retired(
                 raw_crc: frame::crc32(&raw),
             };
             let bytes = write_archive(io, wal_dir, &meta, &raw)?;
-            // The invariant: the archive is fsync-durable; only now may
-            // the raw segment go.
-            io.with(|f| f.remove(&wal_dir.join(name)))?;
-            report.segments += 1;
+            report.archived += 1;
             report.bytes += bytes;
             chain = Some((*g, *k + 1, base + meta.records));
-            Ok(())
+            // The invariant: the archive is fsync-durable; only now may
+            // the raw segment go.
+            unlink(io, &path)
         })();
-        if let Err(e) = step {
-            err = Some(e);
-            failed_at = i;
-            break;
+        match step {
+            Ok(()) => report.removed += 1,
+            Err(e) => {
+                err = Some(e);
+                failed_at = i;
+                break;
+            }
         }
     }
-    for (_, _, name) in segs.drain(..).skip(failed_at) {
-        remaining.push(name);
-    }
+    let mut remaining: Vec<String> = segs.into_iter().skip(failed_at).map(|s| s.2).collect();
 
     // Checkpoints and the tmp file go last — and only if every segment
     // made it, since their filenames carry the base-LSN chain.
+    let mut rest = ckpts.into_iter().map(|c| c.2).chain(tmps);
     if err.is_none() {
-        for (_, _, name) in ckpts {
-            match io.with(|f| f.remove(&wal_dir.join(&name))) {
-                Ok(()) => report.deleted += 1,
-                Err(e) => {
-                    err = Some(e.into());
-                    remaining.push(name);
-                }
-            }
-        }
-        for name in tmps {
-            if err.is_none() {
-                match io.with(|f| f.remove(&wal_dir.join(&name))) {
-                    Ok(()) => report.deleted += 1,
-                    Err(e) => {
-                        err = Some(e.into());
-                        remaining.push(name);
-                    }
-                }
-            } else {
+        for name in rest.by_ref() {
+            if let Err(e) = unlink(io, &wal_dir.join(&name)) {
+                err = Some(e);
                 remaining.push(name);
+                break;
             }
+            report.removed += 1;
         }
-    } else {
-        remaining.extend(ckpts.into_iter().map(|(_, _, n)| n));
-        remaining.extend(tmps);
     }
+    remaining.extend(rest);
     (report, remaining, err)
 }
 

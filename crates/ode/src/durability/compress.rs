@@ -37,7 +37,7 @@
 //!
 //! Decompression validates every offset and length against the output
 //! produced so far and the declared `raw_len`; malformed input yields
-//! [`LzError::Malformed`], never wrong bytes or a panic. (Bit flips
+//! an [`LzError`], never wrong bytes or a panic. (Bit flips
 //! that happen to decode are caught one layer up: the archive frame's
 //! CRC covers the compressed payload, and the archive metadata records
 //! the raw length and CRC of the original segment.)

@@ -16,7 +16,7 @@
 //!   shipper;
 //! * [`wal`] — [`wal::DiskWal`]: segmented appends, fsync policies,
 //!   atomic checkpoints, and `open()`-as-recovery;
-//! * [`compress`] — a dependency-free LZ77-class block compressor for
+//! * [`mod@compress`] — a dependency-free LZ77-class block compressor for
 //!   archived segments;
 //! * [`archive`] — compressed, CRC-framed archives of swept segments
 //!   and [`archive::restore_to_lsn`]: point-in-time restore from
@@ -32,8 +32,8 @@ pub mod wal;
 
 pub use archive::{
     archive_dir, decode_archive_bytes, list_archives, parse_archive, read_archive,
-    read_archive_bytes, read_archive_meta, restore_to_lsn, ArchiveDrainReport, ArchiveError,
-    ArchiveMeta, ArchiveSegment,
+    read_archive_bytes, read_archive_meta, restore_to_lsn, ArchiveError, ArchiveMeta,
+    ArchiveSegment, DrainReport,
 };
 pub use compress::{compress, decompress, LzError};
 pub use epoch::{EpochRecord, EpochTable, EPOCHS_FILE};
@@ -41,5 +41,5 @@ pub use io::{Fault, FaultyIo, SharedIo, StdIo, WalIo};
 pub use reader::{SegmentReader, TornTail};
 pub use wal::{
     ArchiveStats, CheckpointReport, DiskWal, DurableRecord, DurableSink, FsyncPolicy, Recovery,
-    RecoveryReport, SegmentTiming, WalArchiver, WalConfig, WalError, WalFlusher, WalStats,
+    RecoveryReport, SegmentTiming, WalConfig, WalError, WalFlusher, WalRetirer, WalStats,
 };

@@ -78,11 +78,24 @@
 //! `checkpoint()` first flushes (and ships) any pending records — the
 //! replication stream must never skip an LSN — then writes the snapshot
 //! to `checkpoint.tmp`, fsyncs, renames it to its final
-//! generation-stamped name, fsyncs the directory, and only then deletes
-//! the previous generation's files. A crash anywhere in that sequence
-//! leaves either (a) the old generation fully intact (tmp is ignored by
-//! recovery) or (b) the new checkpoint durable plus stale older files
-//! that recovery skips and sweeps.
+//! generation-stamped name, fsyncs the directory, and only then
+//! *retires* the previous generation's files to a queue. A crash
+//! anywhere in that sequence leaves either (a) the old generation fully
+//! intact (tmp is ignored by recovery) or (b) the new checkpoint
+//! durable plus stale older files that recovery skips and re-retires.
+//!
+//! ## Retirement: one drain, two fates
+//!
+//! The retire queue is drained by [`DiskWal::drain_retired`] and
+//! nothing else: segments oldest first, then the superseded checkpoints
+//! and the tmp file; names it could not process go back to the front
+//! of the queue. [`WalConfig::archive`] decides only a segment's fate —
+//! compress it, make the archive durable, then unlink, or just unlink.
+//! A checkpoint hands the drain off the way [`DiskWal::append`] hands
+//! off a flush: to the retire thread when one is attached
+//! ([`DiskWal::start_retirer`]), otherwise it drains on the
+//! checkpointing thread after the WAL locks drop. A failed drain never
+//! fails the checkpoint; the next drain retries.
 //!
 //! ## Recovery
 //!
@@ -110,7 +123,7 @@ use crate::oplog::LogOp;
 use crate::persist::Snapshot;
 use crate::replication::Applier;
 
-use super::archive::{self, ArchiveDrainReport};
+use super::archive::{self, DrainReport};
 use super::frame;
 use super::io::SharedIo;
 use super::reader::{
@@ -167,11 +180,9 @@ pub struct WalConfig {
     pub segment_bytes: u64,
     /// Fsync policy for appends.
     pub fsync: FsyncPolicy,
-    /// Archive swept segments (compressed, under `archive/`) instead of
-    /// deleting them. A checkpoint then only *retires* superseded files
-    /// to a queue; an archiver ([`DiskWal::start_archiver`], or a test
-    /// calling [`DiskWal::archive_now`]) compresses and unlinks them
-    /// off the checkpoint path.
+    /// What the retire drain ([`DiskWal::drain_retired`]) does with
+    /// each superseded segment: compress it under `archive/`, make the
+    /// archive durable, then unlink it (`true`), or just unlink it.
     pub archive: bool,
 }
 
@@ -367,20 +378,22 @@ pub struct WalStats {
 pub struct CheckpointReport {
     /// The LSN the checkpoint covers.
     pub lsn: u64,
-    /// Superseded segment files retired by the checkpoint (deleted by
-    /// the deferred sweep, or archived then unlinked in archive mode).
+    /// Superseded segment files the checkpoint queued for retirement;
+    /// the retire drain unlinks them, after archiving each one in
+    /// archive mode. ([`DiskWal::reset_to`] deletes them inline.)
     pub swept_segments: u64,
 }
 
-/// Lifetime archive progress of one WAL (see `WireStats`).
+/// Lifetime retirement progress of one WAL (see `WireStats`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ArchiveStats {
-    /// Segments made archive-durable (and unlinked) so far.
+    /// Segments made archive-durable (and unlinked) so far; 0 in
+    /// plain mode.
     pub segments_archived: u64,
     /// Total compressed archive bytes written.
     pub bytes_archived: u64,
-    /// Segments swept but not yet durable in the archive (retire-queue
-    /// depth plus any segment mid-archive right now).
+    /// Retired segments not yet unlinked, in either mode: retire-queue
+    /// depth plus any segment mid-drain right now.
     pub lag_segments: u64,
 }
 
@@ -428,10 +441,9 @@ struct DurableState {
     poison: Option<String>,
 }
 
-/// Files a checkpoint superseded, awaiting the deferred sweep (delete
-/// in plain mode, archive-then-unlink in archive mode). Outside the
-/// buf/disk lock order: pushed under it at checkpoint time, drained
-/// with no WAL lock held.
+/// Files a checkpoint superseded, awaiting [`DiskWal::drain_retired`].
+/// Outside the buf/disk lock order: pushed under it at checkpoint
+/// time, drained with no WAL lock held.
 struct RetireQueue {
     names: Vec<String>,
     stop: bool,
@@ -455,13 +467,13 @@ struct WalInner {
     batches: AtomicU64,
     max_batch: AtomicU64,
     retired: Mutex<RetireQueue>,
-    /// Wakes the archiver thread; paired with `retired`.
+    /// Wakes the retire thread; paired with `retired`.
     retire_cv: Condvar,
-    archiver_running: AtomicBool,
+    retirer_running: AtomicBool,
     archived_segments: AtomicU64,
     archived_bytes: AtomicU64,
-    /// Segments taken off the queue and being archived right now.
-    archive_inflight: AtomicU64,
+    /// Segments taken off the queue and being drained right now.
+    draining: AtomicU64,
 }
 
 /// Non-poisoning lock helper (a panicked holder just releases).
@@ -533,15 +545,15 @@ impl DiskWal {
             None => false,
         };
 
-        // Sweep debris: the tmp file and anything from older
-        // generations. Best-effort — recovery already ignores these by
-        // name. In archive mode, superseded segments and checkpoints
-        // are *retired* instead (a crash between a checkpoint and its
-        // archiver pass must not lose them); only the tmp file and
-        // unexplainable future-generation files are deleted.
+        // Debris, which recovery already ignores by name. Superseded
+        // segments and checkpoints are *retired* — a crash between a
+        // checkpoint and its drain must not lose them — so the next
+        // drain removes them exactly as it would have. Only the tmp
+        // file and unexplainable future-generation files are deleted
+        // here, best-effort.
         let mut retired: Vec<String> = Vec::new();
         for n in &index.stale {
-            if cfg.archive && superseded(n, index.generation).is_some() {
+            if superseded(n, index.generation).is_some() {
                 retired.push(n.clone());
             } else {
                 let _ = io.with(|f| f.remove(&dir.join(n)));
@@ -599,10 +611,10 @@ impl DiskWal {
                     stop: false,
                 }),
                 retire_cv: Condvar::new(),
-                archiver_running: AtomicBool::new(false),
+                retirer_running: AtomicBool::new(false),
                 archived_segments: AtomicU64::new(0),
                 archived_bytes: AtomicU64::new(0),
-                archive_inflight: AtomicU64::new(0),
+                draining: AtomicU64::new(0),
             }),
         };
         Ok((wal, recovery))
@@ -918,23 +930,13 @@ impl DiskWal {
     }
 
     /// Durably install `snap` (typically `db.snapshot()` taken under
-    /// the same lock that orders appends) as the new recovery base,
-    /// then retire the log generation it supersedes and run the sweep
-    /// before returning (see [`DiskWal::checkpoint_deferred`] for the
-    /// split form servers use to keep file deletion off the stall
-    /// path).
+    /// the same lock that orders appends) as the new recovery base and
+    /// retire the log generation it supersedes. The retire queue is
+    /// handed off like a due flush: the retire thread is woken when one
+    /// is attached ([`DiskWal::start_retirer`]), otherwise this thread
+    /// drains it after the WAL locks drop. A drain failure never fails
+    /// (or poisons) the checkpoint; the names stay queued.
     pub fn checkpoint(&self, snap: &Snapshot) -> Result<CheckpointReport, WalError> {
-        let report = self.checkpoint_inner(snap, None)?;
-        self.finish_sweep();
-        Ok(report)
-    }
-
-    /// The installation half of a checkpoint: durably install `snap`
-    /// and *queue* the superseded generation for sweeping, without
-    /// deleting (or archiving) anything. The caller runs
-    /// [`DiskWal::finish_sweep`] afterwards — typically after dropping
-    /// the engine locks, so checkpoint stall excludes file deletion.
-    pub fn checkpoint_deferred(&self, snap: &Snapshot) -> Result<CheckpointReport, WalError> {
         self.checkpoint_inner(snap, None)
     }
 
@@ -943,9 +945,7 @@ impl DiskWal {
     /// bootstrapping from a shipped snapshot uses this to jump its
     /// local log to the primary's LSN so subsequent appends line up.
     pub fn checkpoint_at(&self, snap: &Snapshot, lsn: u64) -> Result<CheckpointReport, WalError> {
-        let report = self.checkpoint_inner(snap, Some(lsn))?;
-        self.finish_sweep();
-        Ok(report)
+        self.checkpoint_inner(snap, Some(lsn))
     }
 
     fn checkpoint_inner(
@@ -971,9 +971,8 @@ impl DiskWal {
         let names = self.install_snapshot(&mut buf, &mut disk, &framed, lsn)?;
 
         // The new checkpoint supersedes everything older, but nothing
-        // is unlinked here: superseded names go on the retire queue,
-        // and the sweep (plain deletion, or archive-then-unlink in
-        // archive mode) runs off the checkpoint path.
+        // is unlinked under the WAL locks: superseded names go on the
+        // retire queue for the drain.
         let mut swept = 0u64;
         {
             let mut q = lock(&i.retired);
@@ -990,6 +989,14 @@ impl DiskWal {
         // The checkpoint itself is a durability point: everything at or
         // below its LSN is covered by the durable snapshot.
         self.publish(&mut disk, lsn, Vec::new());
+        drop(disk);
+        drop(buf);
+        if i.retirer_running.load(Ordering::SeqCst) {
+            i.retire_cv.notify_all();
+        } else {
+            // The names stay queued on failure; the next drain retries.
+            let _ = self.drain_retired();
+        }
         Ok(CheckpointReport {
             lsn,
             swept_segments: swept,
@@ -1063,7 +1070,8 @@ impl DiskWal {
         // A reset deletes inline (no retirement): the superseded files
         // are fork debris, and archiving a deposed fork's history would
         // poison later restores. For the same reason the retire queue
-        // and any already-written archives are purged.
+        // and any already-written archives (none in plain mode) are
+        // purged.
         let mut swept = 0u64;
         for n in names {
             if let Some(is_segment) = superseded(&n, disk.generation) {
@@ -1072,9 +1080,7 @@ impl DiskWal {
             }
         }
         lock(&i.retired).names.clear();
-        if i.cfg.archive {
-            archive::purge_archives(&i.io, &i.dir);
-        }
+        archive::purge_archives(&i.io, &i.dir);
 
         // Rewind (not just advance) the watermark: durability claims
         // about the abandoned fork must not leak into the new history.
@@ -1089,58 +1095,27 @@ impl DiskWal {
         })
     }
 
-    /// Run the sweep for everything on the retire queue. In plain mode
-    /// this deletes the retired files (best-effort) and returns the
-    /// number of segment files removed. In archive mode nothing is
-    /// deleted here: the archiver thread is nudged (if running) and the
-    /// queue drains asynchronously — or a test drains it synchronously
-    /// with [`DiskWal::archive_now`].
-    pub fn finish_sweep(&self) -> u64 {
-        let i = &*self.inner;
-        if i.cfg.archive {
-            if i.archiver_running.load(Ordering::SeqCst) {
-                i.retire_cv.notify_all();
-            }
-            return 0;
-        }
-        self.sweep_retired()
-    }
-
-    /// Delete every retired file (plain-mode sweep). Best-effort: a
-    /// failed unlink leaves debris that recovery ignores and the next
-    /// checkpoint re-queues.
-    fn sweep_retired(&self) -> u64 {
-        let i = &*self.inner;
-        let names = std::mem::take(&mut lock(&i.retired).names);
-        let mut removed = 0u64;
-        for n in &names {
-            let ok = i.io.with(|f| f.remove(&i.dir.join(n))).is_ok();
-            if ok && parse_segment(n).is_some() {
-                removed += 1;
-            }
-        }
-        removed
-    }
-
-    /// Synchronously drain the retire queue into the archive: compress
-    /// each retired segment into a CRC-framed archive file, make it
-    /// fsync-durable, and only then unlink the segment. Called by the
-    /// archiver thread, and directly by tests/benches that need a
+    /// Drain the retire queue on this thread — the only code that
+    /// removes superseded files: each retired segment, oldest first, is
+    /// unlinked (in archive mode only after its compressed, CRC-framed
+    /// archive is fsync-durable), then the superseded checkpoints and
+    /// tmp file go. Run by the retire thread, by a checkpoint with no
+    /// retire thread attached, and directly by tests that need a
     /// deterministic drain. Holds no lock but the (brief) retire-queue
     /// lock — compression never runs under the flusher or engine locks.
-    pub fn archive_now(&self) -> Result<ArchiveDrainReport, WalError> {
+    pub fn drain_retired(&self) -> Result<DrainReport, WalError> {
         let i = &*self.inner;
         let batch = std::mem::take(&mut lock(&i.retired).names);
         if batch.is_empty() {
-            return Ok(ArchiveDrainReport::default());
+            return Ok(DrainReport::default());
         }
         let queued_segs = batch.iter().filter(|n| parse_segment(n).is_some()).count() as u64;
-        i.archive_inflight.store(queued_segs, Ordering::SeqCst);
-        let (report, remaining, err) = archive::drain_retired(&i.io, &i.dir, batch);
+        i.draining.store(queued_segs, Ordering::SeqCst);
+        let (report, remaining, err) = archive::drain_retired(&i.io, &i.dir, batch, i.cfg.archive);
         i.archived_segments
-            .fetch_add(report.segments, Ordering::Relaxed);
+            .fetch_add(report.archived, Ordering::Relaxed);
         i.archived_bytes.fetch_add(report.bytes, Ordering::Relaxed);
-        i.archive_inflight.store(0, Ordering::SeqCst);
+        i.draining.store(0, Ordering::SeqCst);
         if !remaining.is_empty() {
             // Splice the un-drained names back at the *front*: they are
             // older than anything a concurrent checkpoint queued since,
@@ -1151,15 +1126,15 @@ impl DiskWal {
             q.names = names;
         }
         match err {
-            // An archiver error must not latch the live log read-only:
-            // the un-drained names are back on the queue and the next
-            // pass retries.
+            // A drain error must not latch the live log read-only: the
+            // un-drained names are back on the queue and the next pass
+            // retries.
             Some(e) => Err(e),
             None => Ok(report),
         }
     }
 
-    /// Lifetime archive progress (see [`ArchiveStats`]).
+    /// Lifetime retirement progress (see [`ArchiveStats`]).
     pub fn archive_stats(&self) -> ArchiveStats {
         let i = &*self.inner;
         let queued = lock(&i.retired)
@@ -1170,31 +1145,28 @@ impl DiskWal {
         ArchiveStats {
             segments_archived: i.archived_segments.load(Ordering::Relaxed),
             bytes_archived: i.archived_bytes.load(Ordering::Relaxed),
-            lag_segments: queued + i.archive_inflight.load(Ordering::SeqCst),
+            lag_segments: queued + i.draining.load(Ordering::SeqCst),
         }
     }
 
-    /// Spawn the dedicated archiver thread (archive mode only): it
-    /// waits on the retire queue and drains it via
-    /// [`DiskWal::archive_now`], so compression and archive fsyncs
-    /// never run on a checkpointing, flushing, or committing thread.
-    /// Dropping (or `stop`ping) the handle performs a final drain and
-    /// joins the thread.
-    pub fn start_archiver(&self) -> Option<WalArchiver> {
-        if !self.inner.cfg.archive {
-            return None;
-        }
+    /// Spawn the dedicated retire thread: it waits on the retire queue
+    /// and runs [`DiskWal::drain_retired`], so unlinks — and in archive
+    /// mode compression and archive fsyncs — never run on a
+    /// checkpointing, flushing, or committing thread. Dropping (or
+    /// `stop`ping) the handle performs a final drain and joins the
+    /// thread.
+    pub fn start_retirer(&self) -> WalRetirer {
         lock(&self.inner.retired).stop = false;
-        self.inner.archiver_running.store(true, Ordering::SeqCst);
+        self.inner.retirer_running.store(true, Ordering::SeqCst);
         let wal = self.clone();
         let handle = std::thread::Builder::new()
-            .name("wal-archiver".to_string())
-            .spawn(move || run_archiver(wal))
-            .expect("spawn wal archiver");
-        Some(WalArchiver {
+            .name("wal-retirer".to_string())
+            .spawn(move || run_retirer(wal))
+            .expect("spawn wal retirer");
+        WalRetirer {
             wal: self.clone(),
             handle: Some(handle),
-        })
+        }
     }
 }
 
@@ -1401,11 +1373,11 @@ impl Drop for WalFlusher {
     }
 }
 
-/// The dedicated archiver thread's loop: park until a checkpoint
-/// retires segments (or a stop is requested), drain the queue through
-/// [`DiskWal::archive_now`], repeat. Errors leave the batch queued and
-/// back off briefly rather than spin.
-fn run_archiver(wal: DiskWal) {
+/// The dedicated retire thread's loop: park until a checkpoint (or
+/// recovery) retires files, or a stop is requested; drain the queue
+/// through [`DiskWal::drain_retired`]; repeat. Errors leave the batch
+/// queued and back off briefly rather than spin.
+fn run_retirer(wal: DiskWal) {
     let i = Arc::clone(&wal.inner);
     loop {
         let stopping = {
@@ -1419,7 +1391,7 @@ fn run_archiver(wal: DiskWal) {
             }
             q.stop
         };
-        if wal.archive_now().is_err() && !stopping {
+        if wal.drain_retired().is_err() && !stopping {
             std::thread::sleep(Duration::from_millis(100));
         }
         if stopping {
@@ -1428,15 +1400,15 @@ fn run_archiver(wal: DiskWal) {
     }
 }
 
-/// Handle to the dedicated archiver thread. Dropping it (or calling
-/// [`WalArchiver::stop`]) requests a final drain of the retire queue,
+/// Handle to the dedicated retire thread. Dropping it (or calling
+/// [`WalRetirer::stop`]) requests a final drain of the retire queue,
 /// then joins the thread.
-pub struct WalArchiver {
+pub struct WalRetirer {
     wal: DiskWal,
     handle: Option<JoinHandle<()>>,
 }
 
-impl WalArchiver {
+impl WalRetirer {
     /// Drain the retire queue one last time, stop the thread, join it.
     pub fn stop(mut self) {
         self.shutdown();
@@ -1451,12 +1423,12 @@ impl WalArchiver {
         let _ = handle.join();
         self.wal
             .inner
-            .archiver_running
+            .retirer_running
             .store(false, Ordering::SeqCst);
     }
 }
 
-impl Drop for WalArchiver {
+impl Drop for WalRetirer {
     fn drop(&mut self) {
         self.shutdown();
     }

@@ -1711,10 +1711,8 @@ impl Database {
     /// Requires quiescence: no transactions may be in flight (Section 2's
     /// persistent store outlives programs, not transactions).
     pub fn snapshot(&self) -> Result<crate::persist::Snapshot, OdeError> {
-        if let Some(id) = self.txns.keys().next() {
-            return Err(OdeError::Aborted(AbortReason::Error(format!(
-                "cannot snapshot with transaction txn#{id} in flight"
-            ))));
+        if let Some(&id) = self.txns.keys().next() {
+            return Err(OdeError::TxnInFlight(TxnId(id)));
         }
         let mut objects: Vec<crate::persist::ObjectSnapshot> = self
             .objects

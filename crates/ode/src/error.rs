@@ -88,6 +88,9 @@ pub enum OdeError {
         /// The transaction holding the lock.
         holder: TxnId,
     },
+    /// A snapshot was refused because this transaction is in flight;
+    /// it can succeed once the transaction ends.
+    TxnInFlight(TxnId),
     /// The transaction was aborted.
     Aborted(AbortReason),
     /// An event specification failed to validate or compile.
@@ -129,6 +132,7 @@ impl fmt::Display for OdeError {
             OdeError::LockConflict { object, holder } => {
                 write!(f, "object {object:?} is locked by transaction {holder:?}")
             }
+            OdeError::TxnInFlight(t) => write!(f, "cannot snapshot with {t} in flight"),
             OdeError::Aborted(r) => write!(f, "transaction aborted: {r}"),
             OdeError::Event(e) => write!(f, "event error: {e}"),
             OdeError::Mask(e) => write!(f, "mask error: {e}"),

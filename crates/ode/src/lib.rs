@@ -67,10 +67,10 @@ pub use class::{
 };
 pub use clock::{Clock, Recurrence, Timer, TimerScope};
 pub use durability::{
-    restore_to_lsn, ArchiveDrainReport, ArchiveError, ArchiveMeta, ArchiveSegment, ArchiveStats,
-    CheckpointReport, DiskWal, DurableRecord, DurableSink, EpochRecord, EpochTable, Fault,
-    FaultyIo, FsyncPolicy, Recovery, RecoveryReport, SegmentReader, SegmentTiming, SharedIo, StdIo,
-    TornTail, WalArchiver, WalConfig, WalError, WalFlusher, WalIo, WalStats, EPOCHS_FILE,
+    restore_to_lsn, ArchiveError, ArchiveMeta, ArchiveSegment, ArchiveStats, CheckpointReport,
+    DiskWal, DrainReport, DurableRecord, DurableSink, EpochRecord, EpochTable, Fault, FaultyIo,
+    FsyncPolicy, Recovery, RecoveryReport, SegmentReader, SegmentTiming, SharedIo, StdIo, TornTail,
+    WalConfig, WalError, WalFlusher, WalIo, WalRetirer, WalStats, EPOCHS_FILE,
 };
 pub use engine::{Config, Database, EventTap, FiringNotice, FiringSink, LogSink, Stats, TapEvent};
 pub use error::{AbortReason, OdeError};

@@ -108,10 +108,12 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serialize to JSON (the simplest self-describing on-disk format;
-    /// any serde format works).
+    /// Serialize to compact JSON (the simplest self-describing on-disk
+    /// format; any serde format works). Checkpoint frames, `Snapshot`
+    /// replies and replication snapshots all carry it, so it wastes no
+    /// bytes on layout.
     pub fn to_json(&self) -> Result<String, OdeError> {
-        serde_json::to_string_pretty(self)
+        serde_json::to_string(self)
             .map_err(|e| OdeError::Method(format!("snapshot serialization failed: {e}")))
     }
 
@@ -188,6 +190,33 @@ mod tests {
         assert_eq!(back.objects.len(), snap.objects.len());
         assert_eq!(back.seq, snap.seq);
         assert_eq!(back.timers.len(), snap.timers.len());
+    }
+
+    fn one_counter_snapshot() -> Snapshot {
+        let mut db = Database::new();
+        db.define_class(counter_class()).unwrap();
+        let txn = db.begin();
+        let obj = db.create_object(txn, "counter", &[]).unwrap();
+        db.call(txn, obj, "incr", &[]).unwrap();
+        db.commit(txn).unwrap();
+        db.snapshot().unwrap()
+    }
+
+    #[test]
+    fn snapshot_json_is_compact() {
+        let json = one_counter_snapshot().to_json().unwrap();
+        assert!(!json.contains('\n'), "no layout whitespace: {json}");
+    }
+
+    /// Checkpoints written before the switch to compact JSON carry a
+    /// pretty-printed body; they must keep recovering.
+    #[test]
+    fn pretty_printed_snapshots_still_load() {
+        let snap = one_counter_snapshot();
+        let pretty = serde_json::to_string_pretty(&snap).unwrap();
+        assert!(pretty.contains('\n'));
+        let back = Snapshot::from_json(&pretty).unwrap();
+        assert_eq!(back.to_json().unwrap(), snap.to_json().unwrap());
     }
 
     /// The headline property: a half-matched composite event survives a

@@ -58,7 +58,7 @@ use ode_core::Value;
 
 use crate::class::ClassDef;
 use crate::durability::{
-    ArchiveStats, DiskWal, Recovery, SharedIo, WalArchiver, WalConfig, WalError, WalFlusher,
+    ArchiveStats, DiskWal, Recovery, SharedIo, WalConfig, WalError, WalFlusher, WalRetirer,
 };
 use crate::engine::Database;
 use crate::error::OdeError;
@@ -318,6 +318,17 @@ impl ShardedDatabase {
     /// The branch transaction open for `g` on shard `s`, if any.
     pub fn branch_of(&self, g: TxnId, s: usize) -> Option<TxnId> {
         self.open_map(g.0).get(&g.0).and_then(|gt| gt.parts[s])
+    }
+
+    /// The global transaction whose branch on shard `s` is `branch`, if
+    /// any. The coordinator maps are leaf locks, so this is safe with
+    /// engine locks held.
+    pub fn global_of(&self, s: usize, branch: TxnId) -> Option<TxnId> {
+        self.coord.open.iter().find_map(|stripe| {
+            let open = stripe.lock();
+            let found = open.iter().find(|(_, gt)| gt.parts[s] == Some(branch));
+            found.map(|(&g, _)| TxnId(g))
+        })
     }
 
     /// The branch for `g` on shard `s`, opening one (and logging its
@@ -832,25 +843,14 @@ impl ShardedWal {
         self.wals.iter().map(|w| w.start_flusher()).collect()
     }
 
-    /// Start one archiver thread per shard (empty unless the config
-    /// enables archive mode). Stop order matters at shutdown: stop
-    /// flushers and sync first, archivers last, so the final
-    /// checkpoint's retired segments still get drained.
-    pub fn start_archivers(&self) -> Vec<WalArchiver> {
-        self.wals
-            .iter()
-            .filter_map(|w| w.start_archiver())
-            .collect()
+    /// Start one retire thread per shard. Stop order matters at
+    /// shutdown: stop flushers and sync first, retirers last, so the
+    /// final checkpoint's retired files still get drained.
+    pub fn start_retirers(&self) -> Vec<WalRetirer> {
+        self.wals.iter().map(|w| w.start_retirer()).collect()
     }
 
-    /// Run the deferred sweep on every shard (see
-    /// [`DiskWal::finish_sweep`]); returns segments deleted (plain
-    /// mode — archive mode returns 0 and nudges the archivers).
-    pub fn finish_sweep_all(&self) -> u64 {
-        self.wals.iter().map(|w| w.finish_sweep()).sum()
-    }
-
-    /// Archive progress summed across shards.
+    /// Retirement progress summed across shards.
     pub fn archive_stats(&self) -> ArchiveStats {
         let mut total = ArchiveStats::default();
         for w in &self.wals {

@@ -982,26 +982,27 @@ fn promote_crash_window_recovers_writable_at_exactly_one_epoch() {
 }
 
 // ---------------------------------------------------------------------
-// Archiver injection points: in archive mode a checkpoint retires the
-// superseded generation and a drain compresses each segment into
-// `archive/` — tmp append, fsync, rename, dir fsync, THEN unlink. Die
-// at every mutating I/O op of the drain and prove the two lifecycle
-// invariants: (1) never-unlink-before-durable — a retired segment is
-// gone from the wal dir only if a fully-validating archive holds it;
-// (2) nothing is ever lost — re-opening re-enqueues the leftovers, a
-// healthy re-drain completes the chain, and point-in-time restore then
-// reproduces the ground-truth oracle at every probed LSN. Mid-crash,
-// a restore below the base either succeeds or fails with the *typed*
-// `ArchiveError::Truncated` — never wrong data.
+// Retirement injection points: a checkpoint installs its snapshot,
+// retires the superseded generation, and — with no retire thread
+// attached — drains the retire queue on the checkpointing thread. The
+// drain is one code path in both modes; only a segment's fate differs:
+// plain mode unlinks it, archive mode compresses it into `archive/` —
+// tmp append, fsync, rename, dir fsync, THEN unlink. Die at every
+// mutating I/O op of the checkpoint, install and drain, in both modes:
+// (1) recovery is exact and no file of the live generation is ever
+// removed; (2) archive mode never unlinks before durable — a retired
+// segment is gone from the wal dir only if a fully-validating archive
+// holds it — and a mid-crash restore below the base either succeeds
+// exactly or fails with the *typed* `ArchiveError::Truncated`; (3)
+// nothing is ever lost — re-opening re-queues the leftovers, a healthy
+// drain removes them, and (archive mode) point-in-time restore then
+// reproduces the ground-truth oracle at every probed LSN.
 // ---------------------------------------------------------------------
 
 use ode_db::durability::{archive_dir, list_archives, read_archive, restore_to_lsn, ArchiveError};
 
-fn archive_cfg() -> WalConfig {
-    WalConfig {
-        archive: true,
-        ..cfg()
-    }
+fn retire_cfg(archive: bool) -> WalConfig {
+    WalConfig { archive, ..cfg() }
 }
 
 /// `segment-{gen:010}-{idx:05}.wal` → `(gen, idx)`.
@@ -1011,148 +1012,202 @@ fn parse_seg_name(name: &str) -> Option<(u64, u64)> {
     Some((g.parse().ok()?, k.parse().ok()?))
 }
 
-/// The scripted session in archive mode, then a synchronous drain.
-/// Returns (drain result, generation-0 segment names retired by the
-/// mid-script checkpoint, mutating-I/O count before / after the drain).
-fn run_archive_session(dir: &Path, io: FaultyIo) -> (bool, Vec<String>, u64, u64) {
+/// Segment and checkpoint files in `dir` of a generation before `live`.
+fn superseded_files(dir: &Path, live: u64) -> Vec<String> {
+    let generation = |n: &str| -> Option<u64> {
+        let rest = n
+            .strip_prefix("segment-")
+            .or_else(|| n.strip_prefix("checkpoint-"))?;
+        rest.split('-').next()?.parse().ok()
+    };
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| generation(n).is_some_and(|g| g < live))
+        .collect();
+    names.sort();
+    names
+}
+
+/// The scripted session whose mid-script checkpoint drains the retire
+/// queue inline. Returns the generation-0 files the checkpoint retired
+/// and the mutating-I/O count before / after the checkpoint call.
+fn run_retire_session(dir: &Path, io: FaultyIo, archive: bool) -> (Vec<String>, u64, u64) {
     let ops = io.op_counter();
     let shared = SharedIo::new(io);
-    let (wal, recovery) = DiskWal::open(dir, archive_cfg(), shared).expect("open empty dir");
+    let (wal, recovery) = DiskWal::open(dir, retire_cfg(archive), shared).expect("open empty dir");
     assert!(recovery.is_empty());
     let mut db = fresh();
     let sink_wal = wal.clone();
     db.set_log_sink(Some(Arc::new(move |op: &LogOp| {
         let _ = sink_wal.append(op);
     })));
-    let ckpt_wal = wal.clone();
+    let mut window = (Vec::new(), 0, 0);
     script(&mut db, |db| {
         if let Ok(snap) = db.snapshot() {
-            // In archive mode this retires the old generation without
-            // deleting anything; the drain below does the unlinking.
-            let _ = ckpt_wal.checkpoint(&snap);
+            window.0 = superseded_files(dir, 1);
+            window.1 = ops.load(Ordering::SeqCst);
+            let _ = wal.checkpoint(&snap);
+            window.2 = ops.load(Ordering::SeqCst);
         }
     });
-
-    let retired: Vec<String> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|n| parse_seg_name(n).is_some_and(|(g, _)| g == 0))
-        .collect();
-    let before = ops.load(Ordering::SeqCst);
-    let drain_ok = wal.archive_now().is_ok();
-    (drain_ok, retired, before, ops.load(Ordering::SeqCst))
+    window
 }
 
 #[test]
-fn archiver_crash_at_every_io_op_never_loses_a_swept_segment() {
+fn retire_crash_at_every_io_op_never_loses_a_swept_segment() {
     // Ground truth: the same session recorded purely in memory.
     let mut truth = fresh();
     truth.enable_logging();
     script(&mut truth, |_| {});
     let all_ops = truth.take_log().expect("logging enabled").ops;
-
-    // Fault-free counting run sizes the drain's injection window and
-    // pins the expected base/head.
-    let dir = tmp_dir("arch-count");
-    let (ok, retired, before, after) = run_archive_session(&dir, FaultyIo::counting());
-    assert!(ok, "healthy io drains");
-    assert!(!retired.is_empty(), "the checkpoint retired a generation");
-    assert!(
-        after > before + 4,
-        "the drain spans several I/O ops (got {before} .. {after})"
-    );
     let io = SharedIo::new(StdIo::new());
-    let (_w, rec) = DiskWal::open(&dir, archive_cfg(), io.clone()).expect("clean reopen");
-    let base = rec.base_lsn;
-    let head = base + rec.ops.len() as u64;
-    assert!(base > 0 && head == all_ops.len() as u64);
-    let _ = std::fs::remove_dir_all(&dir);
 
-    let probe_targets = |base: u64, head: u64| {
-        let mut t = vec![0, 1, base / 2, base.saturating_sub(1), base, head];
-        t.dedup();
-        t
-    };
+    for archive in [false, true] {
+        let mode = if archive { "archive" } else { "plain" };
+        let cfg = retire_cfg(archive);
 
-    // The matrix: die at every mutating I/O op of the drain.
-    for k in before..after {
-        let dir = tmp_dir(&format!("arch-k{k}"));
-        let (ok, retired_k, _, _) = run_archive_session(&dir, FaultyIo::crash_at(k));
+        // Fault-free counting run: sizes the checkpoint's injection
+        // window and pins the expected base.
+        let dir = tmp_dir(&format!("{mode}-count"));
+        let (retired, before, after) = run_retire_session(&dir, FaultyIo::counting(), archive);
         assert!(
-            !ok,
-            "crash point {k}: the dying drain must not report success"
+            retired.len() > 4,
+            "{mode}: the checkpoint retired a generation"
         );
-        assert_eq!(retired_k, retired, "deterministic session, same retirees");
-
-        // Invariant 1: never unlink before durable. A retired segment
-        // missing from the wal dir must have a fully-validating archive
-        // under its final name.
-        let archives = list_archives(&io, &dir).unwrap();
-        for name in &retired {
-            if dir.join(name).exists() {
-                continue;
-            }
-            let (g, s) = parse_seg_name(name).unwrap();
-            let durable = archives.iter().any(|(ag, ak, _, aname)| {
-                (*ag, *ak) == (g, s) && read_archive(&io, &archive_dir(&dir).join(aname)).is_ok()
-            });
-            assert!(
-                durable,
-                "crash point {k}: {name} was unlinked before its archive was durable"
-            );
-        }
-
-        // Mid-crash, restore below the base is all-or-Truncated: the
-        // chain may be incomplete, but it never serves wrong data.
-        for target in probe_targets(base, head) {
-            match restore_to_lsn(&dir, &io, target) {
-                Ok(rec) => {
-                    let mut got = fresh();
-                    rec.restore_into(&mut got)
-                        .unwrap_or_else(|e| panic!("crash {k}, target {target}: {e}"));
-                    got.take_output();
-                    let (mut want, _) = oracle(&all_ops, target as usize, target as usize);
-                    want.take_output();
-                    assert_eq!(
-                        fingerprint(&got),
-                        fingerprint(&want),
-                        "crash point {k}: mid-crash restore to {target} diverges"
-                    );
-                }
-                Err(ArchiveError::Truncated(_)) => {}
-                Err(e) => panic!("crash point {k}, target {target}: untyped failure: {e}"),
-            }
-        }
-
-        // Invariant 2: recover + re-archive + restore equals expected.
-        // Re-opening re-enqueues the stale leftovers; a healthy drain
-        // completes the chain; every probed LSN then restores exactly.
-        let (wal, rec) = DiskWal::open(&dir, archive_cfg(), io.clone())
-            .unwrap_or_else(|e| panic!("crash point {k}: recovery failed: {e}"));
-        assert_eq!(rec.base_lsn, base, "crash point {k}: checkpoint intact");
-        assert_eq!(
-            rec.base_lsn + rec.ops.len() as u64,
-            head,
-            "crash point {k}: the live tail lost records"
+        assert!(
+            after > before + retired.len() as u64,
+            "{mode}: the inline drain spans an I/O op per retired file (got {before} .. {after})"
         );
-        wal.archive_now()
-            .unwrap_or_else(|e| panic!("crash point {k}: re-drain failed: {e}"));
-        drop(wal);
-        for target in probe_targets(base, head) {
-            let rec = restore_to_lsn(&dir, &io, target)
-                .unwrap_or_else(|e| panic!("crash point {k}: restore to {target}: {e}"));
+        assert!(
+            superseded_files(&dir, 1).is_empty(),
+            "{mode}: the drain removed every retired file"
+        );
+        let (w, rec) = DiskWal::open(&dir, cfg, io.clone()).expect("clean reopen");
+        let base = rec.base_lsn;
+        assert!(base > 0 && base + rec.ops.len() as u64 == all_ops.len() as u64);
+        let live_ckpt = format!("checkpoint-{:010}-{base:016}.snap", 1);
+        drop(w);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let probe_targets = {
+            let mut t = vec![0, 1, base / 2, base - 1, base];
+            t.dedup();
+            t
+        };
+        let restores_exactly = |dir: &Path, target: u64, what: &str| {
+            let rec = restore_to_lsn(dir, &io, target)
+                .unwrap_or_else(|e| panic!("{what}: restore to {target}: {e}"));
             let mut got = fresh();
             rec.restore_into(&mut got)
-                .unwrap_or_else(|e| panic!("crash point {k}: restore_into {target}: {e}"));
+                .unwrap_or_else(|e| panic!("{what}: restore_into {target}: {e}"));
             got.take_output();
             let (mut want, _) = oracle(&all_ops, target as usize, target as usize);
             want.take_output();
             assert_eq!(
                 fingerprint(&got),
                 fingerprint(&want),
-                "crash point {k}: post-heal restore to {target} diverges from the oracle"
+                "{what}: restore to {target} diverges from the oracle"
             );
+        };
+
+        // The matrix: die at every mutating I/O op of the checkpoint.
+        let mut first_installed = None;
+        for k in before..after {
+            let what = format!("{mode} crash point {k}");
+            let dir = tmp_dir(&format!("{mode}-k{k}"));
+            let (retired_k, _, _) = run_retire_session(&dir, FaultyIo::crash_at(k), archive);
+            assert_eq!(retired_k, retired, "{what}: deterministic session");
+
+            // No file of the live generation is ever removed: once the
+            // install is durable, every later crash point still has it.
+            let installed = dir.join(&live_ckpt).exists();
+            if installed {
+                first_installed.get_or_insert(k);
+            }
+            assert!(
+                installed || first_installed.is_none(),
+                "{what}: the live checkpoint was removed"
+            );
+
+            if archive {
+                // Never unlink before durable: a retired segment missing
+                // from the wal dir has a fully-validating archive.
+                let archives = list_archives(&io, &dir).unwrap();
+                for name in retired.iter().filter(|n| !dir.join(n).exists()) {
+                    let Some((g, s)) = parse_seg_name(name) else {
+                        continue;
+                    };
+                    let durable = archives.iter().any(|(ag, ak, _, aname)| {
+                        (*ag, *ak) == (g, s)
+                            && read_archive(&io, &archive_dir(&dir).join(aname)).is_ok()
+                    });
+                    assert!(
+                        durable,
+                        "{what}: {name} was unlinked before its archive was durable"
+                    );
+                }
+                // Mid-crash, restore is all-or-Truncated: the chain may
+                // be incomplete, but it never serves wrong data.
+                for &target in &probe_targets {
+                    match restore_to_lsn(&dir, &io, target) {
+                        Ok(_) => restores_exactly(&dir, target, &what),
+                        Err(ArchiveError::Truncated(_)) => {}
+                        Err(e) => panic!("{what}, target {target}: untyped failure: {e}"),
+                    }
+                }
+            }
+
+            // Recovery is exact: the crash lost no durable record (the
+            // session flushed everything before checkpointing, and the
+            // dead io wrote nothing after).
+            let (wal, rec) = DiskWal::open(&dir, cfg, io.clone())
+                .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
+            let m = rec.base_lsn as usize + rec.ops.len();
+            assert_eq!(m as u64, base, "{what}: recovery lost records");
+            assert_eq!(rec.base_lsn, if installed { base } else { 0 });
+            let mut got = fresh();
+            rec.restore_into(&mut got)
+                .unwrap_or_else(|e| panic!("{what}: restore failed: {e}"));
+            let (want, _) = oracle(&all_ops, rec.base_lsn as usize, m);
+            assert_eq!(
+                fingerprint(&got),
+                fingerprint(&want),
+                "{what}: state diverges from oracle"
+            );
+
+            // Nothing is lost: re-opening re-queued exactly the
+            // leftover segments, and a healthy drain removes them all.
+            let leftovers = superseded_files(&dir, wal.generation());
+            let leftover_segs = leftovers.iter().filter(|n| n.starts_with("segment-"));
+            assert_eq!(
+                wal.archive_stats().lag_segments,
+                leftover_segs.count() as u64,
+                "{what}: reopening re-queues the leftovers {leftovers:?}"
+            );
+            wal.drain_retired()
+                .unwrap_or_else(|e| panic!("{what}: re-drain failed: {e}"));
+            drop(wal);
+            assert!(
+                superseded_files(&dir, u64::from(installed)).is_empty(),
+                "{what}: the re-drain left superseded files"
+            );
+            if archive {
+                for &target in &probe_targets {
+                    restores_exactly(&dir, target, &format!("{what} post-heal"));
+                }
+            } else {
+                assert!(
+                    list_archives(&io, &dir).unwrap().is_empty(),
+                    "{what}: plain mode archives nothing"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        let first = first_installed.expect("some crash point follows the install");
+        assert!(
+            after - first >= retired.len() as u64,
+            "{mode}: the matrix covers every op of the drain"
+        );
     }
 }

@@ -131,15 +131,17 @@ fn duplicate_checkpoint_files_newest_generation_wins() {
     let stale = dir.join("checkpoint-0000000001-0000000000000003.snap");
     std::fs::copy(dir.join(newest), &stale).unwrap();
 
-    let (_, recovery) = DiskWal::open(&dir, cfg(), std_io()).unwrap();
+    let (wal, recovery) = DiskWal::open(&dir, cfg(), std_io()).unwrap();
     assert!(recovery.snapshot.is_some());
     // Both sessions ran two withdrawals plus creation; the newest
     // checkpoint covers both sessions' rooms.
     let mut db = fresh();
     recovery.restore_into(&mut db).unwrap();
     assert_eq!(db.objects().count(), 2, "both sessions' rooms recovered");
-    // The stale duplicate was swept.
-    assert!(!stale.exists(), "recovery sweeps stale generations");
+    // Recovery retired the stale duplicate; the next drain removes it.
+    assert!(stale.exists(), "recovery unlinks nothing inline");
+    assert_eq!(wal.drain_retired().unwrap().removed, 1);
+    assert!(!stale.exists(), "the drain sweeps stale generations");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

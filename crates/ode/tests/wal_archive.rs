@@ -1,32 +1,31 @@
-//! WAL lifecycle integration tests: background compressed archiving of
-//! checkpoint-swept segments and point-in-time restore.
+//! WAL lifecycle integration tests: retirement of checkpoint-superseded
+//! files, compressed archiving, and point-in-time restore.
 //!
-//! Covers the archive-mode contract end to end with real file I/O:
+//! Covers the lifecycle contract end to end with real file I/O:
 //!
-//! * a checkpoint in archive mode *retires* superseded segments instead
-//!   of deleting them, and a drain compresses each into
-//!   `<dir>/archive/` before unlinking it;
+//! * a checkpoint *retires* superseded files, and the drain compresses
+//!   each segment into `<dir>/archive/` before unlinking it (archive
+//!   mode) or just unlinks it (plain mode);
 //! * `restore_to_lsn` rebuilds the database at **every** committed LSN
 //!   — through the archive chain below the live base, through the
 //!   checkpoint + live tail at or above it — identical to an oracle
 //!   replay of the ground-truth op prefix;
 //! * a truncated or missing archive fails restore with the typed
 //!   [`ArchiveError::Truncated`], never wrong data;
-//! * the dedicated archiver thread drains the queue on its own once
-//!   `finish_sweep` nudges it;
-//! * in plain (no-archive) mode `checkpoint_deferred` leaves the
-//!   unlink work off the checkpoint path until `finish_sweep` runs.
+//! * with a retire thread attached, a checkpoint only queues; the
+//!   thread's final drain on `stop()` leaves the old generation gone
+//!   in both modes.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use ode_core::Value;
 use parking_lot::Mutex;
 
 use ode_db::durability::{archive_dir, list_archives, read_archive, restore_to_lsn, ArchiveError};
 use ode_db::{
-    demo, replay, Database, DiskWal, FsyncPolicy, LogOp, RedoLog, SharedIo, StdIo, WalConfig,
+    demo, replay, CheckpointReport, Database, DiskWal, DrainReport, FsyncPolicy, LogOp, RedoLog,
+    SharedIo, StdIo, WalConfig,
 };
 
 /// Tiny segments so the session spans many files; archiving on.
@@ -95,12 +94,16 @@ fn fingerprint(db: &Database) -> String {
     s
 }
 
-/// Run the scripted session against a WAL in `dir` with `cfg`: several
-/// committed txns, a checkpoint halfway, more committed txns. Returns
-/// the ground-truth op list and the checkpoint's base LSN.
-fn run_session(dir: &Path, cfg: WalConfig, deferred_checkpoint: bool) -> (Vec<LogOp>, u64) {
+fn open_empty(dir: &Path, cfg: WalConfig) -> DiskWal {
     let (wal, recovery) = DiskWal::open(dir, cfg, std_io()).unwrap();
     assert!(recovery.is_empty());
+    wal
+}
+
+/// Run the scripted session against `wal`: several committed txns, a
+/// checkpoint halfway, more committed txns. Returns the ground-truth op
+/// list and the checkpoint's report.
+fn run_session(wal: &DiskWal) -> (Vec<LogOp>, CheckpointReport) {
     let mut db = fresh();
     let truth: Arc<Mutex<Vec<LogOp>>> = Arc::new(Mutex::new(Vec::new()));
     let (sink_wal, sink_truth) = (wal.clone(), Arc::clone(&truth));
@@ -116,21 +119,15 @@ fn run_session(dir: &Path, cfg: WalConfig, deferred_checkpoint: bool) -> (Vec<Lo
         demo::withdraw_txn(&mut db, "alice", room, "bolt", 30).unwrap();
     }
 
-    let snap = db.snapshot().unwrap();
-    let report = if deferred_checkpoint {
-        wal.checkpoint_deferred(&snap).unwrap()
-    } else {
-        wal.checkpoint(&snap).unwrap()
-    };
-    let base = report.lsn;
-    assert_eq!(base as usize, truth.lock().len());
+    let report = wal.checkpoint(&db.snapshot().unwrap()).unwrap();
+    assert_eq!(report.lsn as usize, truth.lock().len());
 
     for _ in 0..3 {
         demo::withdraw_txn(&mut db, "bob", room, "gear", 5).unwrap();
     }
     db.set_log_sink(None);
     let all = truth.lock().clone();
-    (all, base)
+    (all, report)
 }
 
 /// Oracle: fresh database, replay the first `m` ground-truth ops.
@@ -154,40 +151,40 @@ fn segment_files(dir: &Path) -> Vec<String> {
         .collect()
 }
 
+fn gen0_segments(dir: &Path) -> Vec<String> {
+    segment_files(dir)
+        .into_iter()
+        .filter(|n| n.starts_with("segment-0000000000-"))
+        .collect()
+}
+
 #[test]
 fn archive_mode_checkpoint_retires_then_drain_archives_and_unlinks() {
     let dir = tmp_dir("drain");
-    let (_all, base) = run_session(&dir, archive_cfg(), false);
-    assert!(base > 0);
+    let wal = open_empty(&dir, archive_cfg());
+    let (_all, report) = run_session(&wal);
+    let base = report.lsn;
+    assert!(base > 0 && report.swept_segments > 0);
 
-    // The session's checkpoint retired the generation-0 segments but
-    // (no archiver thread ran) deleted nothing: the raw files survive
-    // the process "exit" for re-open to re-enqueue.
-    let gen0: Vec<String> = segment_files(&dir)
-        .into_iter()
-        .filter(|n| n.starts_with("segment-0000000000-"))
-        .collect();
-    assert!(!gen0.is_empty(), "retired segments still on disk");
-    assert!(list_archives(&std_io(), &dir).unwrap().is_empty());
-
-    // Re-open re-enqueues the stale generation; a synchronous drain
-    // archives every retired segment and only then unlinks it.
-    let (wal, _) = DiskWal::open(&dir, archive_cfg(), std_io()).unwrap();
-    let lag_before = wal.archive_stats().lag_segments;
-    assert_eq!(lag_before as usize, gen0.len(), "queue holds the stale gen");
-    let report = wal.archive_now().unwrap();
-    assert_eq!(report.segments as usize, gen0.len());
-    assert!(report.bytes > 0);
-
+    // No retire thread is attached, so the checkpoint drained on its
+    // own thread: every retired segment was archived, then unlinked.
+    assert!(gen0_segments(&dir).is_empty(), "retired segments unlinked");
     let archives = list_archives(&std_io(), &dir).unwrap();
-    assert_eq!(archives.len(), gen0.len(), "one archive per segment");
-    for n in &gen0 {
-        assert!(!dir.join(n).exists(), "{n} unlinked after archiving");
-    }
+    assert_eq!(
+        archives.len() as u64,
+        report.swept_segments,
+        "one archive per segment"
+    );
     let stats = wal.archive_stats();
-    assert_eq!(stats.segments_archived as usize, gen0.len());
+    assert_eq!(stats.segments_archived, report.swept_segments);
     assert_eq!(stats.lag_segments, 0);
     assert!(stats.bytes_archived > 0);
+    drop(wal);
+
+    // Re-open finds nothing left to retire.
+    let (wal, _) = DiskWal::open(&dir, archive_cfg(), std_io()).unwrap();
+    assert_eq!(wal.archive_stats().lag_segments, 0);
+    assert_eq!(wal.drain_retired().unwrap(), DrainReport::default());
 
     // The archive chain is contiguous from LSN 0 and every archive
     // validates (meta CRC over the decompressed raw segment).
@@ -205,13 +202,9 @@ fn archive_mode_checkpoint_retires_then_drain_archives_and_unlinks() {
 #[test]
 fn restore_reproduces_every_committed_prefix() {
     let dir = tmp_dir("restore");
-    let (all, base) = run_session(&dir, archive_cfg(), false);
-    let head = all.len() as u64;
+    let (all, report) = run_session(&open_empty(&dir, archive_cfg()));
+    let (head, base) = (all.len() as u64, report.lsn);
     assert!(base > 0 && head > base, "checkpoint splits the session");
-
-    let (wal, _) = DiskWal::open(&dir, archive_cfg(), std_io()).unwrap();
-    wal.archive_now().unwrap();
-    drop(wal);
 
     // Every prefix: below the base it replays the archive chain from
     // LSN 0; at or above it, the checkpoint snapshot plus the live
@@ -245,10 +238,7 @@ fn restore_reproduces_every_committed_prefix() {
 #[test]
 fn partial_or_missing_archives_fail_restore_with_truncated() {
     let dir = tmp_dir("truncated");
-    let (_all, base) = run_session(&dir, archive_cfg(), false);
-    let (wal, _) = DiskWal::open(&dir, archive_cfg(), std_io()).unwrap();
-    wal.archive_now().unwrap();
-    drop(wal);
+    let base = run_session(&open_empty(&dir, archive_cfg())).1.lsn;
 
     let io = std_io();
     let archives = list_archives(&io, &dir).unwrap();
@@ -278,94 +268,62 @@ fn partial_or_missing_archives_fail_restore_with_truncated() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One lifecycle, both modes: with a retire thread attached the
+/// checkpoint only queues the superseded generation, and `stop()` ends
+/// with a final drain — no waiting on the thread's own schedule.
 #[test]
-fn background_archiver_drains_after_checkpoint() {
-    let dir = tmp_dir("thread");
-    let (wal, recovery) = DiskWal::open(&dir, archive_cfg(), std_io()).unwrap();
-    assert!(recovery.is_empty());
-    let archiver = wal.start_archiver().expect("archive mode spawns");
-
-    let mut db = fresh();
-    let sink_wal = wal.clone();
-    db.set_log_sink(Some(Arc::new(move |op: &LogOp| {
-        let _ = sink_wal.append(op);
-    })));
-    let t = db.begin_as(Value::Str("alice".into()));
-    let room = db.create_object(t, "stockRoom", &[]).unwrap();
-    db.commit(t).unwrap();
-    for _ in 0..4 {
-        demo::withdraw_txn(&mut db, "alice", room, "bolt", 30).unwrap();
-    }
-
-    // checkpoint() = checkpoint_inner + finish_sweep: in archive mode
-    // the sweep just nudges the archiver, which drains on its own.
-    let snap = db.snapshot().unwrap();
-    wal.checkpoint(&snap).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = wal.archive_stats();
-        if stats.lag_segments == 0 && stats.segments_archived > 0 {
-            break;
-        }
+fn retire_thread_removes_the_superseded_generation_in_both_modes() {
+    for (mode, cfg) in [("plain", plain_cfg()), ("archive", archive_cfg())] {
+        let dir = tmp_dir(&format!("thread-{mode}"));
+        let wal = open_empty(&dir, cfg);
+        let retirer = wal.start_retirer();
+        let (_all, report) = run_session(&wal);
         assert!(
-            Instant::now() < deadline,
-            "archiver did not drain: {stats:?}"
+            report.swept_segments > 0,
+            "{mode}: the session sealed segments"
         );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    archiver.stop();
+        retirer.stop();
 
-    assert!(!list_archives(&std_io(), &dir).unwrap().is_empty());
-    assert!(
-        segment_files(&dir)
-            .iter()
-            .all(|n| !n.starts_with("segment-0000000000-")),
-        "the stale generation was archived and unlinked"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            gen0_segments(&dir).is_empty(),
+            "{mode}: the superseded generation is gone"
+        );
+        let stats = wal.archive_stats();
+        assert_eq!(stats.lag_segments, 0, "{mode}: nothing left queued");
+        let archived = if cfg.archive {
+            report.swept_segments
+        } else {
+            0
+        };
+        assert_eq!(stats.segments_archived, archived, "{mode}");
+        assert_eq!(
+            !list_archives(&std_io(), &dir).unwrap().is_empty(),
+            cfg.archive,
+            "{mode}: archives exist iff archive mode"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
+/// A name can be queued twice: a checkpoint lists the directory while
+/// an earlier drain is still removing the same files. A retired file
+/// that is already gone is done, in both modes — it must not fail (and
+/// so re-queue) every later drain.
 #[test]
-fn plain_mode_has_no_archiver_and_a_deferred_sweep() {
-    let dir = tmp_dir("deferred");
-    // checkpoint_deferred leaves the superseded files on disk...
-    let (wal, recovery) = DiskWal::open(&dir, plain_cfg(), std_io()).unwrap();
-    assert!(recovery.is_empty());
-    assert!(wal.start_archiver().is_none(), "plain mode: no archiver");
-    let mut db = fresh();
-    let sink_wal = wal.clone();
-    db.set_log_sink(Some(Arc::new(move |op: &LogOp| {
-        let _ = sink_wal.append(op);
-    })));
-    let t = db.begin_as(Value::Str("alice".into()));
-    let room = db.create_object(t, "stockRoom", &[]).unwrap();
-    db.commit(t).unwrap();
-    for _ in 0..4 {
-        demo::withdraw_txn(&mut db, "alice", room, "bolt", 30).unwrap();
+fn a_retired_file_already_gone_does_not_wedge_the_drain() {
+    for (mode, cfg) in [("plain", plain_cfg()), ("archive", archive_cfg())] {
+        let dir = tmp_dir(&format!("gone-{mode}"));
+        run_session(&open_empty(&dir, cfg));
+        // A stale generation-0 segment for recovery to retire, which then
+        // disappears before the drain reaches it.
+        let stale = dir.join("segment-0000000000-00000.wal");
+        std::fs::write(&stale, b"").unwrap();
+        let (wal, _) = DiskWal::open(&dir, cfg, std_io()).unwrap();
+        assert_eq!(wal.archive_stats().lag_segments, 1, "{mode}: retired");
+        std::fs::remove_file(&stale).unwrap();
+        wal.drain_retired()
+            .unwrap_or_else(|e| panic!("{mode}: drain failed: {e}"));
+        assert_eq!(wal.archive_stats().lag_segments, 0, "{mode}: not re-queued");
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let snap = db.snapshot().unwrap();
-    let report = wal.checkpoint_deferred(&snap).unwrap();
-    assert!(report.swept_segments > 0, "the session sealed segments");
-    let stale = segment_files(&dir)
-        .into_iter()
-        .filter(|n| n.starts_with("segment-0000000000-"))
-        .count() as u64;
-    assert_eq!(
-        stale, report.swept_segments,
-        "deferred: superseded segments still on disk"
-    );
-
-    // ...until finish_sweep deletes exactly those files.
-    let removed = wal.finish_sweep();
-    assert_eq!(removed, report.swept_segments);
-    assert_eq!(
-        segment_files(&dir)
-            .iter()
-            .filter(|n| n.starts_with("segment-0000000000-"))
-            .count(),
-        0
-    );
-    // And nothing was archived — plain mode deletes.
-    assert!(list_archives(&std_io(), &dir).unwrap().is_empty());
-    let _ = std::fs::remove_dir_all(&dir);
 }

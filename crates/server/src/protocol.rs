@@ -347,20 +347,16 @@ pub enum Reply {
     Checkpointed {
         /// The log sequence number the checkpoint covers.
         lsn: u64,
-        /// Superseded segment files the retention sweep deleted —
-        /// `0` here over and over means retention is not reclaiming,
-        /// and Replicate handshakes will keep falling back to
-        /// snapshot bootstraps.
+        /// Superseded segment files the checkpoint retired (each
+        /// shard's retire thread unlinks them, archiving first under
+        /// `--wal-archive`) — `0` here over and over means retention is
+        /// not reclaiming, and Replicate handshakes will keep falling
+        /// back to snapshot bootstraps.
         swept_segments: u64,
         /// How long the snapshot + checkpoint held the engine lock —
-        /// every session stalls for this long. The retention sweep runs
-        /// *after* the locks drop, so its cost shows up in `sweep_ms`,
-        /// not here.
+        /// every session stalls for this long. Retirement runs on the
+        /// retire threads, so its cost is not part of it.
         stall_ms: u64,
-        /// How long the post-checkpoint sweep took after the engine
-        /// locks were released (file deletion in plain mode; a queue
-        /// hand-off to the archiver thread in `--wal-archive` mode).
-        sweep_ms: u64,
     },
     /// Answer to [`Command::Replicate`]: the stream is established.
     /// (The stream's first messages may already be queued before this
@@ -446,12 +442,15 @@ impl WireError {
         }
     }
 
-    /// Map an engine error onto a wire error. Lock conflicts are the
-    /// only retryable class: the engine returns them immediately rather
-    /// than blocking, so the client aborts and retries (no deadlock).
+    /// Map an engine error onto a wire error. Lock conflicts are
+    /// retryable: the engine returns them immediately rather than
+    /// blocking, so the client aborts and retries (no deadlock). So is a
+    /// snapshot refused for a transaction in flight: it can succeed
+    /// once that transaction ends.
     pub fn from_ode(e: &OdeError) -> WireError {
         let (code, retryable) = match e {
             OdeError::LockConflict { .. } => ("lock_conflict", true),
+            OdeError::TxnInFlight(_) => ("txn_in_flight", true),
             OdeError::Aborted(_) => ("aborted", false),
             OdeError::ClassExists(_) => ("class_exists", false),
             OdeError::UnknownClass(_) => ("unknown_class", false),
@@ -594,9 +593,11 @@ pub struct WireStats {
     /// Compressed bytes written to the archive since startup, summed
     /// across shards.
     pub archive_bytes: u64,
-    /// Segments swept by a checkpoint but not yet durable in the
-    /// archive — the archiver's backlog. Persistently nonzero means
-    /// the archiver can't keep up with checkpoint cadence.
+    /// Segments retired by a checkpoint (or recovery) but not yet
+    /// unlinked — the retire threads' backlog, in either mode (under
+    /// `--wal-archive` a segment leaves it only once its archive is
+    /// durable). Persistently nonzero means retirement can't keep up
+    /// with checkpoint cadence.
     pub archive_lag_segments: u64,
 }
 

@@ -68,7 +68,7 @@ use super::poller::{Event, Interest, Poller};
 use crate::codec::{LineEvent, LineReader};
 use crate::conn::Conn;
 use crate::protocol::{ReplyResult, Request, ServerMsg, WireError};
-use crate::repl::HEARTBEAT_INTERVAL;
+use crate::repl::{HEARTBEAT_INTERVAL, POLL_INTERVAL};
 use crate::server::Shared;
 use crate::session::{handle_request, notice, parse_line, runs_inline, Session};
 
@@ -269,7 +269,7 @@ pub(crate) fn start(
     let mut el = EventLoop::new(Arc::clone(&inner), listeners, Arc::clone(&notify), inj_tx)?;
     let inj_rx = Arc::new(Mutex::new(inj_rx));
     let mut workers = Vec::new();
-    let spawned = (0..inner.config.workers.max(1))
+    let spawned = (0..WORKERS)
         .try_for_each(|i| {
             let (w_inner, w_notify, w_rx) =
                 (Arc::clone(&inner), Arc::clone(&notify), Arc::clone(&inj_rx));
@@ -304,6 +304,13 @@ pub(crate) fn start(
 /// under hostile pipelining without ever stalling other connections.
 /// Also the most lines one read runs inline before the rest queue.
 const READ_HIGH_WATER: usize = 128;
+
+/// Command-executor threads for the commands that may block: a durable
+/// `Commit`'s group-commit fsync wait, `Query`, `Checkpoint`,
+/// `DefineClass`, `Promote`'s stream drain and the rest of the slow
+/// set. Every other command runs on the loop thread and never reaches
+/// this pool.
+const WORKERS: usize = 8;
 
 struct Entry {
     conn: Conn,
@@ -358,7 +365,6 @@ impl EventLoop {
     fn run(&mut self) {
         self.notify.claim_loop();
         let mut events: Vec<Event> = Vec::new();
-        let tick = self.inner.config.poll_interval;
         while !self.inner.shutdown.load(Ordering::SeqCst) {
             // The loop's own marks (an inline command run while draining,
             // a sweep notice) rang no waker: while one is pending, poll
@@ -366,7 +372,7 @@ impl EventLoop {
             let timeout = if self.notify.pending() {
                 Duration::ZERO
             } else {
-                tick
+                POLL_INTERVAL
             };
             if self.poller.wait(&mut events, timeout).is_err() {
                 break;
@@ -393,7 +399,7 @@ impl EventLoop {
                     self.maybe_finalize(fd);
                 }
             }
-            if self.last_sweep.elapsed() >= tick {
+            if self.last_sweep.elapsed() >= POLL_INTERVAL {
                 self.last_sweep = Instant::now();
                 self.sweep();
             }

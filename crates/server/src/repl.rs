@@ -82,6 +82,11 @@ const MAX_STREAM_LINE: usize = 256 * 1024 * 1024;
 /// upstream on its list).
 pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
 
+/// Sweep tick: how often the event loop checks the shutdown flag, the
+/// idle-transaction timers, and replication heartbeats when no socket
+/// is ready; also the replica runner's read-timeout tick.
+pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
 /// Where a replica finds its upstream (the primary, or — in a
 /// cascading tree — another replica).
 #[derive(Clone, Debug)]
@@ -247,7 +252,7 @@ pub(crate) fn run_replica(
             }
         };
         let _ = conn.set_blocking();
-        let _ = conn.set_read_timeout(Some(inner.config.poll_interval));
+        let _ = conn.set_read_timeout(Some(POLL_INTERVAL));
         let mut lines = LineReader::new(MAX_STREAM_LINE);
         let req = Request {
             id: 1,

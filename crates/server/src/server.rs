@@ -4,7 +4,7 @@
 //! installs the engine's firing, log, and durable sinks, binds the
 //! listeners, and hands them to the [`crate::reactor`] — one loop
 //! thread owning every socket plus a pool of command workers. What a
-//! connection may *say* lives in [`crate::session`]; how connections
+//! connection may *say* lives in `crate::session`; how connections
 //! are *served* lives in the reactor; this module only wires the parts
 //! together and tears them down again.
 //!
@@ -20,8 +20,8 @@
 //!
 //! ## Robustness
 //!
-//! * The loop sweeps every [`ServerConfig::poll_interval`], so shutdown
-//!   is noticed promptly and idle transactions expire
+//! * The loop sweeps every 25 ms even when no socket is ready, so
+//!   shutdown is noticed promptly and idle transactions expire
 //!   ([`ServerConfig::txn_idle_timeout`]) — partial lines survive
 //!   across readiness events (see [`crate::codec::LineReader`]).
 //! * Malformed or overlong lines answer with a structured `id: 0` error
@@ -66,7 +66,7 @@ use ode_db::replication::Applier;
 use ode_db::{
     shard_dir, Batch, Database, DurableRecord, EpochRecord, EpochTable, FiringNotice, HistConfig,
     HistStore, LogOp, Recovery, ShardedDatabase, ShardedWal, SharedDatabase, SharedIo, StdIo,
-    TapEvent, TxnId, WalArchiver, WalConfig, WalFlusher,
+    TapEvent, TxnId, WalConfig, WalFlusher, WalRetirer,
 };
 use parking_lot::Mutex;
 
@@ -83,32 +83,20 @@ pub struct ServerConfig {
     /// Maximum request-line length in bytes; longer lines are discarded
     /// with an `overlong` notice.
     pub max_line_bytes: usize,
-    /// Sweep tick: how often the event loop checks the shutdown flag,
-    /// the idle-transaction timers, and replication heartbeats when no
-    /// socket is ready (also the replica runner's read-timeout tick).
-    pub poll_interval: Duration,
     /// Abort a session's open transaction after this much inactivity
     /// (`None` disables the timer).
     pub txn_idle_timeout: Option<Duration>,
     /// Refuse connections past this count with a typed `server_full`
     /// notice instead of accepting and stalling (`None` = unlimited).
     pub max_conns: Option<u64>,
-    /// Command-executor threads for the commands that may block: a
-    /// durable `Commit`'s group-commit fsync wait, `Query`,
-    /// `Checkpoint`, `DefineClass`, `Promote`'s stream drain and the
-    /// rest of the slow set. Every other command runs on the event loop
-    /// thread and never reaches this pool.
-    pub workers: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_line_bytes: 256 * 1024,
-            poll_interval: Duration::from_millis(25),
             txn_idle_timeout: None,
             max_conns: None,
-            workers: 8,
         }
     }
 }
@@ -331,7 +319,7 @@ impl ServerBuilder {
 
     /// Admit at most `n` concurrent connections; beyond that, new
     /// clients are answered with a retryable `server_full` notice and
-    /// closed (counted in [`WireStats::conns_rejected`]).
+    /// closed (counted in [`crate::WireStats::conns_rejected`]).
     pub fn max_conns(mut self, n: u64) -> Self {
         self.config.max_conns = Some(n);
         self
@@ -368,12 +356,12 @@ impl ServerBuilder {
         self
     }
 
-    /// Archive swept WAL segments (compressed, CRC-framed, under each
-    /// shard directory's `archive/`) instead of deleting them at
-    /// checkpoint. A dedicated archiver thread per shard does the
-    /// compression; a segment is only unlinked once its archive is
-    /// fsync-durable. Enables point-in-time restore and archive-based
-    /// replica catch-up. Only meaningful together with
+    /// Archive the WAL segments a checkpoint supersedes (compressed,
+    /// CRC-framed, under each shard directory's `archive/`) before
+    /// unlinking them. Each shard's retire thread — running in either
+    /// mode — does the compression, and unlinks a segment only once its
+    /// archive is fsync-durable. Enables point-in-time restore and
+    /// archive-based replica catch-up. Only meaningful together with
     /// [`ServerBuilder::wal_dir`].
     pub fn wal_archive(mut self, on: bool) -> Self {
         self.wal_config.archive = on;
@@ -389,7 +377,7 @@ impl ServerBuilder {
 
     /// Maintain a per-shard append-only columnar store of the committed
     /// event stream (`hist/` under each shard's WAL directory), serving
-    /// [`Command::Query`] and retroactive trigger activation
+    /// [`crate::Command::Query`] and retroactive trigger activation
     /// (`Activate { replay_history: true }`). Requires
     /// [`ServerBuilder::wal_dir`]: ingestion is gated on WAL
     /// durability, and a store that lost its tail rebuilds from the
@@ -592,7 +580,7 @@ impl ServerBuilder {
 
         let mut log_sinks: Vec<LogSink> = Vec::new();
         let mut wal_flushers = Vec::new();
-        let mut wal_archivers = Vec::new();
+        let mut wal_retirers = Vec::new();
         if let Some(ws) = &wal {
             for (s, shard_cur) in cur_lsns.iter().enumerate() {
                 // Shipping happens in each shard's durable sink:
@@ -659,7 +647,7 @@ impl ServerBuilder {
                 db.shard(s).with(|db| db.set_log_sink(Some(sink)));
             }
             wal_flushers = ws.wal.start_flushers();
-            wal_archivers = ws.wal.start_archivers();
+            wal_retirers = ws.wal.start_retirers();
         }
 
         let subscriber_drops = Arc::new(AtomicU64::new(0));
@@ -728,7 +716,7 @@ impl ServerBuilder {
             reactor: None,
             repl_thread,
             wal_flushers,
-            wal_archivers,
+            wal_retirers,
             tcp_addr: None,
             unix_path: None,
             stopped: false,
@@ -762,7 +750,7 @@ pub struct Server {
     reactor: Option<ReactorHandle>,
     repl_thread: Option<JoinHandle<()>>,
     wal_flushers: Vec<WalFlusher>,
-    wal_archivers: Vec<WalArchiver>,
+    wal_retirers: Vec<WalRetirer>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
     stopped: bool,
@@ -845,11 +833,12 @@ impl Server {
                 w.set_durable_sink(None);
             }
         }
-        // Archivers stop last (after the final sync): their stop does a
-        // final drain, so segments retired by a late checkpoint still
-        // reach the archive before the process exits.
-        for a in self.wal_archivers.drain(..) {
-            a.stop();
+        // Retirers stop last (after the final sync): their stop does a
+        // final drain, so files retired by a late checkpoint are still
+        // removed (archived first in archive mode) before the process
+        // exits.
+        for r in self.wal_retirers.drain(..) {
+            r.stop();
         }
         if let Some(p) = &self.unix_path {
             let _ = std::fs::remove_file(p);

@@ -14,6 +14,7 @@
 //! here touches a socket.
 
 use std::cell::RefCell;
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -26,14 +27,15 @@ use ode_db::durability::archive::{
 };
 use ode_db::durability::frame;
 use ode_db::{
-    shard_dir, shard_of, to_global, to_local, ArchiveStats, ArgPred, CmpOp, HistQuery, LogOp,
-    ObjectId, SegmentReader, SharedIo, Snapshot, TxnId, WalError,
+    shard_dir, shard_of, to_global, to_local, ArchiveStats, ArgPred, CmpOp, Database, HistQuery,
+    LogOp, ObjectId, OdeError, SegmentReader, SharedIo, Snapshot, TxnId, WalError,
 };
 
 use crate::protocol::{
     hex_encode, Command, Reply, ReplyResult, Request, ServerMsg, WireError, WireRow, WireStats,
 };
 use crate::reactor::outbox::{broadcast, ConnOutbox};
+use crate::repl::POLL_INTERVAL;
 use crate::server::{append_schema, load_schema, Shared};
 use crate::spec::compile_class;
 
@@ -233,8 +235,9 @@ fn may_write(inner: &Shared, cmd: &Command) -> Result<(), WireError> {
 /// archive chain from `from_lsn` up to (at least) `upto` — replica
 /// catch-up without a snapshot bootstrap. Returns `None` when the chain
 /// has a gap, an unreadable file, or simply doesn't reach `upto`; the
-/// caller then falls back to the snapshot. Best-effort by design: an
-/// archiver that is mid-drain or disabled must never fail a handshake.
+/// caller then falls back to the snapshot. Best-effort by design: a
+/// retire drain in progress, or archiving turned off, must never fail
+/// a handshake.
 fn archive_catchup(
     io: &SharedIo,
     dir: &Path,
@@ -293,13 +296,34 @@ fn no_txn() -> WireError {
     WireError::new("no_txn", "no open transaction in this session")
 }
 
+/// Snapshot every locked shard (guard `s` is shard `s`). A shard with a
+/// transaction in flight refuses with the retryable `txn_in_flight`,
+/// naming the transaction by the handle its client knows.
+fn snapshot_all<G: Deref<Target = Database>>(
+    inner: &Shared,
+    guards: &[G],
+) -> Result<Vec<Snapshot>, WireError> {
+    let refusal = |s: usize, e: OdeError| match e {
+        OdeError::TxnInFlight(branch) => {
+            let txn = inner.db.global_of(s, branch).unwrap_or(branch);
+            WireError::from_ode(&OdeError::TxnInFlight(txn))
+        }
+        other => WireError::from_ode(&other),
+    };
+    guards
+        .iter()
+        .enumerate()
+        .map(|(s, g)| g.snapshot().map_err(|e| refusal(s, e)))
+        .collect()
+}
+
 /// Close out a transactional engine call: if the engine finalized the
 /// transaction while failing (trigger-requested abort), forget it.
 fn finish<T>(
     inner: &Shared,
     open_txn: &mut Option<TxnId>,
     t: TxnId,
-    r: Result<T, ode_db::OdeError>,
+    r: Result<T, OdeError>,
 ) -> Result<T, WireError> {
     match r {
         Ok(v) => Ok(v),
@@ -488,13 +512,12 @@ fn execute(
             // single shard serializes to the legacy flat snapshot; more
             // serialize to a JSON array of per-shard snapshots.
             let shard_count = inner.db.shard_count();
-            let mut guards = inner.db.lock_all();
-            let mut parts = Vec::with_capacity(shard_count);
-            for g in guards.iter_mut() {
-                let snap = g.snapshot().map_err(|e| WireError::from_ode(&e))?;
-                parts.push(snap.to_json().map_err(|e| WireError::from_ode(&e))?);
-            }
-            drop(guards);
+            let snaps = snapshot_all(inner, &inner.db.lock_all())?;
+            let mut parts = snaps
+                .iter()
+                .map(Snapshot::to_json)
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| WireError::from_ode(&e))?;
             let json = if shard_count == 1 {
                 parts.pop().expect("one shard")
             } else {
@@ -553,13 +576,15 @@ fn execute(
             // checkpoint LSN matches one consistent cut (lock order
             // engine → wal, same as the log sinks). That means every
             // session stalls for the duration — measure and report it
-            // so operators see the cost.
+            // so operators see the cost. Every snapshot is taken before
+            // the first install, so a refusal touches no shard. The
+            // superseded files go to each shard's retire thread.
             let started = Instant::now();
-            let mut guards = inner.db.lock_all();
+            let guards = inner.db.lock_all();
+            let snaps = snapshot_all(inner, &guards)?;
             let mut lsn_max = 0u64;
             let mut swept = 0u64;
-            for (s, g) in guards.iter_mut().enumerate() {
-                let snap = g.snapshot().map_err(|e| WireError::from_ode(&e))?;
+            for (s, snap) in snaps.iter().enumerate() {
                 if let Some(store) = inner.hist.get(s) {
                     // Seal the history store's active set behind the
                     // checkpoint barrier *before* the WAL truncates:
@@ -578,11 +603,7 @@ fn execute(
                             .map_err(|e| WireError::new("history", e.to_string()))?;
                     }
                 }
-                // The deferred form only *installs* the checkpoint and
-                // queues the superseded generation; deletion (or the
-                // archiver hand-off) runs below, after the engine locks
-                // drop, so the stall figure is pure snapshot+install.
-                let report = ws.wal.wal(s).checkpoint_deferred(&snap).map_err(|e| {
+                let report = ws.wal.wal(s).checkpoint(snap).map_err(|e| {
                     // Refused before the log was touched: the WAL is not
                     // poisoned and the node keeps serving writes.
                     if matches!(e, WalError::SnapshotTooLarge { .. }) {
@@ -596,19 +617,14 @@ fn execute(
             }
             drop(guards);
             let stall = started.elapsed();
-            let sweep_started = Instant::now();
-            ws.wal.finish_sweep_all();
-            let sweep = sweep_started.elapsed();
             eprintln!(
-                "checkpoint: lsn {} in {:?} (engine stalled), retired {} segment file(s), \
-                 sweep {:?} off-stall",
-                lsn_max, stall, swept, sweep
+                "checkpoint: lsn {lsn_max} in {stall:?} (engine stalled), \
+                 retired {swept} segment file(s)"
             );
             Ok(Reply::Checkpointed {
                 lsn: lsn_max,
                 swept_segments: swept,
                 stall_ms: stall.as_millis() as u64,
-                sweep_ms: sweep.as_millis() as u64,
             })
         }
         Command::Stats => {
@@ -984,7 +1000,7 @@ fn execute(
                             retryable: true,
                         });
                     }
-                    thread::sleep(inner.config.poll_interval);
+                    thread::sleep(POLL_INTERVAL);
                 }
                 // Bump the epoch *durably* before the first write is
                 // accepted: the bump record lands in every shard WAL

@@ -515,19 +515,24 @@ fn replies_and_notices_keep_send_order_across_inline_and_worker_execution() {
     let _ = std::fs::remove_dir_all(&wal);
 }
 
-/// A `WalIo` that notes which thread made each call.
+/// A `WalIo` that notes which thread made each call, and which thread
+/// removed each file.
+#[derive(Default)]
 struct ThreadNotingIo {
     io: StdIo,
     threads: Arc<Mutex<BTreeSet<String>>>,
+    /// `(thread, file name)` per `remove`.
+    removes: Arc<Mutex<Vec<(String, String)>>>,
 }
 
 impl ThreadNotingIo {
-    fn note(&self) {
+    fn note(&self) -> String {
         let name = std::thread::current()
             .name()
             .unwrap_or("<unnamed>")
             .to_string();
-        self.threads.lock().unwrap().insert(name);
+        self.threads.lock().unwrap().insert(name.clone());
+        name
     }
 }
 
@@ -561,7 +566,9 @@ impl WalIo for ThreadNotingIo {
         self.io.rename(from, to)
     }
     fn remove(&mut self, path: &Path) -> std::io::Result<()> {
-        self.note();
+        let thread = self.note();
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        self.removes.lock().unwrap().push((thread, file));
         self.io.remove(path)
     }
     fn truncate(&mut self, path: &Path, len: u64) -> std::io::Result<()> {
@@ -573,11 +580,9 @@ impl WalIo for ThreadNotingIo {
 #[test]
 fn the_loop_thread_never_touches_the_disk() {
     let wal = temp_wal_dir("loop-io");
-    let threads = Arc::new(Mutex::new(BTreeSet::new()));
-    let io = SharedIo::new(ThreadNotingIo {
-        io: StdIo::new(),
-        threads: Arc::clone(&threads),
-    });
+    let noting = ThreadNotingIo::default();
+    let threads = Arc::clone(&noting.threads);
+    let io = SharedIo::new(noting);
     // The helper's DefineClass and room creation are part of the drive.
     let (mut server, dir, room) =
         start_unix_stockroom("loop-io", |b| b.wal_dir(&wal).history(true).wal_io(io));
@@ -618,4 +623,47 @@ fn the_loop_thread_never_touches_the_disk() {
     );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&wal);
+}
+
+#[test]
+fn checkpoint_retirement_runs_on_the_retire_threads() {
+    for archive in [false, true] {
+        let tag = if archive {
+            "retire-archive"
+        } else {
+            "retire-plain"
+        };
+        let wal = temp_wal_dir(tag);
+        let noting = ThreadNotingIo::default();
+        let removes = Arc::clone(&noting.removes);
+        let io = SharedIo::new(noting);
+        let (mut server, dir, room) = start_unix_stockroom(tag, |b| {
+            b.wal_dir(&wal).shards(2).wal_archive(archive).wal_io(io)
+        });
+        let mut c = Client::connect_unix(server.unix_path().unwrap()).expect("connect");
+        c.txn("io", |c| {
+            c.call(room, "deposit", &[Value::from("bolt"), Value::Int(5)])
+        })
+        .expect("durable commit");
+        match c.request(Command::Checkpoint) {
+            Ok(Reply::Checkpointed { swept_segments, .. }) => assert!(swept_segments > 0),
+            other => panic!("{tag}: expected a checkpoint, got {other:?}"),
+        }
+        server.shutdown();
+
+        // Every superseded segment or checkpoint was unlinked by a
+        // retire thread — never by the worker that ran the checkpoint.
+        let removes = removes.lock().unwrap().clone();
+        let retired: Vec<&(String, String)> = removes
+            .iter()
+            .filter(|(_, f)| f.starts_with("segment-") || f.starts_with("checkpoint-"))
+            .collect();
+        assert!(!retired.is_empty(), "{tag}: the checkpoint retired files");
+        assert!(
+            retired.iter().all(|(thread, _)| thread == "wal-retirer"),
+            "{tag}: superseded files removed off the retire threads: {retired:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&wal);
+    }
 }

@@ -9,8 +9,8 @@ use std::sync::atomic::Ordering;
 
 use ode_core::Value;
 use ode_db::{
-    recover_sharded, Database, FaultyIo, FsyncPolicy, ShardedDatabase, SharedDatabase, SharedIo,
-    StdIo, WalConfig,
+    recover_sharded, shard_dir, shard_of, Database, FaultyIo, FsyncPolicy, ObjectId,
+    ShardedDatabase, SharedDatabase, SharedIo, StdIo, WalConfig,
 };
 use ode_server::protocol::Command;
 use ode_server::spec::{define_specs, stockroom_spec};
@@ -145,7 +145,15 @@ fn checkpoint_truncates_and_recovery_stays_exact() {
             }
             other => panic!("expected Checkpointed, got {other:?}"),
         }
-        // The checkpoint superseded generation zero's segments.
+        // And the log keeps growing after the checkpoint.
+        c.txn("bob", |c| {
+            c.call(room, "withdraw", &[Value::from("gear"), Value::Int(7)])
+        })
+        .expect("post-checkpoint withdraw");
+        server.shutdown();
+
+        // The checkpoint superseded generation zero's segments; the
+        // retire thread's final drain at shutdown has removed them.
         let names: Vec<String> = std::fs::read_dir(&dir)
             .expect("dir")
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -158,13 +166,6 @@ fn checkpoint_truncates_and_recovery_stays_exact() {
             !names.iter().any(|n| n.starts_with("segment-0000000000-")),
             "generation 0 segments survived the checkpoint: {names:?}"
         );
-
-        // And the log keeps growing after the checkpoint.
-        c.txn("bob", |c| {
-            c.call(room, "withdraw", &[Value::from("gear"), Value::Int(7)])
-        })
-        .expect("post-checkpoint withdraw");
-        server.shutdown();
     }
 
     let mut server = start_server(&dir);
@@ -176,6 +177,65 @@ fn checkpoint_truncates_and_recovery_stays_exact() {
         .and_then(Value::as_int)
         .expect("gear is an int");
     assert_eq!(gear, 100 - 4 * 5 - 7, "checkpoint + tail replay is exact");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_refused_checkpoint_leaves_every_shard_untouched() {
+    let dir = tmp_dir("refused-checkpoint");
+    let mut server = Server::builder(SharedDatabase::new(Database::new()))
+        .tcp("127.0.0.1:0")
+        .shards(2)
+        .wal_dir(&dir)
+        .wal_config(small_cfg())
+        .start()
+        .expect("server starts");
+    let addr = server.tcp_addr().unwrap();
+    let mut a = Client::connect_tcp(addr).expect("connect A");
+    a.define_class(stockroom_spec()).expect("define");
+    let room = (0..4)
+        .map(|_| a.txn("admin", |c| c.new_object("room", &[])).expect("room"))
+        .find(|&id| shard_of(ObjectId(id), 2) == 1)
+        .expect("a room on shard 1");
+
+    // A leaves a transaction open on shard 1 only.
+    a.begin("alice").expect("begin");
+    a.call(room, "withdraw", &[Value::from("gear"), Value::Int(5)])
+        .expect("call");
+
+    let checkpoints = || -> usize {
+        (0..2)
+            .map(|s| {
+                std::fs::read_dir(shard_dir(&dir, s, 2))
+                    .expect("shard dir")
+                    .filter(|e| {
+                        let name = e.as_ref().unwrap().file_name();
+                        name.to_string_lossy().starts_with("checkpoint-")
+                    })
+                    .count()
+            })
+            .sum()
+    };
+    let mut b = Client::connect_tcp(addr).expect("connect B");
+    for cmd in [Command::Checkpoint, Command::Snapshot] {
+        match b.request(cmd) {
+            Err(ClientError::Server(e)) => {
+                assert_eq!(e.code, "txn_in_flight", "{e:?}");
+                assert!(e.retryable, "a refusal for A's transaction is retryable");
+            }
+            other => panic!("expected a txn_in_flight refusal, got {other:?}"),
+        }
+    }
+    assert_eq!(checkpoints(), 0, "no shard was checkpointed");
+
+    // Once A's transaction ends, the same Checkpoint goes through.
+    a.commit().expect("commit");
+    match b.request(Command::Checkpoint) {
+        Ok(ode_server::protocol::Reply::Checkpointed { .. }) => {}
+        other => panic!("expected Checkpointed, got {other:?}"),
+    }
+    assert_eq!(checkpoints(), 2, "every shard checkpointed");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -42,9 +42,9 @@
 //! joined); otherwise it runs until the process is killed.
 //!
 //! WAL lifecycle flags (both require `--wal-dir`): with
-//! `--wal-archive` a background archiver thread compresses every
-//! checkpoint-swept segment into `DIR/archive/` before it is unlinked,
-//! so the full committed history stays restorable. With
+//! `--wal-archive` each shard's retire thread compresses every segment
+//! a checkpoint supersedes into `DIR/archive/` before unlinking it, so
+//! the full committed history stays restorable. With
 //! `--wal-restore LSN` the server does not start at all: it rebuilds
 //! the database as of exactly `LSN` committed ops — from the
 //! checkpoint + archive chain + live segments — prints a state
@@ -126,7 +126,7 @@ fn main() {
 
     // Point-in-time restore is a one-shot: rebuild the database as of
     // exactly `target` committed ops, print a fingerprint, and exit —
-    // no sockets, no flushers, no archiver.
+    // no sockets, no flushers, no retire threads.
     if let Some(target) = wal_restore {
         let Some(dir) = &wal_dir else {
             eprintln!("--wal-restore requires --wal-dir");
