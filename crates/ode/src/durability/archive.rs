@@ -238,8 +238,8 @@ pub fn decode_archive_bytes(bytes: &[u8]) -> Result<ArchiveSegment, ArchiveError
             }
         )));
     }
-    let meta = ArchiveMeta::decode(&payloads[0])?;
-    let raw = decompress(&payloads[1])
+    let meta = ArchiveMeta::decode(payloads[0])?;
+    let raw = decompress(payloads[1])
         .map_err(|e| ArchiveError::Corrupt(format!("archive payload: {e}")))?;
     if raw.len() as u64 != meta.raw_len || frame::crc32(&raw) != meta.raw_crc {
         return Err(ArchiveError::Corrupt(
@@ -259,7 +259,10 @@ pub fn decode_archive_bytes(bytes: &[u8]) -> Result<ArchiveSegment, ArchiveError
             meta.records
         )));
     }
-    Ok(ArchiveSegment { meta, records })
+    Ok(ArchiveSegment {
+        meta,
+        records: records.into_iter().map(<[u8]>::to_vec).collect(),
+    })
 }
 
 /// Read and validate one archive file.

@@ -10,7 +10,12 @@
 //!
 //! The CRC covers the four length bytes *and* the payload, so a frame
 //! whose length prefix was damaged after the fact fails its checksum
-//! even when the payload happens to survive.
+//! even when the payload happens to survive. It is CRC-32/IEEE (the
+//! zlib/Ethernet polynomial), computed slicing-by-8: eight const-built
+//! 256-entry tables fold eight bytes per step, several times faster
+//! than the bytewise loop and bit-identical to it. Every frame written
+//! or read (WAL records, checkpoints, archives, history segments) pays
+//! this checksum, so it is the floor under recovery and segment scans.
 //!
 //! ## The torn-tail rule
 //!
@@ -38,9 +43,12 @@ pub const HEADER_LEN: usize = 8;
 /// as damage, not as frames.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
-/// CRC32 (IEEE 802.3, reflected) lookup table.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slicing-by-8 tables. `CRC_TABLES[0]`
+/// is the classic bytewise table; `CRC_TABLES[k][b]` is the CRC state
+/// after byte `b` followed by `k` zero bytes, so one lookup per table
+/// folds eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -53,27 +61,53 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 };
+
+/// Fold `bytes` into a running (pre-inverted) CRC-32 state: eight bytes
+/// per step through the slicing tables, then the tail bytewise. The one
+/// CRC loop — [`crc32`] and the frame checksum both run it.
+fn crc_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
 
 /// CRC32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    !crc_update(!0, bytes)
 }
 
 fn frame_crc(len_le: [u8; 4], payload: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in len_le.iter().chain(payload) {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    !crc_update(crc_update(!0, &len_le), payload)
 }
 
 /// Encode one payload as a frame.
@@ -115,8 +149,9 @@ pub struct CorruptFrame {
 }
 
 /// Decode a whole file's worth of frames, applying the torn-tail rule.
-/// Returns the payloads plus how the stream ended.
-pub fn decode_all(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, Tail), CorruptFrame> {
+/// Returns the payloads, borrowed from `bytes`, plus how the stream
+/// ended.
+pub fn decode_all(bytes: &[u8]) -> Result<(Vec<&[u8]>, Tail), CorruptFrame> {
     let mut payloads = Vec::new();
     let mut off = 0usize;
     while off < bytes.len() {
@@ -147,7 +182,7 @@ pub fn decode_all(bytes: &[u8]) -> Result<(Vec<Vec<u8>>, Tail), CorruptFrame> {
                 reason: "frame checksum mismatch with data following".to_string(),
             });
         }
-        payloads.push(payload.to_vec());
+        payloads.push(payload);
         off += end;
     }
     Ok((payloads, Tail::Clean))
@@ -164,6 +199,33 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The textbook bytewise CRC-32, kept as the reference the slicing
+    /// loop must reproduce.
+    fn bytewise_crc32(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn slicing_by_8_equals_bytewise_at_every_length_and_offset() {
+        let buf: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for off in 0..8 {
+            for len in 0..=257 {
+                let s = &buf[off..off + len];
+                assert_eq!(crc32(s), bytewise_crc32(s), "len {len} offset {off}");
+                if len >= 4 {
+                    let len_le = [s[0], s[1], s[2], s[3]];
+                    assert_eq!(frame_crc(len_le, &s[4..]), bytewise_crc32(s));
+                }
+            }
+        }
+    }
+
     #[test]
     fn round_trip_multiple_frames() {
         let mut stream = Vec::new();
@@ -173,7 +235,7 @@ mod tests {
         }
         let (got, tail) = decode_all(&stream).unwrap();
         assert_eq!(tail, Tail::Clean);
-        assert_eq!(got, payloads.iter().map(|p| p.to_vec()).collect::<Vec<_>>());
+        assert_eq!(got, payloads);
     }
 
     #[test]

@@ -131,14 +131,14 @@ pub(crate) fn index_dir(dir: &Path, io: &SharedIo) -> Result<DirIndex, WalError>
 /// legitimately torn).
 pub(crate) fn read_checkpoint(dir: &Path, io: &SharedIo, name: &str) -> Result<Vec<u8>, WalError> {
     let bytes = io.with(|f| f.read(&dir.join(name)))?;
-    let (mut payloads, tail) = frame::decode_all(&bytes)
+    let (payloads, tail) = frame::decode_all(&bytes)
         .map_err(|c| WalError::Corrupt(format!("checkpoint {name}: bad frame at {}", c.offset)))?;
     if tail != frame::Tail::Clean || payloads.len() != 1 {
         return Err(WalError::Corrupt(format!(
             "checkpoint {name}: expected exactly one clean frame"
         )));
     }
-    Ok(payloads.pop().expect("one payload"))
+    Ok(payloads[0].to_vec())
 }
 
 /// A decoded, read-only scan of one WAL directory: the newest
@@ -199,7 +199,7 @@ impl SegmentReader {
                     offset,
                 });
             }
-            records.extend(payloads);
+            records.extend(payloads.into_iter().map(<[u8]>::to_vec));
         }
 
         Ok(SegmentReader {

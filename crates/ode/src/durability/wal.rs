@@ -667,6 +667,15 @@ impl DiskWal {
     /// or duplicate against the live shipping path.
     pub fn frozen<R>(&self, f: impl FnOnce(u64) -> R) -> R {
         let _buf = lock(&self.inner.buf);
+        self.with_durable_head(f)
+    }
+
+    /// Run `f` while no flush, checkpoint or log reset is in flight —
+    /// the durable sink cannot run and the log cannot be replaced —
+    /// passing the durable watermark. Unlike [`DiskWal::frozen`],
+    /// appends proceed: a reader that only needs a stable durable head
+    /// must not hold writers up behind an in-flight fsync.
+    pub fn with_durable_head<R>(&self, f: impl FnOnce(u64) -> R) -> R {
         let _disk = lock(&self.inner.disk);
         let head = lock(&self.inner.durable).durable_lsn;
         f(head)

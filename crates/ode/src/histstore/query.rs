@@ -1,5 +1,16 @@
 //! Ad-hoc queries over the event history: predicate model, planning
-//! against the dictionaries, zone pruning and row matching.
+//! against the dictionaries, zone pruning and the predicates a scan
+//! evaluates.
+//!
+//! A query runs in three tiers, cheapest first. `zone_may_match`
+//! refutes whole segments from their in-memory zone metadata. In a
+//! segment that survives, the scan (`segment::scan`) evaluates the
+//! fixed-column conjuncts (`Plan::keeps`: class, object, kind,
+//! qualifier, seq and time ranges) on the decoded columns, then parses
+//! the JSON args of only the rows those select and applies the argument
+//! predicates (`Plan::args_hold`); an [`EventRow`] is built only for a
+//! row that passes both. The in-memory active set runs the same two
+//! predicates row by row (`Plan::matches`).
 
 use std::cmp::Ordering;
 
@@ -123,6 +134,43 @@ pub(crate) struct Plan {
     pub(crate) limit: usize,
 }
 
+impl Plan {
+    /// The plan that selects every row: the full decode of a segment.
+    pub(crate) fn all() -> Plan {
+        compile(&HistQuery::default(), &[], &KindDict::default())
+    }
+
+    /// The fixed-column conjuncts, evaluated on one row's column values.
+    pub(crate) fn keeps(
+        &self,
+        class: u32,
+        object: u64,
+        kind: u32,
+        qual: u8,
+        seq: u64,
+        time: u64,
+    ) -> bool {
+        !self.impossible
+            && self.class.map_or(true, |c| c == class)
+            && self.object.map_or(true, |o| o == object)
+            && self.kind.map_or(true, |k| k == kind)
+            && self.qual.map_or(true, |q| q == qual)
+            && (self.min_seq..=self.max_seq).contains(&seq)
+            && (self.min_time..=self.max_time).contains(&time)
+    }
+
+    /// The argument predicates, all of which must hold.
+    pub(crate) fn args_hold(&self, args: &[Value]) -> bool {
+        self.args.iter().all(|p| pred_holds(p, args))
+    }
+
+    /// Both tiers on an in-memory row.
+    pub(crate) fn matches(&self, row: &EventRow) -> bool {
+        self.keeps(row.class, row.object, row.kind, row.qual, row.seq, row.time)
+            && self.args_hold(&row.args)
+    }
+}
+
 pub(crate) fn compile(q: &HistQuery, classes: &[String], dict: &KindDict) -> Plan {
     let mut impossible = false;
     let class = q
@@ -202,13 +250,23 @@ pub fn value_cmp(a: &Value, b: &Value) -> Option<Ordering> {
     }
 }
 
+/// Equality with the masks' Int/Float coercion (`3 == 3.0`), so an
+/// `eq`/`ne` predicate agrees with `ge && le` and with a §3.2 mask.
+fn values_eq(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Int(x), Value::Float(y)) => *x as f64 == *y,
+        (Value::Float(x), Value::Int(y)) => *x == *y as f64,
+        _ => a == b,
+    }
+}
+
 fn pred_holds(p: &ArgPred, args: &[Value]) -> bool {
     let Some(v) = args.get(p.index) else {
         return false;
     };
     match p.op {
-        CmpOp::Eq => v == &p.value,
-        CmpOp::Ne => v != &p.value,
+        CmpOp::Eq => values_eq(v, &p.value),
+        CmpOp::Ne => !values_eq(v, &p.value),
         CmpOp::Lt => value_cmp(v, &p.value) == Some(Ordering::Less),
         CmpOp::Le => matches!(
             value_cmp(v, &p.value),
@@ -220,24 +278,6 @@ fn pred_holds(p: &ArgPred, args: &[Value]) -> bool {
             Some(Ordering::Greater | Ordering::Equal)
         ),
     }
-}
-
-pub(crate) fn row_matches(plan: &Plan, row: &EventRow) -> bool {
-    if plan.impossible {
-        return false;
-    }
-    if plan.class.is_some_and(|c| c != row.class)
-        || plan.object.is_some_and(|o| o != row.object)
-        || plan.kind.is_some_and(|k| k != row.kind)
-        || plan.qual.is_some_and(|q| q != row.qual)
-        || row.seq < plan.min_seq
-        || row.seq > plan.max_seq
-        || row.time < plan.min_time
-        || row.time > plan.max_time
-    {
-        return false;
-    }
-    plan.args.iter().all(|p| pred_holds(p, &row.args))
 }
 
 #[cfg(test)]
@@ -267,5 +307,33 @@ mod tests {
             },
             &[Value::Int(10)]
         ));
+    }
+
+    #[test]
+    fn eq_and_ne_coerce_numerics_like_masks() {
+        let pred = |op, value| ArgPred {
+            index: 0,
+            op,
+            value,
+        };
+        let three = [Value::Int(3)];
+        assert!(pred_holds(&pred(CmpOp::Eq, Value::Float(3.0)), &three));
+        assert!(!pred_holds(&pred(CmpOp::Ne, Value::Float(3.0)), &three));
+        assert!(pred_holds(&pred(CmpOp::Ne, Value::Float(3.5)), &three));
+        assert!(pred_holds(
+            &pred(CmpOp::Eq, Value::Int(2)),
+            &[Value::Float(2.0)]
+        ));
+        // Other types still compare exactly: no string/number coercion.
+        assert!(!pred_holds(
+            &pred(CmpOp::Eq, Value::Str("3".into())),
+            &three
+        ));
+        // Agrees with the closed band `ge 3.0 && le 3.0` on the same row.
+        let band = [
+            pred(CmpOp::Ge, Value::Float(3.0)),
+            pred(CmpOp::Le, Value::Float(3.0)),
+        ];
+        assert!(band.iter().all(|p| pred_holds(p, &three)));
     }
 }

@@ -6,7 +6,9 @@
 //!    zone pruning actually runs) and once into a plain in-memory
 //!    vector. Random [`HistQuery`]s over the store must return exactly
 //!    the rows a naive filter over the vector selects, in the same
-//!    order, with the same truncation verdict.
+//!    order, with the same truncation verdict — also under limits
+//!    chosen to cut inside a sealed segment, at the sealed/active seam
+//!    and inside the active set.
 //!
 //! 2. **Retro == live-since-inception**: activating a trigger with a
 //!    replayed history fires on exactly the committed occurrences a
@@ -22,17 +24,20 @@
 //! last logged op, so a commit's `after tcommit` round shares its
 //! commit record's LSN.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ode_core::{BasicEvent, EventKind, Qualifier, Value};
+use ode_db::histstore::segment::decode_segment;
 use ode_db::{
     demo, Action, Batch, ClassDef, CmpOp, Database, EventTap, HistConfig, HistQuery, HistStore,
     LogOp, MethodKind, ObjectId, TxnId,
 };
 use parking_lot::Mutex;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -142,14 +147,23 @@ fn num_cmp(v: &Value, rhs: &Value) -> Option<std::cmp::Ordering> {
     }
 }
 
+/// Equality as a §3.2 mask sees it: ints and floats compare by value.
+fn num_eq(v: &Value, rhs: &Value) -> bool {
+    match (v, rhs) {
+        (Value::Int(x), Value::Float(y)) => *x as f64 == *y,
+        (Value::Float(x), Value::Int(y)) => *x == *y as f64,
+        _ => v == rhs,
+    }
+}
+
 fn pred_holds(index: usize, op: CmpOp, rhs: &Value, args: &[Value]) -> bool {
     use std::cmp::Ordering as O;
     let Some(v) = args.get(index) else {
         return false;
     };
     match op {
-        CmpOp::Eq => v == rhs,
-        CmpOp::Ne => v != rhs,
+        CmpOp::Eq => num_eq(v, rhs),
+        CmpOp::Ne => !num_eq(v, rhs),
         CmpOp::Lt => num_cmp(v, rhs) == Some(O::Less),
         CmpOp::Le => matches!(num_cmp(v, rhs), Some(O::Less | O::Equal)),
         CmpOp::Gt => num_cmp(v, rhs) == Some(O::Greater),
@@ -257,6 +271,8 @@ fn qspec_strategy() -> impl Strategy<Value = QSpec> {
         ],
         prop_oneof![
             3 => (1i64..60).prop_map(Value::Int),
+            2 => (1i64..60).prop_map(|q| Value::Float(q as f64)),
+            1 => (1i64..60).prop_map(|q| Value::Float(q as f64 + 0.5)),
             2 => prop_oneof![Just("bolt"), Just("gear"), Just("shim")]
                 .prop_map(|s| Value::Str(s.into())),
         ],
@@ -338,57 +354,109 @@ fn apply(db: &mut Database, room: ObjectId, op: &Op) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+/// What one store-vs-naive comparison exercised.
+#[derive(Debug, Default)]
+struct Coverage {
+    time_selected: bool,
+    time_rejected: bool,
+    no_args_selected: bool,
+    no_args_rejected: bool,
+    cut_in_sealed: bool,
+    cut_in_active: bool,
+}
 
-    #[test]
-    fn columnar_query_equals_naive_scan(
-        ops in prop::collection::vec(op_strategy(), 1..30),
-        queries in prop::collection::vec(qspec_strategy(), 1..6),
-    ) {
-        let dir = tmp_dir("scan");
-        {
-            let (mut db, room) = demo::setup();
-            // Tiny segments: even short scripts seal several, so zone
-            // pruning and the sealed/active seam are both exercised.
-            let store = Arc::new(
-                HistStore::open(&dir, HistConfig { segment_rows: 7 }, 0).unwrap(),
-            );
-            for (i, name) in db.class_names().iter().enumerate() {
-                store.observe_class(i as u32, name);
+/// Seqs of every row sealed into a segment file under `dir`.
+fn sealed_seqs(dir: &std::path::Path) -> HashSet<u64> {
+    let mut seqs = HashSet::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|x| x == "hist") {
+            let (_, rows) = decode_segment(&std::fs::read(&path).unwrap()).unwrap();
+            seqs.extend(rows.iter().map(|r| r.seq));
+        }
+    }
+    seqs
+}
+
+/// Run `ops` into a store and a naive mirror, then check every query —
+/// under its own limit and under limits that cut inside a sealed
+/// segment, at the sealed/active seam and inside the active set.
+fn check_against_naive(ops: &[Op], queries: &[QSpec]) -> Result<Coverage, TestCaseError> {
+    let dir = tmp_dir("scan");
+    let mut cov = Coverage::default();
+    {
+        let (mut db, room) = demo::setup();
+        // Tiny segments: even short scripts seal several, so zone
+        // pruning and the sealed/active seam are both exercised.
+        let store = Arc::new(HistStore::open(&dir, HistConfig { segment_rows: 7 }, 0).unwrap());
+        for (i, name) in db.class_names().iter().enumerate() {
+            store.observe_class(i as u32, name);
+        }
+        let (next, last) = stamp_lsns(&mut db);
+        let naive = Arc::new(Mutex::new(Vec::new()));
+        db.set_event_tap(Some(dual_tap(
+            Arc::clone(&store),
+            last,
+            Arc::clone(&naive),
+            db.class_names(),
+        )));
+
+        for op in ops {
+            apply(&mut db, room, op);
+        }
+        db.set_event_tap(None);
+
+        // Everything logged is durable in this test. (A script of
+        // bare clock advances may tap nothing at all.)
+        let head = next.load(Ordering::SeqCst);
+        if head > 0 {
+            store.advance_durable_through(head - 1);
+            store.sync();
+        }
+        prop_assert!(!store.failed());
+
+        let naive = naive.lock().clone();
+        let sealed = sealed_seqs(&dir);
+        let seq_lo = naive.iter().map(|r| r.seq).min().unwrap_or(0);
+        let seq_hi = naive.iter().map(|r| r.seq).max().unwrap_or(0);
+        let time_lo = naive.iter().map(|r| r.time).min().unwrap_or(0);
+        let time_hi = naive.iter().map(|r| r.time).max().unwrap_or(0);
+
+        for q in queries {
+            let unlimited = QSpec {
+                limit: None,
+                ..q.clone()
+            };
+            let (all, _) = naive_eval(&naive, &unlimited, seq_lo, seq_hi);
+            let selected: HashSet<u64> = all.iter().map(|r| r.seq).collect();
+            for r in &naive {
+                let hit = selected.contains(&r.seq);
+                if matches!(r.basic, BasicEvent::Time(_)) {
+                    cov.time_selected |= hit;
+                    cov.time_rejected |= !hit;
+                }
+                if r.args.is_empty() {
+                    cov.no_args_selected |= hit;
+                    cov.no_args_rejected |= !hit;
+                }
             }
-            let (next, last) = stamp_lsns(&mut db);
-            let naive = Arc::new(Mutex::new(Vec::new()));
-            db.set_event_tap(Some(dual_tap(
-                Arc::clone(&store),
-                last,
-                Arc::clone(&naive),
-                db.class_names(),
-            )));
-
-            for op in &ops {
-                apply(&mut db, room, op);
+            // Store order is sealed rows, then active ones.
+            let in_sealed = all.iter().filter(|r| sealed.contains(&r.seq)).count();
+            let mut limits = vec![q.limit];
+            if in_sealed > 0 {
+                limits.push(Some(in_sealed - 1));
+                cov.cut_in_sealed = true;
             }
-            db.set_event_tap(None);
-
-            // Everything logged is durable in this test. (A script of
-            // bare clock advances may tap nothing at all.)
-            let head = next.load(Ordering::SeqCst);
-            if head > 0 {
-                store.advance_durable_through(head - 1);
-                store.sync();
+            if all.len() > in_sealed {
+                limits.push(Some(in_sealed));
+                limits.push(Some(all.len() - 1));
+                cov.cut_in_active = true;
             }
-            prop_assert!(!store.failed());
 
-            let naive = naive.lock().clone();
-            let seq_lo = naive.iter().map(|r| r.seq).min().unwrap_or(0);
-            let seq_hi = naive.iter().map(|r| r.seq).max().unwrap_or(0);
-            let time_lo = naive.iter().map(|r| r.time).min().unwrap_or(0);
-            let time_hi = naive.iter().map(|r| r.time).max().unwrap_or(0);
-
-            for q in &queries {
-                let (min_seq, max_seq) = resolve_band(q.seq_band, seq_lo, seq_hi);
-                let (min_time, max_time) = resolve_band(q.time_band, time_lo, time_hi);
+            let (min_seq, max_seq) = resolve_band(q.seq_band, seq_lo, seq_hi);
+            let (min_time, max_time) = resolve_band(q.time_band, time_lo, time_hi);
+            for limit in limits {
+                let q = QSpec { limit, ..q.clone() };
                 let hq = HistQuery {
                     class: q.class.clone(),
                     object: q.object,
@@ -410,14 +478,9 @@ proptest! {
                     limit: q.limit,
                 };
                 let res = store.query(&hq).unwrap();
-                let (want, want_trunc) = naive_eval(&naive, q, seq_lo, seq_hi);
+                let (want, want_trunc) = naive_eval(&naive, &q, seq_lo, seq_hi);
 
-                prop_assert_eq!(
-                    res.rows.len(),
-                    want.len(),
-                    "row count diverged for {:?}",
-                    q
-                );
+                prop_assert_eq!(res.rows.len(), want.len(), "row count diverged for {:?}", q);
                 prop_assert_eq!(res.truncated, want_trunc, "truncation for {:?}", q);
                 for (got, exp) in res.rows.iter().zip(&want) {
                     prop_assert_eq!(got.seq, exp.seq);
@@ -429,10 +492,72 @@ proptest! {
                     prop_assert_eq!(store.render_event(got), exp.basic.to_string());
                 }
             }
-            drop(store);
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(store);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(cov)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn columnar_query_equals_naive_scan(
+        ops in prop::collection::vec(op_strategy(), 1..30),
+        queries in prop::collection::vec(qspec_strategy(), 1..6),
+    ) {
+        check_against_naive(&ops, &queries)?;
+    }
+}
+
+/// A fixed script whose queries put time-event rows (the `extra`
+/// column) and no-args rows on both sides of the selection, and whose
+/// limits cut both inside a sealed segment and inside the active set —
+/// the cases the random run is not guaranteed to reach.
+#[test]
+fn columnar_query_equals_naive_scan_on_a_covering_script() {
+    let mut ops = Vec::new();
+    for i in 0..12 {
+        ops.push(Op::Withdraw {
+            user: i % 2,
+            item: i % 3,
+            q: 5 + 4 * i as i64,
+        });
+        if i % 4 == 3 {
+            ops.push(Op::Advance { ms: 4 * 3_600_000 });
+        }
+        if i % 5 == 4 {
+            ops.push(Op::DepositWithdraw { item: i % 3, q: 7 });
+            ops.push(Op::AbortedWithdraw { item: 1, q: 3 });
+        }
+    }
+    let q = |kind: Option<&str>, args: Vec<(usize, CmpOp, Value)>| QSpec {
+        class: None,
+        object: None,
+        kind: kind.map(str::to_string),
+        qualifier: None,
+        args,
+        seq_band: None,
+        time_band: None,
+        limit: None,
+    };
+    let queries = [
+        q(None, vec![]),
+        q(Some("time"), vec![]),
+        q(Some("withdraw"), vec![(1, CmpOp::Ge, Value::Float(20.0))]),
+        q(None, vec![(1, CmpOp::Eq, Value::Float(13.0))]),
+    ];
+    let cov = check_against_naive(&ops, &queries).unwrap();
+    assert!(
+        cov.time_selected
+            && cov.time_rejected
+            && cov.no_args_selected
+            && cov.no_args_rejected
+            && cov.cut_in_sealed
+            && cov.cut_in_active,
+        "{cov:?}"
+    );
 }
 
 /// Every committed transaction's `after tcommit` row is indexed, though

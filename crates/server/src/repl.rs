@@ -538,7 +538,7 @@ fn handle_msg(
             if tail != frame::Tail::Clean || payloads.len() != 1 {
                 return Flow::Resync;
             }
-            let Ok(text) = std::str::from_utf8(&payloads[0]) else {
+            let Ok(text) = std::str::from_utf8(payloads[0]) else {
                 return Flow::Fatal;
             };
             let Ok(op) = LogOp::from_json_line(text) else {
