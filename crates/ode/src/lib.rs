@@ -77,7 +77,7 @@ pub use error::{AbortReason, OdeError};
 pub use history::HistoryQuery;
 pub use histstore::{
     ArgPred, Batch, CmpOp, EventRow, HistConfig, HistError, HistQuery, HistStats, HistStore,
-    QueryResult, RetroFiring, RetroOutcome, RetroReplay,
+    PreparedQuery, QueryResult, RetroFiring, RetroOutcome, RetroReplay,
 };
 pub use ids::{ClassId, ObjectId, TxnId};
 pub use object::{Object, PostStatus, PostedRecord, TriggerInstance};

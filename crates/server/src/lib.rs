@@ -25,6 +25,7 @@ pub mod conn;
 pub mod protocol;
 pub mod reactor;
 pub mod repl;
+pub(crate) mod scan;
 pub mod server;
 pub(crate) mod session;
 pub mod spec;

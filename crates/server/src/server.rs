@@ -74,6 +74,7 @@ use crate::protocol::{hex_encode, Firing, ServerMsg};
 use crate::reactor::event_loop::{start as start_reactor, ListenSocket, ReactorHandle};
 use crate::reactor::outbox::{broadcast, ConnOutbox};
 use crate::repl::{run_replica, ReplSource, ReplicaState, StreamFault};
+use crate::scan::ScanThread;
 use crate::session::note_commit_lsn;
 use crate::spec::{define_specs, ClassSpec};
 
@@ -278,6 +279,8 @@ pub(crate) struct Shared {
     /// Per-shard event-history stores; empty unless started with
     /// [`ServerBuilder::history`].
     pub(crate) hist: Vec<Arc<HistStore>>,
+    /// Where history queries read segments; `None` without history.
+    pub(crate) scans: Option<ScanThread>,
 }
 
 /// Configures and starts a [`Server`].
@@ -696,6 +699,11 @@ impl ServerBuilder {
             log_sinks,
             firing_sinks,
             event_taps,
+            scans: if hist.is_empty() {
+                None
+            } else {
+                Some(ScanThread::spawn()?)
+            },
             hist,
         });
 
