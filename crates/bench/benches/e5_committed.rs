@@ -22,7 +22,7 @@ fn setup(src: &str) -> (CompiledEvent, TxnSymbols, Vec<u32>) {
     let sym = |s: &str| {
         let e = parse_event(s).unwrap();
         match e {
-            ode_core::EventExpr::Logical(le) => alphabet.symbols_for_logical(&le)[0],
+            ode_core::EventExpr::Logical(le) => alphabet.symbols_for_logical(&le).unwrap()[0],
             _ => unreachable!(),
         }
     };

@@ -196,19 +196,26 @@ impl Alphabet {
     /// (restricted to those where its own mask bit is set), with any
     /// global-bit pattern. Returns an empty set if the basic event is not
     /// in the alphabet (can only happen when compiling against a wider
-    /// alphabet built from other parts).
-    pub fn symbols_for_logical(&self, le: &LogicalEvent) -> Vec<Symbol> {
+    /// alphabet built from other parts), and
+    /// [`EventError::MaskNotInAlphabet`] if the basic event is but its
+    /// mask is not.
+    pub fn symbols_for_logical(&self, le: &LogicalEvent) -> Result<Vec<Symbol>, EventError> {
         let Some(&gi) = self.group_index.get(&le.basic) else {
-            return Vec::new();
+            return Ok(Vec::new());
         };
         let g = &self.groups[gi];
-        let bit = le.mask.as_ref().map(|m| {
-            let key = (le.params.clone(), m.clone());
-            g.masks
-                .iter()
-                .position(|k| *k == key)
-                .expect("logical event mask not registered in its group")
-        });
+        let bit = le
+            .mask
+            .as_ref()
+            .map(|m| {
+                let key = (le.params.clone(), m.clone());
+                g.masks.iter().position(|k| *k == key).ok_or_else(|| {
+                    EventError::MaskNotInAlphabet {
+                        event: le.to_string(),
+                    }
+                })
+            })
+            .transpose()?;
         let mut out = Vec::new();
         for minterm in 0..g.width() {
             if let Some(b) = bit {
@@ -218,7 +225,7 @@ impl Alphabet {
             }
             out.extend(self.all_globals(g.base + minterm));
         }
-        out
+        Ok(out)
     }
 
     /// The symbols carrying a given composite-mask bit (used to compile
@@ -391,7 +398,9 @@ mod tests {
         let e = EventExpr::after_method("deposit");
         let a = Alphabet::build(&e).unwrap();
         assert_eq!(a.len(), 2); // start + deposit
-        let syms = a.symbols_for_logical(&LogicalEvent::bare(BasicEvent::after_method("deposit")));
+        let syms = a
+            .symbols_for_logical(&LogicalEvent::bare(BasicEvent::after_method("deposit")))
+            .unwrap();
         assert_eq!(syms.len(), 1);
     }
 
@@ -401,8 +410,8 @@ mod tests {
         let e = EventExpr::Logical(withdraw_gt(100)).or(EventExpr::Logical(withdraw_gt(1000)));
         let a = Alphabet::build(&e).unwrap();
         assert_eq!(a.len(), 1 + 4); // start + 2^2 minterms
-        let s100 = a.symbols_for_logical(&withdraw_gt(100));
-        let s1000 = a.symbols_for_logical(&withdraw_gt(1000));
+        let s100 = a.symbols_for_logical(&withdraw_gt(100)).unwrap();
+        let s1000 = a.symbols_for_logical(&withdraw_gt(1000)).unwrap();
         assert_eq!(s100.len(), 2); // minterms with bit0 set
         assert_eq!(s1000.len(), 2); // minterms with bit1 set
                                     // exactly one shared minterm (both masks true)
@@ -416,8 +425,8 @@ mod tests {
         let e = EventExpr::Logical(bare.clone()).or(EventExpr::Logical(withdraw_gt(100)));
         let a = Alphabet::build(&e).unwrap();
         assert_eq!(a.len(), 3); // start + 2 minterms
-        assert_eq!(a.symbols_for_logical(&bare).len(), 2); // both minterms
-        assert_eq!(a.symbols_for_logical(&withdraw_gt(100)).len(), 1);
+        assert_eq!(a.symbols_for_logical(&bare).unwrap().len(), 2); // both minterms
+        assert_eq!(a.symbols_for_logical(&withdraw_gt(100)).unwrap().len(), 1);
     }
 
     #[test]
@@ -433,8 +442,14 @@ mod tests {
             .unwrap()
             .unwrap();
         // q=5000: both masks true → in both logical events' symbol sets
-        assert!(a.symbols_for_logical(&withdraw_gt(100)).contains(&big));
-        assert!(a.symbols_for_logical(&withdraw_gt(1000)).contains(&big));
+        assert!(a
+            .symbols_for_logical(&withdraw_gt(100))
+            .unwrap()
+            .contains(&big));
+        assert!(a
+            .symbols_for_logical(&withdraw_gt(1000))
+            .unwrap()
+            .contains(&big));
         let mid = a
             .classify(
                 &BasicEvent::after_method("withdraw"),
@@ -443,8 +458,14 @@ mod tests {
             )
             .unwrap()
             .unwrap();
-        assert!(a.symbols_for_logical(&withdraw_gt(100)).contains(&mid));
-        assert!(!a.symbols_for_logical(&withdraw_gt(1000)).contains(&mid));
+        assert!(a
+            .symbols_for_logical(&withdraw_gt(100))
+            .unwrap()
+            .contains(&mid));
+        assert!(!a
+            .symbols_for_logical(&withdraw_gt(1000))
+            .unwrap()
+            .contains(&mid));
         assert_ne!(big, mid);
     }
 
@@ -515,7 +536,7 @@ mod tests {
     fn describe_names_minterms() {
         let e = EventExpr::Logical(withdraw_gt(100));
         let a = Alphabet::build(&e).unwrap();
-        let syms = a.symbols_for_logical(&withdraw_gt(100));
+        let syms = a.symbols_for_logical(&withdraw_gt(100)).unwrap();
         let d = a.describe(syms[0]);
         assert!(d.contains("withdraw"), "{d}");
         assert!(d.contains("q > 100"), "{d}");

@@ -314,4 +314,28 @@ mod tests {
         let d2 = Detector::new(Arc::clone(&compiled));
         assert!(Arc::ptr_eq(d1.compiled(), d2.compiled()));
     }
+
+    #[test]
+    fn a_mask_missing_from_the_alphabet_is_an_error_not_a_panic() {
+        // `after w` is in the alphabet, `after w(q) && q > 100` is not.
+        let base = EventExpr::after_method("w");
+        let masked = EventExpr::Logical(
+            crate::expr::LogicalEvent::bare(BasicEvent::after_method("w"))
+                .with_params(["q"])
+                .with_mask(MaskExpr::gt("q", 100i64)),
+        );
+        let missing = |r: Result<(), EventError>| match r {
+            Err(EventError::MaskNotInAlphabet { event }) => {
+                assert!(event.contains("w") && event.contains("q > 100"), "{event}")
+            }
+            other => panic!("expected MaskNotInAlphabet, got {other:?}"),
+        };
+        let compiled = CompiledEvent::compile(&base).unwrap();
+        missing(compiled.lower_expr(&masked).map(drop));
+        let alphabet = Alphabet::build(&base).unwrap();
+        missing(CompiledEvent::compile_with_alphabet(&masked, alphabet).map(drop));
+        // An unknown basic event still lowers to the empty event.
+        let other = EventExpr::after_method("v");
+        assert_eq!(compiled.lower_expr(&other).unwrap(), SymExpr::Empty);
+    }
 }

@@ -49,6 +49,12 @@ pub enum EventError {
         /// Maximum supported.
         max: usize,
     },
+    /// A masked logical event lowered against an alphabet that was not
+    /// built with its mask, so no symbol set denotes it.
+    MaskNotInAlphabet {
+        /// Rendered logical event.
+        event: String,
+    },
     /// A mask failed to evaluate (type error, unknown name, …).
     Mask(MaskError),
     /// A parse error with position information.
@@ -87,6 +93,11 @@ impl fmt::Display for EventError {
                 f,
                 "compiled alphabet would have {size} symbols (maximum {max}); simplify \
                  masks or split the trigger"
+            ),
+            EventError::MaskNotInAlphabet { event } => write!(
+                f,
+                "logical event `{event}` carries a mask its alphabet was not built with; \
+                 build the alphabet from an expression that contains it"
             ),
             EventError::Mask(e) => write!(f, "mask error: {e}"),
             EventError::Parse { offset, message } => {

@@ -78,7 +78,7 @@ pub fn lower(expr: &EventExpr, alphabet: &Alphabet) -> Result<SymExpr, EventErro
     Ok(match expr {
         EventExpr::Empty => SymExpr::Empty,
         EventExpr::Logical(le) => {
-            let syms = alphabet.symbols_for_logical(le);
+            let syms = alphabet.symbols_for_logical(le)?;
             if syms.is_empty() {
                 SymExpr::Empty
             } else {

@@ -1,10 +1,11 @@
 //! Algebraic simplification of event expressions.
 //!
-//! A light rewrite pass applied before compilation: it shrinks the
-//! intermediate NFA by folding the identities the Section 4 model
-//! guarantees (`∅` absorption, singleton curried forms, `relative 1`,
-//! idempotent union, double negation, …). Every rewrite preserves the
-//! occurrence language — property-tested against the compiler.
+//! A light rewrite pass a caller may run before compiling (the compiler
+//! does not run it): it shrinks the intermediate NFA by folding the
+//! identities the Section 4 model guarantees (`∅` absorption, singleton
+//! curried forms, `relative 1`, idempotent union, double negation, …).
+//! Every rewrite preserves the occurrence language — property-tested
+//! against the compiler.
 
 use crate::expr::EventExpr;
 
@@ -105,13 +106,17 @@ pub fn simplify(expr: &EventExpr) -> EventExpr {
                 0 => Empty,
                 1 => list.into_iter().next().expect("len checked"),
                 _ => {
-                    let mut flat = Vec::new();
-                    for e in list {
-                        match e {
-                            Sequence(inner) => flat.extend(inner),
-                            other => flat.push(other),
-                        }
-                    }
+                    // Only a leading sequence flattens: a nested
+                    // sequence occurs at its last event, so anywhere
+                    // else its first event need not follow its
+                    // predecessor immediately (`sequence(a, sequence(b,
+                    // c))` never occurs; `sequence(a, b, c)` does).
+                    let mut rest = list.into_iter();
+                    let mut flat = match rest.next() {
+                        Some(Sequence(inner)) => inner,
+                        first => first.into_iter().collect(),
+                    };
+                    flat.extend(rest);
                     Sequence(flat)
                 }
             }
@@ -212,6 +217,7 @@ mod tests {
             "!(!(after a)) & (after b | after b)",
             "fa(after a, after b | empty, empty)",
             "sequence(sequence(after a, after b), after c)",
+            "sequence(after a, sequence(after b, after c))",
             "every 1 (prior(after a, after b))",
             "relative 1 (choose 2 (after a))",
             "(after a & empty) | after b",

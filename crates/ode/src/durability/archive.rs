@@ -2,8 +2,8 @@
 //!
 //! A checkpoint supersedes the previous log generation and *retires*
 //! its files to a queue; the retire drain
-//! ([`super::wal::DiskWal::drain_retired`], on the retire thread or on
-//! the checkpointing thread when none is attached) is the one code path
+//! ([`super::wal::DiskWal::drain_retired`], on whatever thread its
+//! caller picks — a server's background thread) is the one code path
 //! that removes them, in both modes. Plain mode just unlinks each
 //! retired segment, but that throws away the only replayable history of
 //! the database. In archive mode the drain first compresses each

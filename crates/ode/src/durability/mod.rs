@@ -41,5 +41,5 @@ pub use io::{Fault, FaultyIo, SharedIo, StdIo, WalIo};
 pub use reader::{SegmentReader, TornTail};
 pub use wal::{
     ArchiveStats, CheckpointReport, DiskWal, DurableRecord, DurableSink, FsyncPolicy, Recovery,
-    RecoveryReport, SegmentTiming, WalConfig, WalError, WalFlusher, WalRetirer, WalStats,
+    RecoveryReport, SegmentTiming, WalConfig, WalError, WalFlusher, WalStats,
 };

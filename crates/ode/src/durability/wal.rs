@@ -91,11 +91,10 @@
 //! and the tmp file; names it could not process go back to the front
 //! of the queue. [`WalConfig::archive`] decides only a segment's fate —
 //! compress it, make the archive durable, then unlink, or just unlink.
-//! A checkpoint hands the drain off the way [`DiskWal::append`] hands
-//! off a flush: to the retire thread when one is attached
-//! ([`DiskWal::start_retirer`]), otherwise it drains on the
-//! checkpointing thread after the WAL locks drop. A failed drain never
-//! fails the checkpoint; the next drain retries.
+//! A checkpoint only queues; its caller picks when and where the drain
+//! runs (the server: on its idle-priority background thread). So a
+//! failed drain can never fail a checkpoint: the names stay queued and
+//! the next drain retries.
 //!
 //! ## Recovery
 //!
@@ -441,14 +440,6 @@ struct DurableState {
     poison: Option<String>,
 }
 
-/// Files a checkpoint superseded, awaiting [`DiskWal::drain_retired`].
-/// Outside the buf/disk lock order: pushed under it at checkpoint
-/// time, drained with no WAL lock held.
-struct RetireQueue {
-    names: Vec<String>,
-    stop: bool,
-}
-
 struct WalInner {
     io: SharedIo,
     dir: PathBuf,
@@ -466,10 +457,10 @@ struct WalInner {
     fsyncs_total: AtomicU64,
     batches: AtomicU64,
     max_batch: AtomicU64,
-    retired: Mutex<RetireQueue>,
-    /// Wakes the retire thread; paired with `retired`.
-    retire_cv: Condvar,
-    retirer_running: AtomicBool,
+    /// Files a checkpoint superseded, awaiting [`DiskWal::drain_retired`].
+    /// Outside the buf/disk lock order: pushed under it at checkpoint
+    /// time, drained with no WAL lock held.
+    retired: Mutex<Vec<String>>,
     archived_segments: AtomicU64,
     archived_bytes: AtomicU64,
     /// Segments taken off the queue and being drained right now.
@@ -606,12 +597,7 @@ impl DiskWal {
                 fsyncs_total: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
                 max_batch: AtomicU64::new(0),
-                retired: Mutex::new(RetireQueue {
-                    names: retired,
-                    stop: false,
-                }),
-                retire_cv: Condvar::new(),
-                retirer_running: AtomicBool::new(false),
+                retired: Mutex::new(retired),
                 archived_segments: AtomicU64::new(0),
                 archived_bytes: AtomicU64::new(0),
                 draining: AtomicU64::new(0),
@@ -940,11 +926,9 @@ impl DiskWal {
 
     /// Durably install `snap` (typically `db.snapshot()` taken under
     /// the same lock that orders appends) as the new recovery base and
-    /// retire the log generation it supersedes. The retire queue is
-    /// handed off like a due flush: the retire thread is woken when one
-    /// is attached ([`DiskWal::start_retirer`]), otherwise this thread
-    /// drains it after the WAL locks drop. A drain failure never fails
-    /// (or poisons) the checkpoint; the names stay queued.
+    /// retire the log generation it supersedes: its files go on the
+    /// retire queue and stay on disk until the caller runs
+    /// [`DiskWal::drain_retired`].
     pub fn checkpoint(&self, snap: &Snapshot) -> Result<CheckpointReport, WalError> {
         self.checkpoint_inner(snap, None)
     }
@@ -987,9 +971,9 @@ impl DiskWal {
             let mut q = lock(&i.retired);
             for n in names {
                 if let Some(is_segment) = superseded(&n, disk.generation) {
-                    if !q.names.contains(&n) {
+                    if !q.contains(&n) {
                         swept += u64::from(is_segment);
-                        q.names.push(n);
+                        q.push(n);
                     }
                 }
             }
@@ -998,14 +982,6 @@ impl DiskWal {
         // The checkpoint itself is a durability point: everything at or
         // below its LSN is covered by the durable snapshot.
         self.publish(&mut disk, lsn, Vec::new());
-        drop(disk);
-        drop(buf);
-        if i.retirer_running.load(Ordering::SeqCst) {
-            i.retire_cv.notify_all();
-        } else {
-            // The names stay queued on failure; the next drain retries.
-            let _ = self.drain_retired();
-        }
         Ok(CheckpointReport {
             lsn,
             swept_segments: swept,
@@ -1088,7 +1064,7 @@ impl DiskWal {
                 swept += u64::from(removed && is_segment);
             }
         }
-        lock(&i.retired).names.clear();
+        lock(&i.retired).clear();
         archive::purge_archives(&i.io, &i.dir);
 
         // Rewind (not just advance) the watermark: durability claims
@@ -1108,13 +1084,15 @@ impl DiskWal {
     /// removes superseded files: each retired segment, oldest first, is
     /// unlinked (in archive mode only after its compressed, CRC-framed
     /// archive is fsync-durable), then the superseded checkpoints and
-    /// tmp file go. Run by the retire thread, by a checkpoint with no
-    /// retire thread attached, and directly by tests that need a
-    /// deterministic drain. Holds no lock but the (brief) retire-queue
-    /// lock — compression never runs under the flusher or engine locks.
+    /// tmp file go. The caller picks the thread: the server runs it on
+    /// its background thread at start-up (for the files recovery
+    /// re-retired), after a checkpoint or a replica's snapshot jump, and
+    /// at shutdown. Holds no lock but the
+    /// (brief) retire-queue lock — compression never runs under the
+    /// flusher or engine locks.
     pub fn drain_retired(&self) -> Result<DrainReport, WalError> {
         let i = &*self.inner;
-        let batch = std::mem::take(&mut lock(&i.retired).names);
+        let batch = std::mem::take(&mut *lock(&i.retired));
         if batch.is_empty() {
             return Ok(DrainReport::default());
         }
@@ -1131,8 +1109,8 @@ impl DiskWal {
             // and the archive chain must be built oldest-first.
             let mut q = lock(&i.retired);
             let mut names = remaining;
-            names.extend(std::mem::take(&mut q.names));
-            q.names = names;
+            names.append(&mut q);
+            *q = names;
         }
         match err {
             // A drain error must not latch the live log read-only: the
@@ -1147,7 +1125,6 @@ impl DiskWal {
     pub fn archive_stats(&self) -> ArchiveStats {
         let i = &*self.inner;
         let queued = lock(&i.retired)
-            .names
             .iter()
             .filter(|n| parse_segment(n).is_some())
             .count() as u64;
@@ -1155,26 +1132,6 @@ impl DiskWal {
             segments_archived: i.archived_segments.load(Ordering::Relaxed),
             bytes_archived: i.archived_bytes.load(Ordering::Relaxed),
             lag_segments: queued + i.draining.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Spawn the dedicated retire thread: it waits on the retire queue
-    /// and runs [`DiskWal::drain_retired`], so unlinks — and in archive
-    /// mode compression and archive fsyncs — never run on a
-    /// checkpointing, flushing, or committing thread. Dropping (or
-    /// `stop`ping) the handle performs a final drain and joins the
-    /// thread.
-    pub fn start_retirer(&self) -> WalRetirer {
-        lock(&self.inner.retired).stop = false;
-        self.inner.retirer_running.store(true, Ordering::SeqCst);
-        let wal = self.clone();
-        let handle = std::thread::Builder::new()
-            .name("wal-retirer".to_string())
-            .spawn(move || run_retirer(wal))
-            .expect("spawn wal retirer");
-        WalRetirer {
-            wal: self.clone(),
-            handle: Some(handle),
         }
     }
 }
@@ -1377,67 +1334,6 @@ impl WalFlusher {
 }
 
 impl Drop for WalFlusher {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// The dedicated retire thread's loop: park until a checkpoint (or
-/// recovery) retires files, or a stop is requested; drain the queue
-/// through [`DiskWal::drain_retired`]; repeat. Errors leave the batch
-/// queued and back off briefly rather than spin.
-fn run_retirer(wal: DiskWal) {
-    let i = Arc::clone(&wal.inner);
-    loop {
-        let stopping = {
-            let mut q = lock(&i.retired);
-            while q.names.is_empty() && !q.stop {
-                let (g, _) = i
-                    .retire_cv
-                    .wait_timeout(q, Duration::from_millis(250))
-                    .unwrap_or_else(|p| p.into_inner());
-                q = g;
-            }
-            q.stop
-        };
-        if wal.drain_retired().is_err() && !stopping {
-            std::thread::sleep(Duration::from_millis(100));
-        }
-        if stopping {
-            return;
-        }
-    }
-}
-
-/// Handle to the dedicated retire thread. Dropping it (or calling
-/// [`WalRetirer::stop`]) requests a final drain of the retire queue,
-/// then joins the thread.
-pub struct WalRetirer {
-    wal: DiskWal,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl WalRetirer {
-    /// Drain the retire queue one last time, stop the thread, join it.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        let Some(handle) = self.handle.take() else {
-            return;
-        };
-        lock(&self.wal.inner.retired).stop = true;
-        self.wal.inner.retire_cv.notify_all();
-        let _ = handle.join();
-        self.wal
-            .inner
-            .retirer_running
-            .store(false, Ordering::SeqCst);
-    }
-}
-
-impl Drop for WalRetirer {
     fn drop(&mut self) {
         self.shutdown();
     }

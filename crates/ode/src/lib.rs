@@ -70,7 +70,7 @@ pub use durability::{
     restore_to_lsn, ArchiveError, ArchiveMeta, ArchiveSegment, ArchiveStats, CheckpointReport,
     DiskWal, DrainReport, DurableRecord, DurableSink, EpochRecord, EpochTable, Fault, FaultyIo,
     FsyncPolicy, Recovery, RecoveryReport, SegmentReader, SegmentTiming, SharedIo, StdIo, TornTail,
-    WalConfig, WalError, WalFlusher, WalIo, WalRetirer, WalStats, EPOCHS_FILE,
+    WalConfig, WalError, WalFlusher, WalIo, WalStats, EPOCHS_FILE,
 };
 pub use engine::{Config, Database, EventTap, FiringNotice, FiringSink, LogSink, Stats, TapEvent};
 pub use error::{AbortReason, OdeError};

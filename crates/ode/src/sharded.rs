@@ -58,7 +58,7 @@ use ode_core::Value;
 
 use crate::class::ClassDef;
 use crate::durability::{
-    ArchiveStats, DiskWal, Recovery, SharedIo, WalConfig, WalError, WalFlusher, WalRetirer,
+    ArchiveStats, DiskWal, Recovery, SharedIo, WalConfig, WalError, WalFlusher,
 };
 use crate::engine::Database;
 use crate::error::OdeError;
@@ -841,13 +841,6 @@ impl ShardedWal {
     /// Start one flusher thread per shard.
     pub fn start_flushers(&self) -> Vec<WalFlusher> {
         self.wals.iter().map(|w| w.start_flusher()).collect()
-    }
-
-    /// Start one retire thread per shard. Stop order matters at
-    /// shutdown: stop flushers and sync first, retirers last, so the
-    /// final checkpoint's retired files still get drained.
-    pub fn start_retirers(&self) -> Vec<WalRetirer> {
-        self.wals.iter().map(|w| w.start_retirer()).collect()
     }
 
     /// Retirement progress summed across shards.

@@ -983,9 +983,9 @@ fn promote_crash_window_recovers_writable_at_exactly_one_epoch() {
 
 // ---------------------------------------------------------------------
 // Retirement injection points: a checkpoint installs its snapshot,
-// retires the superseded generation, and — with no retire thread
-// attached — drains the retire queue on the checkpointing thread. The
-// drain is one code path in both modes; only a segment's fate differs:
+// retires the superseded generation, and the caller then drains the
+// retire queue (here at once, on the same thread). The drain is one
+// code path in both modes; only a segment's fate differs:
 // plain mode unlinks it, archive mode compresses it into `archive/` —
 // tmp append, fsync, rename, dir fsync, THEN unlink. Die at every
 // mutating I/O op of the checkpoint, install and drain, in both modes:
@@ -1029,9 +1029,10 @@ fn superseded_files(dir: &Path, live: u64) -> Vec<String> {
     names
 }
 
-/// The scripted session whose mid-script checkpoint drains the retire
-/// queue inline. Returns the generation-0 files the checkpoint retired
-/// and the mutating-I/O count before / after the checkpoint call.
+/// The scripted session whose mid-script checkpoint is followed at once
+/// by a drain of the retire queue. Returns the generation-0 files the
+/// checkpoint retired and the mutating-I/O count before the checkpoint
+/// and after the drain.
 fn run_retire_session(dir: &Path, io: FaultyIo, archive: bool) -> (Vec<String>, u64, u64) {
     let ops = io.op_counter();
     let shared = SharedIo::new(io);
@@ -1048,6 +1049,7 @@ fn run_retire_session(dir: &Path, io: FaultyIo, archive: bool) -> (Vec<String>, 
             window.0 = superseded_files(dir, 1);
             window.1 = ops.load(Ordering::SeqCst);
             let _ = wal.checkpoint(&snap);
+            let _ = wal.drain_retired();
             window.2 = ops.load(Ordering::SeqCst);
         }
     });
@@ -1077,7 +1079,7 @@ fn retire_crash_at_every_io_op_never_loses_a_swept_segment() {
         );
         assert!(
             after > before + retired.len() as u64,
-            "{mode}: the inline drain spans an I/O op per retired file (got {before} .. {after})"
+            "{mode}: the drain spans an I/O op per retired file (got {before} .. {after})"
         );
         assert!(
             superseded_files(&dir, 1).is_empty(),
@@ -1111,7 +1113,7 @@ fn retire_crash_at_every_io_op_never_loses_a_swept_segment() {
             );
         };
 
-        // The matrix: die at every mutating I/O op of the checkpoint.
+        // The matrix: die at every mutating I/O op of the checkpoint and the drain.
         let mut first_installed = None;
         for k in before..after {
             let what = format!("{mode} crash point {k}");

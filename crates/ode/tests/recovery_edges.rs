@@ -48,7 +48,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// Open a WAL in `dir`, hook it to a fresh database, run a short
-/// session (optionally checkpointing at the end), and drop everything.
+/// session (optionally checkpointing and draining at the end), and drop
+/// everything.
 fn run_short_session(dir: &Path, checkpoint_at_end: bool) {
     let (wal, recovery) = DiskWal::open(dir, cfg(), std_io()).unwrap();
     let wal = Arc::new(Mutex::new(wal));
@@ -67,7 +68,9 @@ fn run_short_session(dir: &Path, checkpoint_at_end: bool) {
 
     if checkpoint_at_end {
         let snap = db.snapshot().unwrap();
-        wal.lock().checkpoint(&snap).unwrap();
+        let wal = wal.lock();
+        wal.checkpoint(&snap).unwrap();
+        wal.drain_retired().unwrap();
     }
 }
 

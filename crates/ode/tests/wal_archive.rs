@@ -12,9 +12,8 @@
 //!   replay of the ground-truth op prefix;
 //! * a truncated or missing archive fails restore with the typed
 //!   [`ArchiveError::Truncated`], never wrong data;
-//! * with a retire thread attached, a checkpoint only queues; the
-//!   thread's final drain on `stop()` leaves the old generation gone
-//!   in both modes.
+//! * a checkpoint only queues; one drain leaves the old generation
+//!   gone in both modes.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -130,6 +129,13 @@ fn run_session(wal: &DiskWal) -> (Vec<LogOp>, CheckpointReport) {
     (all, report)
 }
 
+/// [`run_session`], then drain what the checkpoint retired.
+fn run_drained_session(wal: &DiskWal) -> (Vec<LogOp>, CheckpointReport) {
+    let session = run_session(wal);
+    wal.drain_retired().expect("drain");
+    session
+}
+
 /// Oracle: fresh database, replay the first `m` ground-truth ops.
 fn oracle(all: &[LogOp], m: usize) -> Database {
     let mut db = fresh();
@@ -162,12 +168,11 @@ fn gen0_segments(dir: &Path) -> Vec<String> {
 fn archive_mode_checkpoint_retires_then_drain_archives_and_unlinks() {
     let dir = tmp_dir("drain");
     let wal = open_empty(&dir, archive_cfg());
-    let (_all, report) = run_session(&wal);
+    let (_all, report) = run_drained_session(&wal);
     let base = report.lsn;
     assert!(base > 0 && report.swept_segments > 0);
 
-    // No retire thread is attached, so the checkpoint drained on its
-    // own thread: every retired segment was archived, then unlinked.
+    // Every retired segment was archived, then unlinked.
     assert!(gen0_segments(&dir).is_empty(), "retired segments unlinked");
     let archives = list_archives(&std_io(), &dir).unwrap();
     assert_eq!(
@@ -202,7 +207,7 @@ fn archive_mode_checkpoint_retires_then_drain_archives_and_unlinks() {
 #[test]
 fn restore_reproduces_every_committed_prefix() {
     let dir = tmp_dir("restore");
-    let (all, report) = run_session(&open_empty(&dir, archive_cfg()));
+    let (all, report) = run_drained_session(&open_empty(&dir, archive_cfg()));
     let (head, base) = (all.len() as u64, report.lsn);
     assert!(base > 0 && head > base, "checkpoint splits the session");
 
@@ -238,7 +243,7 @@ fn restore_reproduces_every_committed_prefix() {
 #[test]
 fn partial_or_missing_archives_fail_restore_with_truncated() {
     let dir = tmp_dir("truncated");
-    let base = run_session(&open_empty(&dir, archive_cfg())).1.lsn;
+    let base = run_drained_session(&open_empty(&dir, archive_cfg())).1.lsn;
 
     let io = std_io();
     let archives = list_archives(&io, &dir).unwrap();
@@ -268,21 +273,25 @@ fn partial_or_missing_archives_fail_restore_with_truncated() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One lifecycle, both modes: with a retire thread attached the
-/// checkpoint only queues the superseded generation, and `stop()` ends
-/// with a final drain — no waiting on the thread's own schedule.
+/// One lifecycle, both modes: the checkpoint only queues the
+/// superseded generation, and one drain removes it.
 #[test]
-fn retire_thread_removes_the_superseded_generation_in_both_modes() {
+fn a_drain_removes_the_superseded_generation_in_both_modes() {
     for (mode, cfg) in [("plain", plain_cfg()), ("archive", archive_cfg())] {
-        let dir = tmp_dir(&format!("thread-{mode}"));
+        let dir = tmp_dir(&format!("drain-{mode}"));
         let wal = open_empty(&dir, cfg);
-        let retirer = wal.start_retirer();
         let (_all, report) = run_session(&wal);
         assert!(
             report.swept_segments > 0,
             "{mode}: the session sealed segments"
         );
-        retirer.stop();
+        assert_eq!(
+            gen0_segments(&dir).len() as u64,
+            report.swept_segments,
+            "{mode}: the checkpoint removed nothing"
+        );
+        assert_eq!(wal.archive_stats().lag_segments, report.swept_segments);
+        wal.drain_retired().expect("drain");
 
         assert!(
             gen0_segments(&dir).is_empty(),
@@ -313,7 +322,7 @@ fn retire_thread_removes_the_superseded_generation_in_both_modes() {
 fn a_retired_file_already_gone_does_not_wedge_the_drain() {
     for (mode, cfg) in [("plain", plain_cfg()), ("archive", archive_cfg())] {
         let dir = tmp_dir(&format!("gone-{mode}"));
-        run_session(&open_empty(&dir, cfg));
+        run_drained_session(&open_empty(&dir, cfg));
         // A stale generation-0 segment for recovery to retire, which then
         // disappears before the drain reaches it.
         let stale = dir.join("segment-0000000000-00000.wal");

@@ -19,13 +19,13 @@
 
 #![warn(missing_docs)]
 
+pub(crate) mod background;
 pub mod client;
 pub mod codec;
 pub mod conn;
 pub mod protocol;
 pub mod reactor;
 pub mod repl;
-pub(crate) mod scan;
 pub mod server;
 pub(crate) mod session;
 pub mod spec;

@@ -347,15 +347,15 @@ pub enum Reply {
     Checkpointed {
         /// The log sequence number the checkpoint covers.
         lsn: u64,
-        /// Superseded segment files the checkpoint retired (each
-        /// shard's retire thread unlinks them, archiving first under
-        /// `--wal-archive`) — `0` here over and over means retention is
+        /// Superseded segment files the checkpoint retired (the
+        /// server's background thread unlinks them, archiving first
+        /// under `--wal-archive`) — `0` here over and over means retention is
         /// not reclaiming, and Replicate handshakes will keep falling
         /// back to snapshot bootstraps.
         swept_segments: u64,
         /// How long the snapshot + checkpoint held the engine lock —
         /// every session stalls for this long. Retirement runs on the
-        /// retire threads, so its cost is not part of it.
+        /// background thread, so its cost is not part of it.
         stall_ms: u64,
     },
     /// Answer to [`Command::Replicate`]: the stream is established.
@@ -594,7 +594,7 @@ pub struct WireStats {
     /// across shards.
     pub archive_bytes: u64,
     /// Segments retired by a checkpoint (or recovery) but not yet
-    /// unlinked — the retire threads' backlog, in either mode (under
+    /// unlinked — the background thread's backlog, in either mode (under
     /// `--wal-archive` a segment leaves it only once its archive is
     /// durable). Persistently nonzero means retirement can't keep up
     /// with checkpoint cadence.

@@ -692,7 +692,8 @@ fn reset_shard(inner: &Arc<Shared>, rs: &ReplicaState, appliers: &mut [Applier],
 /// jump: `snapshot` at `base_lsn`; fork healing: nothing, at 0): swap in
 /// a fresh engine — `specs` defined, `snapshot` restored, the server's
 /// sinks re-installed — then `install_log` moves the shard's local WAL
-/// to the new base, and the history store re-bases there. `applier` is
+/// to the new base (a drain of what that retired is queued on the
+/// background thread), and the history store re-bases there. `applier` is
 /// replaced by one positioned at `base_lsn` over the new engine. The
 /// open transactions' aborts still reach the *old* log (the engine goes
 /// first), where `install_log` ships or discards them with the rest.
@@ -721,6 +722,7 @@ fn rebuild_shard(
     })?;
     if let Some(ws) = &inner.wal {
         install_log(ws.wal.wal(s)).map_err(|e| e.to_string())?;
+        ws.queue_drain(s);
     }
     if let Some(store) = inner.hist.get(s) {
         store.rebase(base_lsn);

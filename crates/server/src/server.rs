@@ -66,15 +66,15 @@ use ode_db::replication::Applier;
 use ode_db::{
     shard_dir, Batch, Database, DurableRecord, EpochRecord, EpochTable, FiringNotice, HistConfig,
     HistStore, LogOp, Recovery, ShardedDatabase, ShardedWal, SharedDatabase, SharedIo, StdIo,
-    TapEvent, TxnId, WalConfig, WalFlusher, WalRetirer,
+    TapEvent, TxnId, WalConfig, WalFlusher,
 };
 use parking_lot::Mutex;
 
+use crate::background::Background;
 use crate::protocol::{hex_encode, Firing, ServerMsg};
 use crate::reactor::event_loop::{start as start_reactor, ListenSocket, ReactorHandle};
 use crate::reactor::outbox::{broadcast, ConnOutbox};
 use crate::repl::{run_replica, ReplSource, ReplicaState, StreamFault};
-use crate::scan::ScanThread;
 use crate::session::note_commit_lsn;
 use crate::spec::{define_specs, ClassSpec};
 
@@ -138,6 +138,28 @@ pub(crate) struct WalState {
     pub(crate) recovery_ms: u64,
     /// Segment files replayed by startup recovery, all shards.
     pub(crate) segments_replayed: u64,
+    /// Where bulk work runs: history scans and the drains of the files
+    /// checkpoints superseded (see [`crate::background`]).
+    pub(crate) background: Background,
+}
+
+impl WalState {
+    /// Queue one drain of shard `s`'s retire queue on the background
+    /// thread. A failed drain leaves its names queued for the next one
+    /// (`archive_lag_segments` counts them meanwhile).
+    pub(crate) fn queue_drain(&self, s: usize) {
+        let wal = self.wal.wal(s).clone();
+        self.background.submit(move || {
+            let _ = wal.drain_retired();
+        });
+    }
+
+    /// [`WalState::queue_drain`] for every shard.
+    pub(crate) fn queue_drains(&self) {
+        for s in 0..self.wal.shard_count() {
+            self.queue_drain(s);
+        }
+    }
 }
 
 /// The node's primary-election epoch state: the durable
@@ -279,8 +301,6 @@ pub(crate) struct Shared {
     /// Per-shard event-history stores; empty unless started with
     /// [`ServerBuilder::history`].
     pub(crate) hist: Vec<Arc<HistStore>>,
-    /// Where history queries read segments; `None` without history.
-    pub(crate) scans: Option<ScanThread>,
 }
 
 /// Configures and starts a [`Server`].
@@ -361,9 +381,10 @@ impl ServerBuilder {
 
     /// Archive the WAL segments a checkpoint supersedes (compressed,
     /// CRC-framed, under each shard directory's `archive/`) before
-    /// unlinking them. Each shard's retire thread — running in either
-    /// mode — does the compression, and unlinks a segment only once its
-    /// archive is fsync-durable. Enables point-in-time restore and
+    /// unlinking them. The server's idle-priority background thread —
+    /// which removes superseded files in either mode — does the
+    /// compression, and unlinks a segment only once its archive is
+    /// fsync-durable. Enables point-in-time restore and
     /// archive-based replica catch-up. Only meaningful together with
     /// [`ServerBuilder::wal_dir`].
     pub fn wal_archive(mut self, on: bool) -> Self {
@@ -567,6 +588,7 @@ impl ServerBuilder {
                         .collect(),
                     recovery_ms,
                     segments_replayed,
+                    background: Background::spawn()?,
                 }))
             }
         };
@@ -583,7 +605,6 @@ impl ServerBuilder {
 
         let mut log_sinks: Vec<LogSink> = Vec::new();
         let mut wal_flushers = Vec::new();
-        let mut wal_retirers = Vec::new();
         if let Some(ws) = &wal {
             for (s, shard_cur) in cur_lsns.iter().enumerate() {
                 // Shipping happens in each shard's durable sink:
@@ -650,7 +671,8 @@ impl ServerBuilder {
                 db.shard(s).with(|db| db.set_log_sink(Some(sink)));
             }
             wal_flushers = ws.wal.start_flushers();
-            wal_retirers = ws.wal.start_retirers();
+            // The files recovery re-retired.
+            ws.queue_drains();
         }
 
         let subscriber_drops = Arc::new(AtomicU64::new(0));
@@ -699,11 +721,6 @@ impl ServerBuilder {
             log_sinks,
             firing_sinks,
             event_taps,
-            scans: if hist.is_empty() {
-                None
-            } else {
-                Some(ScanThread::spawn()?)
-            },
             hist,
         });
 
@@ -724,7 +741,6 @@ impl ServerBuilder {
             reactor: None,
             repl_thread,
             wal_flushers,
-            wal_retirers,
             tcp_addr: None,
             unix_path: None,
             stopped: false,
@@ -758,7 +774,6 @@ pub struct Server {
     reactor: Option<ReactorHandle>,
     repl_thread: Option<JoinHandle<()>>,
     wal_flushers: Vec<WalFlusher>,
-    wal_retirers: Vec<WalRetirer>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
     stopped: bool,
@@ -835,18 +850,17 @@ impl Server {
         for f in self.wal_flushers.drain(..) {
             f.stop();
         }
+        // The background thread stops last (after the final sync), with
+        // one more drain per shard queued: files retired by a late
+        // checkpoint are still removed (archived first in archive mode)
+        // before the process exits.
         if let Some(ws) = &self.inner.wal {
             let _ = ws.wal.sync_all();
             for w in ws.wal.wals() {
                 w.set_durable_sink(None);
             }
-        }
-        // Retirers stop last (after the final sync): their stop does a
-        // final drain, so files retired by a late checkpoint are still
-        // removed (archived first in archive mode) before the process
-        // exits.
-        for r in self.wal_retirers.drain(..) {
-            r.stop();
+            ws.queue_drains();
+            ws.background.shutdown();
         }
         if let Some(p) = &self.unix_path {
             let _ = std::fs::remove_file(p);

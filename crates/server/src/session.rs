@@ -579,7 +579,8 @@ fn execute(
             // session stalls for the duration — measure and report it
             // so operators see the cost. Every snapshot is taken before
             // the first install, so a refusal touches no shard. The
-            // superseded files go to each shard's retire thread.
+            // superseded files stay queued until the drains queued below
+            // run on the background thread.
             let started = Instant::now();
             let guards = inner.db.lock_all();
             let snaps = snapshot_all(inner, &guards)?;
@@ -618,6 +619,7 @@ fn execute(
             }
             drop(guards);
             let stall = started.elapsed();
+            ws.queue_drains();
             eprintln!(
                 "checkpoint: lsn {lsn_max} in {stall:?} (engine stalled), \
                  retired {swept} segment file(s)"
@@ -1142,7 +1144,7 @@ fn execute(
                 let budget = cap - sent;
                 let store = Arc::clone(store);
                 // The segment reads and the rows' wire encoding run on the
-                // scan thread; this worker only queues the frames.
+                // background thread; this worker only queues the frames.
                 let scan = move || {
                     let mut res = prepared.run()?;
                     let rows = std::mem::take(&mut res.rows);
@@ -1169,8 +1171,9 @@ fn execute(
                         .collect();
                     Ok((res, take, frames))
                 };
-                let scans = inner.scans.as_ref().expect("history implies a scan thread");
-                let (res, take, frames) = scans
+                let ws = inner.wal.as_ref().expect("history implies a WAL");
+                let (res, take, frames) = ws
+                    .background
                     .run(scan)
                     .map_err(|e: HistError| WireError::new("history", e.to_string()))?;
                 scanned += res.segments_scanned as u64;

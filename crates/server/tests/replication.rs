@@ -527,3 +527,58 @@ fn late_replica_bootstraps_from_a_checkpoint_snapshot() {
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&rdir);
 }
+
+/// The `segment-` files of local generation 0 in a one-shard WAL dir.
+fn generation0_segments(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read wal dir")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("segment-0000000000-"))
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_snapshot_jump_leaves_no_superseded_local_generation_after_shutdown() {
+    let pdir = tmp_dir("jump-drain-p");
+    let rdir = tmp_dir("jump-drain-r");
+    let mut primary = start_primary(&pdir);
+    let mut pc = Client::connect_tcp(primary.tcp_addr().unwrap()).expect("connect");
+    pc.define_class(stockroom_spec()).expect("define");
+    let room = pc
+        .txn("admin", |c| c.new_object("room", &[]))
+        .expect("room");
+    withdraw(&mut pc, room, "alice", 10);
+
+    // The replica tails the primary's first records into its own log.
+    let mut replica = start_replica(&rdir, &primary, HashMap::new());
+    let mut rc = Client::connect_tcp(replica.tcp_addr().unwrap()).expect("connect");
+    wait_applied(&mut rc, pc.stats().expect("stats").wal_lsn.expect("wal"));
+    replica.shutdown();
+    assert!(
+        !generation0_segments(&rdir).is_empty(),
+        "the replica logged the stream locally"
+    );
+
+    // While it is down the primary checkpoints past the replica's
+    // cursor, so the restarted replica must jump to the snapshot.
+    withdraw(&mut pc, room, "bob", 20);
+    match pc.request(Command::Checkpoint).expect("checkpoint") {
+        Reply::Checkpointed { lsn, .. } => assert!(lsn > 0),
+        other => panic!("expected Checkpointed, got {other:?}"),
+    }
+    withdraw(&mut pc, room, "alice", 30);
+    let mut replica = start_replica(&rdir, &primary, HashMap::new());
+    let mut rc = Client::connect_tcp(replica.tcp_addr().unwrap()).expect("connect");
+    wait_applied(&mut rc, pc.stats().expect("stats").wal_lsn.expect("wal"));
+    assert_eq!(bolt(&mut rc, room), bolt(&mut pc, room));
+
+    // The jump's checkpoint retired the local generation; the drain the
+    // replica queued for it (or, at the latest, shutdown's) removed it.
+    replica.shutdown();
+    assert_eq!(generation0_segments(&rdir), Vec::<String>::new());
+    primary.shutdown();
+    let _ = std::fs::remove_dir_all(&pdir);
+    let _ = std::fs::remove_dir_all(&rdir);
+}

@@ -626,7 +626,7 @@ fn the_loop_thread_never_touches_the_disk() {
 }
 
 #[test]
-fn checkpoint_retirement_runs_on_the_retire_threads() {
+fn checkpoint_retirement_runs_on_the_background_thread() {
     for archive in [false, true] {
         let tag = if archive {
             "retire-archive"
@@ -651,8 +651,8 @@ fn checkpoint_retirement_runs_on_the_retire_threads() {
         }
         server.shutdown();
 
-        // Every superseded segment or checkpoint was unlinked by a
-        // retire thread — never by the worker that ran the checkpoint.
+        // Every superseded segment or checkpoint was unlinked by the
+        // background thread — never by the worker that ran the checkpoint.
         let removes = removes.lock().unwrap().clone();
         let retired: Vec<&(String, String)> = removes
             .iter()
@@ -660,8 +660,8 @@ fn checkpoint_retirement_runs_on_the_retire_threads() {
             .collect();
         assert!(!retired.is_empty(), "{tag}: the checkpoint retired files");
         assert!(
-            retired.iter().all(|(thread, _)| thread == "wal-retirer"),
-            "{tag}: superseded files removed off the retire threads: {retired:?}"
+            retired.iter().all(|(thread, _)| thread == "ode-background"),
+            "{tag}: superseded files removed off the background thread: {retired:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&wal);

@@ -153,7 +153,7 @@ fn checkpoint_truncates_and_recovery_stays_exact() {
         server.shutdown();
 
         // The checkpoint superseded generation zero's segments; the
-        // retire thread's final drain at shutdown has removed them.
+        // background thread's drains (the last one at shutdown) removed them.
         let names: Vec<String> = std::fs::read_dir(&dir)
             .expect("dir")
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())

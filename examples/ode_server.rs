@@ -42,7 +42,7 @@
 //! joined); otherwise it runs until the process is killed.
 //!
 //! WAL lifecycle flags (both require `--wal-dir`): with
-//! `--wal-archive` each shard's retire thread compresses every segment
+//! `--wal-archive` the server's background thread compresses every segment
 //! a checkpoint supersedes into `DIR/archive/` before unlinking it, so
 //! the full committed history stays restorable. With
 //! `--wal-restore LSN` the server does not start at all: it rebuilds
@@ -126,7 +126,7 @@ fn main() {
 
     // Point-in-time restore is a one-shot: rebuild the database as of
     // exactly `target` committed ops, print a fingerprint, and exit —
-    // no sockets, no flushers, no retire threads.
+    // no sockets, no flushers, no background thread.
     if let Some(target) = wal_restore {
         let Some(dir) = &wal_dir else {
             eprintln!("--wal-restore requires --wal-dir");

@@ -34,7 +34,7 @@ fn compiled_with_txn_alphabet(event_src: &str) -> (Arc<CompiledEvent>, TxnSymbol
             ode_core::EventExpr::Logical(le) => le,
             other => panic!("not logical: {other:?}"),
         };
-        alphabet.symbols_for_logical(&le)[0]
+        alphabet.symbols_for_logical(&le).unwrap()[0]
     };
     let syms = TxnSymbols {
         tbegin: sym("after tbegin"),
