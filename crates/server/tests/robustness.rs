@@ -667,3 +667,73 @@ fn checkpoint_retirement_runs_on_the_background_thread() {
         let _ = std::fs::remove_dir_all(&wal);
     }
 }
+
+/// Every command that needs a role the node was not started with is
+/// refused with that role's code: no WAL (`no_wal`), no history store
+/// (`no_history`), not a replica (`not_replica`); a WAL-backed node
+/// refuses a state jump its log never saw (`restore_unsupported`).
+#[test]
+fn role_gated_commands_refuse_with_the_missing_roles_code() {
+    let query = || Command::Query {
+        class: None,
+        object: None,
+        kind: None,
+        qualifier: None,
+        args: Vec::new(),
+        min_seq: None,
+        max_seq: None,
+        min_time: None,
+        max_time: None,
+        limit: None,
+    };
+    let replay = Command::Activate {
+        object: 1,
+        trigger: "T1".into(),
+        params: Vec::new(),
+        replay_history: true,
+    };
+    let replicate = Command::Replicate {
+        from_lsns: vec![0],
+        epoch: 0,
+    };
+    let refused = |c: &mut Client, cmd: Command| match c.request(cmd) {
+        Err(ClientError::Server(e)) => e.code,
+        other => panic!("expected a refusal, got {other:?}"),
+    };
+
+    let (mut server, addr) = start_server(ServerConfig::default());
+    let (mut c, _room) = define_stockroom(addr);
+    c.begin("admin").expect("begin");
+    let in_memory = [
+        (Command::Checkpoint, "no_wal"),
+        (replicate, "no_wal"),
+        (query(), "no_history"),
+        (replay, "no_history"),
+        (Command::Promote { force: false }, "not_replica"),
+    ];
+    for (cmd, code) in in_memory {
+        let what = format!("{cmd:?}");
+        assert_eq!(refused(&mut c, cmd), code, "in-memory node: {what}");
+    }
+    c.abort().expect("abort");
+    server.shutdown();
+
+    let wal = temp_wal_dir("roles");
+    let mut server = Server::builder(SharedDatabase::new(Database::new()))
+        .tcp("127.0.0.1:0")
+        .wal_dir(&wal)
+        .start()
+        .expect("start");
+    let mut c = Client::connect_tcp(server.tcp_addr().unwrap()).expect("connect");
+    let snapshot = c.snapshot().expect("snapshot");
+    let durable = [
+        (query(), "no_history"),
+        (Command::Restore { snapshot }, "restore_unsupported"),
+    ];
+    for (cmd, code) in durable {
+        let what = format!("{cmd:?}");
+        assert_eq!(refused(&mut c, cmd), code, "WAL node: {what}");
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&wal);
+}
