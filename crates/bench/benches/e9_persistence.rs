@@ -12,18 +12,18 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ode_core::event::calendar;
 use ode_db::demo::{self, stockroom_class};
-use ode_db::{oplog, Database};
+use ode_db::{oplog, Database, LogOp};
 
 /// A recorded session: n committed withdraw transactions.
-fn record_session(txns: usize) -> (Database, ode_db::RedoLog) {
+fn record_session(txns: usize) -> (Database, Vec<LogOp>) {
     let (mut db, room) = demo::setup();
-    db.enable_logging();
+    let ops = demo::record_ops(&mut db);
     db.advance_clock_to(9 * calendar::HR);
     for k in 0..txns {
         let q = if k % 4 == 0 { 150 } else { 20 };
         demo::withdraw_txn(&mut db, "alice", room, "bolt", q).unwrap();
     }
-    let log = db.take_log().unwrap();
+    let log = ops.lock().clone();
     (db, log)
 }
 
@@ -40,14 +40,18 @@ fn bench_persistence(c: &mut Criterion) {
         let (db, log) = record_session(txns);
         let snap = db.snapshot().unwrap();
         let snap_json = snap.to_json().unwrap();
-        let log_json = log.to_json().unwrap();
+        // The WAL's format: one JSON line per op.
+        let log_bytes: usize = log
+            .iter()
+            .map(|op| op.to_json_line().unwrap().len() + 1)
+            .sum();
         eprintln!(
             "{txns:>4} txns: snapshot {} bytes ({} objects, {} history records), \
              log {} bytes ({} ops)",
             snap_json.len(),
             snap.objects.len(),
             snap.objects.iter().map(|o| o.history.len()).sum::<usize>(),
-            log_json.len(),
+            log_bytes,
             log.len(),
         );
 

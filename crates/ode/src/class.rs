@@ -45,7 +45,7 @@ pub struct MethodCtx<'a> {
     pub(crate) fields: &'a mut BTreeMap<String, Value>,
     pub(crate) dirty: &'a mut Vec<(String, Option<Value>)>,
     pub(crate) args: &'a [Value],
-    pub(crate) output: &'a mut Vec<String>,
+    pub(crate) output: &'a mut crate::engine::OutputLog,
 }
 
 impl MethodCtx<'_> {

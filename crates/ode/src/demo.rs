@@ -8,11 +8,13 @@
 use std::sync::Arc;
 
 use ode_core::{parse_event, Value};
+use parking_lot::Mutex;
 
 use crate::class::{Action, ClassDef, MethodKind};
 use crate::engine::Database;
 use crate::error::OdeError;
 use crate::ids::ObjectId;
+use crate::oplog::LogOp;
 
 /// Economic order quantity per item (trigger T2's threshold).
 pub fn eoq(item: &str) -> i64 {
@@ -214,6 +216,18 @@ pub fn deposit_withdraw_txn(
         Err(OdeError::Aborted(_)) => Ok(false),
         Err(e) => Err(e),
     }
+}
+
+/// Install a log sink on `db` that collects every op it logs from now
+/// on, replacing any sink installed before: an in-memory op log to
+/// [`crate::replay`] or compare against a WAL.
+pub fn record_ops(db: &mut Database) -> Arc<Mutex<Vec<LogOp>>> {
+    let ops = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&ops);
+    db.set_log_sink(Some(Arc::new(move |op: &LogOp| {
+        sink.lock().push(op.clone())
+    })));
+    ops
 }
 
 /// Set up a database with one stock room, committed.

@@ -3,8 +3,8 @@
 //!
 //! The paper's triggers are persistent — a half-matched composite event
 //! must survive a shutdown — so the logical recovery pair the repo
-//! already had ([`crate::persist::Snapshot`] + [`crate::oplog::RedoLog`])
-//! gains a disk-backed implementation here:
+//! already had ([`crate::persist::Snapshot`] + the [`crate::LogOp`]s a
+//! log sink streams) gains a disk-backed implementation here:
 //!
 //! * [`frame`] — length-prefixed CRC32 record framing and the
 //!   torn-tail rule;

@@ -59,24 +59,33 @@ use crate::clock::{Clock, TimerScope};
 use crate::error::{AbortReason, OdeError};
 use crate::ids::{ClassId, ObjectId, TxnId};
 use crate::object::{Object, PostStatus, PostedRecord, TriggerInstance};
-use crate::oplog::{LogOp, RedoLog};
+use crate::oplog::LogOp;
 
-/// Engine tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct Config {
-    /// Maximum trigger-cascade depth before the transaction aborts.
-    pub max_cascade_depth: u32,
-    /// Maximum `before tcomplete` rounds before the commit aborts
-    /// (Section 6's fixpoint, bounded).
-    pub max_tcomplete_rounds: u32,
-}
+/// Maximum trigger-cascade depth before the transaction aborts.
+const MAX_CASCADE_DEPTH: u32 = 32;
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            max_cascade_depth: 32,
-            max_tcomplete_rounds: 16,
+/// Maximum `before tcomplete` rounds before the commit aborts
+/// (Section 6's fixpoint, bounded).
+const MAX_TCOMPLETE_ROUNDS: u32 = 16;
+
+/// Lines the output log keeps. Only [`Database::take_output`] drains
+/// it, so a long-lived database nobody drains would otherwise grow it
+/// without bound.
+pub(crate) const MAX_OUTPUT_LINES: usize = 1 << 16;
+
+/// The output log (method `emit`s, trigger `Emit` actions, abort
+/// notices, diagnostics), capped at [`MAX_OUTPUT_LINES`]: a line that
+/// would pass the cap first drops the oldest half, so the newest lines
+/// always survive at amortized constant cost.
+#[derive(Default)]
+pub(crate) struct OutputLog(Vec<String>);
+
+impl OutputLog {
+    pub(crate) fn push(&mut self, line: String) {
+        if self.0.len() >= MAX_OUTPUT_LINES {
+            self.0.drain(..MAX_OUTPUT_LINES / 2);
         }
+        self.0.push(line);
     }
 }
 
@@ -240,8 +249,7 @@ pub struct Database {
     seq: u64,
     entry_depth: u32,
     cascade_depth: u32,
-    config: Config,
-    output: Vec<String>,
+    output: OutputLog,
     stats: Stats,
     at_timer_registry: HashSet<(ObjectId, ode_core::TimeEvent)>,
     schema_triggers: Vec<crate::schema::SchemaTrigger>,
@@ -253,7 +261,6 @@ pub struct Database {
     router_memo: MaskMemo,
     /// Mask-memo scratch for schema postings.
     schema_memo: MaskMemo,
-    redo_log: Option<RedoLog>,
     /// Streaming observer for logged operations (see [`LogSink`]).
     log_sink: Option<LogSink>,
     /// Observer for object-trigger firings (see [`FiringNotice`]).
@@ -269,13 +276,8 @@ impl Default for Database {
 }
 
 impl Database {
-    /// A fresh database with default configuration.
+    /// A fresh, empty database.
     pub fn new() -> Self {
-        Self::with_config(Config::default())
-    }
-
-    /// A fresh database with explicit configuration.
-    pub fn with_config(config: Config) -> Self {
         Database {
             classes: Vec::new(),
             runtimes: Vec::new(),
@@ -290,15 +292,13 @@ impl Database {
             seq: 0,
             entry_depth: 0,
             cascade_depth: 0,
-            config,
-            output: Vec::new(),
+            output: OutputLog::default(),
             stats: Stats::default(),
             at_timer_registry: HashSet::new(),
             schema_triggers: Vec::new(),
             schema_router: ClassRouter::default(),
             router_memo: MaskMemo::default(),
             schema_memo: MaskMemo::default(),
-            redo_log: None,
             log_sink: None,
             firing_sink: None,
             event_tap: None,
@@ -333,45 +333,24 @@ impl Database {
         self.classes.iter().map(|c| c.name.clone()).collect()
     }
 
-    /// Start recording a logical redo log of application-level
-    /// operations (see [`crate::oplog`]).
-    pub fn enable_logging(&mut self) {
-        if self.redo_log.is_none() {
-            self.redo_log = Some(RedoLog::default());
-        }
-    }
-
-    /// Stop logging and take the recorded log.
-    pub fn take_log(&mut self) -> Option<RedoLog> {
-        self.redo_log.take()
-    }
-
     /// Install (or clear) the log sink: a callback invoked synchronously
-    /// on every outermost logged operation, independent of
-    /// [`Database::enable_logging`]. When recovering from a WAL, install
-    /// the sink only *after* replaying — otherwise every replayed op
-    /// would be re-appended.
+    /// on every outermost logged operation (see [`crate::oplog`]) — the
+    /// one way to capture them. When recovering from a WAL, install the
+    /// sink only *after* replaying — otherwise every replayed op would
+    /// be re-appended.
     pub fn set_log_sink(&mut self, sink: Option<LogSink>) {
         self.log_sink = sink;
     }
 
     /// Record an operation — only outermost (application-level)
     /// operations are observed; nested trigger-action calls re-run
-    /// automatically during replay. The sink sees the op before it is
-    /// pushed onto any in-memory log.
+    /// automatically during replay.
     fn log_op(&mut self, op: impl FnOnce() -> LogOp) {
         if self.entry_depth != 0 {
             return;
         }
-        if self.redo_log.is_none() && self.log_sink.is_none() {
-            return;
-        }
-        let op = op();
         if let Some(sink) = &self.log_sink {
-            sink(&op);
-        }
-        if let Some(log) = &mut self.redo_log {
-            log.ops.push(op);
+            sink(&op());
         }
     }
 
@@ -665,7 +644,7 @@ impl Database {
                 return Ok(());
             }
             rounds += 1;
-            if rounds > self.config.max_tcomplete_rounds {
+            if rounds > MAX_TCOMPLETE_ROUNDS {
                 return self
                     .request_abort(txn, AbortReason::TCompleteDivergence)
                     .map(|_| ());
@@ -1610,7 +1589,7 @@ impl Database {
         basic: &BasicEvent,
         args: &[Value],
     ) -> Result<(), OdeError> {
-        if self.cascade_depth >= self.config.max_cascade_depth {
+        if self.cascade_depth >= MAX_CASCADE_DEPTH {
             return self.request_abort(txn, AbortReason::CascadeOverflow);
         }
         self.cascade_depth += 1;
@@ -1869,15 +1848,16 @@ impl Database {
         self.output.push(line.into());
     }
 
-    /// The output log (method `emit`s, trigger `Emit` actions,
-    /// diagnostics).
+    /// The output log (method `emit`s, trigger `Emit` actions, abort
+    /// notices, diagnostics): the newest lines, at most
+    /// 65 536 of them.
     pub fn output(&self) -> &[String] {
-        &self.output
+        &self.output.0
     }
 
     /// Drain the output log.
     pub fn take_output(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.output)
+        std::mem::take(&mut self.output.0)
     }
 
     /// Engine counters.
@@ -1958,6 +1938,27 @@ impl MaskEnv for EngineEnv<'_> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Each user abort appends a line and nothing drains the log but
+    /// `take_output`: past the cap the oldest lines go, never the newest.
+    #[test]
+    fn output_log_is_capped_and_drops_the_oldest_lines() {
+        let mut db = Database::new();
+        let aborts = MAX_OUTPUT_LINES + 10;
+        let txns: Vec<TxnId> = (0..aborts)
+            .map(|_| {
+                let txn = db.begin();
+                db.abort(txn).unwrap();
+                txn
+            })
+            .collect();
+        let line = |t: &TxnId| format!("{t} aborted: explicit abort");
+        let out = db.output();
+        assert!(out.len() <= MAX_OUTPUT_LINES, "{} lines kept", out.len());
+        assert_eq!(out.last(), txns.last().map(line).as_ref());
+        assert!(!out.contains(&line(&txns[0])), "the oldest line went first");
+        assert_eq!(db.stats().txns_aborted, aborts as u64);
+    }
 
     /// Regression for a latent index inconsistency: classification went
     /// by an instance's `def_index` while the fire loop indexed the

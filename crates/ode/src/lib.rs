@@ -72,7 +72,7 @@ pub use durability::{
     FsyncPolicy, Recovery, RecoveryReport, SegmentReader, SegmentTiming, SharedIo, StdIo, TornTail,
     WalConfig, WalError, WalFlusher, WalIo, WalStats, EPOCHS_FILE,
 };
-pub use engine::{Config, Database, EventTap, FiringNotice, FiringSink, LogSink, Stats, TapEvent};
+pub use engine::{Database, EventTap, FiringNotice, FiringSink, LogSink, Stats, TapEvent};
 pub use error::{AbortReason, OdeError};
 pub use history::HistoryQuery;
 pub use histstore::{
@@ -81,7 +81,7 @@ pub use histstore::{
 };
 pub use ids::{ClassId, ObjectId, TxnId};
 pub use object::{Object, PostStatus, PostedRecord, TriggerInstance};
-pub use oplog::{replay, LogOp, RedoLog};
+pub use oplog::{replay, LogOp};
 pub use persist::Snapshot;
 pub use replication::{Applied, Applier, ApplyError};
 pub use report::describe;

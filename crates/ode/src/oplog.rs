@@ -1,10 +1,11 @@
 //! Logical operation logging and replay — the recovery half of the
 //! Section 2 persistence story.
 //!
-//! [`crate::persist::Snapshot`] captures a quiescent store;
-//! a [`RedoLog`] captures the *operations* applied since (transaction
-//! begins, method calls, activations, clock advances, commits/aborts) at
-//! the application level. Because method bodies, mask functions, and
+//! [`crate::persist::Snapshot`] captures a quiescent store; the
+//! [`LogOp`]s a [`crate::engine::LogSink`] streams capture the
+//! *operations* applied since (transaction begins, method calls,
+//! activations, clock advances, commits/aborts) at the application
+//! level. Because method bodies, mask functions, and
 //! trigger actions are deterministic (they see only object state, event
 //! parameters, and virtual time), replaying the log against the same
 //! schema reproduces the database exactly — fields, histories, trigger
@@ -177,72 +178,17 @@ impl LogOp {
     }
 }
 
-/// An append-only logical operation log.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct RedoLog {
-    /// The operations, in application order.
-    pub ops: Vec<LogOp>,
-}
-
-impl RedoLog {
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> Result<String, OdeError> {
-        serde_json::to_string(self)
-            .map_err(|e| OdeError::Method(format!("log serialization failed: {e}")))
-    }
-
-    /// Deserialize from JSON.
-    pub fn from_json(json: &str) -> Result<RedoLog, OdeError> {
-        serde_json::from_str(json)
-            .map_err(|e| OdeError::Method(format!("log deserialization failed: {e}")))
-    }
-
-    /// Serialize as newline-delimited JSON, one line per op — the
-    /// streaming counterpart of [`RedoLog::to_json`]. Unlike the
-    /// whole-log format, a prefix of this output is itself valid.
-    pub fn to_json_lines(&self) -> Result<String, OdeError> {
-        let mut out = String::new();
-        for op in &self.ops {
-            out.push_str(&op.to_json_line()?);
-            out.push('\n');
-        }
-        Ok(out)
-    }
-
-    /// Parse newline-delimited JSON (blank lines ignored).
-    pub fn from_json_lines(lines: &str) -> Result<RedoLog, OdeError> {
-        let mut ops = Vec::new();
-        for line in lines.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            ops.push(LogOp::from_json_line(line)?);
-        }
-        Ok(RedoLog { ops })
-    }
-
-    /// Number of logged operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
-/// Replay a log against `db` (same schema defined, typically a freshly
+/// Replay logged `ops` against `db` (same schema defined, typically a freshly
 /// restored snapshot or an empty store). Individual operation *failures*
 /// are replayed faithfully (an operation that failed while recording
 /// fails again); structural impossibilities (unknown mapped ids) abort
 /// the replay with an error.
-pub fn replay(db: &mut Database, log: &RedoLog) -> Result<(), OdeError> {
+pub fn replay(db: &mut Database, ops: &[LogOp]) -> Result<(), OdeError> {
     // An Applier resumed at LSN 0 identity-maps the objects that existed
     // before the log started (snapshot-restored), then applies the ops
     // in order — replay is the one-shot form of streaming application.
     let mut applier = Applier::resume(db, 0);
-    for (i, op) in log.ops.iter().enumerate() {
+    for (i, op) in ops.iter().enumerate() {
         applier.apply(db, i as u64, op)?;
     }
     Ok(())
@@ -260,7 +206,7 @@ mod tests {
         use ode_core::event::calendar;
 
         let (mut db, room) = demo::setup();
-        db.enable_logging();
+        let log = demo::record_ops(&mut db);
         db.advance_clock_to(9 * calendar::HR);
         let _ = demo::withdraw_txn(&mut db, "mallory", room, "bolt", 10); // aborted by T1
         for _ in 0..6 {
@@ -271,13 +217,17 @@ mod tests {
         }
         demo::deposit_withdraw_txn(&mut db, "alice", room, "shim", 5).unwrap();
         db.advance_clock_to(17 * calendar::HR);
-        let log = db.take_log().expect("logging was enabled");
-        let json = log.to_json().unwrap();
+        // Through the WAL's line format and back.
+        let parsed: Vec<LogOp> = log
+            .lock()
+            .iter()
+            .map(|op| LogOp::from_json_line(&op.to_json_line().unwrap()).unwrap())
+            .collect();
 
         // "recovery": fresh store, same schema, replay.
         let (mut db2, room2) = demo::setup();
         assert_eq!(room2, room, "demo setup is deterministic");
-        replay(&mut db2, &RedoLog::from_json(&json).unwrap()).unwrap();
+        replay(&mut db2, &parsed).unwrap();
 
         assert_eq!(db.peek_field(room, "items"), db2.peek_field(room, "items"));
         assert_eq!(db.output(), db2.output(), "firing output must match");
@@ -315,16 +265,15 @@ mod tests {
         let (mut db, room) = demo::setup();
         demo::withdraw_txn(&mut db, "alice", room, "bolt", 30).unwrap();
         let checkpoint = db.snapshot().unwrap();
-        db.enable_logging();
+        let tail = demo::record_ops(&mut db);
         demo::withdraw_txn(&mut db, "bob", room, "gear", 150).unwrap();
         demo::withdraw_txn(&mut db, "alice", room, "shim", 25).unwrap();
-        let tail = db.take_log().unwrap();
 
         let mut db2 = crate::engine::Database::new();
         db2.define_class(demo::stockroom_class()).unwrap();
         db2.restore(&checkpoint).unwrap();
         db2.take_output();
-        replay(&mut db2, &tail).unwrap();
+        replay(&mut db2, &tail.lock()).unwrap();
 
         assert_eq!(db.peek_field(room, "items"), db2.peek_field(room, "items"));
         let t1: Vec<u32> = db
@@ -350,12 +299,11 @@ mod tests {
         // operations re-run automatically during replay, so the log must
         // contain only the outer call.
         let (mut db, room) = demo::setup();
-        db.enable_logging();
+        let log = demo::record_ops(&mut db);
         // shim 30 - 25 = 5 < EOQ 10 -> T2 fires, action calls order()
         demo::withdraw_txn(&mut db, "alice", room, "shim", 25).unwrap();
-        let log = db.take_log().unwrap();
+        let log = log.lock();
         let calls: Vec<&LogOp> = log
-            .ops
             .iter()
             .filter(|op| matches!(op, LogOp::Call { .. }))
             .collect();
@@ -363,57 +311,25 @@ mod tests {
         assert!(db.output().iter().any(|l| l.contains("order(")));
     }
 
-    /// The streaming line format and the legacy whole-log format must
-    /// describe the same session: replaying either yields the same
-    /// database.
-    #[test]
-    fn json_lines_and_whole_log_replay_identically() {
-        let (mut db, room) = demo::setup();
-        db.enable_logging();
-        let _ = demo::withdraw_txn(&mut db, "mallory", room, "bolt", 10);
-        demo::withdraw_txn(&mut db, "alice", room, "bolt", 30).unwrap();
-        demo::deposit_withdraw_txn(&mut db, "bob", room, "shim", 5).unwrap();
-        db.advance_clock_to(1_000);
-        let log = db.take_log().unwrap();
-
-        let whole = log.to_json().unwrap();
-        let lines = log.to_json_lines().unwrap();
-        assert_eq!(lines.lines().count(), log.len(), "one line per op");
-
-        let (mut via_whole, _) = demo::setup();
-        replay(&mut via_whole, &RedoLog::from_json(&whole).unwrap()).unwrap();
-        let (mut via_lines, _) = demo::setup();
-        replay(&mut via_lines, &RedoLog::from_json_lines(&lines).unwrap()).unwrap();
-
-        assert_eq!(
-            via_whole.peek_field(room, "items"),
-            via_lines.peek_field(room, "items")
-        );
-        assert_eq!(via_whole.output(), via_lines.output());
-        let s1 = via_whole.stats();
-        let s2 = via_lines.stats();
-        assert_eq!(s1.events_posted, s2.events_posted);
-        assert_eq!(s1.triggers_fired, s2.triggers_fired);
-        assert_eq!(s1.txns_aborted, s2.txns_aborted);
-    }
-
     #[test]
     fn log_json_round_trip() {
-        let mut log = RedoLog::default();
-        log.ops.push(LogOp::Begin {
-            txn: 1,
-            user: Value::Str("alice".into()),
-        });
-        log.ops.push(LogOp::Call {
-            txn: 1,
-            obj: 1,
-            method: "withdraw".into(),
-            args: vec![Value::Str("bolt".into()), Value::Int(3)],
-        });
-        log.ops.push(LogOp::Commit { txn: 1 });
-        let json = log.to_json().unwrap();
-        let back = RedoLog::from_json(&json).unwrap();
-        assert_eq!(back.len(), 3);
-        assert!(!back.is_empty());
+        let ops = [
+            LogOp::Begin {
+                txn: 1,
+                user: Value::Str("alice".into()),
+            },
+            LogOp::Call {
+                txn: 1,
+                obj: 1,
+                method: "withdraw".into(),
+                args: vec![Value::Str("bolt".into()), Value::Int(3)],
+            },
+            LogOp::Commit { txn: 1 },
+        ];
+        for op in &ops {
+            let line = op.to_json_line().unwrap();
+            let back = LogOp::from_json_line(&line).unwrap();
+            assert_eq!(back.to_json_line().unwrap(), line);
+        }
     }
 }

@@ -362,15 +362,15 @@ mod tests {
     #[test]
     fn exactly_once_by_lsn() {
         let (mut primary, room) = demo::setup();
-        primary.enable_logging();
+        let log = demo::record_ops(&mut primary);
         demo::withdraw_txn(&mut primary, "alice", room, "bolt", 30).unwrap();
         demo::withdraw_txn(&mut primary, "bob", room, "gear", 150).unwrap();
-        let log = primary.take_log().unwrap();
+        let log = log.lock().clone();
 
         let (mut replica, _) = demo::setup();
         // setup() pre-creates the room, so the applier resumes over it.
         let mut a = Applier::resume(&replica, 0);
-        for (i, op) in log.ops.iter().enumerate() {
+        for (i, op) in log.iter().enumerate() {
             let lsn = i as u64;
             // A gap is refused before the op arrives in order.
             match a.apply(&mut replica, lsn + 1, op) {
@@ -383,7 +383,7 @@ mod tests {
             // A retransmission is skipped without touching the engine.
             assert_eq!(a.apply(&mut replica, lsn, op).unwrap(), Applied::Duplicate);
         }
-        assert_eq!(a.next_lsn(), log.ops.len() as u64);
+        assert_eq!(a.next_lsn(), log.len() as u64);
         assert_eq!(
             primary.peek_field(room, "items"),
             replica.peek_field(room, "items")
@@ -396,7 +396,7 @@ mod tests {
     #[test]
     fn abort_open_releases_stream_transactions() {
         let (mut primary, room) = demo::setup();
-        primary.enable_logging();
+        let log = demo::record_ops(&mut primary);
         // An open transaction: begin + call, no commit yet.
         let t = primary.begin_as(Value::Str("alice".into()));
         primary
@@ -407,11 +407,11 @@ mod tests {
                 &[Value::Str("bolt".into()), Value::Int(1)],
             )
             .unwrap();
-        let log = primary.take_log().unwrap();
+        let log = log.lock().clone();
 
         let (mut replica, _) = demo::setup();
         let mut a = Applier::resume(&replica, 0);
-        for (i, op) in log.ops.iter().enumerate() {
+        for (i, op) in log.iter().enumerate() {
             a.apply(&mut replica, i as u64, op).unwrap();
         }
         assert_eq!(a.abort_open(&mut replica), 1);

@@ -20,8 +20,7 @@ use parking_lot::Mutex;
 
 use ode_db::{
     demo, replay, shard_dir, Database, DiskWal, EpochRecord, EpochTable, FaultyIo, FsyncPolicy,
-    LogOp, ObjectId, RedoLog, ShardedDatabase, ShardedWal, SharedIo, Stats, StdIo, TxnId,
-    WalConfig,
+    LogOp, ObjectId, ShardedDatabase, ShardedWal, SharedIo, Stats, StdIo, TxnId, WalConfig,
 };
 
 /// Tiny segments + fsync-per-op maximize the number of distinct I/O
@@ -162,22 +161,10 @@ fn run_session(dir: &Path, io: FaultyIo) -> u64 {
 /// stats, and the tail output.
 fn oracle(all: &[LogOp], base: usize, m: usize) -> (Database, Stats) {
     let mut db = fresh();
-    replay(
-        &mut db,
-        &RedoLog {
-            ops: all[..base].to_vec(),
-        },
-    )
-    .expect("oracle prefix replays");
+    replay(&mut db, &all[..base]).expect("oracle prefix replays");
     db.take_output();
     let s0 = db.stats();
-    replay(
-        &mut db,
-        &RedoLog {
-            ops: all[base..m].to_vec(),
-        },
-    )
-    .expect("oracle tail replays");
+    replay(&mut db, &all[base..m]).expect("oracle tail replays");
     (db, s0)
 }
 
@@ -185,9 +172,9 @@ fn oracle(all: &[LogOp], base: usize, m: usize) -> (Database, Stats) {
 fn crash_at_every_io_op_recovers_a_consistent_prefix() {
     // Ground truth: the same session recorded purely in memory.
     let mut truth = fresh();
-    truth.enable_logging();
+    let all_ops = demo::record_ops(&mut truth);
     script(&mut truth, |_| {});
-    let all_ops = truth.take_log().expect("logging enabled").ops;
+    let all_ops = all_ops.lock().clone();
     assert!(
         all_ops.len() > 30,
         "script is non-trivial: {}",
@@ -388,7 +375,7 @@ fn run_group_session(dir: &Path, io: FaultyIo, do_sync: bool) -> GroupRun {
 /// transaction committed or left open.
 fn group_truth(commit_tail: bool) -> Vec<LogOp> {
     let mut db = fresh();
-    db.enable_logging();
+    let ops = demo::record_ops(&mut db);
     db.advance_clock_to(9 * HR);
     let t = db.begin_as(Value::Str("alice".into()));
     let room = db.create_object(t, "stockRoom", &[]).unwrap();
@@ -398,7 +385,8 @@ fn group_truth(commit_tail: bool) -> Vec<LogOp> {
     if commit_tail {
         db.commit(t).unwrap();
     }
-    db.take_log().expect("logging enabled").ops
+    let ops = ops.lock().clone();
+    ops
 }
 
 /// Recover `dir` with healthy I/O and check it against the truth
@@ -837,14 +825,15 @@ fn run_promote_session(dir: &Path, io: FaultyIo) -> PromoteRun {
 /// bump is appended by hand, not logged by the engine).
 fn promote_truth() -> Vec<LogOp> {
     let mut db = fresh();
-    db.enable_logging();
+    let ops = demo::record_ops(&mut db);
     db.advance_clock_to(9 * HR);
     let t = db.begin_as(Value::Str("alice".into()));
     let room = db.create_object(t, "stockRoom", &[]).unwrap();
     db.commit(t).unwrap();
     demo::withdraw_txn(&mut db, "alice", room, "bolt", 10).unwrap();
     demo::withdraw_txn(&mut db, "alice", room, "gear", 3).unwrap();
-    db.take_log().expect("logging enabled").ops
+    let ops = ops.lock().clone();
+    ops
 }
 
 #[test]
@@ -1060,9 +1049,9 @@ fn run_retire_session(dir: &Path, io: FaultyIo, archive: bool) -> (Vec<String>, 
 fn retire_crash_at_every_io_op_never_loses_a_swept_segment() {
     // Ground truth: the same session recorded purely in memory.
     let mut truth = fresh();
-    truth.enable_logging();
+    let all_ops = demo::record_ops(&mut truth);
     script(&mut truth, |_| {});
-    let all_ops = truth.take_log().expect("logging enabled").ops;
+    let all_ops = all_ops.lock().clone();
     let io = SharedIo::new(StdIo::new());
 
     for archive in [false, true] {

@@ -23,7 +23,7 @@ use ode_db::histstore::row::{decode_basic, KindDict};
 use ode_db::histstore::segment::{decode_segment, encode_segment};
 use ode_db::{
     demo, replay, CmpOp, Database, DiskWal, FsyncPolicy, HistConfig, HistQuery, HistStore, LogOp,
-    RedoLog, SharedIo, StdIo, TapEvent, TxnId, WalConfig,
+    SharedIo, StdIo, TapEvent, TxnId, WalConfig,
 };
 use parking_lot::Mutex;
 
@@ -190,7 +190,7 @@ fn fingerprint(db: &Database) -> String {
 /// The database after replaying `ops` from scratch.
 fn replayed(ops: &[LogOp]) -> String {
     let mut db = fresh();
-    replay(&mut db, &RedoLog { ops: ops.to_vec() }).unwrap();
+    replay(&mut db, ops).unwrap();
     fingerprint(&db)
 }
 

@@ -23,8 +23,8 @@ use parking_lot::Mutex;
 
 use ode_db::durability::{archive_dir, list_archives, read_archive, restore_to_lsn, ArchiveError};
 use ode_db::{
-    demo, replay, CheckpointReport, Database, DiskWal, DrainReport, FsyncPolicy, LogOp, RedoLog,
-    SharedIo, StdIo, WalConfig,
+    demo, replay, CheckpointReport, Database, DiskWal, DrainReport, FsyncPolicy, LogOp, SharedIo,
+    StdIo, WalConfig,
 };
 
 /// Tiny segments so the session spans many files; archiving on.
@@ -139,13 +139,7 @@ fn run_drained_session(wal: &DiskWal) -> (Vec<LogOp>, CheckpointReport) {
 /// Oracle: fresh database, replay the first `m` ground-truth ops.
 fn oracle(all: &[LogOp], m: usize) -> Database {
     let mut db = fresh();
-    replay(
-        &mut db,
-        &RedoLog {
-            ops: all[..m].to_vec(),
-        },
-    )
-    .expect("oracle replays");
+    replay(&mut db, &all[..m]).expect("oracle replays");
     db
 }
 

@@ -5,7 +5,7 @@
 //! states, event/firing counters, and the virtual clock.
 
 use ode_core::Value;
-use ode_db::{demo, replay, Database, ObjectId, RedoLog};
+use ode_db::{demo, replay, Database, LogOp, ObjectId};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -84,17 +84,21 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 0..40)
     ) {
         let (mut db, room) = demo::setup();
-        db.enable_logging();
+        let log = demo::record_ops(&mut db);
         for op in &ops {
             apply(&mut db, room, op);
         }
-        let log = db.take_log().expect("logging enabled");
+        let log = log.lock().clone();
 
-        // The round trip itself must be lossless.
-        let json = log.to_json().unwrap();
-        let parsed = RedoLog::from_json(&json).unwrap();
-        prop_assert_eq!(parsed.len(), log.len());
-        prop_assert_eq!(parsed.to_json().unwrap(), json, "re-serialization is stable");
+        // The round trip through the WAL's line format must be lossless.
+        let lines: Vec<String> = log.iter().map(|op| op.to_json_line().unwrap()).collect();
+        let parsed: Vec<LogOp> = lines
+            .iter()
+            .map(|l| LogOp::from_json_line(l).unwrap())
+            .collect();
+        for (op, line) in parsed.iter().zip(&lines) {
+            prop_assert_eq!(&op.to_json_line().unwrap(), line, "re-serialization is stable");
+        }
 
         // Recovery: fresh store, same schema, replay the parsed log.
         let (mut db2, room2) = demo::setup();

@@ -69,7 +69,7 @@ use crate::client::backoff_delay;
 use crate::codec::{LineEvent, LineReader};
 use crate::conn::Conn;
 use crate::protocol::{hex_decode, Command, Reply, ReplyResult, Request, ServerMsg};
-use crate::server::{append_schema, load_schema, Shared};
+use crate::server::{append_schema, history_tap, load_schema, Shared};
 use crate::spec::{compile_class, define_specs, ClassSpec};
 
 /// A snapshot message must fit in one line; segments cap op frames far
@@ -221,16 +221,17 @@ enum Flow {
 }
 
 /// The replica runner thread: connect → handshake → tail, forever,
-/// until shutdown or promotion. `sources` is the ordered upstream
-/// list; the runner sticks with a working entry and rotates to the
-/// next on every failed connect or broken stream.
+/// until shutdown or promotion. `rs` is the node's replica role;
+/// `sources` is the ordered upstream list: the runner sticks with a
+/// working entry and rotates to the next on every failed connect or
+/// broken stream.
 pub(crate) fn run_replica(
     inner: Arc<Shared>,
+    rs: Arc<ReplicaState>,
     sources: Vec<ReplSource>,
     mut appliers: Vec<Applier>,
     plan: HashMap<u64, StreamFault>,
 ) {
-    let rs = Arc::clone(inner.repl.as_ref().expect("replica state"));
     let mut attempt: u32 = 0;
     let mut ops_seen: u64 = 0;
     let mut src_idx: usize = 0;
@@ -691,9 +692,10 @@ fn reset_shard(inner: &Arc<Shared>, rs: &ReplicaState, appliers: &mut [Applier],
 /// The one way a replica abandons a shard's local history (snapshot
 /// jump: `snapshot` at `base_lsn`; fork healing: nothing, at 0): swap in
 /// a fresh engine — `specs` defined, `snapshot` restored, the server's
-/// sinks re-installed — then `install_log` moves the shard's local WAL
-/// to the new base (a drain of what that retired is queued on the
-/// background thread), and the history store re-bases there. `applier` is
+/// sinks and history tap re-installed — then, on a WAL node,
+/// `install_log` moves the shard's local WAL to the new base (a drain of
+/// what that retired is queued on the background thread), and the
+/// history store re-bases there. `applier` is
 /// replaced by one positioned at `base_lsn` over the new engine. The
 /// open transactions' aborts still reach the *old* log (the engine goes
 /// first), where `install_log` ships or discards them with the rest.
@@ -706,6 +708,8 @@ fn rebuild_shard(
     base_lsn: u64,
     install_log: impl FnOnce(&DiskWal) -> Result<CheckpointReport, WalError>,
 ) -> Result<(), String> {
+    let ws = inner.wal.as_deref();
+    let hist = ws.and_then(|ws| ws.hist.get(s));
     inner.db.shard(s).with(|db| -> Result<(), String> {
         applier.abort_open(db);
         let mut fresh = Database::new();
@@ -715,16 +719,16 @@ fn rebuild_shard(
         }
         fresh.set_firing_sink(inner.firing_sinks.get(s).cloned());
         fresh.set_log_sink(inner.log_sinks.get(s).cloned());
-        fresh.set_event_tap(inner.event_taps.get(s).cloned());
+        fresh.set_event_tap(hist.map(|store| history_tap(Arc::clone(store), s)));
         *applier = Applier::resume(&fresh, base_lsn);
         *db = fresh;
         Ok(())
     })?;
-    if let Some(ws) = &inner.wal {
+    if let Some(ws) = ws {
         install_log(ws.wal.wal(s)).map_err(|e| e.to_string())?;
         ws.queue_drain(s);
     }
-    if let Some(store) = inner.hist.get(s) {
+    if let Some(store) = hist {
         store.rebase(base_lsn);
     }
     Ok(())

@@ -39,17 +39,31 @@
 //! dead socket) are counted in the `subscriber_drops` stat rather than
 //! silently discarded.
 //!
+//! ## Roles
+//!
+//! Durability, the event-history store and replication are roles a
+//! node takes on once, here in [`ServerBuilder::start`]: the WAL role
+//! (`WalState`, which owns the history stores too) and the replica
+//! role (`ReplicaState`, which the replica runner receives at spawn).
+//! The command layer never works them out again: a command that needs
+//! a role borrows it through one typed lookup (`Shared::durable`,
+//! `Shared::history`, `Shared::replica`) that refuses with the role's
+//! wire code when the node lacks it.
+//!
 //! ## Durability
 //!
 //! With [`ServerBuilder::wal_dir`], the server recovers the directory
 //! on startup (wire-defined classes from `schema.wal`, then the latest
 //! checkpoint plus log tail via [`ode_db::DiskWal`]) and streams every
-//! subsequent engine op back out through the engine's log sink. A WAL
-//! write or fsync failure degrades gracefully: the offending session's
-//! transaction is aborted, the command answers a retryable `wal`
-//! error, and the server latches **read-only** (mutating commands are
-//! refused; reads, aborts, and subscriptions keep working) instead of
-//! panicking or serving un-durable writes.
+//! subsequent engine op back out through the engine's log sink. The
+//! sink notes each append's LSN on the committing thread; that one
+//! channel gives the `Commit` ack the records to wait for and pairs
+//! each history batch with the commit record that makes it durable. A
+//! WAL write or fsync failure degrades gracefully: the offending
+//! session's transaction is aborted, the command answers a retryable
+//! `wal` error, and the server latches **read-only** (mutating commands
+//! are refused; reads, aborts, and subscriptions keep working) instead
+//! of panicking or serving un-durable writes.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -71,11 +85,11 @@ use ode_db::{
 use parking_lot::Mutex;
 
 use crate::background::Background;
-use crate::protocol::{hex_encode, Firing, ServerMsg};
+use crate::protocol::{hex_encode, Firing, ServerMsg, WireError};
 use crate::reactor::event_loop::{start as start_reactor, ListenSocket, ReactorHandle};
 use crate::reactor::outbox::{broadcast, ConnOutbox};
 use crate::repl::{run_replica, ReplSource, ReplicaState, StreamFault};
-use crate::session::note_commit_lsn;
+use crate::session::{note_commit_lsn, noted_lsn};
 use crate::spec::{define_specs, ClassSpec};
 
 /// Server tuning knobs.
@@ -106,7 +120,8 @@ impl Default for ServerConfig {
 /// replication stream), keyed by connection id.
 type Subscribers = Arc<Mutex<HashMap<u64, Arc<ConnOutbox>>>>;
 
-/// The server's durability state (present when started with a WAL dir).
+/// The WAL role: the node's durability state and its event history
+/// (present when started with a WAL dir).
 pub(crate) struct WalState {
     /// One WAL stream per engine shard (internally synchronized; the
     /// engine lock is only ever held around the cheap buffer+assign-LSN
@@ -141,6 +156,12 @@ pub(crate) struct WalState {
     /// Where bulk work runs: history scans and the drains of the files
     /// checkpoints superseded (see [`crate::background`]).
     pub(crate) background: Background,
+    /// Per-shard event-history stores, each fed by its shard engine's
+    /// [`history_tap`]; empty unless started with
+    /// [`ServerBuilder::history`]. History is part of the WAL role:
+    /// ingestion waits for the log's durable watermark, and a store
+    /// that lost its tail rebuilds from the log.
+    pub(crate) hist: Vec<Arc<HistStore>>,
 }
 
 impl WalState {
@@ -279,6 +300,9 @@ pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
     pub(crate) subs: Subscribers,
     pub(crate) next_conn: AtomicU64,
+    /// The durability role (with the history store inside it), present
+    /// when started with a WAL directory. Commands that need it borrow
+    /// it through [`Shared::durable`] or [`Shared::history`].
     pub(crate) wal: Option<Arc<WalState>>,
     /// Primary-election epoch state (always present; durable when the
     /// server has a WAL directory).
@@ -290,17 +314,60 @@ pub(crate) struct Shared {
     pub(crate) conns_open: AtomicU64,
     /// Connections refused by the `max_conns` accept guard.
     pub(crate) conns_rejected: AtomicU64,
-    /// Replica status when started with `replicate_from`.
+    /// The replica role when started with `replicate_from`; commands
+    /// that need it borrow it through [`Shared::replica`].
     pub(crate) repl: Option<Arc<ReplicaState>>,
     /// The installed per-shard sinks, kept so the replica runner can
     /// re-install them after rebuilding a shard's engine for a
     /// snapshot jump.
     pub(crate) log_sinks: Vec<LogSink>,
     pub(crate) firing_sinks: Vec<FiringSink>,
-    pub(crate) event_taps: Vec<EventTap>,
-    /// Per-shard event-history stores; empty unless started with
-    /// [`ServerBuilder::history`].
-    pub(crate) hist: Vec<Arc<HistStore>>,
+}
+
+impl Shared {
+    /// The WAL role, or the `no_wal` refusal.
+    pub(crate) fn durable(&self) -> Result<&WalState, WireError> {
+        self.wal
+            .as_deref()
+            .ok_or_else(|| WireError::new("no_wal", "server was started without a WAL directory"))
+    }
+
+    /// The WAL role of a node that keeps event history, or the
+    /// `no_history` refusal.
+    pub(crate) fn history(&self) -> Result<&WalState, WireError> {
+        self.wal
+            .as_deref()
+            .filter(|ws| !ws.hist.is_empty())
+            .ok_or_else(|| {
+                WireError::new(
+                    "no_history",
+                    "server was started without --history; the event-history store is off",
+                )
+            })
+    }
+
+    /// The replica role, or the `not_replica` refusal.
+    pub(crate) fn replica(&self) -> Result<&ReplicaState, WireError> {
+        self.repl.as_deref().ok_or_else(|| {
+            WireError::new("not_replica", "this server was not started as a replica")
+        })
+    }
+}
+
+/// The engine event tap that feeds shard `s`'s history store. The
+/// engine calls it on the committing thread, right after that thread's
+/// log sink appended the commit record, so the LSN this thread last
+/// noted for `s` is the commit record's: each history batch is paired
+/// with the WAL position that makes it durable.
+pub(crate) fn history_tap(store: Arc<HistStore>, s: usize) -> EventTap {
+    Arc::new(move |txn: TxnId, now: u64, events: &[TapEvent]| {
+        store.submit(Batch {
+            lsn: noted_lsn(s),
+            txn: txn.0,
+            time: now,
+            events: events.to_vec(),
+        });
+    })
 }
 
 /// Configures and starts a [`Server`].
@@ -460,16 +527,6 @@ impl ServerBuilder {
         for _ in 1..n {
             handles.push(SharedDatabase::new(Database::new()));
         }
-        // Per shard: the LSN of the record most recently appended
-        // through that shard's log sink. All appends happen on the
-        // committing thread with that shard's engine locked, and the
-        // commit record is the last append before the engine delivers
-        // the committed-event tap — so at tap time this holds exactly
-        // the commit record's LSN, pairing each history batch with the
-        // WAL position that makes it durable.
-        let cur_lsns: Vec<Arc<AtomicU64>> = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        let mut hist: Vec<Arc<HistStore>> = Vec::new();
-        let mut event_taps: Vec<EventTap> = Vec::new();
         // Recover *before* installing the log sinks: replayed ops must
         // not be re-appended to the logs they came from. Every shard
         // comes up through [`recover_shard`]; a replica keeps the
@@ -524,6 +581,7 @@ impl ServerBuilder {
                 }
                 epoch_store = Some((io.clone(), dir.clone()));
                 let specs = load_schema(&io, &schema_path).map_err(std::io::Error::other)?;
+                let mut hist: Vec<Arc<HistStore>> = Vec::new();
                 for (s, rec) in recovery.shards.iter().enumerate() {
                     let head = rec.base_lsn + rec.ops.len() as u64;
                     if self.history {
@@ -548,26 +606,16 @@ impl ServerBuilder {
                             store.advance_durable_through(head - 1);
                         }
                         hist.push(Arc::new(store));
-                        let tap_store = Arc::clone(&hist[s]);
-                        let cur = Arc::clone(&cur_lsns[s]);
-                        let tap: EventTap =
-                            Arc::new(move |txn: TxnId, now: u64, events: &[TapEvent]| {
-                                tap_store.submit(Batch {
-                                    lsn: cur.load(Ordering::SeqCst),
-                                    txn: txn.0,
-                                    time: now,
-                                    events: events.to_vec(),
-                                });
-                            });
-                        event_taps.push(tap);
                     }
+                    // Replay notes each op's LSN where the tap reads it,
+                    // as the log sink does for a live commit.
                     appliers[s] = handles[s]
                         .with(|db| -> Result<Applier, String> {
-                            if let Some(tap) = event_taps.get(s) {
-                                db.set_event_tap(Some(tap.clone()));
+                            if let Some(store) = hist.get(s) {
+                                db.set_event_tap(Some(history_tap(Arc::clone(store), s)));
                             }
-                            let stamp = |lsn| cur_lsns[s].store(lsn, Ordering::SeqCst);
-                            let applier = recover_shard(db, &specs, rec, stamp)?;
+                            let applier =
+                                recover_shard(db, &specs, rec, |lsn| note_commit_lsn(s, lsn))?;
                             if let Some(store) = hist.get(s) {
                                 for (code, name) in db.class_names().iter().enumerate() {
                                     store.observe_class(code as u32, name);
@@ -589,6 +637,7 @@ impl ServerBuilder {
                     recovery_ms,
                     segments_replayed,
                     background: Background::spawn()?,
+                    hist,
                 }))
             }
         };
@@ -606,7 +655,7 @@ impl ServerBuilder {
         let mut log_sinks: Vec<LogSink> = Vec::new();
         let mut wal_flushers = Vec::new();
         if let Some(ws) = &wal {
-            for (s, shard_cur) in cur_lsns.iter().enumerate() {
+            for s in 0..n {
                 // Shipping happens in each shard's durable sink:
                 // records reach that shard's replication subscribers
                 // only once its durable watermark covers them, so a
@@ -618,7 +667,7 @@ impl ServerBuilder {
                 // the subscriber map (not the WalState) keeps the WAL
                 // out of an Arc cycle.
                 let sink_subs = Arc::clone(&ws.repl_subs[s]);
-                let sink_hist = hist.get(s).cloned();
+                let sink_hist = ws.hist.get(s).cloned();
                 let sink_epoch = epochs.cell();
                 let shard = s as u64;
                 ws.wal.wal(s).set_durable_sink(Some(Arc::new(
@@ -656,14 +705,14 @@ impl ServerBuilder {
                 // committing thread. It only buffers and assigns the
                 // LSN — the write and fsync happen on the shard's
                 // flusher thread, and the session waits for them
-                // *outside* every lock (see `Command::Commit`). Errors
-                // poison that shard's wal; the next mutating command
-                // surfaces them from `handle_line`.
+                // *outside* every lock (see `Command::Commit`). The
+                // LSN is noted on this thread, the one channel both the
+                // `Commit` ack and the history tap read. Errors poison
+                // that shard's wal; the next mutating command surfaces
+                // them from `handle_request`.
                 let sink_wal = ws.wal.wal(s).clone();
-                let sink_cur = Arc::clone(shard_cur);
                 let sink: LogSink = Arc::new(move |op: &LogOp| {
                     if let Ok(lsn) = sink_wal.append(op) {
-                        sink_cur.store(lsn, Ordering::SeqCst);
                         note_commit_lsn(s, lsn);
                     }
                 });
@@ -699,13 +748,11 @@ impl ServerBuilder {
             db.shard(s).with(|db| db.set_firing_sink(Some(sink)));
         }
 
-        let repl = if is_replica {
-            Some(Arc::new(ReplicaState::new(
+        let repl = is_replica.then(|| {
+            Arc::new(ReplicaState::new(
                 appliers.iter().map(|a| a.next_lsn()).collect(),
-            )))
-        } else {
-            None
-        };
+            ))
+        });
         let inner = Arc::new(Shared {
             db,
             config: self.config,
@@ -717,22 +764,17 @@ impl ServerBuilder {
             subscriber_drops,
             conns_open: AtomicU64::new(0),
             conns_rejected: AtomicU64::new(0),
-            repl,
+            repl: repl.clone(),
             log_sinks,
             firing_sinks,
-            event_taps,
-            hist,
         });
 
-        let mut repl_thread = None;
-        if is_replica {
-            let inner2 = Arc::clone(&inner);
+        let repl_thread = repl.map(|rs| {
+            let inner = Arc::clone(&inner);
             let sources = self.replicate_from;
             let plan = self.repl_fault_plan;
-            repl_thread = Some(thread::spawn(move || {
-                run_replica(inner2, sources, appliers, plan)
-            }));
-        }
+            thread::spawn(move || run_replica(inner, rs, sources, appliers, plan))
+        });
 
         // From here on a failure drops `server`, whose shutdown stops
         // every thread started above.
@@ -819,7 +861,7 @@ impl Server {
     /// A shard's event-history store (`None` when started without
     /// [`ServerBuilder::history`] or out of range). Test/bench hook.
     pub fn hist(&self, shard: usize) -> Option<Arc<HistStore>> {
-        self.inner.hist.get(shard).cloned()
+        self.inner.wal.as_ref()?.hist.get(shard).cloned()
     }
 
     /// Graceful shutdown: stop accepting, wake every session (each

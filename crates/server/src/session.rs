@@ -36,7 +36,7 @@ use crate::protocol::{
 };
 use crate::reactor::outbox::{broadcast, encode_frame, ConnOutbox};
 use crate::repl::POLL_INTERVAL;
-use crate::server::{append_schema, load_schema, Shared};
+use crate::server::{append_schema, load_schema, Shared, WalState};
 use crate::spec::compile_class;
 
 /// One connection's session state. Owned by the reactor's per-
@@ -55,11 +55,13 @@ pub(crate) struct Session {
 
 thread_local! {
     /// Per shard, the LSN of the last record this thread appended
-    /// through that shard's log sink. The sinks run synchronously on
-    /// the committing thread (with the shard's engine locked), so after
-    /// `commit()` returns this holds each participating shard's commit
-    /// record LSN — the merged watermark the session must wait on
-    /// before acking.
+    /// through that shard's log sink (or replayed, during recovery).
+    /// The sinks run synchronously on the committing thread (with the
+    /// shard's engine locked), so this one channel carries each commit
+    /// record's LSN to both of its readers: the history tap, which the
+    /// engine calls right after the append, and the `Commit` ack, which
+    /// after `commit()` returns waits on every participating shard's
+    /// entry — the merged durable watermark.
     static LAST_WAL_LSNS: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -76,6 +78,16 @@ pub(crate) fn note_commit_lsn(shard: usize, lsn: u64) {
             None => v.push((shard, lsn)),
         }
     });
+}
+
+/// The LSN this thread last noted for `shard` (0 if none).
+pub(crate) fn noted_lsn(shard: usize) -> u64 {
+    LAST_WAL_LSNS.with(|c| {
+        c.borrow()
+            .iter()
+            .find(|(s, _)| *s == shard)
+            .map_or(0, |e| e.1)
+    })
 }
 
 fn lsns_take() -> Vec<(usize, u64)> {
@@ -275,21 +287,20 @@ fn archive_catchup(
     (cov >= upto).then_some(msgs)
 }
 
-/// Wait until shard `s`'s history store has indexed every commit acked
-/// so far. The WAL releases a durable waiter before its durable sink
-/// advances the store's watermark, so an ack can overtake that advance:
-/// lift the watermark to the WAL's durable head first, holding the WAL
-/// lock that the sink and a fork reset also hold. Only that lock: a
-/// query must not stall the shard's appends behind an in-flight fsync.
-fn sync_history(inner: &Shared, s: usize) {
-    let store = &inner.hist[s];
-    if let Some(ws) = &inner.wal {
-        ws.wal.wal(s).with_durable_head(|head| {
-            if head > 0 {
-                store.advance_durable_through(head - 1);
-            }
-        });
-    }
+/// Wait until shard `s`'s history store (in the WAL role `ws`) has
+/// indexed every commit acked so far. The WAL releases a durable waiter
+/// before its durable sink advances the store's watermark, so an ack
+/// can overtake that advance: lift the watermark to the WAL's durable
+/// head first, holding the WAL lock that the sink and a fork reset also
+/// hold. Only that lock: a query must not stall the shard's appends
+/// behind an in-flight fsync.
+fn sync_history(ws: &WalState, s: usize) {
+    let store = &ws.hist[s];
+    ws.wal.wal(s).with_durable_head(|head| {
+        if head > 0 {
+            store.advance_durable_through(head - 1);
+        }
+    });
     store.sync();
 }
 
@@ -347,43 +358,35 @@ fn execute(
         Command::Ping => Ok(Reply::Pong),
         Command::DefineClass(spec) => {
             let def = compile_class(&spec).map_err(|e| WireError::from_ode(&e))?;
-            match &inner.wal {
-                None => {
-                    inner
-                        .db
-                        .define_class(&def)
-                        .map_err(|e| WireError::from_ode(&e))?;
+            // Define on every shard and, on a WAL node, append the
+            // schema record while holding *all* engine locks (acquired
+            // in shard order, like 2PC), so no shard can log an op that
+            // references the class before the class record is durable.
+            // A crash between the two tears the schema.wal tail
+            // harmlessly (truncated on recovery).
+            let wal = inner.wal.as_deref();
+            let mut guards = inner.db.lock_all();
+            for (s, g) in guards.iter_mut().enumerate() {
+                let cid = g
+                    .define_class(def.clone())
+                    .map_err(|e| WireError::from_ode(&e))?;
+                if let Some(store) = wal.and_then(|ws| ws.hist.get(s)) {
+                    store.observe_class(cid.0, &def.name);
                 }
-                // Define on every shard and append the schema record
-                // while holding *all* engine locks (acquired in shard
-                // order, like 2PC), so no shard can log an op that
-                // references the class before the class record is
-                // durable. A crash between the two tears the schema.wal
-                // tail harmlessly (truncated on recovery).
-                Some(ws) => {
-                    let mut guards = inner.db.lock_all();
-                    for (s, g) in guards.iter_mut().enumerate() {
-                        let cid = g
-                            .define_class(def.clone())
-                            .map_err(|e| WireError::from_ode(&e))?;
-                        if let Some(store) = inner.hist.get(s) {
-                            store.observe_class(cid.0, &def.name);
-                        }
-                    }
-                    append_schema(&ws.io, &ws.schema_path, &spec).map_err(|msg| {
-                        ws.read_only.store(true, Ordering::SeqCst);
-                        WireError::wal(format_args!("schema log write failed: {msg}"))
-                    })?;
-                    // Ship the new class while each shard's WAL is
-                    // frozen so it serializes with that shard's
-                    // Replicate handshake (which reads schema.wal under
-                    // the same freeze).
-                    let schema_msg = ServerMsg::ReplSchema(spec);
-                    for (s, subs) in ws.repl_subs.iter().enumerate() {
-                        ws.wal.wal(s).frozen(|_| {
-                            broadcast(&subs.lock(), &schema_msg);
-                        });
-                    }
+            }
+            if let Some(ws) = wal {
+                append_schema(&ws.io, &ws.schema_path, &spec).map_err(|msg| {
+                    ws.read_only.store(true, Ordering::SeqCst);
+                    WireError::wal(format_args!("schema log write failed: {msg}"))
+                })?;
+                // Ship the new class while each shard's WAL is frozen so
+                // it serializes with that shard's Replicate handshake
+                // (which reads schema.wal under the same freeze).
+                let schema_msg = ServerMsg::ReplSchema(spec);
+                for (s, subs) in ws.repl_subs.iter().enumerate() {
+                    ws.wal.wal(s).frozen(|_| {
+                        broadcast(&subs.lock(), &schema_msg);
+                    });
                 }
             }
             Ok(Reply::Unit)
@@ -465,22 +468,17 @@ fn execute(
                     .activate_trigger(t, ObjectId(object), &trigger, &params);
                 return finish(inner, &mut sess.open_txn, t, r).map(|()| Reply::Unit);
             }
-            if inner.hist.is_empty() {
-                return Err(WireError::new(
-                    "no_history",
-                    "replay_history requires a server started with --history",
-                ));
-            }
+            let ws = inner.history()?;
             if object == 0 {
                 return Err(WireError::new("unknown_object", "object ids start at 1"));
             }
             let n = inner.db.shard_count();
             let obj = ObjectId(object);
             let s = shard_of(obj, n);
-            let store = &inner.hist[s];
+            let store = &ws.hist[s];
             // The replay input must cover everything this server has
             // acked (bounded — acked commits are durable already).
-            sync_history(inner, s);
+            sync_history(ws, s);
             let events = store
                 .object_events(to_local(obj, n).0)
                 .map_err(|e| WireError::new("history", e.to_string()))?;
@@ -566,12 +564,7 @@ fn execute(
             Ok(Reply::Unit)
         }
         Command::Checkpoint => {
-            let Some(ws) = &inner.wal else {
-                return Err(WireError::new(
-                    "no_wal",
-                    "server was started without a WAL directory",
-                ));
-            };
+            let ws = inner.durable()?;
             // Snapshot and checkpoint each shard while holding *all*
             // engine locks (in shard order), so every shard's
             // checkpoint LSN matches one consistent cut (lock order
@@ -587,7 +580,7 @@ fn execute(
             let mut lsn_max = 0u64;
             let mut swept = 0u64;
             for (s, snap) in snaps.iter().enumerate() {
-                if let Some(store) = inner.hist.get(s) {
+                if let Some(store) = ws.hist.get(s) {
                     // Seal the history store's active set behind the
                     // checkpoint barrier *before* the WAL truncates:
                     // with all engine locks held no new batches can
@@ -656,6 +649,14 @@ fn execute(
             let (mut fsyncs_total, mut batches, mut max_batch) = (0, 0, 0);
             let (mut recovery_ms, mut segments_replayed) = (0, 0);
             let mut archive = ArchiveStats::default();
+            let mut hist_segments = 0;
+            let mut hist_rows = 0;
+            let mut hist_disk_bytes = 0;
+            let mut hist_indexed_lsns = Vec::new();
+            let mut hist_queries = 0;
+            let mut hist_rows_returned = 0;
+            let mut hist_segments_skipped = 0;
+            let mut hist_retro_replays = 0;
             if let Some(ws) = &inner.wal {
                 read_only = ws.read_only.load(Ordering::SeqCst);
                 recovery_ms = ws.recovery_ms;
@@ -673,6 +674,17 @@ fn execute(
                 }
                 wal_lsn = Some(lsn_sum);
                 durable_lsn = Some(durable_sum);
+                for store in &ws.hist {
+                    let hs = store.stats();
+                    hist_segments += hs.segments;
+                    hist_rows += hs.rows;
+                    hist_disk_bytes += hs.disk_bytes;
+                    hist_indexed_lsns.push(hs.indexed_lsn);
+                    hist_queries += hs.queries;
+                    hist_rows_returned += hs.rows_returned;
+                    hist_segments_skipped += hs.segments_skipped;
+                    hist_retro_replays += hs.retro_replays;
+                }
             }
             let (replica, repl_connected, last_applied_lsn, replica_lag_lsn, heartbeat_age) =
                 match &inner.repl {
@@ -691,25 +703,6 @@ fn execute(
                     }
                     None => (false, false, None, None, None),
                 };
-            let mut hist_segments = 0;
-            let mut hist_rows = 0;
-            let mut hist_disk_bytes = 0;
-            let mut hist_indexed_lsns = Vec::with_capacity(inner.hist.len());
-            let mut hist_queries = 0;
-            let mut hist_rows_returned = 0;
-            let mut hist_segments_skipped = 0;
-            let mut hist_retro_replays = 0;
-            for store in &inner.hist {
-                let hs = store.stats();
-                hist_segments += hs.segments;
-                hist_rows += hs.rows;
-                hist_disk_bytes += hs.disk_bytes;
-                hist_indexed_lsns.push(hs.indexed_lsn);
-                hist_queries += hs.queries;
-                hist_rows_returned += hs.rows_returned;
-                hist_segments_skipped += hs.segments_skipped;
-                hist_retro_replays += hs.retro_replays;
-            }
             let shard_stats = inner.db.stats();
             Ok(Reply::Stats(Box::new(WireStats {
                 events_posted,
@@ -738,7 +731,7 @@ fn execute(
                     .iter()
                     .map(|ns| ns / 1_000)
                     .collect(),
-                hist_enabled: !inner.hist.is_empty(),
+                hist_enabled: !hist_indexed_lsns.is_empty(),
                 hist_segments,
                 hist_rows,
                 hist_disk_bytes,
@@ -777,12 +770,7 @@ fn execute(
             Ok(Reply::Value(v.unwrap_or(Value::Null)))
         }
         Command::Replicate { from_lsns, epoch } => {
-            let Some(ws) = &inner.wal else {
-                return Err(WireError::new(
-                    "no_wal",
-                    "server was started without a WAL directory; nothing to replicate",
-                ));
-            };
+            let ws = inner.durable()?;
             let shard_count = ws.wal.shard_count();
             if from_lsns.len() != shard_count {
                 return Err(WireError::new(
@@ -965,12 +953,7 @@ fn execute(
             })
         }
         Command::Promote { force } => {
-            let Some(rs) = &inner.repl else {
-                return Err(WireError::new(
-                    "not_replica",
-                    "this server was not started as a replica",
-                ));
-            };
+            let rs = inner.replica()?;
             if !rs.promoted.load(Ordering::SeqCst) {
                 // Refuse a lagging promote: records the old primary
                 // acked would silently vanish from the new lineage.
@@ -1070,12 +1053,7 @@ fn execute(
             max_time,
             limit,
         } => {
-            if inner.hist.is_empty() {
-                return Err(WireError::new(
-                    "no_history",
-                    "server was started without --history; the event-history store is off",
-                ));
-            }
+            let ws = inner.history()?;
             let qualifier = match qualifier.as_deref() {
                 None => None,
                 Some("before") => Some(Qualifier::Before),
@@ -1122,10 +1100,10 @@ fn execute(
             let mut scanned = 0u64;
             let mut skipped = 0u64;
             for &s in &shards {
-                let store = &inner.hist[s];
+                let store = &ws.hist[s];
                 // Read-your-writes: anything acked before this query
                 // was durable, so the indexer wait is bounded.
-                sync_history(inner, s);
+                sync_history(ws, s);
                 let q = HistQuery {
                     class: class.clone(),
                     object: object.map(|o| to_local(ObjectId(o), n).0),
@@ -1171,7 +1149,6 @@ fn execute(
                         .collect();
                     Ok((res, take, frames))
                 };
-                let ws = inner.wal.as_ref().expect("history implies a WAL");
                 let (res, take, frames) = ws
                     .background
                     .run(scan)
