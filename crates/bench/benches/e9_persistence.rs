@@ -46,11 +46,9 @@ fn bench_persistence(c: &mut Criterion) {
             .map(|op| op.to_json_line().unwrap().len() + 1)
             .sum();
         eprintln!(
-            "{txns:>4} txns: snapshot {} bytes ({} objects, {} history records), \
-             log {} bytes ({} ops)",
+            "{txns:>4} txns: snapshot {} bytes ({} objects), log {} bytes ({} ops)",
             snap_json.len(),
             snap.objects.len(),
-            snap.objects.iter().map(|o| o.history.len()).sum::<usize>(),
             log_bytes,
             log.len(),
         );

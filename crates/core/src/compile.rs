@@ -31,6 +31,14 @@ use ode_automata::{
 use crate::error::EventError;
 use crate::lower::SymExpr;
 
+/// The largest count `relative n`, `prior n`, `sequence n`, `choose n`
+/// and `every n` accept. Each builds about `n` copies of its operand's
+/// automaton, so an unbounded count lets one event expression exhaust
+/// memory. At this cap each compiles over a one-event operand in under
+/// 0.2 s (`prior 256`, the slowest, in a release build on a 2-vCPU
+/// x86-64 host); the largest count any bench or example uses is 64.
+pub const MAX_COUNT: u32 = 256;
+
 /// Compile a lowered expression over `alphabet_len` symbols into a
 /// minimal DFA for its occurrence language.
 pub fn compile(expr: &SymExpr, alphabet_len: usize) -> Result<Dfa, EventError> {
@@ -215,8 +223,8 @@ fn check_nonempty(list: &[SymExpr], operator: &'static str) -> Result<(), EventE
     }
 }
 
-fn check_count(n: u32, operator: &'static str) -> Result<(), EventError> {
-    if n == 0 {
+pub(crate) fn check_count(n: u32, operator: &'static str) -> Result<(), EventError> {
+    if n == 0 || n > MAX_COUNT {
         Err(EventError::InvalidCount { operator, count: n })
     } else {
         Ok(())
@@ -484,6 +492,34 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn counts_past_the_cap_are_refused() {
+        let op = |name: &str, n: u32| {
+            let a = Box::new(atom(0));
+            match name {
+                "relative" => SymExpr::RelativeN(n, a),
+                "prior" => SymExpr::PriorN(n, a),
+                "sequence" => SymExpr::SequenceN(n, a),
+                "choose" => SymExpr::Choose(n, a),
+                _ => SymExpr::Every(n, a),
+            }
+        };
+        for name in ["relative", "prior", "sequence", "choose", "every"] {
+            match compile(&op(name, MAX_COUNT + 1), 2) {
+                Err(EventError::InvalidCount { operator, count }) => {
+                    assert_eq!((operator, count), (name, MAX_COUNT + 1));
+                }
+                other => panic!(
+                    "{name} {} not refused: {:?}",
+                    MAX_COUNT + 1,
+                    other.map(|dfa| dfa.num_states())
+                ),
+            }
+            let dfa = compile(&op(name, MAX_COUNT), 2).unwrap();
+            assert!(dfa.num_states() > MAX_COUNT as usize, "{name}");
         }
     }
 }

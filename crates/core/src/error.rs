@@ -12,7 +12,8 @@ pub enum EventError {
         /// Why the pairing is illegal.
         reason: &'static str,
     },
-    /// An operator received a count it cannot accept (`choose 0 (…)`).
+    /// An operator received a count it cannot accept: 0 (`choose 0 (…)`)
+    /// or one above [`crate::compile::MAX_COUNT`].
     InvalidCount {
         /// Operator name.
         operator: &'static str,
@@ -73,7 +74,11 @@ impl fmt::Display for EventError {
                 write!(f, "event `{event}` is not allowed: {reason}")
             }
             EventError::InvalidCount { operator, count } => {
-                write!(f, "`{operator} {count} (…)` requires a count of at least 1")
+                write!(
+                    f,
+                    "`{operator} {count} (…)` requires a count from 1 to {}",
+                    crate::compile::MAX_COUNT
+                )
             }
             EventError::EmptyOperands { operator } => {
                 write!(f, "`{operator}` requires at least one operand")

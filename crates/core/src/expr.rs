@@ -30,6 +30,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::compile::check_count;
 use crate::error::EventError;
 use crate::event::{BasicEvent, EventKind};
 use crate::mask::MaskExpr;
@@ -265,11 +266,11 @@ impl EventExpr {
                     Ok(())
                 }
             }
-            EventExpr::RelativeN(n, _) => check_count("relative", *n),
-            EventExpr::PriorN(n, _) => check_count("prior", *n),
-            EventExpr::SequenceN(n, _) => check_count("sequence", *n),
-            EventExpr::Choose(n, _) => check_count("choose", *n),
-            EventExpr::Every(n, _) => check_count("every", *n),
+            EventExpr::RelativeN(n, _) => check_count(*n, "relative"),
+            EventExpr::PriorN(n, _) => check_count(*n, "prior"),
+            EventExpr::SequenceN(n, _) => check_count(*n, "sequence"),
+            EventExpr::Choose(n, _) => check_count(*n, "choose"),
+            EventExpr::Every(n, _) => check_count(*n, "every"),
             _ => Ok(()),
         })
     }
@@ -346,14 +347,6 @@ impl EventExpr {
             Ok(())
         });
         n
-    }
-}
-
-fn check_count(operator: &'static str, n: u32) -> Result<(), EventError> {
-    if n == 0 {
-        Err(EventError::InvalidCount { operator, count: n })
-    } else {
-        Ok(())
     }
 }
 

@@ -69,6 +69,7 @@ pub mod value;
 
 pub use alphabet::Alphabet;
 pub use combined::{CombinedDetector, CombinedEvent};
+pub use compile::MAX_COUNT;
 pub use detector::{CompileStats, CompiledEvent, Detector};
 pub use diagnostics::{diagnose, Diagnosis};
 pub use error::{EventError, MaskError};

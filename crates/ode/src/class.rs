@@ -131,10 +131,6 @@ pub struct MaskFnCtx<'a> {
     pub fields: &'a BTreeMap<String, Value>,
     /// The posting transaction's user value (`user()` reads this).
     pub user: &'a Value,
-    /// The object's event history up to (but excluding) the event being
-    /// classified — the "history expressions" hook (paper §9 future
-    /// work; see [`crate::history::HistoryQuery`]).
-    pub history: &'a [crate::object::PostedRecord],
 }
 
 /// Which history a trigger monitors (Section 6): the committed history
@@ -378,14 +374,6 @@ pub(crate) struct ClassRuntime {
     /// The class-level router: relevance index, mask dedup, and symbol
     /// remaps over all the class's trigger alphabets.
     pub(crate) router: ode_core::ClassRouter,
-    /// Whether postings to objects of this class must be recorded in
-    /// the per-object history: true iff the class has mask functions
-    /// (which read the history) or committed-history monitors. The
-    /// monitors themselves never read it — their automaton word is
-    /// rolled back on abort — but audit-log consumers of
-    /// [`crate::object::Object::history`] expect records for them.
-    /// History-free classes skip the per-post record allocation.
-    pub(crate) needs_history: bool,
     /// Event codes for the fixed (string-free) kinds, by qualifier ×
     /// kind — resolved with two array indexes, no hashing at all.
     fixed: [[Option<ode_core::EventCode>; FIXED_KINDS]; 2],
@@ -420,14 +408,8 @@ impl ClassRuntime {
                 }
             }
         }
-        let needs_history = !class.mask_fns.is_empty()
-            || class
-                .triggers
-                .iter()
-                .any(|t| t.monitoring == Monitoring::Committed);
         ClassRuntime {
             router,
-            needs_history,
             fixed,
             methods,
         }

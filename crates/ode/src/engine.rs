@@ -39,12 +39,10 @@
 //! history, the automaton state itself; full-history triggers keep their
 //! state (Section 6's two implementation options).
 //!
-//! History records are appended in strictly increasing posting `seq`, and
-//! a transaction's records all follow the `seq` it began at (its
-//! `begin_seq`). Commit and abort therefore set record statuses by
-//! walking each accessed object's history backwards only down to that
-//! watermark: their cost is the postings made while the transaction was
-//! open, not the object's age.
+//! Objects keep no record of their postings: an object is its fields plus
+//! one word of automaton state per trigger. The committed postings reach
+//! observers through the event tap ([`Database::set_event_tap`]), which
+//! feeds the event-history store.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -58,7 +56,7 @@ use crate::class::{
 use crate::clock::{Clock, TimerScope};
 use crate::error::{AbortReason, OdeError};
 use crate::ids::{ClassId, ObjectId, TxnId};
-use crate::object::{Object, PostStatus, PostedRecord, TriggerInstance};
+use crate::object::{Object, TriggerInstance};
 use crate::oplog::LogOp;
 
 /// Maximum trigger-cascade depth before the transaction aborts.
@@ -154,15 +152,14 @@ pub struct TapEvent {
 }
 
 /// The committed-event tap: a callback handed, at each transaction
-/// commit, every basic event that transaction posted — including events
-/// on classes whose `needs_history` fast path skips `PostedRecord`
-/// recording, and including the `after tcommit` / `after tabort` rounds
-/// (delivered from the system transaction that posts them, immediately
-/// after the user transaction's batch). Aborted transactions deliver
-/// nothing, so the concatenated batches are exactly the committed event
-/// stream. The `u64` is the virtual clock at commit. Called
-/// synchronously with the engine locked — implementations must only
-/// enqueue.
+/// commit, every basic event that transaction posted — the one record of
+/// postings, since objects keep none — including the `after tcommit` /
+/// `after tabort` rounds (delivered from the system transaction that
+/// posts them, immediately after the user transaction's batch). Aborted
+/// transactions deliver nothing, so the concatenated batches are exactly
+/// the committed event stream. The `u64` is the virtual clock at commit.
+/// Called synchronously with the engine locked — implementations must
+/// only enqueue.
 pub type EventTap = Arc<dyn Fn(TxnId, u64, &[TapEvent]) + Send + Sync>;
 
 /// A callback invoked on every outermost logged operation (see
@@ -216,9 +213,6 @@ enum UndoOp {
 struct TxnState {
     user: Value,
     is_system: bool,
-    /// The engine's posting `seq` at begin: the commit/abort status walk
-    /// stops at the first history record at or below it.
-    begin_seq: u64,
     accessed: Vec<ObjectId>,
     undo: Vec<UndoOp>,
     aborted: Option<AbortReason>,
@@ -317,11 +311,10 @@ impl Database {
 
     /// Install (or clear) the committed-event tap: a callback handed
     /// every committed transaction's posted events at commit time (see
-    /// [`EventTap`]). Unlike detection's `needs_history` fast path, the
-    /// tap sees *every* class's events — it is the analytic feed the
-    /// event-history store ([`crate::histstore`]) ingests — but costs
-    /// nothing when none is installed (the per-posting buffer push is
-    /// skipped entirely).
+    /// [`EventTap`]). The tap sees *every* class's events — it is the
+    /// analytic feed the event-history store ([`crate::histstore`])
+    /// ingests — but costs nothing when none is installed (the
+    /// per-posting buffer push is skipped entirely).
     pub fn set_event_tap(&mut self, tap: Option<EventTap>) {
         self.event_tap = tap;
     }
@@ -486,7 +479,6 @@ impl Database {
             TxnState {
                 user,
                 is_system: false,
-                begin_seq: self.seq,
                 accessed: Vec::new(),
                 undo: Vec::new(),
                 aborted: None,
@@ -505,7 +497,6 @@ impl Database {
             TxnState {
                 user: Value::Str("system".into()),
                 is_system: true,
-                begin_seq: self.seq,
                 accessed: Vec::new(),
                 undo: Vec::new(),
                 aborted: None,
@@ -662,17 +653,9 @@ impl Database {
 
         // Commit proper.
         let state = self.txns.remove(&txn.0).expect("checked above");
-        let begin_seq = state.begin_seq;
         for obj in &state.accessed {
-            if let Some(o) = self.objects.get_mut(&obj.0) {
-                for r in o.history.iter_mut().rev().take_while(|r| r.seq > begin_seq) {
-                    if r.txn == txn {
-                        r.status = PostStatus::Committed;
-                    }
-                }
-                if o.deleted {
-                    self.clock.cancel_object(*obj);
-                }
+            if self.objects.get(&obj.0).is_some_and(|o| o.deleted) {
+                self.clock.cancel_object(*obj);
             }
         }
         self.locks.retain(|_, holder| *holder != txn);
@@ -722,7 +705,6 @@ impl Database {
         }
 
         let state = self.txns.remove(&txn.0).expect("checked above");
-        let begin_seq = state.begin_seq;
         // Undo in reverse order.
         for op in state.undo.into_iter().rev() {
             match op {
@@ -764,16 +746,6 @@ impl Database {
                             t.state = old_state;
                             t.params = old_params;
                         }
-                    }
-                }
-            }
-        }
-        // Mark this transaction's history records aborted.
-        for obj in &accessed {
-            if let Some(o) = self.objects.get_mut(&obj.0) {
-                for r in o.history.iter_mut().rev().take_while(|r| r.seq > begin_seq) {
-                    if r.txn == txn {
-                        r.status = PostStatus::Aborted;
                     }
                 }
             }
@@ -1150,7 +1122,6 @@ impl Database {
                 fields: &o.fields,
                 class: class.as_ref(),
                 user: &user,
-                history: &o.history,
             };
             let start_sym = tdef.event.alphabet().start_symbol(&env)?;
             inst.state = tdef.event.dfa().step(tdef.event.dfa().start(), start_sym);
@@ -1378,10 +1349,9 @@ impl Database {
 
     // ---------------------------------------------------------- posting
 
-    /// Post a basic event to an object: append to its history (when the
-    /// class reads it), resolve the event's class-level code **once**,
-    /// fan the routed symbols out to the relevant active triggers, then
-    /// fire. Returns the number of triggers fired.
+    /// Post a basic event to an object: resolve the event's class-level
+    /// code **once**, fan the routed symbols out to the relevant active
+    /// triggers, then fire. Returns the number of triggers fired.
     fn post(
         &mut self,
         txn: TxnId,
@@ -1408,10 +1378,10 @@ impl Database {
         self.stats.events_posted += 1;
         let seq = self.seq;
 
-        // Committed-event tap: buffer the posting on its transaction,
-        // independent of `needs_history` (the buffer is delivered at
-        // commit, dropped on abort). Skipped entirely when no tap is
-        // installed, preserving the zero-cost default.
+        // Committed-event tap: buffer the posting on its transaction (the
+        // buffer is delivered at commit, dropped on abort). Skipped
+        // entirely when no tap is installed, preserving the zero-cost
+        // default.
         if self.event_tap.is_some() {
             if let Some(state) = self.txns.get_mut(&txn.0) {
                 state.tap.push(TapEvent {
@@ -1424,48 +1394,22 @@ impl Database {
             }
         }
 
-        // Phase A+B under one object borrow: record the posting, route
-        // the symbols against the fields (split borrow) and step the
-        // automata, collecting firings as (instance position, def
-        // index) pairs — actions and deactivation go by definition,
-        // rollback by store position.
+        // Phase A+B under one object borrow: route the symbols against
+        // the fields (split borrow) and step the automata, collecting
+        // firings as (instance position, def index) pairs — actions and
+        // deactivation go by definition, rollback by store position.
         let mut fired: Vec<(usize, usize)> = Vec::new();
         {
-            let o = self.objects.get_mut(&obj.0).expect("checked above");
-            if runtime.needs_history {
-                o.history.push(PostedRecord {
-                    seq,
-                    txn,
-                    basic: basic.clone(),
-                    args: args.to_vec(),
-                    status: if self.txns.get(&txn.0).map(|t| t.is_system).unwrap_or(true) {
-                        PostStatus::Committed
-                    } else {
-                        PostStatus::Pending
-                    },
-                });
-            }
             let Some(code) = runtime.resolve(basic) else {
                 return Ok(0); // invisible to every trigger of the class
             };
             let Object {
-                fields,
-                triggers,
-                history,
-                ..
-            } = o;
-            // the record just pushed is the event being classified;
-            // masks see the history *before* it.
-            let visible_history = if runtime.needs_history {
-                &history[..history.len() - 1]
-            } else {
-                &history[..]
-            };
+                fields, triggers, ..
+            } = self.objects.get_mut(&obj.0).expect("checked above");
             let env = EngineEnv {
                 fields,
                 class: class.as_ref(),
                 user: &user,
-                history: visible_history,
             };
             let mut txn_undo = self.txns.get_mut(&txn.0).map(|s| &mut s.undo);
             self.router_memo.begin(&runtime.router);
@@ -1731,11 +1675,6 @@ impl Database {
                             }
                         })
                         .collect(),
-                    history: o
-                        .history
-                        .iter()
-                        .map(crate::persist::record_to_snapshot)
-                        .collect(),
                 }
             })
             .collect();
@@ -1818,11 +1757,7 @@ impl Database {
                     fields: os.fields.clone(),
                     deleted: os.deleted,
                     triggers,
-                    history: os
-                        .history
-                        .iter()
-                        .map(crate::persist::record_from_snapshot)
-                        .collect(),
+                    history: Vec::new(),
                 },
             );
         }
@@ -1908,7 +1843,6 @@ struct EngineEnv<'a> {
     fields: &'a BTreeMap<String, Value>,
     class: &'a ClassDef,
     user: &'a Value,
-    history: &'a [crate::object::PostedRecord],
 }
 
 impl MaskEnv for EngineEnv<'_> {
@@ -1927,7 +1861,6 @@ impl MaskEnv for EngineEnv<'_> {
             &MaskFnCtx {
                 fields: self.fields,
                 user: self.user,
-                history: self.history,
             },
             args,
         )
@@ -2044,53 +1977,69 @@ mod tests {
         assert_eq!(hits, 5);
     }
 
-    /// Classes with no committed-history monitors and no mask functions
-    /// never read their posted history — the engine skips recording it.
+    /// An object is its fields plus one word per trigger (Section 5), and
+    /// committed-history monitoring needs no history (Section 6): a
+    /// thousand committed transactions that write the same value leave
+    /// every object's snapshot as long as ten did — for a plain class, a
+    /// class with a mask function and a class with a committed monitor.
+    /// The store-wide counters (`seq`, `next_txn`) grow by design, so
+    /// they are zeroed before measuring.
     #[test]
-    fn history_skipped_when_no_reader_exists() {
+    fn object_state_stays_flat_over_committed_transactions() {
+        let set_x = |b: crate::class::ClassBuilder| {
+            b.field("x", 0i64)
+                .method("m", MethodKind::Update, &[], |ctx| {
+                    ctx.set("x", 1i64);
+                    Ok(Value::Null)
+                })
+        };
         let mut db = Database::new();
-        // No triggers, no mask fns: nothing can read the history.
-        db.define_class(
-            ClassDef::builder("plain")
-                .update_method("m", &[])
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        // A full-history trigger rolls nothing back and reads no
-        // records either (its state lives outside the object data).
-        let fh = ClassDef::builder("fh")
-            .update_method("m", &[])
-            .trigger("T", true, "after m", Action::Emit("fh fired".into()))
+        db.define_class(set_x(ClassDef::builder("plain")).build().unwrap())
+            .unwrap();
+        // Neither trigger below ever fires, so its firing count stays put.
+        let masked = set_x(ClassDef::builder("masked"))
+            .mask_fn("big", |ctx, _| {
+                Some(Value::Bool(ctx.fields.get("x") == Some(&Value::Int(9))))
+            })
+            .trigger("T", true, "after m && big()", Action::Emit("big".into()))
             .full_history()
             .activate_on_create(&["T"])
             .build()
             .unwrap();
-        db.define_class(fh).unwrap();
-        // The default (committed monitoring) keeps recording.
-        let committed = ClassDef::builder("cm")
-            .update_method("m", &[])
-            .trigger("T", true, "after m", Action::Emit("cm fired".into()))
+        db.define_class(masked).unwrap();
+        let committed = set_x(ClassDef::builder("cm"))
+            .trigger("T", true, "after m && x > 5", Action::Emit("cm".into()))
             .activate_on_create(&["T"])
             .build()
             .unwrap();
         db.define_class(committed).unwrap();
 
         let txn = db.begin();
-        let plain = db.create_object(txn, "plain", &[]).unwrap();
-        let fh = db.create_object(txn, "fh", &[]).unwrap();
-        let cm = db.create_object(txn, "cm", &[]).unwrap();
-        for obj in [plain, fh, cm] {
-            db.call(txn, obj, "m", &[]).unwrap();
-        }
+        let objs: Vec<ObjectId> = ["plain", "masked", "cm"]
+            .iter()
+            .map(|c| db.create_object(txn, c, &[]).unwrap())
+            .collect();
         db.commit(txn).unwrap();
-
-        assert!(db.object(plain).unwrap().history.is_empty());
-        assert!(db.object(fh).unwrap().history.is_empty());
-        assert!(!db.object(cm).unwrap().history.is_empty());
-        // Detection itself is unaffected by skipping the records.
-        let out = db.output().join("\n");
-        assert!(out.contains("fh fired"), "{out}");
-        assert!(out.contains("cm fired"), "{out}");
+        let snapshot_len = |db: &Database| {
+            let mut snap = db.snapshot().unwrap();
+            snap.seq = 0;
+            snap.next_txn = 0;
+            snap.to_json().unwrap().len()
+        };
+        let mut after_tenth = 0;
+        for i in 1..=1000 {
+            db.in_txn(|db, txn| {
+                for &obj in &objs {
+                    db.call(txn, obj, "m", &[])?;
+                }
+                Ok(())
+            })
+            .unwrap();
+            if i == 10 {
+                after_tenth = snapshot_len(&db);
+            }
+        }
+        assert_eq!(snapshot_len(&db), after_tenth);
+        assert!(db.output().is_empty(), "{:?}", db.output());
     }
 }

@@ -6,8 +6,9 @@
 //! object?", but nothing answers "which `deposit` events with
 //! `amount > 10000` happened anywhere, in the last hour?". This module
 //! is that other half — a cross-object, queryable record of every
-//! *committed* basic event, kept off the engine lock and independent of
-//! the detection fast path (`needs_history` classes are captured too).
+//! *committed* basic event, kept off the engine lock. Objects keep no
+//! record of their postings, so this store (fed by the event tap) is the
+//! one record of them.
 //!
 //! ## REPLAY vs QUERY
 //!

@@ -49,7 +49,6 @@ pub mod demo;
 pub mod durability;
 pub mod engine;
 pub mod error;
-pub mod history;
 pub mod histstore;
 pub mod ids;
 pub mod object;
@@ -74,7 +73,6 @@ pub use durability::{
 };
 pub use engine::{Database, EventTap, FiringNotice, FiringSink, LogSink, Stats, TapEvent};
 pub use error::{AbortReason, OdeError};
-pub use history::HistoryQuery;
 pub use histstore::{
     ArgPred, Batch, CmpOp, EventRow, HistConfig, HistError, HistQuery, HistStats, HistStore,
     PreparedQuery, QueryResult, RetroFiring, RetroOutcome, RetroReplay,

@@ -1,5 +1,4 @@
-//! Persistent objects, their trigger instances, and per-object event
-//! histories.
+//! Persistent objects and their trigger instances.
 
 use std::collections::BTreeMap;
 
@@ -9,10 +8,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::ids::{ClassId, ObjectId, TxnId};
 
-/// Commit status of a posted event, maintained for the per-object event
-/// history (Section 3.4: "an event history is associated with every
-/// object; it is an ordered set of logical events that were posted to the
-/// object").
+/// Commit status of a posted event: the element status of the
+/// never-written [`Object::history`], kept only until that field goes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PostStatus {
     /// Posted by a still-running transaction.
@@ -23,7 +20,9 @@ pub enum PostStatus {
     Aborted,
 }
 
-/// One entry of an object's event history.
+/// One posted event: the element type of the never-written
+/// [`Object::history`], kept only until that field goes. Postings reach
+/// observers through [`crate::engine::Database::set_event_tap`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PostedRecord {
     /// Global sequence number (total order across the database).
@@ -82,10 +81,11 @@ pub struct Object {
     pub deleted: bool,
     /// Trigger instances, parallel to the class's trigger list.
     pub triggers: Vec<TriggerInstance>,
-    /// The event history (audit log; detection never replays it).
-    /// Records are appended in strictly increasing `seq`, and every record
-    /// of a transaction follows the engine `seq` at which it began — so
-    /// commit and abort find a transaction's records in the tail.
+    /// Always empty: the engine records no postings on an object (an
+    /// object is its fields plus one word per trigger, Section 5; the
+    /// event tap and the event-history store are the record of
+    /// postings). The field remains only because the `perfbench`
+    /// harness still reads its length; it goes once that reader does.
     pub history: Vec<PostedRecord>,
 }
 
@@ -102,33 +102,11 @@ impl Object {
     pub fn trigger_instance(&self, def_index: usize) -> Option<&TriggerInstance> {
         instance_position(&self.triggers, def_index).map(|pos| &self.triggers[pos])
     }
-
-    /// The committed sub-history of this object (plus events of the given
-    /// still-running transaction, which are provisionally visible).
-    pub fn committed_history(&self, pending_txn: Option<TxnId>) -> Vec<&PostedRecord> {
-        self.history
-            .iter()
-            .filter(|r| {
-                r.status == PostStatus::Committed
-                    || (r.status == PostStatus::Pending && Some(r.txn) == pending_txn)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn record(seq: u64, txn: u64, status: PostStatus) -> PostedRecord {
-        PostedRecord {
-            seq,
-            txn: TxnId(txn),
-            basic: BasicEvent::after_method("m"),
-            args: vec![],
-            status,
-        }
-    }
 
     #[test]
     fn monitoring_bytes_counts_active_triggers() {
@@ -160,29 +138,5 @@ mod tests {
         assert_eq!(o.monitoring_bytes(), 4);
         o.triggers[1].active = true;
         assert_eq!(o.monitoring_bytes(), 8);
-    }
-
-    #[test]
-    fn committed_history_filters_status() {
-        let o = Object {
-            id: ObjectId(1),
-            class: ClassId(0),
-            fields: BTreeMap::new(),
-            deleted: false,
-            triggers: vec![],
-            history: vec![
-                record(1, 1, PostStatus::Committed),
-                record(2, 2, PostStatus::Aborted),
-                record(3, 3, PostStatus::Pending),
-            ],
-        };
-        let committed: Vec<u64> = o.committed_history(None).iter().map(|r| r.seq).collect();
-        assert_eq!(committed, vec![1]);
-        let with_pending: Vec<u64> = o
-            .committed_history(Some(TxnId(3)))
-            .iter()
-            .map(|r| r.seq)
-            .collect();
-        assert_eq!(with_pending, vec![1, 3]);
     }
 }

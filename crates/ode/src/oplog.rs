@@ -231,10 +231,6 @@ mod tests {
 
         assert_eq!(db.peek_field(room, "items"), db2.peek_field(room, "items"));
         assert_eq!(db.output(), db2.output(), "firing output must match");
-        assert_eq!(
-            db.object(room).unwrap().history.len(),
-            db2.object(room).unwrap().history.len()
-        );
         let s1 = db.stats();
         let s2 = db2.stats();
         assert_eq!(s1.events_posted, s2.events_posted);

@@ -5,12 +5,14 @@
 //! > (Section 2)
 //!
 //! A [`Snapshot`] captures everything about the database that is *data*:
-//! object identities, fields, event histories, activated triggers with
-//! their **one word of monitoring state** each, pending timers, and the
-//! virtual clock. Classes — code: method bodies, mask functions, trigger
-//! actions — are schema and must be re-defined before restoring, exactly
-//! as an Ode program re-links its class definitions against the
-//! persistent store.
+//! object identities, fields, activated triggers with their **one word
+//! of monitoring state** each, pending timers, and the virtual clock.
+//! Objects keep no event history, so snapshots carry none; one written
+//! by an older build carries a `history` array per object, which
+//! deserialization ignores. Classes — code: method bodies, mask
+//! functions, trigger actions — are schema and must be re-defined before
+//! restoring, exactly as an Ode program re-links its class definitions
+//! against the persistent store.
 //!
 //! The payoff is the Section 5 storage story made durable: a composite
 //! event that is *halfway matched* when the process exits resumes
@@ -30,8 +32,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::clock::Timer;
 use crate::error::OdeError;
-use crate::ids::TxnId;
-use crate::object::{PostStatus, PostedRecord};
 
 /// Serialized state of one activated trigger instance.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -64,24 +64,6 @@ pub struct ObjectSnapshot {
     pub deleted: bool,
     /// Trigger instances.
     pub triggers: Vec<TriggerSnapshot>,
-    /// The event history.
-    pub history: Vec<RecordSnapshot>,
-}
-
-/// Serialized history record.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RecordSnapshot {
-    /// Global sequence number.
-    pub seq: u64,
-    /// Posting transaction id.
-    pub txn: u64,
-    /// The basic event.
-    pub basic: BasicEvent,
-    /// Arguments.
-    pub args: Vec<Value>,
-    /// `true` = committed, `false` = aborted (snapshots contain no
-    /// pending transactions).
-    pub committed: bool,
 }
 
 /// A full database snapshot.
@@ -121,30 +103,6 @@ impl Snapshot {
     pub fn from_json(json: &str) -> Result<Snapshot, OdeError> {
         serde_json::from_str(json)
             .map_err(|e| OdeError::Method(format!("snapshot deserialization failed: {e}")))
-    }
-}
-
-pub(crate) fn record_to_snapshot(r: &PostedRecord) -> RecordSnapshot {
-    RecordSnapshot {
-        seq: r.seq,
-        txn: r.txn.0,
-        basic: r.basic.clone(),
-        args: r.args.clone(),
-        committed: r.status == PostStatus::Committed,
-    }
-}
-
-pub(crate) fn record_from_snapshot(r: &RecordSnapshot) -> PostedRecord {
-    PostedRecord {
-        seq: r.seq,
-        txn: TxnId(r.txn),
-        basic: r.basic.clone(),
-        args: r.args.clone(),
-        status: if r.committed {
-            PostStatus::Committed
-        } else {
-            PostStatus::Aborted
-        },
     }
 }
 
@@ -250,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn fields_histories_and_ids_survive() {
+    fn fields_and_ids_survive() {
         let mut db = Database::new();
         db.define_class(counter_class()).unwrap();
         let txn = db.begin();
@@ -258,14 +216,12 @@ mod tests {
         db.call(txn, obj, "incr", &[]).unwrap();
         db.call(txn, obj, "incr", &[]).unwrap();
         db.commit(txn).unwrap();
-        let history_len = db.object(obj).unwrap().history.len();
         let snap = db.snapshot().unwrap();
 
         let mut db2 = Database::new();
         db2.define_class(counter_class()).unwrap();
         db2.restore(&snap).unwrap();
         assert_eq!(db2.peek_field(obj, "n"), Some(Value::Int(2)));
-        assert_eq!(db2.object(obj).unwrap().history.len(), history_len);
 
         // new objects get fresh ids after the restored ones
         let txn = db2.begin();

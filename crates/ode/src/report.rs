@@ -55,21 +55,16 @@ pub fn describe(db: &Database) -> String {
     }
 
     // Object population.
-    let mut by_class: std::collections::BTreeMap<String, (usize, usize, usize)> =
-        Default::default();
+    let mut by_class: std::collections::BTreeMap<String, (usize, usize)> = Default::default();
     for o in db.objects() {
         let class = db.class(o.class);
         let entry = by_class.entry(class.name.clone()).or_default();
         entry.0 += 1;
         entry.1 += o.monitoring_bytes();
-        entry.2 += o.history.len();
     }
     let _ = writeln!(out, "\nobjects:");
-    for (name, (count, bytes, events)) in &by_class {
-        let _ = writeln!(
-            out,
-            "  {count} x `{name}`: {bytes} monitoring bytes, {events} history records"
-        );
+    for (name, (count, bytes)) in &by_class {
+        let _ = writeln!(out, "  {count} x `{name}`: {bytes} monitoring bytes");
     }
 
     let s = db.stats();

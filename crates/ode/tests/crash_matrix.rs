@@ -109,12 +109,6 @@ fn fingerprint(db: &Database) -> String {
                 t.def_index, t.active, t.state, t.fired, t.params, t.captured
             ));
         }
-        for r in &o.history {
-            s.push_str(&format!(
-                "  hist seq={} txn={} {:?} {:?} {:?}\n",
-                r.seq, r.txn.0, r.basic, r.args, r.status
-            ));
-        }
     }
     s
 }

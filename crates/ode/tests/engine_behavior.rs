@@ -3,8 +3,10 @@
 //! semantics (Section 6), the `before tcomplete` fixpoint, system
 //! transactions, time events, and locking.
 
+use std::sync::{Arc, Mutex};
+
 use ode_core::{BasicEvent, EventKind, Value};
-use ode_db::{Action, ClassDef, Database, MethodKind, ObjectId, OdeError, PostStatus, TxnId};
+use ode_db::{Action, ClassDef, Database, MethodKind, ObjectId, OdeError, TxnId};
 
 /// A minimal "account" class: deposit/withdraw adjust `balance`.
 fn account_class() -> ClassDef {
@@ -37,33 +39,38 @@ fn db_with_account() -> (Database, TxnId, ObjectId) {
     (db, txn, obj)
 }
 
-/// The account class plus a committed-history monitor. The engine
-/// records an object's posted history only when the class can read it
-/// (committed monitors or mask functions); tests that observe the
-/// history directly go through this variant.
-fn db_with_monitored_account() -> (Database, TxnId, ObjectId) {
-    let class = ClassDef::builder("account")
-        .field("balance", 0i64)
-        .method("depositCash", MethodKind::Update, &["amt"], |ctx| {
-            let b = ctx.get_required("balance")?.as_int().unwrap_or(0);
-            let amt = ctx.arg(0)?.as_int().unwrap_or(0);
-            ctx.set("balance", b + amt);
-            Ok(Value::Null)
-        })
-        .trigger(
-            "audit",
-            true,
-            "after tcommit",
-            Action::Emit("committed".into()),
-        )
-        .activate_on_create(&["audit"])
-        .build()
-        .unwrap();
+/// Committed postings as `(txn, object, event)`, in delivery order.
+type TapLog = Arc<Mutex<Vec<(TxnId, ObjectId, BasicEvent)>>>;
+
+/// Install an event tap on `db` that collects every committed posting.
+fn tap(db: &mut Database) -> TapLog {
+    let log = TapLog::default();
+    let sink = Arc::clone(&log);
+    db.set_event_tap(Some(Arc::new(move |txn, _, events| {
+        let mut sink = sink.lock().unwrap();
+        sink.extend(events.iter().map(|e| (txn, e.object, e.basic.clone())));
+    })));
+    log
+}
+
+/// The committed postings `txn` made on `obj`.
+fn tapped(log: &TapLog, txn: TxnId, obj: ObjectId) -> Vec<BasicEvent> {
+    let log = log.lock().unwrap();
+    log.iter()
+        .filter(|(t, o, _)| *t == txn && *o == obj)
+        .map(|(_, _, e)| e.clone())
+        .collect()
+}
+
+/// [`db_with_account`] with a [`tap`] installed before the creating
+/// transaction begins.
+fn tapped_account() -> (Database, TapLog, TxnId, ObjectId) {
     let mut db = Database::new();
-    db.define_class(class).unwrap();
+    db.define_class(account_class()).unwrap();
+    let log = tap(&mut db);
     let txn = db.begin();
     let obj = db.create_object(txn, "account", &[]).unwrap();
-    (db, txn, obj)
+    (db, log, txn, obj)
 }
 
 #[test]
@@ -119,15 +126,15 @@ fn abort_restores_deleted_objects() {
 
 #[test]
 fn posting_order_within_a_call() {
-    let (mut db, txn, obj) = db_with_monitored_account();
+    let (mut db, log, txn, obj) = tapped_account();
     db.call(txn, obj, "depositCash", &[Value::Int(1)]).unwrap();
     db.commit(txn).unwrap();
-    let events: Vec<String> = db
-        .object(obj)
+    let events: Vec<String> = log
+        .lock()
         .unwrap()
-        .history
         .iter()
-        .map(|r| r.basic.to_string())
+        .filter(|(_, o, _)| *o == obj)
+        .map(|(_, _, e)| e.to_string())
         .collect();
     // creation: tbegin, create; call: before access/update/method, then
     // after method/update/access; commit: tcomplete round + system
@@ -145,30 +152,6 @@ fn posting_order_within_a_call() {
         "after tcommit",
     ];
     assert_eq!(events, expected_prefix);
-}
-
-#[test]
-fn commit_marks_history_committed_abort_marks_aborted() {
-    let (mut db, txn, obj) = db_with_monitored_account();
-    db.commit(txn).unwrap();
-    assert!(db
-        .object(obj)
-        .unwrap()
-        .history
-        .iter()
-        .all(|r| r.status == PostStatus::Committed));
-
-    let txn2 = db.begin();
-    db.call(txn2, obj, "depositCash", &[Value::Int(1)]).unwrap();
-    db.abort(txn2).unwrap();
-    let o = db.object(obj).unwrap();
-    assert!(o.history.iter().any(|r| r.status == PostStatus::Aborted));
-    // the system `after tabort` is committed
-    assert!(o
-        .history
-        .iter()
-        .any(|r| r.basic == BasicEvent::after(EventKind::TAbort)
-            && r.status == PostStatus::Committed));
 }
 
 #[test]
@@ -380,6 +363,7 @@ fn before_tcomplete_fixpoint_runs_actions_then_converges() {
             .unwrap(),
     )
     .unwrap();
+    let log = tap(&mut db);
     let txn = db.begin();
     let obj = db.create_object(txn, "watched", &[]).unwrap();
     db.call(txn, obj, "poke", &[]).unwrap();
@@ -388,12 +372,9 @@ fn before_tcomplete_fixpoint_runs_actions_then_converges() {
     assert_eq!(db.peek_field(obj, "finalized"), Some(Value::Bool(true)));
     // `before tcomplete` was posted at least twice (firing round + quiet
     // round).
-    let tcompletes = db
-        .object(obj)
-        .unwrap()
-        .history
+    let tcompletes = tapped(&log, txn, obj)
         .iter()
-        .filter(|r| r.basic == BasicEvent::before(EventKind::TComplete))
+        .filter(|e| **e == BasicEvent::before(EventKind::TComplete))
         .count();
     assert!(tcompletes >= 2, "got {tcompletes}");
 }
@@ -671,26 +652,15 @@ fn wrong_arity_and_unknown_names_error_cleanly() {
     ));
 }
 
-// ------------------------------------------------ history status edges
+// ------------------------------------------------ committed postings
 //
-// Commit and abort set record statuses by walking each accessed object's
-// history back only to the seq at which the transaction began. These
-// cases pin that walk at its edges.
-
-/// The statuses of `txn`'s records on `obj`, in posting order.
-fn statuses_of(db: &Database, obj: ObjectId, txn: TxnId) -> Vec<PostStatus> {
-    db.object(obj)
-        .unwrap()
-        .history
-        .iter()
-        .filter(|r| r.txn == txn)
-        .map(|r| r.status)
-        .collect()
-}
+// Objects keep no record of their postings; the event tap delivers a
+// transaction's postings when it commits and never when it aborts.
+// These cases pin that at the commit/abort edges.
 
 #[test]
-fn abort_marks_only_its_own_records_behind_a_later_commit() {
-    let (mut db, setup, obj) = db_with_monitored_account();
+fn abort_behind_a_later_commit_delivers_only_the_commit() {
+    let (mut db, log, setup, obj) = tapped_account();
     db.commit(setup).unwrap();
     let t1 = db.begin();
     let t2 = db.begin();
@@ -699,15 +669,13 @@ fn abort_marks_only_its_own_records_behind_a_later_commit() {
     db.call(t1, obj, "depositCash", &[Value::Int(7)]).unwrap();
     db.abort(t1).unwrap();
 
-    let t1s = statuses_of(&db, obj, t1);
-    let t2s = statuses_of(&db, obj, t2);
-    assert!(!t1s.is_empty() && t1s.iter().all(|s| *s == PostStatus::Aborted));
-    assert!(!t2s.is_empty() && t2s.iter().all(|s| *s == PostStatus::Committed));
+    assert!(tapped(&log, t1, obj).is_empty());
+    assert!(tapped(&log, t2, obj).contains(&BasicEvent::after_method("depositCash")));
     assert_eq!(db.peek_field(obj, "balance"), Some(Value::Int(5)));
 }
 
 #[test]
-fn trigger_abort_inside_tcomplete_fixpoint_marks_records_aborted() {
+fn trigger_abort_inside_tcomplete_fixpoint_delivers_nothing() {
     let mut db = Database::new();
     db.define_class(
         ClassDef::builder("guarded")
@@ -722,6 +690,7 @@ fn trigger_abort_inside_tcomplete_fixpoint_marks_records_aborted() {
             .unwrap(),
     )
     .unwrap();
+    let log = tap(&mut db);
     let setup = db.begin();
     let obj = db.create_object(setup, "guarded", &[]).unwrap();
     db.commit(setup).unwrap();
@@ -737,104 +706,34 @@ fn trigger_abort_inside_tcomplete_fixpoint_marks_records_aborted() {
         ),
         "{err}"
     );
-    let ts = statuses_of(&db, obj, t);
-    assert!(ts.len() > 1 && ts.iter().all(|s| *s == PostStatus::Aborted));
-    assert!(statuses_of(&db, obj, setup)
-        .iter()
-        .all(|s| *s == PostStatus::Committed));
+    assert!(tapped(&log, t, obj).is_empty());
+    assert!(!tapped(&log, setup, obj).is_empty());
     assert_eq!(db.peek_field(obj, "n"), Some(Value::Int(0)));
 }
 
 #[test]
-fn prepare_then_commit_sharded_commits_records() {
-    let (mut db, setup, obj) = db_with_monitored_account();
+fn prepare_then_commit_sharded_delivers_at_commit() {
+    let (mut db, log, setup, obj) = tapped_account();
     db.commit(setup).unwrap();
     let t = db.begin();
     db.call(t, obj, "depositCash", &[Value::Int(3)]).unwrap();
     db.prepare(t).unwrap();
-    assert!(statuses_of(&db, obj, t)
-        .iter()
-        .all(|s| *s == PostStatus::Pending));
+    assert!(tapped(&log, t, obj).is_empty());
     db.commit_sharded(t, 1, &[0, 1]).unwrap();
-    let ts = statuses_of(&db, obj, t);
-    assert!(!ts.is_empty() && ts.iter().all(|s| *s == PostStatus::Committed));
+    assert!(tapped(&log, t, obj).contains(&BasicEvent::before(EventKind::TComplete)));
     assert_eq!(db.gtxn_floor(), 1);
 }
 
 #[test]
 fn object_created_by_the_committing_txn_is_covered() {
-    let (mut db, setup, first) = db_with_monitored_account();
+    let (mut db, log, setup, first) = tapped_account();
     db.commit(setup).unwrap();
     let t = db.begin();
     db.call(t, first, "depositCash", &[Value::Int(1)]).unwrap();
     let fresh = db.create_object(t, "account", &[]).unwrap();
     db.call(t, fresh, "depositCash", &[Value::Int(2)]).unwrap();
     db.commit(t).unwrap();
-    let o = db.object(fresh).unwrap();
-    assert!(o.history.iter().any(|r| r.txn == t));
-    assert!(o.history.iter().all(|r| r.status == PostStatus::Committed));
-}
-
-#[test]
-fn txn_after_restoring_long_histories_is_covered() {
-    let counter = || {
-        ClassDef::builder("counter")
-            .field("n", 0i64)
-            .method("incr", MethodKind::Update, &[], |ctx| {
-                let n = ctx.get_required("n")?.as_int().unwrap_or(0);
-                ctx.set("n", n + 1);
-                Ok(Value::Null)
-            })
-            .trigger(
-                "pair",
-                true,
-                "relative(after incr, after incr)",
-                Action::Emit("pair".into()),
-            )
-            .activate_on_create(&["pair"])
-            .build()
-            .unwrap()
-    };
-    let mut db = Database::new();
-    db.define_class(counter()).unwrap();
-    let setup = db.begin();
-    let obj = db.create_object(setup, "counter", &[]).unwrap();
-    db.commit(setup).unwrap();
-    for i in 0..50 {
-        let t = db.begin();
-        db.call(t, obj, "incr", &[]).unwrap();
-        if i % 7 == 0 {
-            db.abort(t).unwrap();
-        } else {
-            db.commit(t).unwrap();
-        }
-    }
-    let snap = db.snapshot().unwrap();
-
-    let mut db2 = Database::new();
-    db2.define_class(counter()).unwrap();
-    db2.restore(&snap).unwrap();
-    let restored: Vec<PostStatus> = db2
-        .object(obj)
-        .unwrap()
-        .history
-        .iter()
-        .map(|r| r.status)
-        .collect();
-    assert!(restored.len() > 400);
-
-    let kept = db2.begin();
-    db2.call(kept, obj, "incr", &[]).unwrap();
-    db2.commit(kept).unwrap();
-    let dropped = db2.begin();
-    db2.call(dropped, obj, "incr", &[]).unwrap();
-    db2.abort(dropped).unwrap();
-
-    let h = &db2.object(obj).unwrap().history;
-    let now: Vec<PostStatus> = h[..restored.len()].iter().map(|r| r.status).collect();
-    assert_eq!(now, restored, "restored records must keep their statuses");
-    let ks = statuses_of(&db2, obj, kept);
-    let ds = statuses_of(&db2, obj, dropped);
-    assert!(!ks.is_empty() && ks.iter().all(|s| *s == PostStatus::Committed));
-    assert!(!ds.is_empty() && ds.iter().all(|s| *s == PostStatus::Aborted));
+    let fresh_events = tapped(&log, t, fresh);
+    assert!(fresh_events.contains(&BasicEvent::after(EventKind::Create)));
+    assert!(fresh_events.contains(&BasicEvent::after_method("depositCash")));
 }

@@ -1,10 +1,10 @@
 //! Engine edge cases: deletion semantics, timers of deleted objects,
 //! cross-object trigger actions, and error surfaces.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ode_core::event::calendar;
-use ode_core::Value;
+use ode_core::{BasicEvent, EventKind, Value};
 use ode_db::{Action, ClassDef, Database, MethodKind, ObjectId, OdeError};
 
 fn timed_class() -> ClassDef {
@@ -120,6 +120,17 @@ fn trigger_action_touching_a_second_object() {
     )
     .unwrap();
 
+    let tcommits: Arc<Mutex<Vec<ObjectId>>> = Arc::default();
+    let sink = Arc::clone(&tcommits);
+    db.set_event_tap(Some(Arc::new(move |_, _, events| {
+        let mut sink = sink.lock().unwrap();
+        sink.extend(
+            events
+                .iter()
+                .filter(|e| e.basic == BasicEvent::after(EventKind::TCommit))
+                .map(|e| e.object),
+        );
+    })));
     let txn = db.begin();
     let mirror = db.create_object(txn, "mirror", &[]).unwrap();
     let primary = db
@@ -131,14 +142,9 @@ fn trigger_action_touching_a_second_object() {
 
     // Both objects were accessed by the transaction, so both got the
     // after-tcommit posting.
-    let mirror_history: Vec<String> = db
-        .object(mirror)
-        .unwrap()
-        .history
-        .iter()
-        .map(|r| r.basic.to_string())
-        .collect();
-    assert!(mirror_history.contains(&"after tcommit".to_string()));
+    let mut tcommits = tcommits.lock().unwrap().clone();
+    tcommits.sort();
+    assert_eq!(tcommits, [mirror, primary]);
 }
 
 #[test]

@@ -16,9 +16,8 @@
 //!    and installs the same automaton word.
 //!
 //! 3. **Router-skipped classes are captured**: a class with no
-//!    triggers at all (the strongest `needs_history == false` case —
-//!    detection never records postings for it) still has its full
-//!    committed event stream indexed.
+//!    triggers at all (detection routes none of its postings) still has
+//!    its full committed event stream indexed.
 //!
 //! Batches carry LSNs the way the server assigns them: the LSN of the
 //! last logged op, so a commit's `after tcommit` round shares its
@@ -619,9 +618,8 @@ fn after_tcommit_rows_share_their_commit_lsn_and_are_indexed() {
 // ---- retro vs live-since-inception ----
 
 /// A masked, composite-triggered class with *no* mask functions and no
-/// committed-monitoring triggers: `needs_history` is false, so live
-/// detection runs the router fast path — exactly the configuration the
-/// tap must still capture for retro replay to work.
+/// committed-monitoring triggers: live detection keeps nothing but the
+/// automaton word, so the tap is the only record retro replay can use.
 fn meter_class(activate: bool) -> ClassDef {
     let mut b = ClassDef::builder("meter")
         .field("n", 0i64)

@@ -280,7 +280,6 @@ fn oversized_checkpoint_is_refused_without_poisoning_the_wal() {
         .into(),
         deleted: false,
         triggers: vec![],
-        history: vec![],
     });
     match wal.checkpoint(&snap) {
         Err(WalError::SnapshotTooLarge { bytes, max }) => {

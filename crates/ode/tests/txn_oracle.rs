@@ -1,13 +1,14 @@
 //! Transactional integrity under random operation scripts: the engine's
 //! committed state must always equal a shadow oracle that applies only
-//! committed writes, and every history record's status must match its
-//! transaction's outcome.
+//! committed writes, and the event tap must deliver the postings of
+//! exactly the committed transactions.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 use ode_core::event::calendar;
 use ode_core::Value;
-use ode_db::{Action, ClassDef, Database, MethodKind, ObjectId, OdeError, PostStatus, TxnId};
+use ode_db::{Action, ClassDef, Database, MethodKind, ObjectId, OdeError, TxnId};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -113,26 +114,23 @@ fn audited_cell_class() -> ClassDef {
         .unwrap()
 }
 
-/// Every record of every object carries the status its transaction's
-/// outcome implies: `Committed` for committed or system transactions,
-/// `Aborted` for aborted ones, `Pending` for ones still open.
-fn check_statuses(
-    db: &Database,
-    objs: &[ObjectId],
-    outcomes: &HashMap<TxnId, PostStatus>,
+/// The tap delivered no aborted or still-open transaction, and every
+/// committed transaction that posted was delivered. `outcomes` maps a
+/// finished user transaction to whether it committed; system
+/// transactions appear in neither `outcomes` nor `open`.
+fn check_delivered(
+    delivered: &[TxnId],
+    outcomes: &HashMap<TxnId, bool>,
+    posted: &HashSet<TxnId>,
     open: &[Option<TxnId>],
 ) -> Result<(), TestCaseError> {
-    for obj in objs {
-        for r in &db.object(*obj).unwrap().history {
-            let want = if open.contains(&Some(r.txn)) {
-                PostStatus::Pending
-            } else {
-                outcomes
-                    .get(&r.txn)
-                    .copied()
-                    .unwrap_or(PostStatus::Committed)
-            };
-            prop_assert_eq!(r.status, want, "record {:?} on {}", r, obj);
+    for t in delivered {
+        prop_assert!(outcomes.get(t) != Some(&false), "aborted {} delivered", t);
+        prop_assert!(!open.contains(&Some(*t)), "open {} delivered", t);
+    }
+    for (t, committed) in outcomes {
+        if *committed && posted.contains(t) {
+            prop_assert!(delivered.contains(t), "committed {} not delivered", t);
         }
     }
     Ok(())
@@ -229,21 +227,25 @@ proptest! {
         }
     }
 
-    /// Record status ⇔ transaction outcome, checked after every step of
+    /// Tap delivery ⇔ transaction outcome, checked after every step of
     /// an interleaving of concurrent transactions, two-phase commits and
     /// clock advances.
     #[test]
-    fn record_status_matches_txn_outcome(steps in prop::collection::vec(step_strategy(), 0..60)) {
+    fn tap_delivers_exactly_the_committed_txns(steps in prop::collection::vec(step_strategy(), 0..60)) {
         let mut db = Database::new();
         db.define_class(audited_cell_class()).unwrap();
+        let delivered: Arc<Mutex<Vec<TxnId>>> = Arc::default();
+        let sink = Arc::clone(&delivered);
+        db.set_event_tap(Some(Arc::new(move |txn, _, _| sink.lock().unwrap().push(txn))));
         let setup = db.begin();
         let objs: Vec<ObjectId> = (0..3)
             .map(|_| db.create_object(setup, "cell", &[]).unwrap())
             .collect();
         db.commit(setup).unwrap();
 
-        let mut outcomes: HashMap<TxnId, PostStatus> = HashMap::new();
-        outcomes.insert(setup, PostStatus::Committed);
+        let mut outcomes: HashMap<TxnId, bool> = HashMap::new();
+        outcomes.insert(setup, true);
+        let mut posted: HashSet<TxnId> = HashSet::from([setup]);
         let mut open: [Option<TxnId>; 3] = [None; 3];
         let mut gtxn = 0u64;
 
@@ -257,7 +259,10 @@ proptest! {
                 Step::Call { slot, obj } => {
                     if let Some(t) = open[slot] {
                         match db.call(t, objs[obj], "incr", &[]) {
-                            Ok(_) | Err(OdeError::LockConflict { .. }) => {}
+                            Ok(_) => {
+                                posted.insert(t);
+                            }
+                            Err(OdeError::LockConflict { .. }) => {}
                             Err(e) => panic!("call failed: {e}"),
                         }
                     }
@@ -265,13 +270,13 @@ proptest! {
                 Step::Commit { slot } => {
                     if let Some(t) = open[slot].take() {
                         db.commit(t).unwrap();
-                        outcomes.insert(t, PostStatus::Committed);
+                        outcomes.insert(t, true);
                     }
                 }
                 Step::Abort { slot } => {
                     if let Some(t) = open[slot].take() {
                         db.abort(t).unwrap();
-                        outcomes.insert(t, PostStatus::Aborted);
+                        outcomes.insert(t, false);
                     }
                 }
                 Step::TwoPhase { slot, commit } => {
@@ -280,16 +285,16 @@ proptest! {
                         if commit {
                             gtxn += 1;
                             db.commit_sharded(t, gtxn, &[0, 1]).unwrap();
-                            outcomes.insert(t, PostStatus::Committed);
+                            outcomes.insert(t, true);
                         } else {
                             db.abort(t).unwrap();
-                            outcomes.insert(t, PostStatus::Aborted);
+                            outcomes.insert(t, false);
                         }
                     }
                 }
                 Step::Tick { quarters } => db.advance_clock_by(quarters * 15 * calendar::MIN),
             }
-            check_statuses(&db, &objs, &outcomes, &open)?;
+            check_delivered(&delivered.lock().unwrap(), &outcomes, &posted, &open)?;
         }
     }
 }

@@ -117,10 +117,5 @@ proptest! {
         prop_assert_eq!(s1.txns_committed, s2.txns_committed);
         prop_assert_eq!(s1.txns_aborted, s2.txns_aborted);
 
-        prop_assert_eq!(
-            db.object(room).unwrap().history.len(),
-            db2.object(room).unwrap().history.len(),
-            "event histories have equal length"
-        );
     }
 }

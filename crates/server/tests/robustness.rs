@@ -1,5 +1,6 @@
-//! Robustness: malformed and overlong input answers with structured
-//! errors on a still-usable connection, disconnects and shutdowns
+//! Robustness: malformed and overlong input (an operator count past the
+//! cap included) answers with structured errors on a still-usable
+//! connection, disconnects and shutdowns
 //! release transaction locks, idle transactions expire, and the
 //! session-level transaction protocol rejects misuse. Replies and
 //! notices keep send order whether a command ran on the loop thread or
@@ -80,6 +81,23 @@ fn malformed_request_gets_structured_error_and_connection_survives() {
         } => {}
         other => panic!("expected a pong, got {other:?}"),
     }
+    server.shutdown();
+}
+
+/// A count past the operator cap would ask the compiler for billions of
+/// automaton states; `DefineClass` refuses it as a bad event instead,
+/// and the connection stays usable.
+#[test]
+fn oversized_operator_count_is_refused_as_bad_event() {
+    let (mut server, addr) = start_server(ServerConfig::default());
+    let mut c = Client::connect_tcp(addr).expect("connect");
+    let mut spec = stockroom_spec();
+    spec.triggers[0].event = "choose 4000000000 (after m)".into();
+    match c.define_class(spec) {
+        Err(ClientError::Server(e)) => assert_eq!(e.code, "bad_event", "{e:?}"),
+        other => panic!("expected bad_event, got {other:?}"),
+    }
+    c.ping().expect("connection survives");
     server.shutdown();
 }
 

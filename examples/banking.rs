@@ -5,8 +5,10 @@
 //!   audit trigger and overriding `deposit`;
 //! * **parameter capture** (§9 future work) — a suspicious-pattern
 //!   trigger reports the amounts of *both* constituent events;
-//! * **history queries** (§9 future work) — a velocity-check mask counts
-//!   recent withdrawals straight off the object's event history;
+//! * **counting without a history** (§4) — a velocity check fires on the
+//!   fourth withdrawal and every later one with `relative 4`, and a
+//!   `withdrawals` field counts committed withdrawals (rolled back with
+//!   the rest of an aborted transaction's writes);
 //! * **database-scope events** (§3) — a schema trigger watches object
 //!   creation across the whole bank.
 //!
@@ -14,12 +16,13 @@
 
 use std::sync::Arc;
 
-use ode_core::{parse_event, BasicEvent, Qualifier, Value};
-use ode_db::{Action, ClassDef, Database, HistoryQuery, MethodKind, OdeError, SchemaTrigger};
+use ode_core::{parse_event, BasicEvent, Value};
+use ode_db::{Action, ClassDef, Database, MethodKind, OdeError, SchemaTrigger};
 
 fn account_class() -> ClassDef {
     ClassDef::builder("account")
         .field("balance", 0i64)
+        .field("withdrawals", 0i64)
         .method("deposit", MethodKind::Update, &["amt"], |ctx| {
             let b = ctx.get_required("balance")?.as_int().unwrap_or(0);
             ctx.set("balance", b + ctx.arg(0)?.as_int().unwrap_or(0));
@@ -32,16 +35,9 @@ fn account_class() -> ClassDef {
                 return Err(OdeError::Method("insufficient funds".into()));
             }
             ctx.set("balance", b - amt);
+            let n = ctx.get_required("withdrawals")?.as_int().unwrap_or(0);
+            ctx.set("withdrawals", n + 1);
             Ok(Value::Null)
-        })
-        // history-query mask: number of past withdrawals on this object
-        .mask_fn("withdrawals_so_far", |ctx, _| {
-            let n = HistoryQuery::any()
-                .method("withdraw")
-                .qualifier(Qualifier::After)
-                .select_records(ctx.history)
-                .count();
-            Some(Value::Int(n as i64))
         })
         // inherited by every account type: audit large movements
         .trigger(
@@ -50,11 +46,11 @@ fn account_class() -> ClassDef {
             "after withdraw(amt) && amt > 500",
             Action::Emit("AUDIT: large withdrawal".into()),
         )
-        // velocity check: a withdrawal once 3 others already happened
+        // velocity check: the fourth withdrawal and every later one
         .trigger(
             "velocity",
             true,
-            "after withdraw && withdrawals_so_far() >= 3",
+            "relative 4 (after withdraw)",
             Action::Emit("VELOCITY: frequent withdrawals".into()),
         )
         // §9 capture: a large deposit immediately followed by a large
@@ -161,12 +157,8 @@ fn main() {
         println!("  {line}");
     }
 
-    // History forensics after the fact.
-    let obj = db.object(checking).unwrap();
-    let committed_withdrawals = HistoryQuery::any()
-        .method("withdraw")
-        .qualifier(Qualifier::After)
-        .committed()
-        .count(obj);
-    println!("\ncommitted withdrawals on checking: {committed_withdrawals}");
+    println!(
+        "\ncommitted withdrawals on checking: {}",
+        db.peek_field(checking, "withdrawals").unwrap()
+    );
 }

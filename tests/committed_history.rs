@@ -14,8 +14,8 @@
 use std::sync::Arc;
 
 use ode_automata::committed::{committed_filter, committed_view, TxnSymbols};
-use ode_core::{parse_event, CompiledEvent, Value};
-use ode_db::{Action, ClassDef, Database, ObjectId};
+use ode_core::{parse_event, CompiledEvent};
+use ode_db::{Action, ClassDef, Database};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 /// Build a compiled event whose alphabet covers poke + txn markers, and
@@ -224,44 +224,4 @@ fn committed_and_full_history_modes_diverge_exactly_on_aborts() {
         .output()
         .iter()
         .any(|l| l.contains("committed-mode fired")));
-}
-
-/// The per-object record of history statuses matches the object-level
-/// committed view used by tooling.
-#[test]
-fn object_history_statuses_reflect_txn_outcomes() {
-    let mut db = Database::new();
-    // A committed-history monitor keeps the engine recording the posted
-    // history (classes with no reader skip the records entirely).
-    db.define_class(
-        ClassDef::builder("w")
-            .update_method("poke", &[])
-            .trigger("audit", true, "after tcommit", Action::Emit("c".into()))
-            .activate_on_create(&["audit"])
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-    let setup = db.begin();
-    let obj: ObjectId = db.create_object(setup, "w", &[]).unwrap();
-    db.commit(setup).unwrap();
-
-    let t = db.begin_as(Value::Str("u".into()));
-    db.call(t, obj, "poke", &[]).unwrap();
-    db.abort(t).unwrap();
-
-    let o = db.object(obj).unwrap();
-    let committed = o.committed_history(None);
-    assert!(
-        committed
-            .iter()
-            .all(|r| !r.basic.to_string().contains("poke")),
-        "aborted poke must be filtered from the committed view"
-    );
-    assert!(
-        o.history
-            .iter()
-            .any(|r| r.basic.to_string().contains("poke")),
-        "but it stays in the complete history"
-    );
 }

@@ -7,12 +7,13 @@
 //!
 //! We build classes with random trigger subsets (mixed perpetual and
 //! one-shot, parameterized masks included), drive them with random
-//! call streams interleaved with activate/deactivate toggles, and
-//! after every operation replay the freshly recorded history through
-//! the per-trigger oracle detectors, comparing firing counts and
-//! active flags at each step.
+//! call streams interleaved with activate/deactivate toggles, each
+//! committed in its own transaction, and after every operation replay
+//! the postings the event tap delivered for it through the per-trigger
+//! oracle detectors, comparing firing counts and active flags at each
+//! step.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ode_core::{BasicEvent, Detector, EmptyEnv, Value};
 use ode_db::{Action, ClassDef, Database};
@@ -56,6 +57,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One committed posting as the event tap delivered it.
+type Posting = (BasicEvent, Vec<Value>);
+
 /// The seed-path reference: one independent detector per trigger.
 struct Oracle {
     det: Detector,
@@ -78,12 +82,7 @@ proptest! {
         let mut builder = ClassDef::builder("acct")
             .update_method("m0", &[])
             .update_method("m1", &[])
-            .update_method("m2", &["i", "q"])
-            // Any registered mask function marks the class as
-            // history-reading, which keeps the engine recording
-            // `PostedRecord`s for the oracle replay below (classes with
-            // no reader skip the records entirely).
-            .mask_fn("unusedProbe", |_, _| Some(Value::Bool(true)));
+            .update_method("m2", &["i", "q"]);
         let mut names = Vec::new();
         for (i, &(p, perpetual)) in picks.iter().enumerate() {
             let name = format!("t{i}");
@@ -120,13 +119,21 @@ proptest! {
                 Oracle { det, active: true, fired: 0 }
             })
             .collect();
-        // Skip the setup records (create / txn markers): they are
-        // outside every pool alphabet, so neither side steps on them.
-        let mut cursor = db.object(obj).unwrap().history.len();
+        // The oracle's event source: every committed posting after the
+        // setup. The transaction markers each operation's own
+        // transaction adds (tbegin, access, tcomplete, tcommit, ...) are
+        // outside every pool alphabet, as the setup's are, so neither
+        // side steps on them.
+        let tapped: Arc<Mutex<Vec<Posting>>> = Arc::default();
+        let sink = Arc::clone(&tapped);
+        db.set_event_tap(Some(Arc::new(move |_, _, events| {
+            let mut sink = sink.lock().unwrap();
+            sink.extend(events.iter().map(|e| (e.basic.clone(), e.args.clone())));
+        })));
 
         // -- random workload, lock-step comparison --------------------
-        let txn = db.begin();
         for op in &ops {
+            let txn = db.begin();
             match op {
                 Op::M0 => {
                     db.call(txn, obj, "m0", &[]).unwrap();
@@ -152,17 +159,10 @@ proptest! {
                     }
                 }
             }
+            db.commit(txn).unwrap();
 
-            // Replay whatever this operation appended to the history.
-            let fresh: Vec<(BasicEvent, Vec<Value>)> = {
-                let o = db.object(obj).unwrap();
-                let recs = o.history[cursor..]
-                    .iter()
-                    .map(|r| (r.basic.clone(), r.args.clone()))
-                    .collect();
-                cursor = o.history.len();
-                recs
-            };
+            // Replay the postings this operation committed.
+            let fresh = std::mem::take(&mut *tapped.lock().unwrap());
             for (basic, args) in &fresh {
                 for (i, orc) in oracle.iter_mut().enumerate() {
                     if !orc.active {
@@ -199,6 +199,5 @@ proptest! {
                 );
             }
         }
-        db.commit(txn).unwrap();
     }
 }
