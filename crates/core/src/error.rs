@@ -150,6 +150,13 @@ pub enum MaskError {
     },
     /// Division by zero.
     DivisionByZero,
+    /// Float arithmetic produced an infinity or NaN. JSON has no
+    /// spelling for either, so no log record or checkpoint could hold
+    /// the result.
+    NonFiniteFloat {
+        /// The operation attempted.
+        op: &'static str,
+    },
     /// A [`crate::Value`] with no literal form in the mask grammar
     /// (`null`, records) was offered as a literal.
     UnsupportedLiteral {
@@ -174,6 +181,9 @@ impl fmt::Display for MaskError {
                 write!(f, "cannot access member `{member}` of a {got}")
             }
             MaskError::DivisionByZero => write!(f, "division by zero"),
+            MaskError::NonFiniteFloat { op } => {
+                write!(f, "`{op}` produced a float that is not finite")
+            }
             MaskError::UnsupportedLiteral { got } => {
                 write!(f, "a {got} value has no literal form in the mask grammar")
             }

@@ -333,13 +333,18 @@ fn eval_binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, MaskError> {
                     a.as_float().ok_or_else(mismatch)?,
                     b.as_float().ok_or_else(mismatch)?,
                 );
-                Ok(Value::Float(match op {
+                let r = match op {
                     Add => x + y,
                     Sub => x - y,
                     Mul => x * y,
                     Div => x / y,
                     _ => unreachable!(),
-                }))
+                };
+                if r.is_finite() {
+                    Ok(Value::Float(r))
+                } else {
+                    Err(MaskError::NonFiniteFloat { op: op.symbol() })
+                }
             }
         },
         Lt | Le | Gt | Ge => {
@@ -582,6 +587,29 @@ mod tests {
     fn division_by_zero_reported() {
         let mask = MaskExpr::cmp(BinOp::Div, MaskExpr::Int(1), MaskExpr::Int(0));
         assert_eq!(mask.eval(&EmptyEnv), Err(MaskError::DivisionByZero));
+    }
+
+    #[test]
+    fn non_finite_float_arithmetic_is_an_error() {
+        let big = || MaskExpr::lit(1e300).unwrap();
+        let overflow = MaskExpr::cmp(BinOp::Mul, big(), big());
+        assert_eq!(
+            overflow.eval(&EmptyEnv),
+            Err(MaskError::NonFiniteFloat { op: "*" })
+        );
+        let zero = MaskExpr::lit(0.0).unwrap();
+        let nan = MaskExpr::cmp(BinOp::Div, zero.clone(), zero.clone());
+        assert_eq!(
+            nan.eval(&EmptyEnv),
+            Err(MaskError::NonFiniteFloat { op: "/" })
+        );
+        let inf = MaskExpr::cmp(BinOp::Div, MaskExpr::Int(1), zero);
+        assert_eq!(
+            inf.eval(&EmptyEnv),
+            Err(MaskError::NonFiniteFloat { op: "/" })
+        );
+        let fine = MaskExpr::cmp(BinOp::Sub, big(), big());
+        assert_eq!(fine.eval(&EmptyEnv), Ok(Value::Float(0.0)));
     }
 
     #[test]

@@ -274,6 +274,9 @@ fn lex(input: &str) -> Result<Vec<(Tok, usize)>, EventError> {
                     let v: f64 = text
                         .parse()
                         .map_err(|e| err(start, format!("bad float `{text}`: {e}")))?;
+                    if !v.is_finite() {
+                        return Err(err(start, format!("float `{text}` is out of range")));
+                    }
                     out.push((Tok::Float(v), start));
                 } else {
                     let text = &input[start..i];
@@ -1158,6 +1161,13 @@ mod tests {
     fn mask_member_chains() {
         let m = parse_mask("i.balance < reorder(i)").unwrap();
         assert_eq!(m.to_string(), "i.balance < reorder(i)");
+    }
+
+    #[test]
+    fn a_float_literal_past_f64_range_is_refused() {
+        let huge = format!("q > 1{}.0", "0".repeat(400));
+        assert!(parse_mask(&huge).is_err());
+        assert!(parse_mask("q > 1000000.5").is_ok());
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! write failure degrades the live server to read-only instead of
 //! panicking or silently serving un-durable writes.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 use ode_core::Value;
 use ode_db::{
@@ -14,7 +17,9 @@ use ode_db::{
 };
 use ode_server::protocol::Command;
 use ode_server::spec::{define_specs, stockroom_spec};
-use ode_server::{Client, ClientError, Server};
+use ode_server::{
+    ClassSpec, Client, ClientError, FieldSpec, MethodOp, MethodSpec, ReplyResult, Server, ServerMsg,
+};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -429,4 +434,131 @@ fn every_bring_up_path_recovers_the_same_engines() {
     for d in [dir, with_history, in_process] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+/// A class whose `note(x)` logs its argument untouched and whose
+/// `square(x)` stores `x * x` in `v`.
+fn gauge_spec() -> ClassSpec {
+    let method = |name: &str, body: Vec<MethodOp>| MethodSpec {
+        name: name.into(),
+        update: true,
+        params: vec!["x".into()],
+        body,
+    };
+    ClassSpec {
+        name: "gauge".into(),
+        fields: vec![FieldSpec {
+            name: "v".into(),
+            default: Value::Float(0.0),
+        }],
+        methods: vec![
+            method("note", vec![]),
+            method(
+                "square",
+                vec![MethodOp::Set {
+                    field: "v".into(),
+                    expr: "x * x".into(),
+                }],
+            ),
+        ],
+        masks: vec![],
+        triggers: vec![],
+        activate_on_create: vec![],
+    }
+}
+
+/// Send one raw request line and read the next server message.
+fn exchange(stream: &mut BufReader<TcpStream>, line: &str) -> ServerMsg {
+    stream.get_mut().write_all(line.as_bytes()).unwrap();
+    stream.get_mut().write_all(b"\n").unwrap();
+    let mut reply = String::new();
+    stream.read_line(&mut reply).expect("reply line");
+    serde_json::from_str(&reply).expect("server message")
+}
+
+fn expect_ok(msg: ServerMsg, id: u64) {
+    match msg {
+        ServerMsg::Reply {
+            id: got,
+            result: ReplyResult::Ok(_),
+        } if got == id => {}
+        other => panic!("request {id} failed: {other:?}"),
+    }
+}
+
+/// JSON cannot spell an infinite float: the writer puts `null` there,
+/// which the reader refuses. A wire literal that overflows (`1e999`)
+/// is therefore refused when the request is parsed, and arithmetic
+/// that overflows fails the call, so neither reaches a WAL record or
+/// a checkpoint and the directory always recovers.
+#[test]
+fn a_non_finite_float_never_reaches_the_log() {
+    let dir = tmp_dir("non-finite");
+
+    // Generation one: a committed `Call` whose argument overflows.
+    let (gauge, overflow_reply) = {
+        let mut server = start_server(&dir);
+        let addr = server.tcp_addr().unwrap();
+        let mut c = Client::connect_tcp(addr).expect("connect");
+        c.define_class(gauge_spec()).expect("define");
+        let gauge = c
+            .txn("admin", |c| c.new_object("gauge", &[]))
+            .expect("gauge");
+        // The client's encoder cannot produce the literal: send raw lines.
+        let stream = TcpStream::connect(addr).expect("raw connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut raw = BufReader::new(stream);
+        expect_ok(
+            exchange(
+                &mut raw,
+                r#"{"id":1,"cmd":{"Begin":{"user":{"Str":"raw"}}}}"#,
+            ),
+            1,
+        );
+        let overflow_reply = exchange(
+            &mut raw,
+            &format!(
+                r#"{{"id":2,"cmd":{{"Call":{{"object":{gauge},"method":"note","args":[{{"Float":1e999}}]}}}}}}"#
+            ),
+        );
+        expect_ok(exchange(&mut raw, r#"{"id":3,"cmd":"Commit"}"#), 3);
+        server.shutdown();
+        (gauge, overflow_reply)
+    };
+
+    // Generation two: recovers, then overflows in arithmetic and checkpoints.
+    let square = {
+        let mut server = start_server(&dir);
+        let mut c = Client::connect_tcp(server.tcp_addr().unwrap()).expect("reconnect");
+        c.begin("alice").expect("begin");
+        let square = c.call(gauge, "square", &[Value::Float(1e300)]);
+        c.commit().expect("commit");
+        c.request(Command::Checkpoint).expect("checkpoint");
+        server.shutdown();
+        square
+    };
+
+    // Generation three: recovers from that checkpoint.
+    let mut server = start_server(&dir);
+    let mut c = Client::connect_tcp(server.tcp_addr().unwrap()).expect("reconnect");
+    assert_eq!(c.peek_field(gauge, "v").expect("peek"), Value::Float(0.0));
+    server.shutdown();
+
+    match overflow_reply {
+        ServerMsg::Reply {
+            id: 0,
+            result: ReplyResult::Err(e),
+        } => {
+            assert_eq!(e.code, "parse");
+            assert!(e.message.contains("number out of range"), "{e:?}");
+        }
+        other => panic!("expected a parse notice, got {other:?}"),
+    }
+    match square {
+        Err(ClientError::Server(e)) => assert_eq!(e.code, "bad_mask", "{e:?}"),
+        other => panic!("expected bad_mask, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
