@@ -366,6 +366,11 @@ impl HistStore {
         }
     }
 
+    /// One past the highest LSN this store knows to be WAL-durable.
+    pub fn durable_excl(&self) -> u64 {
+        self.inner.state.lock().durable_excl
+    }
+
     /// Wait until every batch that was both submitted and durable when
     /// this call began has been applied — read-your-writes for any
     /// transaction whose commit was acknowledged (ack implies durable).

@@ -293,14 +293,22 @@ fn archive_catchup(
 /// can overtake that advance: lift the watermark to the WAL's durable
 /// head first, holding the WAL lock that the sink and a fork reset also
 /// hold. Only that lock: a query must not stall the shard's appends
-/// behind an in-flight fsync.
+/// behind an in-flight fsync. And only when the store is behind: the
+/// flusher holds that lock across every fsync, and a query queued on it
+/// takes the processor from the flusher the moment it lets go, which
+/// delays the next flush and every commit waiting for it.
 fn sync_history(ws: &WalState, s: usize) {
     let store = &ws.hist[s];
-    ws.wal.wal(s).with_durable_head(|head| {
-        if head > 0 {
-            store.advance_durable_through(head - 1);
-        }
-    });
+    let wal = ws.wal.wal(s);
+    // Every commit acked before this call is below `acked`.
+    let acked = wal.durable_lsn();
+    if store.durable_excl() < acked {
+        wal.with_durable_head(|head| {
+            if head > 0 {
+                store.advance_durable_through(head - 1);
+            }
+        });
+    }
     store.sync();
 }
 
