@@ -2,10 +2,12 @@
 //! triggers, with the exact firing schedule asserted over a scripted
 //! two-day workload.
 
+use std::sync::{Arc, Mutex};
+
 use ode_core::event::calendar;
 use ode_core::Value;
 use ode_db::demo::{deposit_withdraw_txn, setup, withdraw_txn};
-use ode_db::Database;
+use ode_db::{Database, ObjectId, TapEvent};
 
 fn count(db: &Database, needle: &str) -> usize {
     db.output().iter().filter(|l| l.contains(needle)).count()
@@ -205,4 +207,148 @@ fn full_two_day_run_is_deterministic() {
     let b = run();
     assert_eq!(a, b, "the simulation must be deterministic");
     assert!(!a.is_empty());
+}
+
+/// The scripted two-day cycle of `examples/stockroom.rs`: every output
+/// line, in order.
+#[test]
+fn two_day_cycle_prints_exactly_these_lines() {
+    let (mut db, room) = setup();
+    db.advance_clock_to(9 * calendar::HR);
+    assert!(!withdraw_txn(&mut db, "mallory", room, "bolt", 10).unwrap());
+    for k in 0..7 {
+        assert!(withdraw_txn(&mut db, "alice", room, "bolt", 20 + k).unwrap());
+    }
+    for _ in 0..5 {
+        assert!(withdraw_txn(&mut db, "bob", room, "gear", 150).unwrap());
+    }
+    assert!(deposit_withdraw_txn(&mut db, "alice", room, "shim", 5).unwrap());
+    assert!(withdraw_txn(&mut db, "bob", room, "shim", 28).unwrap());
+    db.advance_clock_to(17 * calendar::HR);
+    db.advance_clock_to(calendar::DAY + 9 * calendar::HR);
+    assert!(withdraw_txn(&mut db, "alice", room, "gear", 200).unwrap());
+    assert!(withdraw_txn(&mut db, "bob", room, "gear", 200).unwrap());
+    db.advance_clock_to(calendar::DAY + 17 * calendar::HR);
+    let got: Vec<&str> = db.output().iter().map(String::as_str).collect();
+    assert_eq!(
+        got,
+        [
+            "txn#4 aborted: trigger `T1` executed tabort",
+            "updateAverages()",
+            "report()",
+            "report()",
+            "updateAverages()",
+            r#"order("gear")"#,
+            "log()",
+            "report()",
+            "updateAverages()",
+            r#"order("gear")"#,
+            "log()",
+            "report()",
+            "updateAverages()",
+            r#"order("gear")"#,
+            "log()",
+            "report()",
+            "updateAverages()",
+            r#"order("gear")"#,
+            "log()",
+            "report()",
+            "updateAverages()",
+            r#"order("gear")"#,
+            "log()",
+            "summary()",
+            "updateAverages()",
+            "report()",
+            "printLog()",
+            "updateAverages()",
+            "report()",
+            r#"order("shim")"#,
+            "report()",
+            "updateAverages()",
+            "summary()",
+            r#"order("gear")"#,
+            "log()",
+            "updateAverages()",
+            r#"order("gear")"#,
+            "log()",
+            "summary()",
+            "updateAverages()",
+        ]
+    );
+}
+
+/// One behaviour per row, each on a fresh stock room at 09:00 of day
+/// 1: what the row's script observed, rendered as text.
+#[test]
+fn edge_behaviours_table() {
+    type Row = (
+        &'static str,
+        fn(&mut Database, ObjectId) -> String,
+        &'static str,
+    );
+    let rows: &[Row] = &[
+        (
+            "T2's order posting carries the withdrawn item only",
+            |db, room| {
+                let tapped = Arc::new(Mutex::new(Vec::new()));
+                let sink = Arc::clone(&tapped);
+                db.set_event_tap(Some(Arc::new(move |_, _, events: &[TapEvent]| {
+                    let mut sink = sink.lock().unwrap();
+                    for e in events
+                        .iter()
+                        .filter(|e| e.basic.to_string().contains("order"))
+                    {
+                        sink.push(format!("{} {:?}", e.basic, e.args));
+                    }
+                })));
+                withdraw_txn(db, "alice", room, "shim", 25).unwrap();
+                let lines = tapped.lock().unwrap().join("; ");
+                lines
+            },
+            r#"before order [Str("shim")]; after order [Str("shim")]"#,
+        ),
+        (
+            "withdrawing an item missing from `items` stores minus the quantity",
+            |db, room| {
+                let ok = withdraw_txn(db, "alice", room, "nut", 3).unwrap();
+                let items = db.peek_field(room, "items").unwrap();
+                format!("{ok} {:?} {:?}", items.member("nut"), db.output())
+            },
+            r#"true Some(Int(-3)) ["order(\"nut\")"]"#,
+        ),
+        (
+            "a non-string item fails the call and keeps the transaction",
+            |db, room| {
+                let txn = db.begin_as(Value::Str("alice".into()));
+                let r = db.call(txn, room, "withdraw", &[Value::Int(7), Value::Int(1)]);
+                let open = db.txn_open(txn);
+                format!("{r:?} open={open}")
+            },
+            r#"Err(Method("bad item 7")) open=true"#,
+        ),
+        (
+            "a transaction opened without a user is refused by T1",
+            |db, room| {
+                let txn = db.begin();
+                let r = db.call(
+                    txn,
+                    room,
+                    "withdraw",
+                    &[Value::Str("bolt".into()), Value::Int(1)],
+                );
+                let bolt = db
+                    .peek_field(room, "items")
+                    .unwrap()
+                    .member("bolt")
+                    .cloned();
+                format!("{r:?} {bolt:?}")
+            },
+            r#"Err(Aborted(TriggerAbort { trigger: "T1" })) Some(Int(500))"#,
+        ),
+    ];
+    for (name, script, want) in rows {
+        let (mut db, room) = setup();
+        db.advance_clock_to(9 * calendar::HR);
+        assert_eq!(script(&mut db, room), *want, "{name}");
+    }
 }
