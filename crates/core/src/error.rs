@@ -157,6 +157,12 @@ pub enum MaskError {
         /// The operation attempted.
         op: &'static str,
     },
+    /// A value to be stored nests records deeper than
+    /// [`crate::MAX_VALUE_DEPTH`]: no checkpoint could re-read it.
+    TooDeep {
+        /// The nesting limit.
+        max: usize,
+    },
     /// A [`crate::Value`] with no literal form in the mask grammar
     /// (`null`, records) was offered as a literal.
     UnsupportedLiteral {
@@ -183,6 +189,9 @@ impl fmt::Display for MaskError {
             MaskError::DivisionByZero => write!(f, "division by zero"),
             MaskError::NonFiniteFloat { op } => {
                 write!(f, "`{op}` produced a float that is not finite")
+            }
+            MaskError::TooDeep { max } => {
+                write!(f, "value nests records more than {max} deep")
             }
             MaskError::UnsupportedLiteral { got } => {
                 write!(f, "a {got} value has no literal form in the mask grammar")

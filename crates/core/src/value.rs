@@ -12,6 +12,14 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+/// The deepest record nesting ([`Value::depth`]) a value stored in an
+/// object field may have. The JSON reader stops at
+/// `serde::json::MAX_DEPTH` (128) nested arrays and objects, and each
+/// record level costs two of them (`{"Record":{…}}`), so 32 levels
+/// leave room for the envelope a checkpoint wraps around a field. A
+/// deeper field would make the next checkpoint unreadable.
+pub const MAX_VALUE_DEPTH: usize = 32;
+
 /// A dynamically typed value.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Value {
@@ -71,6 +79,15 @@ impl Value {
         match self {
             Value::Record(m) => m.get(name),
             _ => None,
+        }
+    }
+
+    /// Record nesting depth: 0 for a scalar, one more than the deepest
+    /// member for a record.
+    pub fn depth(&self) -> usize {
+        match self {
+            Value::Record(m) => 1 + m.values().map(Value::depth).max().unwrap_or(0),
+            _ => 0,
         }
     }
 

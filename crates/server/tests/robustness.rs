@@ -84,6 +84,47 @@ fn malformed_request_gets_structured_error_and_connection_survives() {
     server.shutdown();
 }
 
+/// One request line nested 20 000 arrays deep (40 KB, well under the
+/// line limit) is refused with a `parse` notice instead of overflowing
+/// the loop thread's stack, and the same connection keeps working.
+#[test]
+fn deeply_nested_request_line_is_refused_and_the_server_stays_up() {
+    let (mut server, addr) = start_server(ServerConfig::default());
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+
+    let depth = 20_000;
+    let line = format!(
+        "{{\"id\":1,\"x\":{}{},\"cmd\":\"Ping\"}}\n",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    writer.write_all(line.as_bytes()).unwrap();
+    match read_msg(&mut reader) {
+        ServerMsg::Reply {
+            id: 0,
+            result: ReplyResult::Err(e),
+        } => {
+            assert_eq!(e.code, "parse");
+            assert!(e.message.contains("nesting too deep"), "{e:?}");
+        }
+        other => panic!("expected a parse notice, got {other:?}"),
+    }
+    writer.write_all(b"{\"id\":2,\"cmd\":\"Ping\"}\n").unwrap();
+    match read_msg(&mut reader) {
+        ServerMsg::Reply {
+            id: 2,
+            result: ReplyResult::Ok(_),
+        } => {}
+        other => panic!("expected a pong, got {other:?}"),
+    }
+    server.shutdown();
+}
+
 /// A count past the operator cap would ask the compiler for billions of
 /// automaton states; `DefineClass` refuses it as a bad event instead,
 /// and the connection stays usable.
