@@ -1,164 +1,163 @@
 //! The paper's Section 3.5 `stockRoom` example, packaged for reuse by
-//! integration tests and the benchmark harness (experiments E2 and E7).
+//! integration tests, the examples and the benchmarks (experiments E2
+//! and E7).
 //!
-//! The runnable, annotated version lives in `examples/stockroom.rs`; this
-//! module builds the same class (triggers T1–T8) and provides a scripted
-//! day-cycle workload driver.
+//! The class, with triggers T1–T8, is written once, as data:
+//! [`paper_stockroom_spec`] is a [`ClassSpec`] and [`stockroom_class`]
+//! compiles it. `examples/stockroom.rs` annotates it against the paper
+//! and drives it through two simulated days; this module also provides
+//! the transaction helpers that workload uses.
 
 use std::sync::Arc;
 
-use ode_core::{parse_event, Value};
+use ode_core::Value;
 use parking_lot::Mutex;
 
-use crate::class::{Action, ClassDef, MethodKind};
+use crate::class::ClassDef;
 use crate::engine::Database;
 use crate::error::OdeError;
 use crate::ids::ObjectId;
 use crate::oplog::LogOp;
+use crate::spec::{
+    compile_class, ActionSpec, ClassSpec, FieldSpec, MaskFnSpec, MethodOp, MethodSpec, TriggerSpec,
+};
 
-/// Economic order quantity per item (trigger T2's threshold).
-pub fn eoq(item: &str) -> i64 {
-    match item {
-        "bolt" => 50,
-        "gear" => 20,
-        _ => 10,
+/// The `stockRoom` class of Section 3.5 with triggers T1–T8, as a
+/// [`ClassSpec`]. Stock lives in the `items` record; `reorder(i)` is
+/// each item's economic order quantity (bolt 50, gear 20, else 10); only
+/// `alice` and `bob` are authorized to withdraw.
+pub fn paper_stockroom_spec() -> ClassSpec {
+    let names = |list: &[&str]| list.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+    let adjust = |name: &str, op: &str| MethodSpec {
+        name: name.into(),
+        update: true,
+        params: names(&["i", "q"]),
+        body: vec![
+            MethodOp::Require {
+                expr: r#"type(i) == "string""#.into(),
+                message: "bad item {i}".into(),
+            },
+            MethodOp::Set {
+                field: "items".into(),
+                expr: format!("put(items, i, get(items, i, 0) {op} q)"),
+            },
+        ],
+    };
+    let report = |name: &str, update: bool, params: &[&str], text: &str| MethodSpec {
+        name: name.into(),
+        update,
+        params: names(params),
+        body: vec![MethodOp::Emit { text: text.into() }],
+    };
+    let mask = |name: &str, param: &str, expr: &str| MaskFnSpec {
+        name: name.into(),
+        params: names(&[param]),
+        expr: expr.into(),
+    };
+    let trigger = |name: &str, perpetual: bool, event: &str, action: ActionSpec| TriggerSpec {
+        name: name.into(),
+        perpetual,
+        event: event.into(),
+        action,
+        capture: false,
+        full_history: false,
+    };
+    let call = |method: &str| ActionSpec::Call(method.into());
+    let mut update_averages = report("updateAverages", true, &[], "updateAverages()");
+    update_averages.body.insert(
+        0,
+        MethodOp::Set {
+            field: "ops".into(),
+            expr: "ops + 1".into(),
+        },
+    );
+    ClassSpec {
+        name: "stockRoom".into(),
+        fields: vec![
+            FieldSpec {
+                name: "items".into(),
+                default: Value::record([
+                    ("bolt", Value::Int(500)),
+                    ("gear", Value::Int(100)),
+                    ("shim", Value::Int(30)),
+                ]),
+            },
+            FieldSpec {
+                name: "ops".into(),
+                default: Value::Int(0),
+            },
+        ],
+        methods: vec![
+            adjust("deposit", "+"),
+            adjust("withdraw", "-"),
+            report("order", true, &["i"], "order({i})"),
+            report("log", true, &[], "log()"),
+            report("printLog", false, &[], "printLog()"),
+            report("report", false, &[], "report()"),
+            report("summary", false, &[], "summary()"),
+            update_averages,
+        ],
+        masks: vec![
+            mask("authorized", "u", r#"u == "alice" || u == "bob""#),
+            mask("stock", "i", "get(items, i)"),
+            mask(
+                "reorder",
+                "i",
+                r#"ifelse(i == "bolt", 50, ifelse(i == "gear", 20, 10))"#,
+            ),
+        ],
+        triggers: vec![
+            trigger(
+                "T1",
+                true,
+                "before withdraw && !authorized(user())",
+                ActionSpec::Abort,
+            ),
+            // Ordinary: the action reactivates it after placing the order.
+            trigger(
+                "T2",
+                false,
+                "after withdraw(i, q) && stock(i) < reorder(i)",
+                ActionSpec::Seq(vec![
+                    ActionSpec::CallWithEventArgsAt {
+                        method: "order".into(),
+                        positions: vec![0],
+                    },
+                    ActionSpec::Reactivate,
+                ]),
+            ),
+            trigger("T3", true, "at time(HR=17)", call("summary")),
+            trigger(
+                "T4",
+                true,
+                "relative(at time(HR=9), \
+                 prior(choose 5 (after tcommit), after tcommit) \
+                 & !prior(at time(HR=9), after tcommit))",
+                call("report"),
+            ),
+            trigger("T5", true, "every 5 (after access)", call("updateAverages")),
+            trigger("T6", true, "after withdraw(i, q) && q > 100", call("log")),
+            trigger(
+                "T7",
+                true,
+                "fa(at time(HR=9), choose 5 (after withdraw(i, q) && q > 100), at time(HR=9))",
+                call("summary"),
+            ),
+            trigger(
+                "T8",
+                true,
+                "after deposit; before withdraw; after withdraw",
+                call("printLog"),
+            ),
+        ],
+        activate_on_create: names(&["T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"]),
     }
 }
 
-/// Build the `stockRoom` class with triggers T1–T8 (Section 3.5).
+/// Compile [`paper_stockroom_spec`]: the `stockRoom` class with
+/// triggers T1–T8 (Section 3.5).
 pub fn stockroom_class() -> ClassDef {
-    ClassDef::builder("stockRoom")
-        .field(
-            "items",
-            Value::record([
-                ("bolt", Value::Int(500)),
-                ("gear", Value::Int(100)),
-                ("shim", Value::Int(30)),
-            ]),
-        )
-        .field("ops", 0i64)
-        .method("deposit", MethodKind::Update, &["i", "q"], |ctx| {
-            adjust_item(ctx, 1)
-        })
-        .method("withdraw", MethodKind::Update, &["i", "q"], |ctx| {
-            adjust_item(ctx, -1)
-        })
-        .method("order", MethodKind::Update, &["i"], |ctx| {
-            let item = ctx.arg(0)?;
-            ctx.emit(format!("order({item})"));
-            Ok(Value::Null)
-        })
-        .method("log", MethodKind::Update, &[], |ctx| {
-            ctx.emit("log()".to_string());
-            Ok(Value::Null)
-        })
-        .method("printLog", MethodKind::Read, &[], |ctx| {
-            ctx.emit("printLog()".to_string());
-            Ok(Value::Null)
-        })
-        .method("report", MethodKind::Read, &[], |ctx| {
-            ctx.emit("report()".to_string());
-            Ok(Value::Null)
-        })
-        .method("summary", MethodKind::Read, &[], |ctx| {
-            ctx.emit("summary()".to_string());
-            Ok(Value::Null)
-        })
-        .method("updateAverages", MethodKind::Update, &[], |ctx| {
-            let ops = ctx.get_required("ops")?.as_int().unwrap_or(0);
-            ctx.set("ops", ops + 1);
-            ctx.emit("updateAverages()".to_string());
-            Ok(Value::Null)
-        })
-        .mask_fn("authorized", |_ctx, args| {
-            let user = args.first()?;
-            Some(Value::Bool(matches!(
-                user,
-                Value::Str(s) if s == "alice" || s == "bob"
-            )))
-        })
-        .mask_fn("stock", |ctx, args| {
-            let item = match args.first()? {
-                Value::Str(s) => s.clone(),
-                _ => return None,
-            };
-            ctx.fields.get("items")?.member(&item).cloned()
-        })
-        .mask_fn("reorder", |_ctx, args| {
-            let item = match args.first()? {
-                Value::Str(s) => s.clone(),
-                _ => return None,
-            };
-            Some(Value::Int(eoq(&item)))
-        })
-        .trigger(
-            "T1",
-            true,
-            "before withdraw && !authorized(user())",
-            Action::Abort,
-        )
-        .trigger_expr(
-            "T2",
-            false,
-            parse_event("after withdraw(i, q) && stock(i) < reorder(i)").unwrap(),
-            Action::Native(Arc::new(|ctx| {
-                let item = ctx.event_args().first().cloned().unwrap_or(Value::Null);
-                ctx.call("order", &[item])?;
-                ctx.activate("T2", &[])
-            })),
-        )
-        .trigger("T3", true, "at time(HR=17)", Action::Call("summary".into()))
-        .trigger(
-            "T4",
-            true,
-            "relative(at time(HR=9), \
-             prior(choose 5 (after tcommit), after tcommit) \
-             & !prior(at time(HR=9), after tcommit))",
-            Action::Call("report".into()),
-        )
-        .trigger(
-            "T5",
-            true,
-            "every 5 (after access)",
-            Action::Call("updateAverages".into()),
-        )
-        .trigger(
-            "T6",
-            true,
-            "after withdraw(i, q) && q > 100",
-            Action::Call("log".into()),
-        )
-        .trigger(
-            "T7",
-            true,
-            "fa(at time(HR=9), choose 5 (after withdraw(i, q) && q > 100), at time(HR=9))",
-            Action::Call("summary".into()),
-        )
-        .trigger(
-            "T8",
-            true,
-            "after deposit; before withdraw; after withdraw",
-            Action::Call("printLog".into()),
-        )
-        .activate_on_create(&["T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"])
-        .build()
-        .expect("stockRoom class builds")
-}
-
-fn adjust_item(ctx: &mut crate::class::MethodCtx<'_>, sign: i64) -> Result<Value, OdeError> {
-    let item = match ctx.arg(0)? {
-        Value::Str(s) => s,
-        other => return Err(OdeError::Method(format!("bad item {other}"))),
-    };
-    let q = ctx.arg(1)?.as_int().unwrap_or(0);
-    let mut items = match ctx.get_required("items")? {
-        Value::Record(m) => m,
-        _ => return Err(OdeError::Method("items must be a record".into())),
-    };
-    let cur = items.get(&item).and_then(Value::as_int).unwrap_or(0);
-    items.insert(item, Value::Int(cur + sign * q));
-    ctx.set("items", Value::Record(items));
-    Ok(Value::Null)
+    compile_class(&paper_stockroom_spec()).expect("stockRoom class builds")
 }
 
 /// One withdrawal transaction by `user`. Returns `Ok(false)` if it was

@@ -32,13 +32,14 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::durability::frame::{self, Tail};
+use crate::durability::frame;
 use crate::durability::io::SharedIo;
 use crate::durability::wal::WalError;
 use crate::oplog::LogOp;
 
 /// File name of the epoch table, stored in the WAL root directory
-/// (beside `shard-NNN/` and `schema.wal`).
+/// (beside `shard-NNN/` and the schema log,
+/// [`crate::durability::SCHEMA_FILE`]).
 pub const EPOCHS_FILE: &str = "epochs.wal";
 
 /// One durable entry in the epoch table's append-only log.
@@ -184,24 +185,11 @@ impl EpochTable {
     /// table; a torn tail is truncated away (crash during an append);
     /// interior damage is a hard [`WalError::Corrupt`].
     pub fn load(io: &SharedIo, dir: &Path) -> Result<EpochTable, WalError> {
-        let path = dir.join(EPOCHS_FILE);
-        let bytes = match io.with(|f| f.read(&path)) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(EpochTable::new()),
-            Err(e) => return Err(e.into()),
-        };
-        let (payloads, tail) = frame::decode_all(&bytes)
-            .map_err(|c| WalError::Corrupt(format!("epoch table at {}: {}", c.offset, c.reason)))?;
-        if let Tail::Torn { offset } = tail {
-            io.with(|f| f.truncate(&path, offset))?;
-        }
+        let records: Vec<EpochRecord> =
+            frame::read_json_log(io, &dir.join(EPOCHS_FILE), "epoch table")?;
         let mut table = EpochTable::new();
-        for p in &payloads {
-            let text = std::str::from_utf8(p)
-                .map_err(|e| WalError::Corrupt(format!("epoch record: {e}")))?;
-            let rec: EpochRecord = serde_json::from_str(text)
-                .map_err(|e| WalError::Corrupt(format!("epoch record: {e}")))?;
-            table.apply(&rec);
+        for rec in &records {
+            table.apply(rec);
         }
         Ok(table)
     }
@@ -210,20 +198,7 @@ impl EpochTable {
     /// the directory entry is fsynced too so first-write file creation
     /// survives a crash).
     pub fn append(io: &SharedIo, dir: &Path, records: &[EpochRecord]) -> Result<(), WalError> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        let path = dir.join(EPOCHS_FILE);
-        let mut framed = Vec::new();
-        for rec in records {
-            let payload = serde_json::to_string(rec)
-                .map_err(|e| WalError::Logical(crate::error::OdeError::Method(e.to_string())))?;
-            framed.extend_from_slice(&frame::encode(payload.as_bytes()));
-        }
-        io.with(|f| f.append(&path, &framed))?;
-        io.with(|f| f.fsync(&path))?;
-        io.with(|f| f.fsync_dir(dir))?;
-        Ok(())
+        frame::append_json_log(io, dir, EPOCHS_FILE, records)
     }
 }
 
@@ -350,7 +325,7 @@ mod tests {
         let bytes = io.with(|f| f.read(&path)).unwrap();
         assert_eq!(
             frame::decode_all(&bytes).unwrap().1,
-            Tail::Clean,
+            frame::Tail::Clean,
             "tail repaired"
         );
     }

@@ -36,6 +36,14 @@
 //! incomplete or checksum-failing frame; it cannot be distinguished from
 //! a torn tail without resync markers, which this format omits.)
 
+use std::path::Path;
+
+use serde::{Deserialize, Serialize};
+
+use crate::durability::io::SharedIo;
+use crate::durability::wal::WalError;
+use crate::error::OdeError;
+
 /// Frame header size: 4 length bytes + 4 CRC bytes.
 pub const HEADER_LEN: usize = 8;
 
@@ -186,6 +194,61 @@ pub fn decode_all(bytes: &[u8]) -> Result<(Vec<&[u8]>, Tail), CorruptFrame> {
         off += end;
     }
     Ok((payloads, Tail::Clean))
+}
+
+/// Read a log of framed JSON records (the epoch table, the schema
+/// log): a missing file is an empty log, a torn tail is truncated away
+/// (a crash during an append), and interior damage or a record that
+/// does not parse is [`WalError::Corrupt`], labelled with `what`.
+pub(crate) fn read_json_log<T: Deserialize>(
+    io: &SharedIo,
+    path: &Path,
+    what: &str,
+) -> Result<Vec<T>, WalError> {
+    let bytes = match io.with(|f| f.read(path)) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e.into()),
+    };
+    let (payloads, tail) = decode_all(&bytes)
+        .map_err(|c| WalError::Corrupt(format!("{what} at {}: {}", c.offset, c.reason)))?;
+    if let Tail::Torn { offset } = tail {
+        io.with(|f| f.truncate(path, offset))?;
+    }
+    payloads
+        .iter()
+        .map(|p| {
+            std::str::from_utf8(p)
+                .map_err(|e| e.to_string())
+                .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+                .map_err(|e| WalError::Corrupt(format!("{what} record: {e}")))
+        })
+        .collect()
+}
+
+/// Durably append `records` to the framed JSON log `dir/file`: framed,
+/// fsynced, and the directory fsynced too so that creating the file
+/// survives a crash.
+pub(crate) fn append_json_log<T: Serialize>(
+    io: &SharedIo,
+    dir: &Path,
+    file: &str,
+    records: &[T],
+) -> Result<(), WalError> {
+    if records.is_empty() {
+        return Ok(());
+    }
+    let path = dir.join(file);
+    let mut framed = Vec::new();
+    for rec in records {
+        let payload = serde_json::to_string(rec)
+            .map_err(|e| WalError::Logical(OdeError::Method(e.to_string())))?;
+        framed.extend_from_slice(&encode(payload.as_bytes()));
+    }
+    io.with(|f| f.append(&path, &framed))?;
+    io.with(|f| f.fsync(&path))?;
+    io.with(|f| f.fsync_dir(dir))?;
+    Ok(())
 }
 
 #[cfg(test)]

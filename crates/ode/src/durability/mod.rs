@@ -20,7 +20,10 @@
 //!   archived segments;
 //! * [`archive`] — compressed, CRC-framed archives of swept segments
 //!   and [`archive::restore_to_lsn`]: point-in-time restore from
-//!   checkpoint + archive chain + live segments.
+//!   checkpoint + archive chain + live segments;
+//! * [`epoch`] and [`schema_log`] — the two small logs beside the shard
+//!   streams: the primary-election epoch table, and the classes the
+//!   ops refer to, as [`crate::spec::ClassSpec`] data.
 
 pub mod archive;
 pub mod compress;
@@ -28,6 +31,7 @@ pub mod epoch;
 pub mod frame;
 pub mod io;
 pub mod reader;
+pub mod schema_log;
 pub mod wal;
 
 pub use archive::{
@@ -39,6 +43,7 @@ pub use compress::{compress, decompress, LzError};
 pub use epoch::{EpochRecord, EpochTable, EPOCHS_FILE};
 pub use io::{Fault, FaultyIo, SharedIo, StdIo, WalIo};
 pub use reader::{SegmentReader, TornTail};
+pub use schema_log::{SchemaLog, SCHEMA_FILE};
 pub use wal::{
     ArchiveStats, CheckpointReport, DiskWal, DurableRecord, DurableSink, FsyncPolicy, Recovery,
     RecoveryReport, SegmentTiming, WalConfig, WalError, WalFlusher, WalStats,

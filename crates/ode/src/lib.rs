@@ -59,6 +59,7 @@ pub mod report;
 pub mod schema;
 pub mod sharded;
 pub mod shared;
+pub mod spec;
 
 pub use class::{
     Action, ActionCtx, ActionFn, ClassBuilder, ClassDef, MaskFn, MaskFnCtx, MethodBody, MethodCtx,
@@ -68,8 +69,8 @@ pub use clock::{Clock, Recurrence, Timer, TimerScope};
 pub use durability::{
     restore_to_lsn, ArchiveError, ArchiveMeta, ArchiveSegment, ArchiveStats, CheckpointReport,
     DiskWal, DrainReport, DurableRecord, DurableSink, EpochRecord, EpochTable, Fault, FaultyIo,
-    FsyncPolicy, Recovery, RecoveryReport, SegmentReader, SegmentTiming, SharedIo, StdIo, TornTail,
-    WalConfig, WalError, WalFlusher, WalIo, WalStats, EPOCHS_FILE,
+    FsyncPolicy, Recovery, RecoveryReport, SchemaLog, SegmentReader, SegmentTiming, SharedIo,
+    StdIo, TornTail, WalConfig, WalError, WalFlusher, WalIo, WalStats, EPOCHS_FILE, SCHEMA_FILE,
 };
 pub use engine::{Database, EventTap, FiringNotice, FiringSink, LogSink, Stats, TapEvent};
 pub use error::{AbortReason, OdeError};
@@ -85,7 +86,8 @@ pub use replication::{Applied, Applier, ApplyError};
 pub use report::describe;
 pub use schema::{SchemaAction, SchemaCtx, SchemaTrigger};
 pub use sharded::{
-    reconcile_cross_shard, recover_sharded, shard_dir, shard_of, to_global, to_local,
-    ReconcileReport, ShardStats, ShardedDatabase, ShardedRecovery, ShardedWal, SHARDS_META,
+    reconcile_cross_shard, recover_shard, recover_sharded, shard_dir, shard_of, to_global,
+    to_local, ReconcileReport, ShardStats, ShardedDatabase, ShardedRecovery, ShardedWal,
+    SHARDS_META,
 };
 pub use shared::SharedDatabase;

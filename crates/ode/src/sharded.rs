@@ -64,7 +64,9 @@ use crate::engine::Database;
 use crate::error::OdeError;
 use crate::ids::{ClassId, ObjectId, TxnId};
 use crate::oplog::LogOp;
+use crate::replication::{Applier, ApplyError};
 use crate::shared::SharedDatabase;
+use crate::spec::{define_specs, ClassSpec};
 
 // ------------------------------------------------------------ id mapping
 
@@ -928,6 +930,25 @@ pub fn reconcile_cross_shard(recoveries: &mut [Recovery]) -> ReconcileReport {
         }
     }
     report
+}
+
+/// Bring one shard engine up from its WAL directory's schema and its
+/// [`Recovery`]: define `specs` (a [`crate::durability::SchemaLog`]'s,
+/// in order), restore and replay through [`Applier::bootstrap`]
+/// (`observe` sees each replayed op's LSN), and drain the firing lines
+/// the replay regenerated so they are not served as fresh output. A
+/// server's start (primary and replica) and its one-shot point-in-time
+/// restore come up through this.
+pub fn recover_shard(
+    db: &mut Database,
+    specs: &[ClassSpec],
+    rec: &Recovery,
+    observe: impl FnMut(u64),
+) -> Result<Applier, ApplyError> {
+    define_specs(db, specs)?;
+    let applier = Applier::bootstrap(db, rec, observe)?;
+    db.take_output();
+    Ok(applier)
 }
 
 /// Open + recover a full sharded deployment in one call: open every

@@ -1,26 +1,38 @@
-//! Declarative class specifications — how a network client defines an
-//! O++ class over the wire.
+//! Declarative class specifications: a class written as data.
 //!
 //! A [`ClassSpec`] is pure data: field defaults, method bodies written
 //! as small sequences of [`MethodOp`]s whose expressions use the mask
 //! grammar (parsed with [`ode_core::parse_mask`]), side-effect-free mask
 //! functions, and triggers whose composite events are given as *text* in
 //! the paper's §3 surface syntax (parsed with [`ode_core::parse_event`]).
-//! [`compile_class`] lowers the spec to an [`ode_db::ClassDef`]; all
-//! parse errors surface at define time, never at call time.
+//! [`compile_class`] lowers the spec to a [`ClassDef`]; all parse errors
+//! surface at define time, never at call time. Because a spec is data,
+//! every executor reads the same form: a network client defines a class
+//! by sending one, a WAL directory's schema log
+//! ([`crate::durability::SchemaLog`]) records it for recovery, a replica
+//! receives it in its stream, and [`crate::demo`] writes the paper's
+//! §3.5 `stockRoom` as one.
 //!
 //! Method and mask expressions evaluate against an environment binding
 //! the declared parameters positionally and the object's fields by name,
-//! plus three record builtins: `get(rec, key)`, `put(rec, key, val)`
-//! (functional update), and `ifelse(cond, a, b)`. Mask-function bodies
-//! additionally see `user()`, the calling transaction's user value.
+//! plus four builtins: `get(rec, key)` (`get(rec, key, default)`
+//! answers `default` for a missing key), `put(rec, key, val)`
+//! (functional update), `ifelse(cond, a, b)`, and `type(v)` (the value's
+//! type name: `"string"`, `"int"`, …). A `Set` refuses a value nested
+//! deeper than [`ode_core::MAX_VALUE_DEPTH`] records with
+//! [`MaskError::TooDeep`], so every field stays checkpointable.
+//! Mask-function bodies additionally see `user()`, the calling
+//! transaction's user value.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ode_core::{parse_mask, MaskEnv, MaskExpr, Value};
-use ode_db::{Action, ActionCtx, ClassDef, Database, MaskFnCtx, MethodCtx, MethodKind, OdeError};
+use ode_core::{parse_mask, MaskEnv, MaskError, MaskExpr, Value, MAX_VALUE_DEPTH};
 use serde::{Deserialize, Serialize};
+
+use crate::class::{Action, ActionCtx, ClassDef, MaskFnCtx, MethodCtx, MethodKind};
+use crate::engine::Database;
+use crate::error::OdeError;
 
 /// A wire-transmissible class definition.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -83,7 +95,8 @@ pub enum MethodOp {
     Require {
         /// Mask-grammar condition.
         expr: String,
-        /// Error message on failure.
+        /// Error message on failure, with `{param}` placeholders
+        /// substituted as in [`MethodOp::Emit`].
         message: String,
     },
 }
@@ -128,11 +141,20 @@ pub enum ActionSpec {
     Emit(String),
     /// Call a member function with no arguments.
     Call(String),
-    /// Call a member function with the completing event's arguments —
-    /// the shape of the paper's T2 `order(i)`.
+    /// Call a member function with the completing event's arguments.
     CallWithEventArgs {
         /// Method to call.
         method: String,
+    },
+    /// Call a member function with the completing event's arguments at
+    /// `positions`, in that order (`null` for a position the event does
+    /// not have) — the paper's T2 `order(i)` after `withdraw(i, q)` is
+    /// `positions: [0]`.
+    CallWithEventArgsAt {
+        /// Method to call.
+        method: String,
+        /// Argument positions of the completing event.
+        positions: Vec<usize>,
     },
     /// Re-activate this trigger (T2 "must be explicitly reactivated").
     Reactivate,
@@ -149,8 +171,9 @@ fn builtin(name: &str, args: &[Value]) -> Option<Value> {
                 Value::Str(s) => s.as_str(),
                 _ => return None,
             };
-            args.first()?.member(key).cloned()
+            args.first()?.member(key).or(args.get(2)).cloned()
         }
+        "type" => Some(Value::Str(args.first()?.type_name().into())),
         "put" => {
             let mut rec = match args.first()? {
                 Value::Record(m) => m.clone(),
@@ -267,6 +290,11 @@ fn run_ops(
                     let env = MethodOpEnv { names, ctx };
                     expr.eval(&env).map_err(OdeError::Mask)?
                 };
+                if v.depth() > MAX_VALUE_DEPTH {
+                    return Err(OdeError::Mask(MaskError::TooDeep {
+                        max: MAX_VALUE_DEPTH,
+                    }));
+                }
                 ctx.set(field.clone(), v);
             }
             CompiledOp::Emit { text } => {
@@ -279,7 +307,7 @@ fn run_ops(
                     expr.eval_bool(&env).map_err(OdeError::Mask)?
                 };
                 if !ok {
-                    return Err(OdeError::Method(message.clone()));
+                    return Err(OdeError::Method(substitute(message, names, ctx)));
                 }
             }
         }
@@ -297,6 +325,14 @@ fn run_action(spec: &ActionSpec, ctx: &mut ActionCtx<'_>) -> Result<(), OdeError
         ActionSpec::Call(m) => ctx.call(m, &[]).map(|_| ()),
         ActionSpec::CallWithEventArgs { method } => {
             let args = ctx.event_args().to_vec();
+            ctx.call(method, &args).map(|_| ())
+        }
+        ActionSpec::CallWithEventArgsAt { method, positions } => {
+            let event_args = ctx.event_args();
+            let args: Vec<Value> = positions
+                .iter()
+                .map(|&i| event_args.get(i).cloned().unwrap_or(Value::Null))
+                .collect();
             ctx.call(method, &args).map(|_| ())
         }
         ActionSpec::Reactivate => {

@@ -28,13 +28,14 @@ pub mod reactor;
 pub mod repl;
 pub mod server;
 pub(crate) mod session;
-pub mod spec;
 
 pub use client::{backoff_delay, Client, ClientError, QueryOutcome, QuerySpec};
+/// The class language, re-exported from [`ode_db::spec`].
+pub use ode_db::spec;
 pub use protocol::{
     CapturedEvent, Command, Firing, Reply, ReplyResult, Request, ServerMsg, WireError, WireRow,
     WireStats,
 };
 pub use repl::{ReplSource, StreamFault};
-pub use server::{load_schema, recover_shard, Server, ServerBuilder, ServerConfig};
+pub use server::{Server, ServerBuilder, ServerConfig};
 pub use spec::{ActionSpec, ClassSpec, FieldSpec, MaskFnSpec, MethodOp, MethodSpec, TriggerSpec};

@@ -69,7 +69,7 @@ use crate::client::backoff_delay;
 use crate::codec::{LineEvent, LineReader};
 use crate::conn::Conn;
 use crate::protocol::{hex_decode, Command, Reply, ReplyResult, Request, ServerMsg};
-use crate::server::{append_schema, history_tap, load_schema, Shared};
+use crate::server::{history_tap, Shared};
 use crate::spec::{compile_class, define_specs, ClassSpec};
 
 /// A snapshot message must fit in one line; segments cap op frames far
@@ -668,13 +668,10 @@ fn apply_replayed(
 /// local schema log (shared across shards), and the upstream re-ships
 /// them on reconnect anyway.
 fn reset_shard(inner: &Arc<Shared>, rs: &ReplicaState, appliers: &mut [Applier], s: usize) -> Flow {
-    let mut specs: Vec<ClassSpec> = Vec::new();
-    if let Some(ws) = &inner.wal {
-        match load_schema(&ws.io, &ws.schema_path) {
-            Ok(loaded) => specs = loaded,
-            Err(_) => return Flow::Fatal,
-        }
-    }
+    let specs: Vec<ClassSpec> = match &inner.wal {
+        Some(ws) => ws.schema.lock().specs().to_vec(),
+        None => Vec::new(),
+    };
     let Ok(empty) = Database::new().snapshot() else {
         return Flow::Fatal;
     };
@@ -736,8 +733,10 @@ fn rebuild_shard(
 
 /// Define a shipped class on every shard engine (classes exist on all
 /// shards in lockstep) if this replica doesn't have it yet, and record
-/// it in the local `schema.wal` so a restart recovers it before the op
-/// logs replay.
+/// it in the local schema log so a restart recovers it before the op
+/// logs replay. A failed append stops the runner (`Fatal`) before any
+/// op on the class is applied: an op the local WAL holds on a class its
+/// schema log lacks would make the directory unrecoverable.
 fn define_spec(inner: &Arc<Shared>, spec: &ClassSpec) -> Flow {
     let Ok(def) = compile_class(spec) else {
         return Flow::Fatal;
@@ -761,7 +760,9 @@ fn define_spec(inner: &Arc<Shared>, spec: &ClassSpec) -> Flow {
     }
     if fresh {
         if let Some(ws) = &inner.wal {
-            let _ = append_schema(&ws.io, &ws.schema_path, spec);
+            if ws.schema.lock().append(spec).is_err() {
+                return Flow::Fatal;
+            }
             // Cascade: re-ship the class to our own downstream replicas
             // (idempotent at the receiver) before any op referencing it
             // can flow through our durable sink — mirroring the

@@ -53,7 +53,7 @@
 //! ## Durability
 //!
 //! With [`ServerBuilder::wal_dir`], the server recovers the directory
-//! on startup (wire-defined classes from `schema.wal`, then the latest
+//! on startup (wire-defined classes from its [`ode_db::SchemaLog`], then the latest
 //! checkpoint plus log tail via [`ode_db::DiskWal`]) and streams every
 //! subsequent engine op back out through the engine's log sink. The
 //! sink notes each append's LSN on the committing thread; that one
@@ -74,13 +74,12 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use ode_db::durability::frame;
 use ode_db::engine::{EventTap, FiringSink, LogSink};
 use ode_db::replication::Applier;
 use ode_db::{
-    shard_dir, Batch, Database, DurableRecord, EpochRecord, EpochTable, FiringNotice, HistConfig,
-    HistStore, LogOp, Recovery, ShardedDatabase, ShardedWal, SharedDatabase, SharedIo, StdIo,
-    TapEvent, TxnId, WalConfig, WalFlusher,
+    recover_shard, shard_dir, Batch, Database, DurableRecord, EpochRecord, EpochTable,
+    FiringNotice, HistConfig, HistStore, LogOp, SchemaLog, ShardedDatabase, ShardedWal,
+    SharedDatabase, SharedIo, StdIo, TapEvent, TxnId, WalConfig, WalFlusher,
 };
 use parking_lot::Mutex;
 
@@ -90,7 +89,6 @@ use crate::reactor::event_loop::{start as start_reactor, ListenSocket, ReactorHa
 use crate::reactor::outbox::{broadcast, ConnOutbox};
 use crate::repl::{run_replica, ReplSource, ReplicaState, StreamFault};
 use crate::session::{note_commit_lsn, noted_lsn};
-use crate::spec::{define_specs, ClassSpec};
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -132,11 +130,12 @@ pub(crate) struct WalState {
     /// The WAL root directory; `Replicate` handshakes re-scan the
     /// per-shard subdirectories under it.
     pub(crate) dir: PathBuf,
-    /// `<wal-dir>/schema.wal`: framed `ClassSpec` JSON, one record per
-    /// wire-defined class, replayed (in `ClassId` order) before the op
-    /// WAL on recovery. Shared by every shard — classes are defined on
-    /// all shards in lockstep.
-    pub(crate) schema_path: PathBuf,
+    /// The directory's schema log: one `ClassSpec` per wire-defined
+    /// class, replayed (in `ClassId` order) before the op WAL on
+    /// recovery, and held in memory since start, so a `Replicate`
+    /// handshake never re-reads the file. Shared by every shard —
+    /// classes are defined on all shards in lockstep.
+    pub(crate) schema: Mutex<SchemaLog>,
     /// Latched after the first WAL write/fsync failure: mutating
     /// commands answer a retryable `wal` error until restart.
     pub(crate) read_only: AtomicBool,
@@ -432,7 +431,8 @@ impl ServerBuilder {
 
     /// Persist every engine op to a write-ahead log under `dir`. On
     /// start the directory is recovered first: wire-defined classes
-    /// replay from `schema.wal`, then the newest checkpoint restores
+    /// replay from its schema log ([`ode_db::SchemaLog`]), then the
+    /// newest checkpoint restores
     /// and the log tail replays on top of it.
     pub fn wal_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.wal_dir = Some(dir.into());
@@ -529,7 +529,7 @@ impl ServerBuilder {
         }
         // Recover *before* installing the log sinks: replayed ops must
         // not be re-appended to the logs they came from. Every shard
-        // comes up through [`recover_shard`]; a replica keeps the
+        // comes up through [`ode_db::recover_shard`]; a replica keeps the
         // returned appliers so the id maps of transactions its local
         // logs left open stay live for the stream to resume
         // mid-transaction.
@@ -539,7 +539,6 @@ impl ServerBuilder {
         let wal = match &self.wal_dir {
             None => None,
             Some(dir) => {
-                let schema_path = dir.join("schema.wal");
                 // An injected io (fault plans in tests) is shared by
                 // every shard so the plan sees all traffic; the default
                 // gives each shard its own handle, so shard flushers
@@ -580,7 +579,8 @@ impl ServerBuilder {
                         .map_err(|e| std::io::Error::other(e.to_string()))?;
                 }
                 epoch_store = Some((io.clone(), dir.clone()));
-                let specs = load_schema(&io, &schema_path).map_err(std::io::Error::other)?;
+                let schema =
+                    SchemaLog::load(&io, dir).map_err(|e| std::io::Error::other(e.to_string()))?;
                 let mut hist: Vec<Arc<HistStore>> = Vec::new();
                 for (s, rec) in recovery.shards.iter().enumerate() {
                     let head = rec.base_lsn + rec.ops.len() as u64;
@@ -614,8 +614,10 @@ impl ServerBuilder {
                             if let Some(store) = hist.get(s) {
                                 db.set_event_tap(Some(history_tap(Arc::clone(store), s)));
                             }
-                            let applier =
-                                recover_shard(db, &specs, rec, |lsn| note_commit_lsn(s, lsn))?;
+                            let applier = recover_shard(db, schema.specs(), rec, |lsn| {
+                                note_commit_lsn(s, lsn)
+                            })
+                            .map_err(|e| e.to_string())?;
                             if let Some(store) = hist.get(s) {
                                 for (code, name) in db.class_names().iter().enumerate() {
                                     store.observe_class(code as u32, name);
@@ -629,7 +631,7 @@ impl ServerBuilder {
                     wal,
                     io,
                     dir: dir.clone(),
-                    schema_path,
+                    schema: Mutex::new(schema),
                     read_only: AtomicBool::new(false),
                     repl_subs: (0..n)
                         .map(|_| Arc::new(Mutex::new(HashMap::new())))
@@ -914,59 +916,4 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Read the framed `ClassSpec` records from `schema.wal`. A missing
-/// file means no wire-defined classes; a torn trailing record (crash
-/// between define and append) is truncated away like an op-log tail.
-/// Public so out-of-process restore tools (`ode_server --wal-restore`)
-/// can rebuild the class table before replaying restored ops.
-pub fn load_schema(io: &SharedIo, path: &Path) -> Result<Vec<ClassSpec>, String> {
-    let bytes = match io.with(|io| io.read(path)) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("schema wal: {e}")),
-    };
-    let (frames, tail) = frame::decode_all(&bytes)
-        .map_err(|e| format!("schema wal corrupt at offset {}: {}", e.offset, e.reason))?;
-    if let frame::Tail::Torn { offset } = tail {
-        io.with(|io| io.truncate(path, offset))
-            .map_err(|e| format!("schema wal: {e}"))?;
-    }
-    let mut specs = Vec::with_capacity(frames.len());
-    for f in &frames {
-        let json = std::str::from_utf8(f).map_err(|e| format!("schema wal: {e}"))?;
-        specs.push(serde_json::from_str(json).map_err(|e| format!("schema wal: {e}"))?);
-    }
-    Ok(specs)
-}
-
-/// Bring one shard engine up from the wire-defined schema and its
-/// [`Recovery`]: define `specs`, restore and replay through
-/// [`Applier::bootstrap`] (`observe` sees each replayed op's LSN), and
-/// drain the firing lines the replay regenerated so they are not served
-/// as fresh output. Startup recovery of primaries and replicas and
-/// `ode_server --wal-restore` all come up through this.
-pub fn recover_shard(
-    db: &mut Database,
-    specs: &[ClassSpec],
-    rec: &Recovery,
-    observe: impl FnMut(u64),
-) -> Result<Applier, String> {
-    define_specs(db, specs).map_err(|e| e.to_string())?;
-    let applier = Applier::bootstrap(db, rec, observe).map_err(|e| e.to_string())?;
-    db.take_output();
-    Ok(applier)
-}
-
-/// Append one framed `ClassSpec` to `schema.wal` and fsync it. Called
-/// with the engine locked, right after the in-memory define succeeds.
-pub(crate) fn append_schema(io: &SharedIo, path: &Path, spec: &ClassSpec) -> Result<(), String> {
-    let json = serde_json::to_string(spec).map_err(|e| e.to_string())?;
-    let rec = frame::encode(json.as_bytes());
-    io.with(|io| {
-        io.append(path, &rec)?;
-        io.fsync(path)
-    })
-    .map_err(|e| e.to_string())
 }

@@ -36,7 +36,7 @@ use crate::protocol::{
 };
 use crate::reactor::outbox::{broadcast, encode_frame, ConnOutbox};
 use crate::repl::POLL_INTERVAL;
-use crate::server::{append_schema, load_schema, Shared, WalState};
+use crate::server::{Shared, WalState};
 use crate::spec::compile_class;
 
 /// One connection's session state. Owned by the reactor's per-
@@ -370,7 +370,7 @@ fn execute(
             // schema record while holding *all* engine locks (acquired
             // in shard order, like 2PC), so no shard can log an op that
             // references the class before the class record is durable.
-            // A crash between the two tears the schema.wal tail
+            // A crash between the two tears the schema log's tail
             // harmlessly (truncated on recovery).
             let wal = inner.wal.as_deref();
             let mut guards = inner.db.lock_all();
@@ -383,13 +383,13 @@ fn execute(
                 }
             }
             if let Some(ws) = wal {
-                append_schema(&ws.io, &ws.schema_path, &spec).map_err(|msg| {
+                ws.schema.lock().append(&spec).map_err(|e| {
                     ws.read_only.store(true, Ordering::SeqCst);
-                    WireError::wal(format_args!("schema log write failed: {msg}"))
+                    WireError::wal(format_args!("schema log write failed: {e}"))
                 })?;
                 // Ship the new class while each shard's WAL is frozen so
                 // it serializes with that shard's Replicate handshake
-                // (which reads schema.wal under the same freeze).
+                // (which reads the held specs under the same freeze).
                 let schema_msg = ServerMsg::ReplSchema(spec);
                 for (s, subs) in ws.repl_subs.iter().enumerate() {
                     ws.wal.wal(s).frozen(|_| {
@@ -851,17 +851,10 @@ fn execute(
                                             .epochs
                                             .stale_rejections
                                             .fetch_add(1, Ordering::Relaxed);
-                                        let schema = load_schema(&ws.io, &ws.schema_path)
-                                            .map_err(|msg| {
-                                                WireError::new(
-                                                    "wal",
-                                                    format!("schema scan failed: {msg}"),
-                                                )
-                                            })?;
                                         let _ = sess.outbox.send(ServerMsg::ReplSnapshot {
                                             shard: s as u64,
                                             lsn: 0,
-                                            schema,
+                                            schema: ws.schema.lock().specs().to_vec(),
                                             snapshot: None,
                                             epoch: my_epoch,
                                             fence_lsn: Some(f),
@@ -881,9 +874,7 @@ fn execute(
                             let scan = SegmentReader::scan(&dir, &ws.io).map_err(|e| {
                                 WireError::new("wal", format!("shard {s} log scan failed: {e}"))
                             })?;
-                            let schema = load_schema(&ws.io, &ws.schema_path).map_err(|msg| {
-                                WireError::new("wal", format!("schema scan failed: {msg}"))
-                            })?;
+                            let schema = ws.schema.lock().specs().to_vec();
                             let mut archive_msgs: Vec<ServerMsg> = Vec::new();
                             let (start_lsn, snapshot) = if from_lsn < scan.base_lsn {
                                 // The live log before the checkpoint is

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use ode_core::Value;
 use ode_db::{
     shard_dir, shard_of, Database, FsyncPolicy, ObjectId, SegmentReader, SharedDatabase, SharedIo,
-    StdIo, WalConfig,
+    StdIo, WalConfig, WalIo, SCHEMA_FILE,
 };
 use ode_server::protocol::{Command, Firing, Reply};
 use ode_server::spec::stockroom_spec;
@@ -578,6 +578,115 @@ fn a_snapshot_jump_leaves_no_superseded_local_generation_after_shutdown() {
     // replica queued for it (or, at the latest, shutdown's) removed it.
     replica.shutdown();
     assert_eq!(generation0_segments(&rdir), Vec::<String>::new());
+    primary.shutdown();
+    let _ = std::fs::remove_dir_all(&pdir);
+    let _ = std::fs::remove_dir_all(&rdir);
+}
+
+/// The replica's disk refuses appends to its schema log and nothing
+/// else.
+struct SchemaAppendFails(StdIo);
+
+impl WalIo for SchemaAppendFails {
+    fn create_dir_all(&mut self, dir: &Path) -> std::io::Result<()> {
+        self.0.create_dir_all(dir)
+    }
+    fn list(&mut self, dir: &Path) -> std::io::Result<Vec<String>> {
+        self.0.list(dir)
+    }
+    fn read(&mut self, path: &Path) -> std::io::Result<Vec<u8>> {
+        self.0.read(path)
+    }
+    fn append(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        if path.file_name().and_then(|n| n.to_str()) == Some(SCHEMA_FILE) {
+            return Err(std::io::Error::other("injected schema log failure"));
+        }
+        self.0.append(path, bytes)
+    }
+    fn fsync(&mut self, path: &Path) -> std::io::Result<()> {
+        self.0.fsync(path)
+    }
+    fn fsync_dir(&mut self, dir: &Path) -> std::io::Result<()> {
+        self.0.fsync_dir(dir)
+    }
+    fn rename(&mut self, from: &Path, to: &Path) -> std::io::Result<()> {
+        self.0.rename(from, to)
+    }
+    fn remove(&mut self, path: &Path) -> std::io::Result<()> {
+        self.0.remove(path)
+    }
+    fn truncate(&mut self, path: &Path, len: u64) -> std::io::Result<()> {
+        self.0.truncate(path, len)
+    }
+}
+
+/// A replica that cannot log a shipped class stops replicating before
+/// it applies any op on that class: an op in its local WAL on a class
+/// its schema log lacks would make the directory unrecoverable.
+#[test]
+fn a_failed_schema_log_append_stops_the_replica_and_its_directory_reopens() {
+    let pdir = tmp_dir("schema-fail-primary");
+    let rdir = tmp_dir("schema-fail-replica");
+    let mut primary = start_primary(&pdir);
+    let mut replica = Server::builder(SharedDatabase::new(Database::new()))
+        .tcp("127.0.0.1:0")
+        .wal_dir(&rdir)
+        .wal_config(cfg())
+        .wal_io(SharedIo::new(SchemaAppendFails(StdIo::new())))
+        .replicate_from(ReplSource::Tcp(
+            primary.tcp_addr().expect("primary tcp").to_string(),
+        ))
+        .start()
+        .expect("replica starts");
+    let mut rc = Client::connect_tcp(replica.tcp_addr().unwrap()).expect("replica");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !rc.stats().expect("stats").repl_connected {
+        assert!(Instant::now() < deadline, "the replica never connected");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let mut pc = Client::connect_tcp(primary.tcp_addr().unwrap()).expect("primary");
+    pc.define_class(stockroom_spec()).expect("define");
+    let room = pc
+        .txn("admin", |c| c.new_object("room", &[]))
+        .expect("room");
+    withdraw(&mut pc, room, "alice", 10);
+    let head = pc
+        .stats()
+        .expect("stats")
+        .wal_lsn
+        .expect("primary has a WAL");
+
+    // Either the runner stops, or (without the check) it applies all.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let stats = rc.stats().expect("stats");
+        if !stats.repl_connected || stats.last_applied_lsn == Some(head) {
+            break stats;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "replica neither stopped nor caught up"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    replica.shutdown();
+    let reopened = Server::builder(SharedDatabase::new(Database::new()))
+        .wal_dir(&rdir)
+        .wal_config(cfg())
+        .start();
+    assert!(
+        reopened.is_ok(),
+        "the replica's WAL directory must reopen: {:?}",
+        reopened.err()
+    );
+    assert_eq!(
+        stats.last_applied_lsn,
+        Some(0),
+        "no op on the unlogged class was applied"
+    );
+    assert!(!stats.repl_connected, "the runner stopped for good");
+    drop(reopened);
     primary.shutdown();
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&rdir);

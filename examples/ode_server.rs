@@ -51,8 +51,8 @@
 //! fingerprint, and exits (a point-in-time inspection tool).
 
 use ode_db::durability::{frame, restore_to_lsn, SharedIo, StdIo};
-use ode_db::{Database, FsyncPolicy, SharedDatabase, WalConfig};
-use ode_server::{load_schema, recover_shard, ReplSource, Server};
+use ode_db::{recover_shard, Database, FsyncPolicy, SchemaLog, SharedDatabase, WalConfig};
+use ode_server::{ReplSource, Server};
 use std::path::Path;
 
 fn main() {
@@ -146,11 +146,11 @@ fn main() {
             }
         };
         let mut db = Database::new();
-        let specs = load_schema(&io, &dir.join("schema.wal")).unwrap_or_else(|e| {
+        let schema = SchemaLog::load(&io, dir).unwrap_or_else(|e| {
             eprintln!("restore: {e}");
             std::process::exit(1);
         });
-        if let Err(e) = recover_shard(&mut db, &specs, &rec, |_| {}) {
+        if let Err(e) = recover_shard(&mut db, schema.specs(), &rec, |_| {}) {
             eprintln!("restore replay failed: {e}");
             std::process::exit(1);
         }

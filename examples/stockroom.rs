@@ -23,183 +23,18 @@
 //! registered function `stock(i)` — same evaluation-time semantics,
 //! "evaluated as of the time at which the basic event occurred".)
 //!
+//! The class is written once, as data: `ode_db::demo::paper_stockroom_spec`
+//! is the `ClassSpec` above (fields, methods, the three mask functions
+//! and the eight triggers, each event in the paper's text), and
+//! `demo::stockroom_class` compiles it. Each action method prints its
+//! own name, e.g. `order("shim")`, `log()`, `summary()`.
+//!
 //! Run with `cargo run --example stockroom`.
-
-use std::sync::Arc;
 
 use ode_core::event::calendar;
 use ode_core::Value;
-use ode_db::{Action, ClassDef, Database, MethodKind, ObjectId, OdeError};
-
-const DAY_END: &str = "at time(HR=17)";
-
-/// Economic order quantities per item.
-fn eoq(item: &str) -> i64 {
-    match item {
-        "bolt" => 50,
-        "gear" => 20,
-        _ => 10,
-    }
-}
-
-pub fn stockroom_class() -> ClassDef {
-    ClassDef::builder("stockRoom")
-        .field(
-            "items",
-            Value::record([
-                ("bolt", Value::Int(500)),
-                ("gear", Value::Int(100)),
-                ("shim", Value::Int(30)),
-            ]),
-        )
-        .field("ops", 0i64)
-        // -------------------------------------------------- methods
-        .method("deposit", MethodKind::Update, &["i", "q"], |ctx| {
-            let item = match ctx.arg(0)? {
-                Value::Str(s) => s,
-                other => return Err(OdeError::Method(format!("bad item {other}"))),
-            };
-            let q = ctx.arg(1)?.as_int().unwrap_or(0);
-            let mut items = match ctx.get_required("items")? {
-                Value::Record(m) => m,
-                _ => return Err(OdeError::Method("items must be a record".into())),
-            };
-            let cur = items.get(&item).and_then(Value::as_int).unwrap_or(0);
-            items.insert(item, Value::Int(cur + q));
-            ctx.set("items", Value::Record(items));
-            Ok(Value::Null)
-        })
-        .method("withdraw", MethodKind::Update, &["i", "q"], |ctx| {
-            let item = match ctx.arg(0)? {
-                Value::Str(s) => s,
-                other => return Err(OdeError::Method(format!("bad item {other}"))),
-            };
-            let q = ctx.arg(1)?.as_int().unwrap_or(0);
-            let mut items = match ctx.get_required("items")? {
-                Value::Record(m) => m,
-                _ => return Err(OdeError::Method("items must be a record".into())),
-            };
-            let cur = items.get(&item).and_then(Value::as_int).unwrap_or(0);
-            items.insert(item, Value::Int(cur - q));
-            ctx.set("items", Value::Record(items));
-            Ok(Value::Null)
-        })
-        .method("order", MethodKind::Update, &["i"], |ctx| {
-            let item = ctx.arg(0)?;
-            ctx.emit(format!("order(): purchase order placed for {item}"));
-            Ok(Value::Null)
-        })
-        .method("log", MethodKind::Update, &[], |ctx| {
-            ctx.emit("log(): large withdrawal recorded".to_string());
-            Ok(Value::Null)
-        })
-        .method("printLog", MethodKind::Read, &[], |ctx| {
-            ctx.emit("printLog(): deposit immediately followed by withdrawal".to_string());
-            Ok(Value::Null)
-        })
-        .method("report", MethodKind::Read, &[], |ctx| {
-            ctx.emit("report(): transaction beyond the 5th today".to_string());
-            Ok(Value::Null)
-        })
-        .method("summary", MethodKind::Read, &[], |ctx| {
-            ctx.emit("summary(): stock summary printed".to_string());
-            Ok(Value::Null)
-        })
-        .method("updateAverages", MethodKind::Update, &[], |ctx| {
-            let ops = ctx.get_required("ops")?.as_int().unwrap_or(0);
-            ctx.set("ops", ops + 1);
-            ctx.emit("updateAverages(): running averages refreshed".to_string());
-            Ok(Value::Null)
-        })
-        // --------------------------------------------- mask functions
-        .mask_fn("authorized", |_ctx, args| {
-            let user = args.first()?;
-            Some(Value::Bool(matches!(
-                user,
-                Value::Str(s) if s == "alice" || s == "bob"
-            )))
-        })
-        .mask_fn("stock", |ctx, args| {
-            let item = match args.first()? {
-                Value::Str(s) => s.clone(),
-                _ => return None,
-            };
-            ctx.fields.get("items")?.member(&item).cloned()
-        })
-        .mask_fn("reorder", |_ctx, args| {
-            let item = match args.first()? {
-                Value::Str(s) => s.clone(),
-                _ => return None,
-            };
-            Some(Value::Int(eoq(&item)))
-        })
-        // ------------------------------------------------- triggers
-        // T1: only authorized users can withdraw; otherwise abort.
-        .trigger(
-            "T1",
-            true,
-            "before withdraw && !authorized(user())",
-            Action::Abort,
-        )
-        // T2: reorder when stock falls below the economic order
-        // quantity. Ordinary: must be explicitly reactivated — the
-        // action does so after placing the order.
-        .trigger_expr(
-            "T2",
-            false,
-            ode_core::parse_event("after withdraw(i, q) && stock(i) < reorder(i)").unwrap(),
-            Action::Native(Arc::new(|ctx| {
-                let item = ctx.event_args().first().cloned().unwrap_or(Value::Null);
-                ctx.call("order", &[item])?;
-                ctx.activate("T2", &[])
-            })),
-        )
-        // T3: at the end of the day, print a summary.
-        .trigger("T3", true, DAY_END, Action::Call("summary".into()))
-        // T4: every transaction after the 5th within the same day is
-        // reported.
-        .trigger(
-            "T4",
-            true,
-            "relative(at time(HR=9), \
-             prior(choose 5 (after tcommit), after tcommit) \
-             & !prior(at time(HR=9), after tcommit))",
-            Action::Call("report".into()),
-        )
-        // T5: after every 5 operations, update the averages.
-        .trigger(
-            "T5",
-            true,
-            "every 5 (after access)",
-            Action::Call("updateAverages".into()),
-        )
-        // T6: all large withdrawals (quantity > 100) are recorded.
-        .trigger(
-            "T6",
-            true,
-            "after withdraw(i, q) && q > 100",
-            Action::Call("log".into()),
-        )
-        // T7: after the 5th large withdrawal in the same day, print a
-        // summary.
-        .trigger(
-            "T7",
-            true,
-            "fa(at time(HR=9), choose 5 (after withdraw(i, q) && q > 100), at time(HR=9))",
-            Action::Call("summary".into()),
-        )
-        // T8: print the log when a deposit is immediately followed by a
-        // withdrawal.
-        .trigger(
-            "T8",
-            true,
-            "after deposit; before withdraw; after withdraw",
-            Action::Call("printLog".into()),
-        )
-        .activate_on_create(&["T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"])
-        .build()
-        .expect("stockRoom class builds")
-}
+use ode_db::demo::stockroom_class;
+use ode_db::{Database, ObjectId};
 
 fn txn_withdraw(db: &mut Database, user: &str, room: ObjectId, item: &str, q: i64) {
     let txn = db.begin_as(Value::Str(user.into()));
