@@ -198,7 +198,12 @@ impl EpochTable {
     /// the directory entry is fsynced too so first-write file creation
     /// survives a crash).
     pub fn append(io: &SharedIo, dir: &Path, records: &[EpochRecord]) -> Result<(), WalError> {
-        frame::append_json_log(io, dir, EPOCHS_FILE, records)
+        if records.is_empty() {
+            return Ok(());
+        }
+        frame::append_json_log(io, &dir.join(EPOCHS_FILE), records)?;
+        io.with(|f| f.fsync_dir(dir))?;
+        Ok(())
     }
 }
 

@@ -226,28 +226,21 @@ pub(crate) fn read_json_log<T: Deserialize>(
         .collect()
 }
 
-/// Durably append `records` to the framed JSON log `dir/file`: framed,
-/// fsynced, and the directory fsynced too so that creating the file
-/// survives a crash.
+/// Durably append `records` to the framed JSON log at `path`: framed,
+/// appended in one write, and fsynced.
 pub(crate) fn append_json_log<T: Serialize>(
     io: &SharedIo,
-    dir: &Path,
-    file: &str,
+    path: &Path,
     records: &[T],
 ) -> Result<(), WalError> {
-    if records.is_empty() {
-        return Ok(());
-    }
-    let path = dir.join(file);
     let mut framed = Vec::new();
     for rec in records {
         let payload = serde_json::to_string(rec)
             .map_err(|e| WalError::Logical(OdeError::Method(e.to_string())))?;
         framed.extend_from_slice(&encode(payload.as_bytes()));
     }
-    io.with(|f| f.append(&path, &framed))?;
-    io.with(|f| f.fsync(&path))?;
-    io.with(|f| f.fsync_dir(dir))?;
+    io.with(|f| f.append(path, &framed))?;
+    io.with(|f| f.fsync(path))?;
     Ok(())
 }
 
