@@ -28,11 +28,14 @@ use crate::spec::{
 /// `alice` and `bob` are authorized to withdraw.
 pub fn paper_stockroom_spec() -> ClassSpec {
     let names = |list: &[&str]| list.iter().map(|n| n.to_string()).collect::<Vec<_>>();
-    let adjust = |name: &str, op: &str| MethodSpec {
+    let method = |name: &str, update: bool, params: &[&str], body: Vec<MethodOp>| MethodSpec {
         name: name.into(),
-        update: true,
-        params: names(&["i", "q"]),
-        body: vec![
+        update,
+        params: names(params),
+        body,
+    };
+    let adjust = |op: &str| {
+        vec![
             MethodOp::Require {
                 expr: r#"type(i) == "string""#.into(),
                 message: "bad item {i}".into(),
@@ -41,14 +44,9 @@ pub fn paper_stockroom_spec() -> ClassSpec {
                 field: "items".into(),
                 expr: format!("put(items, i, get(items, i, 0) {op} q)"),
             },
-        ],
+        ]
     };
-    let report = |name: &str, update: bool, params: &[&str], text: &str| MethodSpec {
-        name: name.into(),
-        update,
-        params: names(params),
-        body: vec![MethodOp::Emit { text: text.into() }],
-    };
+    let emit = |text: &str| MethodOp::Emit { text: text.into() };
     let mask = |name: &str, param: &str, expr: &str| MaskFnSpec {
         name: name.into(),
         params: names(&[param]),
@@ -63,14 +61,6 @@ pub fn paper_stockroom_spec() -> ClassSpec {
         full_history: false,
     };
     let call = |method: &str| ActionSpec::Call(method.into());
-    let mut update_averages = report("updateAverages", true, &[], "updateAverages()");
-    update_averages.body.insert(
-        0,
-        MethodOp::Set {
-            field: "ops".into(),
-            expr: "ops + 1".into(),
-        },
-    );
     ClassSpec {
         name: "stockRoom".into(),
         fields: vec![
@@ -88,14 +78,25 @@ pub fn paper_stockroom_spec() -> ClassSpec {
             },
         ],
         methods: vec![
-            adjust("deposit", "+"),
-            adjust("withdraw", "-"),
-            report("order", true, &["i"], "order({i})"),
-            report("log", true, &[], "log()"),
-            report("printLog", false, &[], "printLog()"),
-            report("report", false, &[], "report()"),
-            report("summary", false, &[], "summary()"),
-            update_averages,
+            method("deposit", true, &["i", "q"], adjust("+")),
+            method("withdraw", true, &["i", "q"], adjust("-")),
+            method("order", true, &["i"], vec![emit("order({i})")]),
+            method("log", true, &[], vec![emit("log()")]),
+            method("printLog", false, &[], vec![emit("printLog()")]),
+            method("report", false, &[], vec![emit("report()")]),
+            method("summary", false, &[], vec![emit("summary()")]),
+            method(
+                "updateAverages",
+                true,
+                &[],
+                vec![
+                    MethodOp::Set {
+                        field: "ops".into(),
+                        expr: "ops + 1".into(),
+                    },
+                    emit("updateAverages()"),
+                ],
+            ),
         ],
         masks: vec![
             mask("authorized", "u", r#"u == "alice" || u == "bob""#),
