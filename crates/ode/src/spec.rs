@@ -585,4 +585,54 @@ mod tests {
         }];
         assert!(compile_class(&spec).is_err());
     }
+
+    /// A `Set` stores values nested up to `MAX_VALUE_DEPTH` records, and
+    /// a checkpoint holding the deepest one reads back; one level more
+    /// is `TooDeep` and leaves the field as it was.
+    #[test]
+    fn set_refuses_values_a_checkpoint_could_not_reread() {
+        let spec = ClassSpec {
+            name: "nest".into(),
+            fields: vec![FieldSpec {
+                name: "f".into(),
+                default: Value::Int(0),
+            }],
+            methods: vec![MethodSpec {
+                name: "wrap".into(),
+                update: true,
+                params: vec!["empty".into()],
+                body: vec![MethodOp::Set {
+                    field: "f".into(),
+                    expr: "put(empty, \"k\", f)".into(),
+                }],
+            }],
+            masks: vec![],
+            triggers: vec![],
+            activate_on_create: vec![],
+        };
+        let mut db = Database::new();
+        db.define_class(compile_class(&spec).unwrap()).unwrap();
+        let txn = db.begin();
+        let obj = db.create_object(txn, "nest", &[]).unwrap();
+        let empty = [Value::record(Vec::<(String, Value)>::new())];
+        for _ in 0..MAX_VALUE_DEPTH {
+            db.call(txn, obj, "wrap", &empty).unwrap();
+        }
+        let r = db.call(txn, obj, "wrap", &empty);
+        assert!(
+            matches!(r, Err(OdeError::Mask(MaskError::TooDeep { max })) if max == MAX_VALUE_DEPTH),
+            "{r:?}"
+        );
+        db.commit(txn).unwrap();
+        let deepest = db.peek_field(obj, "f").unwrap();
+        assert_eq!(deepest.depth(), MAX_VALUE_DEPTH);
+        let json = db.snapshot().unwrap().to_json().unwrap();
+        let back = crate::persist::Snapshot::from_json(&json).expect("the checkpoint reads back");
+        let mut restored = Database::new();
+        restored
+            .define_class(compile_class(&spec).unwrap())
+            .unwrap();
+        restored.restore(&back).unwrap();
+        assert_eq!(restored.peek_field(obj, "f"), Some(deepest));
+    }
 }
