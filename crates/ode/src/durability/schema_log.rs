@@ -59,7 +59,8 @@ impl SchemaLog {
     /// the next [`SchemaLog::load`] truncates. Unlike the epoch table's
     /// append this does not fsync the directory: that would be a second
     /// fsync on the first `DefineClass` of every fresh directory, and
-    /// the benchmark's `setup_s` @ `durable_commit` read +25 % with it.
+    /// the benchmark's `setup_s` @ `durable_commit` read +25 % with it
+    /// (2-vCPU host, harness pinned to one).
     pub fn append(&mut self, spec: &ClassSpec) -> Result<(), WalError> {
         frame::append_json_log(&self.io, &self.path, std::slice::from_ref(spec))?;
         self.specs.push(spec.clone());
