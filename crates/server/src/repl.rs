@@ -735,8 +735,9 @@ fn rebuild_shard(
 /// shards in lockstep) if this replica doesn't have it yet, and record
 /// it in the local schema log so a restart recovers it before the op
 /// logs replay. A failed append stops the runner (`Fatal`) before any
-/// op on the class is applied: an op the local WAL holds on a class its
-/// schema log lacks would make the directory unrecoverable.
+/// op on the class is applied and latches the node read-only: an op the
+/// local WAL holds on a class its schema log lacks would make the
+/// directory unrecoverable.
 fn define_spec(inner: &Arc<Shared>, spec: &ClassSpec) -> Flow {
     let Ok(def) = compile_class(spec) else {
         return Flow::Fatal;
@@ -761,6 +762,9 @@ fn define_spec(inner: &Arc<Shared>, spec: &ClassSpec) -> Flow {
     if fresh {
         if let Some(ws) = &inner.wal {
             if ws.schema.lock().append(spec).is_err() {
+                // Latch read-only as the primary's `DefineClass` does: a
+                // later `Promote` must not open writes on the class.
+                ws.read_only.store(true, Ordering::SeqCst);
                 return Flow::Fatal;
             }
             // Cascade: re-ship the class to our own downstream replicas

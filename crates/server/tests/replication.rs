@@ -670,6 +670,13 @@ fn a_failed_schema_log_append_stops_the_replica_and_its_directory_reopens() {
         );
         std::thread::sleep(Duration::from_millis(5));
     };
+    // Promoted, the node still refuses writes: one on the class would
+    // reach the local WAL without the class in the schema log.
+    let _ = rc.promote_force();
+    match rc.txn("admin", |c| c.new_object("room", &[])) {
+        Err(ClientError::Server(e)) => assert_eq!(e.code, "read_only", "{e:?}"),
+        other => panic!("a write on the unlogged class must be refused, got {other:?}"),
+    }
     replica.shutdown();
     let reopened = Server::builder(SharedDatabase::new(Database::new()))
         .wal_dir(&rdir)
