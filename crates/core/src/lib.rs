@@ -80,4 +80,4 @@ pub use mask::{BinOp, EmptyEnv, MaskEnv, MaskExpr, UnOp};
 pub use parser::{parse_event, parse_mask};
 pub use router::{ClassRouter, EventCode, EventInterner, MaskMemo, Route};
 pub use simplify::simplify;
-pub use value::{Value, MAX_VALUE_DEPTH};
+pub use value::{Value, MAX_VALUE_DEPTH, VALUE_ENVELOPE_DEPTH};

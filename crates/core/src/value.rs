@@ -12,13 +12,26 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// The deepest record nesting ([`Value::depth`]) a value stored in an
-/// object field may have. The JSON reader stops at
-/// `serde::json::MAX_DEPTH` (128) nested arrays and objects, and each
-/// record level costs two of them (`{"Record":{…}}`), so 32 levels
-/// leave room for the envelope a checkpoint wraps around a field. A
-/// deeper field would make the next checkpoint unreadable.
-pub const MAX_VALUE_DEPTH: usize = 32;
+use crate::error::MaskError;
+
+/// How deeply a stored or sent format may nest a [`Value`] inside its
+/// own arrays and objects. The deepest today is a checkpoint's captured
+/// arguments (8: snapshot, objects, object, triggers, trigger,
+/// captured, the event/arguments pair, arguments); a replication
+/// bootstrap's field defaults sit 6 deep, and request lines, replies,
+/// firings, query rows and log records at most 5. The rest is room for
+/// new formats; a round-trip test in `ode-server` measures every one.
+pub const VALUE_ENVELOPE_DEPTH: usize = 63;
+
+/// The deepest record nesting a [`Value`] may have where it enters the
+/// engine (a call's arguments, creation overrides, activation
+/// parameters, the user) or is stored in a field. Each record level
+/// costs the JSON reader two arrays or objects (`{"Record":{…}}`) and
+/// the innermost scalar one more, so a value this deep inside
+/// [`VALUE_ENVELOPE_DEPTH`] levels of envelope still reads back under
+/// `serde::json::MAX_DEPTH`. A deeper value would leave a log record or
+/// checkpoint that no restart could read.
+pub const MAX_VALUE_DEPTH: usize = (serde::json::MAX_DEPTH - VALUE_ENVELOPE_DEPTH - 1) / 2;
 
 /// A dynamically typed value.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -82,13 +95,21 @@ impl Value {
         }
     }
 
-    /// Record nesting depth: 0 for a scalar, one more than the deepest
-    /// member for a record.
-    pub fn depth(&self) -> usize {
-        match self {
-            Value::Record(m) => 1 + m.values().map(Value::depth).max().unwrap_or(0),
-            _ => 0,
+    /// `Err(MaskError::TooDeep)` if this value nests records deeper
+    /// than [`MAX_VALUE_DEPTH`]. Stops descending at the limit.
+    pub fn check_depth(&self) -> Result<(), MaskError> {
+        fn deeper_than(v: &Value, levels: usize) -> bool {
+            match v {
+                Value::Record(m) => levels == 0 || m.values().any(|f| deeper_than(f, levels - 1)),
+                _ => false,
+            }
         }
+        if deeper_than(self, MAX_VALUE_DEPTH) {
+            return Err(MaskError::TooDeep {
+                max: MAX_VALUE_DEPTH,
+            });
+        }
+        Ok(())
     }
 
     /// Human-readable type name for error messages.

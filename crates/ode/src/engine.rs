@@ -794,13 +794,16 @@ impl Database {
 
     /// Create an object of `class_name`, overriding field defaults,
     /// auto-activating the class's constructor triggers, and posting
-    /// `after create`.
+    /// `after create`. An override nested deeper than
+    /// [`ode_core::MAX_VALUE_DEPTH`] records is refused
+    /// ([`ode_core::MaskError::TooDeep`]) before anything happens.
     pub fn create_object(
         &mut self,
         txn: TxnId,
         class_name: &str,
         overrides: &[(&str, Value)],
     ) -> Result<ObjectId, OdeError> {
+        check_depth(overrides.iter().map(|(_, v)| v))?;
         let result = self.user_entry(txn, |db| db.create_object_inner(txn, class_name, overrides));
         let obj = result.as_ref().map(|id| id.0).unwrap_or(0);
         self.log_op(|| LogOp::Create {
@@ -937,6 +940,8 @@ impl Database {
 
     /// Invoke a public member function: the paper's object access path,
     /// posting the full before/after event envelope and firing triggers.
+    /// Arguments nested too deep are refused as in
+    /// [`Database::create_object`].
     pub fn call(
         &mut self,
         txn: TxnId,
@@ -944,6 +949,7 @@ impl Database {
         method: &str,
         args: &[Value],
     ) -> Result<Value, OdeError> {
+        check_depth(args)?;
         self.log_op(|| LogOp::Call {
             txn: txn.0,
             obj: obj.0,
@@ -1059,7 +1065,8 @@ impl Database {
     /// Activate a trigger "by invoking its name, along with parameter
     /// values, just as an ordinary member function is invoked"
     /// (Section 2). Resets the monitor to the automaton start state and
-    /// feeds the distinguished `start` point.
+    /// feeds the distinguished `start` point. Parameters nested too deep
+    /// are refused as in [`Database::create_object`].
     pub fn activate_trigger(
         &mut self,
         txn: TxnId,
@@ -1067,6 +1074,7 @@ impl Database {
         name: &str,
         params: &[Value],
     ) -> Result<(), OdeError> {
+        check_depth(params)?;
         self.log_op(|| LogOp::Activate {
             txn: txn.0,
             obj: obj.0,
@@ -1172,6 +1180,7 @@ impl Database {
         params: &[Value],
         events: &[(u64, BasicEvent, Vec<Value>)],
     ) -> Result<crate::histstore::RetroReplay, OdeError> {
+        check_depth(params)?;
         let (replay, class_name) = {
             let o = self.live_object(obj)?;
             let class = Arc::clone(self.class(o.class));
@@ -1799,6 +1808,16 @@ impl Database {
     pub fn stats(&self) -> Stats {
         self.stats
     }
+}
+
+/// Refuse values that enter the engine nested deeper than
+/// [`ode_core::MAX_VALUE_DEPTH`] records, before anything is logged: a
+/// log record or checkpoint holding one could not be read back.
+fn check_depth<'v>(values: impl IntoIterator<Item = &'v Value>) -> Result<(), OdeError> {
+    values
+        .into_iter()
+        .try_for_each(Value::check_depth)
+        .map_err(OdeError::Mask)
 }
 
 /// Merge a subclass definition over its (already flattened) parent.

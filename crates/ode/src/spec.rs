@@ -20,14 +20,15 @@
 //! (functional update), `ifelse(cond, a, b)`, and `type(v)` (the value's
 //! type name: `"string"`, `"int"`, …). A `Set` refuses a value nested
 //! deeper than [`ode_core::MAX_VALUE_DEPTH`] records with
-//! [`MaskError::TooDeep`], so every field stays checkpointable.
+//! [`ode_core::MaskError::TooDeep`], and [`compile_class`] refuses such a field
+//! default, so every field stays checkpointable.
 //! Mask-function bodies additionally see `user()`, the calling
 //! transaction's user value.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ode_core::{parse_mask, MaskEnv, MaskError, MaskExpr, Value, MAX_VALUE_DEPTH};
+use ode_core::{parse_mask, MaskEnv, MaskExpr, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::class::{Action, ActionCtx, ClassDef, MaskFnCtx, MethodCtx, MethodKind};
@@ -147,9 +148,9 @@ pub enum ActionSpec {
         method: String,
     },
     /// Call a member function with the completing event's arguments at
-    /// `positions`, in that order (`null` for a position the event does
-    /// not have) — the paper's T2 `order(i)` after `withdraw(i, q)` is
-    /// `positions: [0]`.
+    /// `positions`, in that order — the paper's T2 `order(i)` after
+    /// `withdraw(i, q)` is `positions: [0]`. A position the event does
+    /// not have fails the action with an [`OdeError::Method`] error.
     CallWithEventArgsAt {
         /// Method to call.
         method: String,
@@ -290,11 +291,7 @@ fn run_ops(
                     let env = MethodOpEnv { names, ctx };
                     expr.eval(&env).map_err(OdeError::Mask)?
                 };
-                if v.depth() > MAX_VALUE_DEPTH {
-                    return Err(OdeError::Mask(MaskError::TooDeep {
-                        max: MAX_VALUE_DEPTH,
-                    }));
-                }
+                v.check_depth().map_err(OdeError::Mask)?;
                 ctx.set(field.clone(), v);
             }
             CompiledOp::Emit { text } => {
@@ -329,10 +326,16 @@ fn run_action(spec: &ActionSpec, ctx: &mut ActionCtx<'_>) -> Result<(), OdeError
         }
         ActionSpec::CallWithEventArgsAt { method, positions } => {
             let event_args = ctx.event_args();
-            let args: Vec<Value> = positions
+            let args = positions
                 .iter()
-                .map(|&i| event_args.get(i).cloned().unwrap_or(Value::Null))
-                .collect();
+                .map(|&i| {
+                    event_args.get(i).cloned().ok_or_else(|| {
+                        OdeError::Method(format!(
+                            "{method}: the event has no argument at position {i}"
+                        ))
+                    })
+                })
+                .collect::<Result<Vec<_>, _>>()?;
             ctx.call(method, &args).map(|_| ())
         }
         ActionSpec::Reactivate => {
@@ -365,6 +368,7 @@ fn compile_action(spec: &ActionSpec) -> Action {
 pub fn compile_class(spec: &ClassSpec) -> Result<ClassDef, OdeError> {
     let mut b = ClassDef::builder(&spec.name);
     for f in &spec.fields {
+        f.default.check_depth().map_err(OdeError::Mask)?;
         b = b.field(&f.name, f.default.clone());
     }
     for m in &spec.methods {
@@ -477,6 +481,7 @@ pub fn stockroom_spec() -> ClassSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ode_core::{MaskError, MAX_VALUE_DEPTH};
 
     #[test]
     fn spec_round_trips_through_json() {
@@ -586,6 +591,118 @@ mod tests {
         assert!(compile_class(&spec).is_err());
     }
 
+    /// A method `name(i, q)` whose body is `body`.
+    fn two_param_method(name: &str, body: Vec<MethodOp>) -> MethodSpec {
+        MethodSpec {
+            name: name.into(),
+            update: true,
+            params: vec!["i".into(), "q".into()],
+            body,
+        }
+    }
+
+    /// A `Require` message substitutes `{param}` with the argument's
+    /// value, as `Emit` does; text without a placeholder, or with one
+    /// naming no parameter, stays as written.
+    #[test]
+    fn require_messages_substitute_parameters() {
+        let require = |name: &str, message: &str| {
+            two_param_method(
+                name,
+                vec![MethodOp::Require {
+                    expr: "q > 0".into(),
+                    message: message.into(),
+                }],
+            )
+        };
+        let spec = ClassSpec {
+            name: "checked".into(),
+            fields: vec![],
+            methods: vec![
+                require("both", "{q} of {i}: not positive"),
+                require("plain", "quantity must be positive"),
+                require("stranger", "{x} stays, {q} goes"),
+            ],
+            masks: vec![],
+            triggers: vec![],
+            activate_on_create: vec![],
+        };
+        let mut db = Database::new();
+        db.define_class(compile_class(&spec).unwrap()).unwrap();
+        let txn = db.begin();
+        let obj = db.create_object(txn, "checked", &[]).unwrap();
+        let args = [Value::Str("bolt".into()), Value::Int(-1)];
+        for (method, message) in [
+            ("both", r#"-1 of "bolt": not positive"#),
+            ("plain", "quantity must be positive"),
+            ("stranger", "{x} stays, -1 goes"),
+        ] {
+            match db.call(txn, obj, method, &args) {
+                Err(OdeError::Method(m)) => assert_eq!(m, message, "{method}"),
+                other => panic!("{method}: expected a Method error, got {other:?}"),
+            }
+        }
+        db.call(
+            txn,
+            obj,
+            "both",
+            &[Value::Str("bolt".into()), Value::Int(1)],
+        )
+        .expect("a passing Require");
+    }
+
+    /// `CallWithEventArgsAt` calls with the completing event's arguments
+    /// at the chosen positions; a position the event does not have fails
+    /// the call that posted it.
+    #[test]
+    fn call_with_event_args_at_picks_positions() {
+        let class = |name: &str, positions: Vec<usize>| ClassSpec {
+            name: name.into(),
+            fields: vec![],
+            methods: vec![
+                two_param_method("note", vec![]),
+                MethodSpec {
+                    name: "order".into(),
+                    update: true,
+                    params: vec!["x".into()],
+                    body: vec![MethodOp::Emit {
+                        text: "order({x})".into(),
+                    }],
+                },
+            ],
+            masks: vec![],
+            triggers: vec![TriggerSpec {
+                name: "pick".into(),
+                perpetual: true,
+                event: "after note".into(),
+                action: ActionSpec::CallWithEventArgsAt {
+                    method: "order".into(),
+                    positions,
+                },
+                capture: false,
+                full_history: false,
+            }],
+            activate_on_create: vec!["pick".into()],
+        };
+        let mut db = Database::new();
+        db.define_class(compile_class(&class("second", vec![1])).unwrap())
+            .unwrap();
+        db.define_class(compile_class(&class("third", vec![2])).unwrap())
+            .unwrap();
+        let txn = db.begin();
+        let second = db.create_object(txn, "second", &[]).unwrap();
+        let third = db.create_object(txn, "third", &[]).unwrap();
+        let args = [Value::Str("bolt".into()), Value::Int(7)];
+        db.call(txn, second, "note", &args).unwrap();
+        assert_eq!(db.take_output(), vec!["order(7)".to_string()]);
+        match db.call(txn, third, "note", &args) {
+            Err(OdeError::Method(m)) => {
+                assert_eq!(m, "order: the event has no argument at position 2")
+            }
+            other => panic!("expected a Method error, got {other:?}"),
+        }
+    }
+
     /// A `Set` stores values nested up to `MAX_VALUE_DEPTH` records, and
     /// a checkpoint holding the deepest one reads back; one level more
     /// is `TooDeep` and leaves the field as it was.
@@ -625,7 +742,10 @@ mod tests {
         );
         db.commit(txn).unwrap();
         let deepest = db.peek_field(obj, "f").unwrap();
-        assert_eq!(deepest.depth(), MAX_VALUE_DEPTH);
+        assert!(deepest.check_depth().is_ok());
+        assert!(Value::record([("k", deepest.clone())])
+            .check_depth()
+            .is_err());
         let json = db.snapshot().unwrap().to_json().unwrap();
         let back = crate::persist::Snapshot::from_json(&json).expect("the checkpoint reads back");
         let mut restored = Database::new();
@@ -633,6 +753,13 @@ mod tests {
             .define_class(compile_class(&spec).unwrap())
             .unwrap();
         restored.restore(&back).unwrap();
-        assert_eq!(restored.peek_field(obj, "f"), Some(deepest));
+        assert_eq!(restored.peek_field(obj, "f"), Some(deepest.clone()));
+        // A field default is held to the same limit.
+        let mut deep_default = spec;
+        deep_default.fields[0].default = Value::record([("k", deepest)]);
+        assert!(matches!(
+            compile_class(&deep_default),
+            Err(OdeError::Mask(MaskError::TooDeep { .. }))
+        ));
     }
 }

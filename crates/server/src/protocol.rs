@@ -14,7 +14,7 @@
 //! (`"Ping"`), a payload variant is a one-key object
 //! (`{"Begin":{"user":"alice"}}`).
 
-use ode_core::Value;
+use ode_core::{MaskError, Value};
 use ode_db::OdeError;
 use serde::{Deserialize, Serialize};
 
@@ -41,7 +41,9 @@ pub enum Command {
     /// grammar).
     DefineClass(ClassSpec),
     /// Begin a transaction as `user`; the session may hold at most one
-    /// open transaction.
+    /// open transaction. A `user` nested deeper than
+    /// [`ode_core::MAX_VALUE_DEPTH`] records is refused (`bad_value`),
+    /// as are such arguments of `New`, `Call` and `Activate`.
     Begin {
         /// The transaction's user value (readable through `user()`).
         user: Value,
@@ -460,6 +462,7 @@ impl WireError {
             OdeError::WrongArgCount { .. } => ("bad_args", false),
             OdeError::UnknownTxn(_) => ("unknown_txn", false),
             OdeError::Event(_) | OdeError::ImpossibleEvent { .. } => ("bad_event", false),
+            OdeError::Mask(MaskError::TooDeep { .. }) => ("bad_value", false),
             OdeError::Mask(_) => ("bad_mask", false),
             OdeError::Method(_) => ("engine", false),
         };

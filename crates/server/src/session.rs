@@ -406,6 +406,8 @@ fn execute(
                     "session already has an open transaction",
                 ));
             }
+            user.check_depth()
+                .map_err(|e| WireError::from_ode(&OdeError::Mask(e)))?;
             let t = inner.db.begin(user);
             sess.open_txn = Some(t);
             Ok(Reply::Begun { txn: t.0 })

@@ -10,15 +10,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use ode_core::Value;
+use ode_core::{Value, MAX_VALUE_DEPTH, VALUE_ENVELOPE_DEPTH};
 use ode_db::{
-    recover_sharded, shard_dir, shard_of, Database, FaultyIo, FsyncPolicy, ObjectId,
-    ShardedDatabase, SharedDatabase, SharedIo, StdIo, WalConfig,
+    recover_sharded, shard_dir, shard_of, Database, FaultyIo, FsyncPolicy, LogOp, ObjectId,
+    ShardedDatabase, SharedDatabase, SharedIo, Snapshot, StdIo, WalConfig,
 };
-use ode_server::protocol::Command;
+use ode_server::protocol::{CapturedEvent, Command, Firing, Reply, Request, WireRow};
 use ode_server::spec::{define_specs, stockroom_spec};
 use ode_server::{
-    ClassSpec, Client, ClientError, FieldSpec, MethodOp, MethodSpec, ReplyResult, Server, ServerMsg,
+    ActionSpec, ClassSpec, Client, ClientError, FieldSpec, MethodOp, MethodSpec, ReplyResult,
+    Server, ServerMsg, TriggerSpec,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -561,4 +562,291 @@ fn a_non_finite_float_never_reaches_the_log() {
         other => panic!("expected bad_mask, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `depth` records nested around an `Int`.
+fn nested(depth: usize) -> Value {
+    (0..depth).fold(Value::Int(1), |v, _| Value::record([("k", v)]))
+}
+
+/// A class whose trigger `seen` captures the arguments of `note(x)`,
+/// so a checkpoint holds them inside its deepest envelope.
+fn capture_spec() -> ClassSpec {
+    ClassSpec {
+        name: "box".into(),
+        fields: vec![FieldSpec {
+            name: "f".into(),
+            default: Value::Int(0),
+        }],
+        methods: vec![MethodSpec {
+            name: "note".into(),
+            update: true,
+            params: vec!["x".into()],
+            body: vec![],
+        }],
+        masks: vec![],
+        triggers: vec![TriggerSpec {
+            name: "seen".into(),
+            perpetual: true,
+            event: "after note".into(),
+            action: ActionSpec::Emit("seen".into()),
+            capture: true,
+            full_history: false,
+        }],
+        activate_on_create: vec!["seen".into()],
+    }
+}
+
+fn expect_bad_value<T: std::fmt::Debug>(r: Result<T, ClientError>) {
+    match r {
+        Err(ClientError::Server(e)) => assert_eq!(e.code, "bad_value", "{e:?}"),
+        other => panic!("expected bad_value, got {other:?}"),
+    }
+}
+
+/// A request line may nest a value deeper than a checkpoint can hold
+/// it (4 levels of request envelope against 8 around captured
+/// arguments). Every value entering the engine is therefore refused past
+/// `MAX_VALUE_DEPTH` records, so the checkpoint taken after a capture
+/// trigger saw the deepest accepted argument still recovers.
+#[test]
+fn arguments_too_deep_for_a_checkpoint_are_refused() {
+    let dir = tmp_dir("deep-args");
+    let deep = nested(60);
+    let obj = {
+        let mut server = start_server(&dir);
+        let mut c = Client::connect_tcp(server.tcp_addr().unwrap()).expect("connect");
+        c.define_class(capture_spec()).expect("define");
+        expect_bad_value(c.begin(deep.clone()));
+        c.begin("alice").expect("begin");
+        expect_bad_value(c.new_object("box", &[("f", deep.clone())]));
+        let obj = c.new_object("box", &[]).expect("box");
+        c.call(obj, "note", &[nested(MAX_VALUE_DEPTH)])
+            .expect("the deepest accepted argument");
+        expect_bad_value(c.call(obj, "note", std::slice::from_ref(&deep)));
+        expect_bad_value(c.request(Command::Activate {
+            object: obj,
+            trigger: "seen".into(),
+            params: vec![deep.clone()],
+            replay_history: false,
+        }));
+        c.commit().expect("the refusals left the transaction open");
+        c.request(Command::Checkpoint).expect("checkpoint");
+        server.shutdown();
+        obj
+    };
+
+    let mut server = start_server(&dir);
+    let mut c = Client::connect_tcp(server.tcp_addr().unwrap()).expect("reconnect");
+    c.txn("alice", |c| c.call(obj, "note", &[Value::Int(2)]))
+        .expect("the recovered object takes calls");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// How deeply `json` nests arrays and objects.
+fn nesting(json: &str) -> usize {
+    let (mut depth, mut max, mut in_str, mut escaped) = (0usize, 0, false, false);
+    for ch in json.chars() {
+        match (in_str, ch) {
+            (true, _) if escaped => escaped = false,
+            (true, '\\') => escaped = true,
+            (true, '"') | (false, '"') => in_str = !in_str,
+            (false, '[' | '{') => {
+                depth += 1;
+                max = max.max(depth);
+            }
+            (false, ']' | '}') => depth -= 1,
+            _ => {}
+        }
+    }
+    max
+}
+
+/// Every format that carries a [`Value`] — request lines, replies,
+/// firings, query rows, replication messages, log records, checkpoints —
+/// reads back a value at `MAX_VALUE_DEPTH` records, which is what
+/// `VALUE_ENVELOPE_DEPTH` promises. A format that wraps values deeper
+/// than that fails here before it can write something no restart reads.
+#[test]
+fn every_format_rereads_a_value_at_the_depth_limit() {
+    let v = nested(MAX_VALUE_DEPTH);
+    let mut spec = capture_spec();
+    spec.fields[0].default = v.clone();
+
+    // A real checkpoint: a field and a capture trigger's arguments.
+    let mut db = Database::new();
+    define_specs(&mut db, &[capture_spec()]).unwrap();
+    let t = db.begin();
+    let obj = db.create_object(t, "box", &[("f", v.clone())]).unwrap();
+    db.call(t, obj, "note", std::slice::from_ref(&v)).unwrap();
+    db.commit(t).unwrap();
+    let checkpoint = db.snapshot().unwrap().to_json().unwrap();
+
+    let request = |cmd| serde_json::to_string(&Request { id: 1, cmd }).unwrap();
+    let reply = |msg: ServerMsg| serde_json::to_string(&msg).unwrap();
+    let log = |op: LogOp| op.to_json_line().unwrap();
+    let firing = Firing {
+        shard: 0,
+        seq: 1,
+        txn: 1,
+        object: 1,
+        class: "box".into(),
+        trigger: "seen".into(),
+        event: "after note".into(),
+        args: vec![v.clone()],
+        captured: vec![CapturedEvent {
+            event: "after note".into(),
+            args: vec![v.clone()],
+        }],
+        retro: false,
+    };
+    let row = WireRow {
+        seq: 1,
+        shard: 0,
+        time: 0,
+        txn: 1,
+        object: 1,
+        class: "box".into(),
+        event: "after note".into(),
+        args: vec![v.clone()],
+    };
+    type Reread = fn(&str) -> bool;
+    let as_request: Reread = |j| serde_json::from_str::<Request>(j).is_ok();
+    let as_msg: Reread = |j| serde_json::from_str::<ServerMsg>(j).is_ok();
+    let as_op: Reread = |j| LogOp::from_json_line(j).is_ok();
+    let cases: Vec<(&str, String, Reread)> = vec![
+        (
+            "Begin",
+            request(Command::Begin { user: v.clone() }),
+            as_request,
+        ),
+        (
+            "New",
+            request(Command::New {
+                class: "box".into(),
+                overrides: vec![("f".into(), v.clone())],
+            }),
+            as_request,
+        ),
+        (
+            "Call",
+            request(Command::Call {
+                object: 1,
+                method: "note".into(),
+                args: vec![v.clone()],
+            }),
+            as_request,
+        ),
+        (
+            "Activate",
+            request(Command::Activate {
+                object: 1,
+                trigger: "seen".into(),
+                params: vec![v.clone()],
+                replay_history: false,
+            }),
+            as_request,
+        ),
+        (
+            "DefineClass",
+            request(Command::DefineClass(spec.clone())),
+            as_request,
+        ),
+        (
+            "Reply",
+            reply(ServerMsg::Reply {
+                id: 1,
+                result: ReplyResult::Ok(Reply::Value(v.clone())),
+            }),
+            as_msg,
+        ),
+        ("Firing", reply(ServerMsg::Firing(firing)), as_msg),
+        (
+            "Rows",
+            reply(ServerMsg::Rows {
+                id: 1,
+                rows: vec![row],
+            }),
+            as_msg,
+        ),
+        (
+            "ReplSchema",
+            reply(ServerMsg::ReplSchema(spec.clone())),
+            as_msg,
+        ),
+        (
+            "ReplSnapshot",
+            reply(ServerMsg::ReplSnapshot {
+                shard: 0,
+                lsn: 0,
+                schema: vec![spec.clone()],
+                snapshot: None,
+                epoch: 0,
+                fence_lsn: None,
+            }),
+            as_msg,
+        ),
+        (
+            "LogOp::Begin",
+            log(LogOp::Begin {
+                txn: 1,
+                user: v.clone(),
+            }),
+            as_op,
+        ),
+        (
+            "LogOp::Create",
+            log(LogOp::Create {
+                txn: 1,
+                obj: 1,
+                class: "box".into(),
+                overrides: vec![("f".into(), v.clone())],
+            }),
+            as_op,
+        ),
+        (
+            "LogOp::Call",
+            log(LogOp::Call {
+                txn: 1,
+                obj: 1,
+                method: "note".into(),
+                args: vec![v.clone()],
+            }),
+            as_op,
+        ),
+        (
+            "LogOp::Activate",
+            log(LogOp::Activate {
+                txn: 1,
+                obj: 1,
+                trigger: "seen".into(),
+                params: vec![v.clone()],
+            }),
+            as_op,
+        ),
+        ("schema log", serde_json::to_string(&spec).unwrap(), |j| {
+            serde_json::from_str::<ClassSpec>(j).is_ok()
+        }),
+        (
+            "history row",
+            serde_json::to_string(&vec![v.clone()]).unwrap(),
+            |j| serde_json::from_str::<Vec<Value>>(j).is_ok(),
+        ),
+        ("checkpoint", checkpoint, |j| Snapshot::from_json(j).is_ok()),
+    ];
+    let value_levels = 2 * MAX_VALUE_DEPTH + 1;
+    assert_eq!(nesting(&serde_json::to_string(&v).unwrap()), value_levels);
+    let mut deepest = 0;
+    for (name, json, reread) in &cases {
+        let envelope = nesting(json) - value_levels;
+        deepest = deepest.max(envelope);
+        assert!(
+            envelope <= VALUE_ENVELOPE_DEPTH,
+            "{name}: envelope {envelope}"
+        );
+        assert!(reread(json), "{name} does not read back at the limit");
+    }
+    // The captured arguments are the deepest envelope in use.
+    assert_eq!(deepest, 8);
 }
