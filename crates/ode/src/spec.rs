@@ -198,36 +198,17 @@ fn builtin(name: &str, args: &[Value]) -> Option<Value> {
     }
 }
 
-/// Mask-grammar environment for method bodies: params positionally,
-/// fields by name, record builtins.
-struct MethodOpEnv<'a, 'b> {
-    names: &'a [String],
-    ctx: &'a MethodCtx<'b>,
-}
-
-impl MaskEnv for MethodOpEnv<'_, '_> {
-    fn param(&self, name: &str) -> Option<Value> {
-        let i = self.names.iter().position(|n| n == name)?;
-        self.ctx.args().get(i).cloned()
-    }
-    fn field(&self, name: &str) -> Option<Value> {
-        self.ctx.get(name).cloned()
-    }
-    fn call(&self, name: &str, args: &[Value]) -> Option<Value> {
-        builtin(name, args)
-    }
-}
-
-/// Mask-grammar environment for mask-function bodies: params
-/// positionally, fields by name, `user()` plus record builtins.
-struct MaskSpecEnv<'a> {
+/// Mask-grammar environment for method and mask-function bodies:
+/// params positionally, fields by name, the record builtins, and in
+/// mask-function bodies `user()`.
+struct SpecEnv<'a> {
     names: &'a [String],
     args: &'a [Value],
     fields: &'a BTreeMap<String, Value>,
-    user: &'a Value,
+    user: Option<&'a Value>,
 }
 
-impl MaskEnv for MaskSpecEnv<'_> {
+impl MaskEnv for SpecEnv<'_> {
     fn param(&self, name: &str) -> Option<Value> {
         let i = self.names.iter().position(|n| n == name)?;
         self.args.get(i).cloned()
@@ -236,10 +217,20 @@ impl MaskEnv for MaskSpecEnv<'_> {
         self.fields.get(name).cloned()
     }
     fn call(&self, name: &str, args: &[Value]) -> Option<Value> {
-        if name == "user" && args.is_empty() {
-            return Some(self.user.clone());
+        match self.user {
+            Some(user) if name == "user" && args.is_empty() => Some(user.clone()),
+            _ => builtin(name, args),
         }
-        builtin(name, args)
+    }
+}
+
+/// The environment a method body's expressions evaluate in.
+fn method_env<'a>(names: &'a [String], ctx: &'a MethodCtx<'_>) -> SpecEnv<'a> {
+    SpecEnv {
+        names,
+        args: ctx.args,
+        fields: ctx.fields,
+        user: None,
     }
 }
 
@@ -287,10 +278,7 @@ fn run_ops(
     for op in ops {
         match op {
             CompiledOp::Set { field, expr } => {
-                let v = {
-                    let env = MethodOpEnv { names, ctx };
-                    expr.eval(&env).map_err(OdeError::Mask)?
-                };
+                let v = expr.eval(&method_env(names, ctx)).map_err(OdeError::Mask)?;
                 v.check_depth().map_err(OdeError::Mask)?;
                 ctx.set(field.clone(), v);
             }
@@ -299,10 +287,9 @@ fn run_ops(
                 ctx.emit(line);
             }
             CompiledOp::Require { expr, message } => {
-                let ok = {
-                    let env = MethodOpEnv { names, ctx };
-                    expr.eval_bool(&env).map_err(OdeError::Mask)?
-                };
+                let ok = expr
+                    .eval_bool(&method_env(names, ctx))
+                    .map_err(OdeError::Mask)?;
                 if !ok {
                     return Err(OdeError::Method(substitute(message, names, ctx)));
                 }
@@ -388,11 +375,11 @@ pub fn compile_class(spec: &ClassSpec) -> Result<ClassDef, OdeError> {
         let expr = parse_mask(&mf.expr).map_err(OdeError::Event)?;
         let names = mf.params.clone();
         b = b.mask_fn(&mf.name, move |ctx: &MaskFnCtx<'_>, args: &[Value]| {
-            let env = MaskSpecEnv {
+            let env = SpecEnv {
                 names: &names,
                 args,
                 fields: ctx.fields,
-                user: ctx.user,
+                user: Some(ctx.user),
             };
             expr.eval(&env).ok()
         });
