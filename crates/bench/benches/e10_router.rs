@@ -111,9 +111,9 @@ fn masked_class(total: usize, distinct: usize, evals: Arc<AtomicU64>) -> ClassDe
     let mut b = ClassDef::builder("c").update_method("hot", &["i", "q"]);
     for m in 0..distinct {
         let evals = Arc::clone(&evals);
-        b = b.mask_fn(format!("probe{m}"), move |_, _| {
+        b = b.mask_fn(format!("probe{m}"), move |_| {
             evals.fetch_add(1, Ordering::Relaxed);
-            Some(Value::Bool(true))
+            Ok(Value::Bool(true))
         });
     }
     let mut names = Vec::new();

@@ -366,6 +366,9 @@ impl MaskEnv for BoundEnv<'_> {
     fn call(&self, name: &str, args: &[Value]) -> Option<Value> {
         self.inner.call(name, args)
     }
+    fn try_call(&self, name: &str, args: &[Value]) -> Result<Value, MaskError> {
+        self.inner.try_call(name, args)
+    }
 }
 
 #[cfg(test)]

@@ -76,7 +76,7 @@ pub use error::{EventError, MaskError};
 pub use event::{BasicEvent, EventKind, Qualifier, TimeEvent, TimeSpec};
 pub use expr::{EventExpr, LogicalEvent};
 pub use lower::SymExpr;
-pub use mask::{BinOp, EmptyEnv, MaskEnv, MaskExpr, UnOp};
+pub use mask::{BinOp, Bindings, EmptyEnv, Func, MaskEnv, MaskExpr, Resolved, UnOp};
 pub use parser::{parse_event, parse_mask};
 pub use router::{ClassRouter, EventCode, EventInterner, MaskMemo, Route};
 pub use simplify::simplify;

@@ -16,7 +16,14 @@
 //! Masks applied to *composite* events take no parameters and see only
 //! the current database state (Section 3.3); the same AST is used, and
 //! the compiler enforces the no-parameters rule.
+//!
+//! [`MaskExpr::eval`] resolves every name through a [`MaskEnv`] at each
+//! step. A class's method and mask-function bodies are instead bound
+//! once, by [`MaskExpr::resolve`], and the [`Resolved`] tree is walked by
+//! reference; both share one set of operator rules.
 
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -144,6 +151,14 @@ pub trait MaskEnv {
     fn field(&self, name: &str) -> Option<Value>;
     /// Invoke a registered (side-effect-free) function.
     fn call(&self, name: &str, args: &[Value]) -> Option<Value>;
+    /// Invoke a registered function, saying why it failed. The default
+    /// answers [`MaskError::UnknownFunction`] whenever [`MaskEnv::call`]
+    /// answers `None`; an environment whose functions fail in other ways
+    /// overrides it, and [`MaskExpr::eval`] calls only this.
+    fn try_call(&self, name: &str, args: &[Value]) -> Result<Value, MaskError> {
+        self.call(name, args)
+            .ok_or_else(|| MaskError::UnknownFunction(name.into()))
+    }
 }
 
 /// An empty environment: no parameters, fields, or functions.
@@ -244,66 +259,217 @@ impl MaskExpr {
                 .param(n)
                 .or_else(|| env.field(n))
                 .ok_or_else(|| MaskError::UnknownField(n.clone())),
-            MaskExpr::Member(e, m) => {
-                let v = e.eval(env)?;
-                v.member(m).cloned().ok_or_else(|| MaskError::NotARecord {
-                    member: m.clone(),
-                    got: v.type_name(),
-                })
-            }
+            MaskExpr::Member(e, m) => member(Cow::Owned(e.eval(env)?), m).map(Cow::into_owned),
             MaskExpr::Call(f, args) => {
                 let vals: Vec<Value> =
                     args.iter().map(|a| a.eval(env)).collect::<Result<_, _>>()?;
-                env.call(f, &vals)
-                    .ok_or_else(|| MaskError::UnknownFunction(f.clone()))
+                env.try_call(f, &vals)
             }
-            MaskExpr::Unary(op, e) => {
-                let v = e.eval(env)?;
-                match op {
-                    UnOp::Not => v
-                        .as_bool()
-                        .map(|b| Value::Bool(!b))
-                        .ok_or(MaskError::NotBoolean { got: v.type_name() }),
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(MaskError::TypeMismatch {
-                            op: "-".into(),
-                            types: other.type_name().into(),
-                        }),
-                    },
-                }
+            MaskExpr::Unary(op, e) => eval_unary(*op, &e.eval(env)?),
+            MaskExpr::Binary(op @ (BinOp::And | BinOp::Or), a, b) => {
+                let la = truth(&a.eval(env)?)?;
+                let short = la == (*op == BinOp::Or);
+                Ok(Value::Bool(if short { la } else { truth(&b.eval(env)?)? }))
             }
-            MaskExpr::Binary(op, a, b) => {
-                // Short-circuit logical operators.
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    let la = a.eval(env)?;
-                    let la = la.as_bool().ok_or(MaskError::NotBoolean {
-                        got: la.type_name(),
-                    })?;
-                    return match (op, la) {
-                        (BinOp::And, false) => Ok(Value::Bool(false)),
-                        (BinOp::Or, true) => Ok(Value::Bool(true)),
-                        _ => {
-                            let lb = b.eval(env)?;
-                            lb.as_bool().map(Value::Bool).ok_or(MaskError::NotBoolean {
-                                got: lb.type_name(),
-                            })
-                        }
-                    };
-                }
-                let va = a.eval(env)?;
-                let vb = b.eval(env)?;
-                eval_binary(*op, &va, &vb)
-            }
+            MaskExpr::Binary(op, a, b) => eval_binary(*op, &a.eval(env)?, &b.eval(env)?),
         }
     }
 
     /// Evaluate as a boolean (the only legal top-level mask type).
     pub fn eval_bool(&self, env: &dyn MaskEnv) -> Result<bool, MaskError> {
-        let v = self.eval(env)?;
-        v.as_bool()
-            .ok_or(MaskError::NotBoolean { got: v.type_name() })
+        truth(&self.eval(env)?)
+    }
+
+    /// Bind this expression's names once, for a body declared with
+    /// `params`: a parameter becomes its position (parameters shadow
+    /// fields), any other name an object field looked up by name when
+    /// evaluated. The builtins `get`, `put`, `ifelse` and `type`, and
+    /// `user()` when `user` is set, are bound here; any other function
+    /// fails with [`MaskError::UnknownFunction`] when it is called.
+    pub fn resolve(&self, params: &[String], user: bool) -> Resolved {
+        let sub = |e: &MaskExpr| Box::new(e.resolve(params, user));
+        match self {
+            MaskExpr::Bool(_) | MaskExpr::Int(_) | MaskExpr::Float(_) | MaskExpr::Str(_) => {
+                Resolved::Lit(
+                    self.eval(&EmptyEnv)
+                        .expect("a literal needs no environment"),
+                )
+            }
+            MaskExpr::Name(n) => Resolved::Name(params.iter().position(|p| p == n), n.clone()),
+            MaskExpr::Member(e, m) => Resolved::Member(sub(e), m.clone()),
+            MaskExpr::Call(f, args) => {
+                let func = match f.as_str() {
+                    "get" => Func::Get,
+                    "put" => Func::Put,
+                    "ifelse" => Func::IfElse,
+                    "type" => Func::Type,
+                    "user" if user && args.is_empty() => Func::User,
+                    _ => Func::Unknown,
+                };
+                let args = args.iter().map(|a| a.resolve(params, user)).collect();
+                Resolved::Call(func, f.clone(), args)
+            }
+            MaskExpr::Unary(op, e) => Resolved::Unary(*op, sub(e)),
+            MaskExpr::Binary(op, a, b) => Resolved::Binary(*op, sub(a), sub(b)),
+        }
+    }
+}
+
+/// A mask expression whose names were bound once, by
+/// [`MaskExpr::resolve`]. Evaluation borrows parameters, fields and
+/// literals; only values the expression computes are allocated.
+#[derive(Clone, Debug)]
+pub enum Resolved {
+    /// A literal, built once.
+    Lit(Value),
+    /// A name and, if it is a declared parameter, its position. Any
+    /// other name, or a parameter the call passed no argument for (as
+    /// in [`MaskExpr::eval`]), reads the field of that name.
+    Name(Option<usize>, String),
+    /// Member access.
+    Member(Box<Resolved>, String),
+    /// A call: the function bound at define time, its name as written,
+    /// and its arguments.
+    Call(Func, String, Vec<Resolved>),
+    /// Unary operation.
+    Unary(UnOp, Box<Resolved>),
+    /// Binary operation.
+    Binary(BinOp, Box<Resolved>, Box<Resolved>),
+}
+
+/// A function of a [`Resolved`] expression.
+#[derive(Clone, Copy, Debug)]
+pub enum Func {
+    /// `get(rec, key)`; `get(rec, key, default)` answers `default` for
+    /// a missing key.
+    Get,
+    /// `put(rec, key, val)`: `rec` with `key` set to `val`.
+    Put,
+    /// `ifelse(cond, a, b)`.
+    IfElse,
+    /// `type(v)`: the value's type name (`"string"`, `"int"`, …).
+    Type,
+    /// `user()`: the calling transaction's user value.
+    User,
+    /// Any other name: fails with [`MaskError::UnknownFunction`].
+    Unknown,
+}
+
+/// What a [`Resolved`] expression reads: the call's arguments, the
+/// object's fields, and the value `user()` answers.
+pub struct Bindings<'a> {
+    /// Arguments, by the declared parameters' positions.
+    pub args: &'a [Value],
+    /// The object's fields.
+    pub fields: &'a BTreeMap<String, Value>,
+    /// The calling transaction's user value.
+    pub user: &'a Value,
+}
+
+impl Resolved {
+    /// Evaluate against `b`, borrowing what the expression only reads.
+    pub fn eval<'a>(&'a self, b: &Bindings<'a>) -> Result<Cow<'a, Value>, MaskError> {
+        Ok(match self {
+            Resolved::Lit(v) => Cow::Borrowed(v),
+            Resolved::Name(i, n) => Cow::Borrowed(
+                i.and_then(|i| b.args.get(i))
+                    .or_else(|| b.fields.get(n))
+                    .ok_or_else(|| MaskError::UnknownField(n.clone()))?,
+            ),
+            Resolved::Member(e, m) => member(e.eval(b)?, m)?,
+            Resolved::Call(f, name, args) => {
+                // No builtin reads past its third argument, but every
+                // argument is evaluated, so its errors surface.
+                let mut vals = [None, None, None];
+                for (k, a) in args.iter().enumerate() {
+                    let v = Some(a.eval(b)?);
+                    if k < vals.len() {
+                        vals[k] = v;
+                    }
+                }
+                f.apply(name, vals, b.user)?
+            }
+            Resolved::Unary(op, e) => Cow::Owned(eval_unary(*op, &*e.eval(b)?)?),
+            Resolved::Binary(op @ (BinOp::And | BinOp::Or), x, y) => {
+                let lx = truth(&*x.eval(b)?)?;
+                let short = lx == (*op == BinOp::Or);
+                Cow::Owned(Value::Bool(if short { lx } else { truth(&*y.eval(b)?)? }))
+            }
+            Resolved::Binary(op, x, y) => Cow::Owned(eval_binary(*op, &*x.eval(b)?, &*y.eval(b)?)?),
+        })
+    }
+
+    /// Evaluate as a boolean.
+    pub fn eval_bool(&self, b: &Bindings<'_>) -> Result<bool, MaskError> {
+        truth(&*self.eval(b)?)
+    }
+}
+
+impl Func {
+    /// Apply to the first three arguments; arguments a builtin cannot
+    /// use are a [`MaskError::TypeMismatch`] naming it.
+    fn apply<'a>(
+        self,
+        name: &str,
+        [a, k, c]: [Option<Cow<'a, Value>>; 3],
+        user: &'a Value,
+    ) -> Result<Cow<'a, Value>, MaskError> {
+        let types = [&a, &k, &c].map(|v| v.as_deref().map_or("", Value::type_name));
+        let out = match self {
+            Func::User => Some(Cow::Borrowed(user)),
+            Func::Unknown => return Err(MaskError::UnknownFunction(name.into())),
+            Func::Get => match (a, k.as_deref()) {
+                (Some(rec), Some(Value::Str(key))) => member(rec, key).ok().or(c),
+                _ => None,
+            },
+            Func::Put => match (a.map(Cow::into_owned), k.as_deref(), c) {
+                (Some(Value::Record(mut m)), Some(Value::Str(key)), Some(v)) => {
+                    m.insert(key.clone(), v.into_owned());
+                    Some(Cow::Owned(Value::Record(m)))
+                }
+                _ => None,
+            },
+            Func::IfElse => match a.as_deref().and_then(Value::as_bool) {
+                Some(true) => k,
+                Some(false) => c,
+                None => None,
+            },
+            Func::Type => a.map(|v| Cow::Owned(Value::Str(v.type_name().into()))),
+        };
+        out.ok_or_else(|| MaskError::TypeMismatch {
+            op: name.into(),
+            types: format!("({})", types.join(", ").trim_end_matches(", ")),
+        })
+    }
+}
+
+/// Member `m` of `v`, borrowed when `v` is.
+fn member<'a>(v: Cow<'a, Value>, m: &str) -> Result<Cow<'a, Value>, MaskError> {
+    let found = match &v {
+        Cow::Borrowed(r) => r.member(m).map(Cow::Borrowed),
+        Cow::Owned(r) => r.member(m).cloned().map(Cow::Owned),
+    };
+    found.ok_or_else(|| MaskError::NotARecord {
+        member: m.to_string(),
+        got: v.type_name(),
+    })
+}
+
+/// `v` as a boolean, or why not.
+fn truth(v: &Value) -> Result<bool, MaskError> {
+    v.as_bool()
+        .ok_or(MaskError::NotBoolean { got: v.type_name() })
+}
+
+fn eval_unary(op: UnOp, v: &Value) -> Result<Value, MaskError> {
+    match (op, v) {
+        (UnOp::Not, _) => truth(v).map(|b| Value::Bool(!b)),
+        (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(i.wrapping_neg())),
+        (UnOp::Neg, Value::Float(f)) => Ok(Value::Float(-f)),
+        (UnOp::Neg, other) => Err(MaskError::TypeMismatch {
+            op: "-".into(),
+            types: other.type_name().into(),
+        }),
     }
 }
 
@@ -323,7 +489,7 @@ fn eval_binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, MaskError> {
                     if *y == 0 {
                         Err(MaskError::DivisionByZero)
                     } else {
-                        Ok(Value::Int(x / y))
+                        Ok(Value::Int(x.wrapping_div(*y)))
                     }
                 }
                 _ => unreachable!(),

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use ode_core::{parse_event, CompiledEvent, EventExpr, Value};
+use ode_core::{parse_event, Bindings, CompiledEvent, EventExpr, MaskError, Value};
 
 use crate::error::OdeError;
 use crate::ids::ObjectId;
@@ -121,17 +121,10 @@ impl fmt::Debug for MethodDef {
 }
 
 /// A side-effect-free function usable inside masks (the paper's
-/// `authorized(user())`, `reorder(i)`, …). Receives the object's fields
-/// and the calling transaction's user value.
-pub type MaskFn = Arc<dyn Fn(&MaskFnCtx<'_>, &[Value]) -> Option<Value> + Send + Sync>;
-
-/// Context for mask functions.
-pub struct MaskFnCtx<'a> {
-    /// Fields of the object the event was posted to.
-    pub fields: &'a BTreeMap<String, Value>,
-    /// The posting transaction's user value (`user()` reads this).
-    pub user: &'a Value,
-}
+/// `authorized(user())`, `reorder(i)`, …). Reads its arguments, the
+/// object's fields and the calling transaction's user value; an error
+/// it answers fails the mask that called it.
+pub type MaskFn = Arc<dyn Fn(&Bindings<'_>) -> Result<Value, MaskError> + Send + Sync>;
 
 /// Which history a trigger monitors (Section 6): the committed history
 /// (automaton state stored "inside" the object and rolled back on abort)
@@ -512,7 +505,7 @@ impl ClassBuilder {
     pub fn mask_fn(
         mut self,
         name: impl Into<String>,
-        f: impl Fn(&MaskFnCtx<'_>, &[Value]) -> Option<Value> + Send + Sync + 'static,
+        f: impl Fn(&Bindings<'_>) -> Result<Value, MaskError> + Send + Sync + 'static,
     ) -> Self {
         self.def.mask_fns.insert(name.into(), Arc::new(f));
         self

@@ -333,7 +333,7 @@ impl Recovery {
     /// output); callers who only want post-recovery firings should drain
     /// it with `take_output`.
     pub fn restore_into(&self, db: &mut Database) -> Result<(), WalError> {
-        Applier::bootstrap(db, self, |_| {}).map_err(OdeError::from)?;
+        Applier::bootstrap(db, self, |_, _| {}).map_err(OdeError::from)?;
         Ok(())
     }
 }

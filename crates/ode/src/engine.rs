@@ -48,11 +48,11 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use ode_automata::StateId;
-use ode_core::{BasicEvent, ClassRouter, EventKind, MaskEnv, MaskMemo, Qualifier, Value};
-
-use crate::class::{
-    Action, ActionCtx, ClassDef, ClassRuntime, MaskFnCtx, MethodCtx, MethodKind, Monitoring,
+use ode_core::{
+    BasicEvent, Bindings, ClassRouter, EventKind, MaskEnv, MaskError, MaskMemo, Qualifier, Value,
 };
+
+use crate::class::{Action, ActionCtx, ClassDef, ClassRuntime, MethodCtx, MethodKind, Monitoring};
 use crate::clock::{Clock, TimerScope};
 use crate::error::{AbortReason, OdeError};
 use crate::ids::{ClassId, ObjectId, TxnId};
@@ -1872,17 +1872,22 @@ impl MaskEnv for EngineEnv<'_> {
         self.fields.get(name).cloned()
     }
     fn call(&self, name: &str, args: &[Value]) -> Option<Value> {
+        self.try_call(name, args).ok()
+    }
+    fn try_call(&self, name: &str, args: &[Value]) -> Result<Value, MaskError> {
         if name == "user" && args.is_empty() {
-            return Some(self.user.clone());
+            return Ok(self.user.clone());
         }
-        let f = self.class.mask_fns.get(name)?;
-        f(
-            &MaskFnCtx {
-                fields: self.fields,
-                user: self.user,
-            },
+        let f = self
+            .class
+            .mask_fns
+            .get(name)
+            .ok_or_else(|| MaskError::UnknownFunction(name.into()))?;
+        f(&Bindings {
             args,
-        )
+            fields: self.fields,
+            user: self.user,
+        })
     }
 }
 
@@ -1963,9 +1968,9 @@ mod tests {
         let mut builder =
             ClassDef::builder("c")
                 .update_method("m", &[])
-                .mask_fn("probe", move |_, _| {
+                .mask_fn("probe", move |_| {
                     probe.fetch_add(1, Ordering::SeqCst);
-                    Some(Value::Bool(true))
+                    Ok(Value::Bool(true))
                 });
         let names: Vec<String> = (0..5).map(|i| format!("T{i}")).collect();
         for name in &names {
@@ -2017,8 +2022,8 @@ mod tests {
             .unwrap();
         // Neither trigger below ever fires, so its firing count stays put.
         let masked = set_x(ClassDef::builder("masked"))
-            .mask_fn("big", |ctx, _| {
-                Some(Value::Bool(ctx.fields.get("x") == Some(&Value::Int(9))))
+            .mask_fn("big", |b| {
+                Ok(Value::Bool(b.fields.get("x") == Some(&Value::Int(9))))
             })
             .trigger("T", true, "after m && big()", Action::Emit("big".into()))
             .full_history()

@@ -62,8 +62,8 @@ pub mod shared;
 pub mod spec;
 
 pub use class::{
-    Action, ActionCtx, ActionFn, ClassBuilder, ClassDef, MaskFn, MaskFnCtx, MethodBody, MethodCtx,
-    MethodDef, MethodKind, Monitoring, TriggerDef,
+    Action, ActionCtx, ActionFn, ClassBuilder, ClassDef, MaskFn, MethodBody, MethodCtx, MethodDef,
+    MethodKind, Monitoring, TriggerDef,
 };
 pub use clock::{Clock, Recurrence, Timer, TimerScope};
 pub use durability::{

@@ -146,7 +146,8 @@ impl Applier {
     /// implementation of "snapshot + replay the logged ops". `db` has
     /// the schema defined and an empty store: restore the snapshot (if
     /// any), apply the recovered tail in LSN order (`observe` sees each
-    /// op's LSN just before it is applied), and return the applier
+    /// op's LSN and the engine just before the op is applied), and
+    /// return the applier
     /// positioned at the recovery's head — with the id maps of any
     /// transaction the tail left open still live, so a stream can
     /// resume mid-transaction. The firing lines the tail regenerates
@@ -155,14 +156,14 @@ impl Applier {
     pub fn bootstrap(
         db: &mut Database,
         recovery: &Recovery,
-        mut observe: impl FnMut(u64),
+        mut observe: impl FnMut(u64, &Database),
     ) -> Result<Applier, ApplyError> {
         if let Some(snap) = &recovery.snapshot {
             db.restore(snap)?;
         }
         let mut a = Applier::resume(db, recovery.base_lsn);
         for (lsn, op) in (recovery.base_lsn..).zip(&recovery.ops) {
-            observe(lsn);
+            observe(lsn, db);
             a.apply(db, lsn, op)?;
         }
         Ok(a)

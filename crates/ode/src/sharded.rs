@@ -935,7 +935,8 @@ pub fn reconcile_cross_shard(recoveries: &mut [Recovery]) -> ReconcileReport {
 /// Bring one shard engine up from its WAL directory's schema and its
 /// [`Recovery`]: define `specs` (a [`crate::durability::SchemaLog`]'s,
 /// in order), restore and replay through [`Applier::bootstrap`]
-/// (`observe` sees each replayed op's LSN), and drain the firing lines
+/// (`observe` sees each replayed op's LSN and the engine before it),
+/// and drain the firing lines
 /// the replay regenerated so they are not served as fresh output. A
 /// server's start (primary and replica) and its one-shot point-in-time
 /// restore come up through this.
@@ -943,7 +944,7 @@ pub fn recover_shard(
     db: &mut Database,
     specs: &[ClassSpec],
     rec: &Recovery,
-    observe: impl FnMut(u64),
+    observe: impl FnMut(u64, &Database),
 ) -> Result<Applier, ApplyError> {
     define_specs(db, specs)?;
     let applier = Applier::bootstrap(db, rec, observe)?;

@@ -13,25 +13,32 @@
 //! receives it in its stream, and [`crate::demo`] writes the paper's
 //! §3.5 `stockRoom` as one.
 //!
-//! Method and mask expressions evaluate against an environment binding
-//! the declared parameters positionally and the object's fields by name,
-//! plus four builtins: `get(rec, key)` (`get(rec, key, default)`
-//! answers `default` for a missing key), `put(rec, key, val)`
-//! (functional update), `ifelse(cond, a, b)`, and `type(v)` (the value's
-//! type name: `"string"`, `"int"`, …). A `Set` refuses a value nested
+//! Method and mask-function bodies bind their names once, when the
+//! class is defined ([`ode_core::MaskExpr::resolve`]): a declared
+//! parameter becomes its position, and any other name is a field, looked
+//! up by name when the body runs (objects have an open field set: `New`
+//! may override fields, and `Set` may add them). The builtins are bound
+//! then too: `get(rec, key)` (`get(rec, key, default)` answers
+//! `default` for a missing key), `put(rec, key, val)` (functional
+//! update), `ifelse(cond, a, b)`, and `type(v)` (the value's type name:
+//! `"string"`, `"int"`, …); mask-function bodies also see `user()`, the
+//! calling transaction's user value. Any other function fails when it
+//! is called. Bodies are evaluated by reference ([`ode_core::Resolved`]):
+//! fields, arguments and literals are borrowed, and only computed values
+//! are allocated. `Emit` and `Require` texts are split into literal and
+//! `{param}` pieces at define time. A `Set` refuses a value nested
 //! deeper than [`ode_core::MAX_VALUE_DEPTH`] records with
-//! [`ode_core::MaskError::TooDeep`], and [`compile_class`] refuses such a field
-//! default, so every field stays checkpointable.
-//! Mask-function bodies additionally see `user()`, the calling
-//! transaction's user value.
+//! [`ode_core::MaskError::TooDeep`], and [`compile_class`] refuses such
+//! a field default, so every field stays checkpointable.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::fmt::Write;
 use std::sync::Arc;
 
-use ode_core::{parse_mask, MaskEnv, MaskExpr, Value};
+use ode_core::{parse_mask, Bindings, Resolved, Value};
 use serde::{Deserialize, Serialize};
 
-use crate::class::{Action, ActionCtx, ClassDef, MaskFnCtx, MethodCtx, MethodKind};
+use crate::class::{Action, ActionCtx, ClassDef, MethodCtx, MethodKind};
 use crate::engine::Database;
 use crate::error::OdeError;
 
@@ -163,135 +170,95 @@ pub enum ActionSpec {
     Seq(Vec<ActionSpec>),
 }
 
-/// Record/value builtins shared by method and mask-function
-/// environments.
-fn builtin(name: &str, args: &[Value]) -> Option<Value> {
-    match name {
-        "get" => {
-            let key = match args.get(1)? {
-                Value::Str(s) => s.as_str(),
-                _ => return None,
-            };
-            args.first()?.member(key).or(args.get(2)).cloned()
-        }
-        "type" => Some(Value::Str(args.first()?.type_name().into())),
-        "put" => {
-            let mut rec = match args.first()? {
-                Value::Record(m) => m.clone(),
-                _ => return None,
-            };
-            let key = match args.get(1)? {
-                Value::Str(s) => s.clone(),
-                _ => return None,
-            };
-            rec.insert(key, args.get(2)?.clone());
-            Some(Value::Record(rec))
-        }
-        "ifelse" => {
-            if args.first()?.as_bool()? {
-                args.get(1).cloned()
-            } else {
-                args.get(2).cloned()
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Mask-grammar environment for method and mask-function bodies:
-/// params positionally, fields by name, the record builtins, and in
-/// mask-function bodies `user()`.
-struct SpecEnv<'a> {
-    names: &'a [String],
-    args: &'a [Value],
-    fields: &'a BTreeMap<String, Value>,
-    user: Option<&'a Value>,
-}
-
-impl MaskEnv for SpecEnv<'_> {
-    fn param(&self, name: &str) -> Option<Value> {
-        let i = self.names.iter().position(|n| n == name)?;
-        self.args.get(i).cloned()
-    }
-    fn field(&self, name: &str) -> Option<Value> {
-        self.fields.get(name).cloned()
-    }
-    fn call(&self, name: &str, args: &[Value]) -> Option<Value> {
-        match self.user {
-            Some(user) if name == "user" && args.is_empty() => Some(user.clone()),
-            _ => builtin(name, args),
-        }
-    }
-}
-
-/// The environment a method body's expressions evaluate in.
-fn method_env<'a>(names: &'a [String], ctx: &'a MethodCtx<'_>) -> SpecEnv<'a> {
-    SpecEnv {
-        names,
-        args: ctx.args,
-        fields: ctx.fields,
-        user: None,
-    }
-}
-
 enum CompiledOp {
-    Set { field: String, expr: MaskExpr },
-    Emit { text: String },
-    Require { expr: MaskExpr, message: String },
+    Set { field: String, expr: Resolved },
+    Emit { text: Template },
+    Require { expr: Resolved, message: Template },
 }
 
-fn compile_ops(body: &[MethodOp]) -> Result<Vec<CompiledOp>, OdeError> {
+fn compile_ops(body: &[MethodOp], params: &[String]) -> Result<Vec<CompiledOp>, OdeError> {
+    let resolve = |expr: &str| parse_mask(expr).map(|e| e.resolve(params, false));
     body.iter()
         .map(|op| {
             Ok(match op {
                 MethodOp::Set { field, expr } => CompiledOp::Set {
                     field: field.clone(),
-                    expr: parse_mask(expr).map_err(OdeError::Event)?,
+                    expr: resolve(expr)?,
                 },
-                MethodOp::Emit { text } => CompiledOp::Emit { text: text.clone() },
+                MethodOp::Emit { text } => CompiledOp::Emit {
+                    text: Template::split(text, params),
+                },
                 MethodOp::Require { expr, message } => CompiledOp::Require {
-                    expr: parse_mask(expr).map_err(OdeError::Event)?,
-                    message: message.clone(),
+                    expr: resolve(expr)?,
+                    message: Template::split(message, params),
                 },
             })
         })
         .collect()
 }
 
-fn substitute(template: &str, names: &[String], ctx: &MethodCtx<'_>) -> String {
-    let mut out = template.to_string();
-    for (i, name) in names.iter().enumerate() {
-        let needle = format!("{{{name}}}");
-        if out.contains(&needle) {
-            let val = ctx.args().get(i).map(|v| v.to_string()).unwrap_or_default();
-            out = out.replace(&needle, &val);
+/// An `Emit` or `Require` text split once into pieces, each a
+/// `{param}` placeholder's position (none for the first) and the
+/// literal text after it. Arguments are written into the output, never
+/// scanned for placeholders themselves.
+struct Template(Vec<(Option<usize>, String)>);
+
+impl Template {
+    fn split(text: &str, params: &[String]) -> Template {
+        let mut chunks = text.split('{');
+        let mut pieces = vec![(None, chunks.next().unwrap_or_default().to_string())];
+        for chunk in chunks {
+            let param = params
+                .iter()
+                .enumerate()
+                .find_map(|(i, p)| Some((i, chunk.strip_prefix(p.as_str())?.strip_prefix('}')?)));
+            match param {
+                Some((i, rest)) => pieces.push((Some(i), rest.to_string())),
+                None => pieces.last_mut().expect("a first piece").1 += &format!("{{{chunk}"),
+            }
         }
+        Template(pieces)
     }
-    out
+
+    fn render(&self, args: &[Value]) -> String {
+        let mut out = String::new();
+        for (param, literal) in &self.0 {
+            if let Some(v) = param.and_then(|i| args.get(i)) {
+                let _ = write!(out, "{v}");
+            }
+            out.push_str(literal);
+        }
+        out
+    }
 }
 
-fn run_ops(
-    ops: &[CompiledOp],
-    names: &[String],
-    ctx: &mut MethodCtx<'_>,
-) -> Result<Value, OdeError> {
+/// What a method body's expressions read: its arguments and fields.
+fn bindings<'a>(ctx: &'a MethodCtx<'_>) -> Bindings<'a> {
+    Bindings {
+        args: ctx.args,
+        fields: ctx.fields,
+        user: &Value::Null,
+    }
+}
+
+fn run_ops(ops: &[CompiledOp], ctx: &mut MethodCtx<'_>) -> Result<Value, OdeError> {
     for op in ops {
         match op {
             CompiledOp::Set { field, expr } => {
-                let v = expr.eval(&method_env(names, ctx)).map_err(OdeError::Mask)?;
+                let v = expr
+                    .eval(&bindings(ctx))
+                    .map_err(OdeError::Mask)?
+                    .into_owned();
                 v.check_depth().map_err(OdeError::Mask)?;
                 ctx.set(field.clone(), v);
             }
             CompiledOp::Emit { text } => {
-                let line = substitute(text, names, ctx);
+                let line = text.render(ctx.args);
                 ctx.emit(line);
             }
             CompiledOp::Require { expr, message } => {
-                let ok = expr
-                    .eval_bool(&method_env(names, ctx))
-                    .map_err(OdeError::Mask)?;
-                if !ok {
-                    return Err(OdeError::Method(substitute(message, names, ctx)));
+                if !expr.eval_bool(&bindings(ctx)).map_err(OdeError::Mask)? {
+                    return Err(OdeError::Method(message.render(ctx.args)));
                 }
             }
         }
@@ -359,30 +326,20 @@ pub fn compile_class(spec: &ClassSpec) -> Result<ClassDef, OdeError> {
         b = b.field(&f.name, f.default.clone());
     }
     for m in &spec.methods {
-        let ops = compile_ops(&m.body)?;
-        let names = m.params.clone();
+        let ops = compile_ops(&m.body, &m.params)?;
         let kind = if m.update {
             MethodKind::Update
         } else {
             MethodKind::Read
         };
         let param_refs: Vec<&str> = m.params.iter().map(String::as_str).collect();
-        b = b.method(&m.name, kind, &param_refs, move |ctx| {
-            run_ops(&ops, &names, ctx)
-        });
+        b = b.method(&m.name, kind, &param_refs, move |ctx| run_ops(&ops, ctx));
     }
     for mf in &spec.masks {
-        let expr = parse_mask(&mf.expr).map_err(OdeError::Event)?;
-        let names = mf.params.clone();
-        b = b.mask_fn(&mf.name, move |ctx: &MaskFnCtx<'_>, args: &[Value]| {
-            let env = SpecEnv {
-                names: &names,
-                args,
-                fields: ctx.fields,
-                user: Some(ctx.user),
-            };
-            expr.eval(&env).ok()
-        });
+        let body = parse_mask(&mf.expr)
+            .map_err(OdeError::Event)?
+            .resolve(&mf.params, true);
+        b = b.mask_fn(&mf.name, move |b| body.eval(b).map(Cow::into_owned));
     }
     for t in &spec.triggers {
         b = b.trigger(&t.name, t.perpetual, &t.event, compile_action(&t.action));
@@ -636,6 +593,110 @@ mod tests {
             &[Value::Str("bolt".into()), Value::Int(1)],
         )
         .expect("a passing Require");
+    }
+
+    /// Arguments are written into an `Emit` or `Require` text as they
+    /// are: a placeholder inside an argument is not substituted again.
+    #[test]
+    fn templates_do_not_substitute_inside_arguments() {
+        let spec = ClassSpec {
+            name: "notes".into(),
+            fields: vec![],
+            methods: vec![
+                two_param_method(
+                    "note",
+                    vec![MethodOp::Emit {
+                        text: "item {i} qty {q}".into(),
+                    }],
+                ),
+                two_param_method(
+                    "check",
+                    vec![MethodOp::Require {
+                        expr: "false".into(),
+                        message: "item {i} qty {q}".into(),
+                    }],
+                ),
+            ],
+            masks: vec![],
+            triggers: vec![],
+            activate_on_create: vec![],
+        };
+        let mut db = Database::new();
+        db.define_class(compile_class(&spec).unwrap()).unwrap();
+        let txn = db.begin();
+        let obj = db.create_object(txn, "notes", &[]).unwrap();
+        let args = [Value::Str("{q}".into()), Value::Int(5)];
+        db.call(txn, obj, "note", &args).unwrap();
+        assert_eq!(db.take_output(), vec![r#"item "{q}" qty 5"#.to_string()]);
+        match db.call(txn, obj, "check", &args) {
+            Err(OdeError::Method(m)) => assert_eq!(m, r#"item "{q}" qty 5"#),
+            other => panic!("expected a Method error, got {other:?}"),
+        }
+    }
+
+    /// A mask function whose body fails fails the call with the body's
+    /// own error, and a builtin given arguments it cannot use names
+    /// itself; neither is reported as an unknown function.
+    #[test]
+    fn a_failing_mask_function_reports_its_own_error() {
+        let class = |body: &str| ClassSpec {
+            name: "room".into(),
+            fields: vec![FieldSpec {
+                name: "items".into(),
+                default: Value::record([("bolt", Value::Int(5))]),
+            }],
+            methods: vec![two_param_method("withdraw", vec![])],
+            masks: vec![MaskFnSpec {
+                name: "stock".into(),
+                params: vec!["i".into()],
+                expr: body.into(),
+            }],
+            triggers: vec![TriggerSpec {
+                name: "low".into(),
+                perpetual: true,
+                event: "after withdraw(i, q) && stock(i) < 10".into(),
+                action: ActionSpec::Emit("low".into()),
+                capture: false,
+                full_history: false,
+            }],
+            activate_on_create: vec!["low".into()],
+        };
+        let bolt = Value::Str("bolt".into());
+        let get_error = MaskError::TypeMismatch {
+            op: "get".into(),
+            types: "(record, int)".into(),
+        };
+        for (body, key, want) in [
+            ("get(items, i)", Value::Int(7), get_error),
+            ("get(items, i) / 0", bolt.clone(), MaskError::DivisionByZero),
+            (
+                "get(itemz, i)",
+                bolt.clone(),
+                MaskError::UnknownField("itemz".into()),
+            ),
+        ] {
+            let mut db = Database::new();
+            db.define_class(compile_class(&class(body)).unwrap())
+                .unwrap();
+            let txn = db.begin();
+            let room = db.create_object(txn, "room", &[]).unwrap();
+            match db.call(txn, room, "withdraw", &[key, Value::Int(1)]) {
+                Err(OdeError::Mask(e)) => assert_eq!(e, want, "{body}"),
+                other => panic!("{body}: expected a mask error, got {other:?}"),
+            }
+        }
+        let mut db = Database::new();
+        db.define_class(compile_class(&class("get(items, i)")).unwrap())
+            .unwrap();
+        let txn = db.begin();
+        let room = db.create_object(txn, "room", &[]).unwrap();
+        db.call(txn, room, "withdraw", &[bolt, Value::Int(1)])
+            .unwrap();
+        let fired = db.take_output();
+        assert!(
+            matches!(&fired[..], [line] if line.ends_with("] low")),
+            "{fired:?}"
+        );
     }
 
     /// `CallWithEventArgsAt` calls with the completing event's arguments

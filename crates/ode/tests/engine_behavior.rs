@@ -228,9 +228,9 @@ fn trigger_t1_unauthorized_abort() {
                 ctx.set("qty", qty - q);
                 Ok(Value::Null)
             })
-            .mask_fn("authorized", |_ctx, args| {
-                let user = args.first()?;
-                Some(Value::Bool(matches!(user, Value::Str(s) if s == "alice")))
+            .mask_fn("authorized", |b| {
+                let alice = matches!(b.args.first(), Some(Value::Str(s)) if s == "alice");
+                Ok(Value::Bool(alice))
             })
             .trigger(
                 "T1",

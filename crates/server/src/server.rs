@@ -614,7 +614,7 @@ impl ServerBuilder {
                             if let Some(store) = hist.get(s) {
                                 db.set_event_tap(Some(history_tap(Arc::clone(store), s)));
                             }
-                            let applier = recover_shard(db, schema.specs(), rec, |lsn| {
+                            let applier = recover_shard(db, schema.specs(), rec, |lsn, _| {
                                 note_commit_lsn(s, lsn)
                             })
                             .map_err(|e| e.to_string())?;

@@ -46,11 +46,14 @@
 //! a checkpoint supersedes into `DIR/archive/` before unlinking it, so
 //! the full committed history stays restorable. With
 //! `--wal-restore LSN` the server does not start at all: it rebuilds
-//! the database as of exactly `LSN` committed ops — from the
+//! the database as of exactly `LSN` logged ops — from the
 //! checkpoint + archive chain + live segments — prints a state
-//! fingerprint, and exits (a point-in-time inspection tool).
+//! fingerprint, and exits (a point-in-time inspection tool). A target
+//! inside a transaction restores to the last LSN before it at which no
+//! transaction is open, and prints the LSN it used; a target past the
+//! log's head exits 3.
 
-use ode_db::durability::{frame, restore_to_lsn, SharedIo, StdIo};
+use ode_db::durability::{frame, restore_to_lsn, SegmentReader, SharedIo, StdIo};
 use ode_db::{recover_shard, Database, FsyncPolicy, SchemaLog, SharedDatabase, WalConfig};
 use ode_server::{ReplSource, Server};
 use std::path::Path;
@@ -125,8 +128,8 @@ fn main() {
     }
 
     // Point-in-time restore is a one-shot: rebuild the database as of
-    // exactly `target` committed ops, print a fingerprint, and exit —
-    // no sockets, no flushers, no background thread.
+    // `target` logged ops, print a fingerprint, and exit — no sockets,
+    // no flushers, no background thread.
     if let Some(target) = wal_restore {
         let Some(dir) = &wal_dir else {
             eprintln!("--wal-restore requires --wal-dir");
@@ -138,21 +141,41 @@ fn main() {
         }
         let io = SharedIo::new(StdIo::new());
         let dir = Path::new(dir);
-        let rec = match restore_to_lsn(dir, &io, target) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("restore to LSN {target} failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        let mut db = Database::new();
         let schema = SchemaLog::load(&io, dir).unwrap_or_else(|e| {
             eprintln!("restore: {e}");
             std::process::exit(1);
         });
-        if let Err(e) = recover_shard(&mut db, schema.specs(), &rec, |_| {}) {
-            eprintln!("restore replay failed: {e}");
-            std::process::exit(1);
+        // Bring the prefix up to `lsn`, noting the last LSN in it at
+        // which no transaction was open.
+        let bring_up = |lsn: u64| {
+            let rec = restore_to_lsn(dir, &io, lsn).unwrap_or_else(|e| {
+                eprintln!("restore to LSN {lsn} failed: {e}");
+                let past_head = SegmentReader::scan(dir, &io).is_ok_and(|s| lsn > s.head_lsn());
+                std::process::exit(if past_head { 3 } else { 1 });
+            });
+            let mut db = Database::new();
+            let mut quiet = rec.base_lsn;
+            let replayed = recover_shard(&mut db, schema.specs(), &rec, |at, db| {
+                if db.open_user_txns().is_empty() {
+                    quiet = at;
+                }
+            });
+            if let Err(e) = replayed {
+                eprintln!("restore replay failed: {e}");
+                std::process::exit(1);
+            }
+            if db.open_user_txns().is_empty() {
+                quiet = lsn;
+            }
+            (rec, db, quiet)
+        };
+        let (mut rec, mut db, used) = bring_up(target);
+        if used < target {
+            println!(
+                "ode-server: LSN {target} falls inside a transaction; restoring to LSN {used}, \
+                 the last before it at which no transaction is open"
+            );
+            (rec, db, _) = bring_up(used);
         }
         let fingerprint = db
             .snapshot()
@@ -163,7 +186,7 @@ fn main() {
                 std::process::exit(1);
             });
         println!(
-            "ode-server restored {} to LSN {target}: checkpoint base {}, {} ops replayed \
+            "ode-server restored {} to LSN {used}: checkpoint base {}, {} ops replayed \
              from {} source segments, state crc32 {fingerprint:08x}",
             dir.display(),
             rec.base_lsn,
