@@ -111,7 +111,7 @@ fn masked_class(total: usize, distinct: usize, evals: Arc<AtomicU64>) -> ClassDe
     let mut b = ClassDef::builder("c").update_method("hot", &["i", "q"]);
     for m in 0..distinct {
         let evals = Arc::clone(&evals);
-        b = b.mask_fn(format!("probe{m}"), move |_| {
+        b = b.mask_fn(format!("probe{m}"), move |_, _| {
             evals.fetch_add(1, Ordering::Relaxed);
             Ok(Value::Bool(true))
         });

@@ -20,9 +20,12 @@
 //!   event `E && C` then compiles to `E ∩ Σ*·{symbols with the C bit}`.
 //! * The distinguished `start` point (Section 3.4) owns raw symbol 0.
 //!
-//! At run time, [`Alphabet::classify`] turns one posted basic event into
-//! exactly one symbol by evaluating each relevant mask once — this is the
-//! entire per-event cost of mask handling, measured by experiment E4.
+//! Every mask is bound once, when the alphabet is built
+//! ([`MaskExpr::resolve`]): a declared event parameter becomes its
+//! position. At run time, [`Alphabet::classify`] turns one posted basic
+//! event into exactly one symbol by evaluating each relevant mask once,
+//! by reference against a [`Scope`] — this is the entire per-event cost
+//! of mask handling, measured by experiment E4.
 
 use std::collections::HashMap;
 
@@ -31,7 +34,7 @@ use ode_automata::Symbol;
 use crate::error::{EventError, MaskError};
 use crate::event::BasicEvent;
 use crate::expr::{EventExpr, LogicalEvent};
-use crate::mask::{MaskEnv, MaskExpr};
+use crate::mask::{MaskExpr, Resolved, Scope};
 use crate::value::Value;
 
 /// Maximum distinct masks on one basic event (`2^k` minterms).
@@ -52,6 +55,8 @@ pub struct Group {
     pub masks: Vec<(Vec<String>, MaskExpr)>,
     /// First raw symbol of this group's `2^k` minterm block.
     base: usize,
+    /// `masks`, bound once.
+    pub(crate) lowered: Vec<Resolved>,
 }
 
 impl Group {
@@ -74,6 +79,8 @@ pub struct Alphabet {
     groups: Vec<Group>,
     group_index: HashMap<BasicEvent, usize>,
     global_masks: Vec<MaskExpr>,
+    /// `global_masks`, bound once (they take no parameters).
+    pub(crate) global_lowered: Vec<Resolved>,
     /// `1 (start) + Σ 2^kᵢ` raw symbols before global-mask refinement.
     raw_count: usize,
 }
@@ -100,6 +107,7 @@ impl Alphabet {
                     basic: le.basic.clone(),
                     masks: Vec::new(),
                     base: 0,
+                    lowered: Vec::new(),
                 });
                 groups.len() - 1
             });
@@ -138,10 +146,12 @@ impl Alphabet {
         for g in &mut groups {
             g.base = next;
             next += g.width();
+            g.lowered = g.masks.iter().map(|(p, m)| m.resolve(p)).collect();
         }
         let alphabet = Alphabet {
             groups,
             group_index,
+            global_lowered: global_masks.iter().map(|m| m.resolve(&[])).collect(),
             global_masks,
             raw_count: next,
         };
@@ -251,15 +261,15 @@ impl Alphabet {
     /// next state" — Section 5: other events do not advance it).
     ///
     /// `args` are the positional arguments of a method event; `env`
-    /// supplies object fields and registered functions. Each group mask
-    /// is evaluated once with its own declared parameter names bound to
-    /// `args`; each composite mask is evaluated once with *no*
-    /// parameters.
-    pub fn classify(
+    /// supplies object fields, the user and the class's mask functions.
+    /// Each group mask is evaluated once with its own declared
+    /// parameters bound to `args`; each composite mask is evaluated once
+    /// with *no* parameters.
+    pub fn classify<E: Scope + ?Sized>(
         &self,
         basic: &BasicEvent,
         args: &[Value],
-        env: &dyn MaskEnv,
+        env: &E,
     ) -> Result<Option<Symbol>, MaskError> {
         let raw = match basic {
             BasicEvent::Start => 0,
@@ -268,37 +278,16 @@ impl Alphabet {
                     return Ok(None);
                 };
                 let g = &self.groups[gi];
-                let mut minterm = 0usize;
-                for (i, (params, mask)) in g.masks.iter().enumerate() {
-                    let bound = BoundEnv {
-                        names: params,
-                        args,
-                        inner: env,
-                    };
-                    if mask.eval_bool(&bound)? {
-                        minterm |= 1 << i;
-                    }
-                }
-                g.base + minterm
+                g.base + minterm(&g.lowered, args, env)?
             }
         };
-        let mut global_bits = 0usize;
-        for (i, mask) in self.global_masks.iter().enumerate() {
-            let bound = BoundEnv {
-                names: &[],
-                args: &[],
-                inner: env,
-            };
-            if mask.eval_bool(&bound)? {
-                global_bits |= 1 << i;
-            }
-        }
+        let global_bits = minterm(&self.global_lowered, &[], env)?;
         Ok(Some(self.finalize(raw, global_bits)))
     }
 
     /// The symbol of the distinguished `start` point, with composite
     /// masks evaluated at activation time.
-    pub fn start_symbol(&self, env: &dyn MaskEnv) -> Result<Symbol, MaskError> {
+    pub fn start_symbol<E: Scope + ?Sized>(&self, env: &E) -> Result<Symbol, MaskError> {
         Ok(self
             .classify(&BasicEvent::Start, &[], env)?
             .expect("start is always classifiable"))
@@ -343,39 +332,26 @@ impl Alphabet {
     }
 }
 
-/// Environment layering positional arguments under declared names on top
-/// of the engine's field/function environment. Shared with the router so
-/// memoized mask evaluation binds parameters exactly the way
-/// [`Alphabet::classify`] does.
-pub(crate) struct BoundEnv<'a> {
-    pub(crate) names: &'a [String],
-    pub(crate) args: &'a [Value],
-    pub(crate) inner: &'a dyn MaskEnv,
-}
-
-impl MaskEnv for BoundEnv<'_> {
-    fn param(&self, name: &str) -> Option<Value> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .and_then(|i| self.args.get(i).cloned())
+/// The minterm of `masks`' outcomes: bit `i` is set when mask `i` holds.
+fn minterm<E: Scope + ?Sized>(
+    masks: &[Resolved],
+    args: &[Value],
+    env: &E,
+) -> Result<usize, MaskError> {
+    let mut bits = 0;
+    for (i, mask) in masks.iter().enumerate() {
+        if mask.eval_bool(args, env)? {
+            bits |= 1 << i;
+        }
     }
-    fn field(&self, name: &str) -> Option<Value> {
-        self.inner.field(name)
-    }
-    fn call(&self, name: &str, args: &[Value]) -> Option<Value> {
-        self.inner.call(name, args)
-    }
-    fn try_call(&self, name: &str, args: &[Value]) -> Result<Value, MaskError> {
-        self.inner.try_call(name, args)
-    }
+    Ok(bits)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventKind;
-    use crate::mask::EmptyEnv;
+    use crate::mask::{EmptyEnv, MaskEnv};
 
     fn withdraw_gt(n: i64) -> LogicalEvent {
         LogicalEvent::bare(BasicEvent::after_method("withdraw"))

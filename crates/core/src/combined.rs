@@ -23,7 +23,7 @@ use crate::error::{EventError, MaskError};
 use crate::event::BasicEvent;
 use crate::expr::{EventExpr, LogicalEvent};
 use crate::lower::lower;
-use crate::mask::{MaskEnv, MaskExpr};
+use crate::mask::{MaskExpr, Scope};
 use crate::value::Value;
 
 /// Several composite events compiled into one product automaton over a
@@ -187,7 +187,7 @@ impl CombinedDetector {
     }
 
     /// Feed the `start` point (never fires).
-    pub fn activate(&mut self, env: &dyn MaskEnv) -> Result<(), MaskError> {
+    pub fn activate<E: Scope + ?Sized>(&mut self, env: &E) -> Result<(), MaskError> {
         let sym = self.compiled.alphabet.start_symbol(env)?;
         self.state = self.compiled.step(self.state, sym).0;
         Ok(())
@@ -195,11 +195,11 @@ impl CombinedDetector {
 
     /// Post a basic event; returns the firing bitmask (bit *i* = event
     /// *i* occurred).
-    pub fn post(
+    pub fn post<E: Scope + ?Sized>(
         &mut self,
         basic: &BasicEvent,
         args: &[Value],
-        env: &dyn MaskEnv,
+        env: &E,
     ) -> Result<u32, MaskError> {
         match self.compiled.alphabet.classify(basic, args, env)? {
             Some(sym) => {

@@ -21,7 +21,7 @@ use crate::error::{EventError, MaskError};
 use crate::event::BasicEvent;
 use crate::expr::EventExpr;
 use crate::lower::{lower, SymExpr};
-use crate::mask::MaskEnv;
+use crate::mask::Scope;
 use crate::value::Value;
 
 /// Compilation statistics, reported by experiment E3.
@@ -121,7 +121,7 @@ impl Detector {
     /// Feed the `start` point, evaluating composite masks against the
     /// activation-time state. Never reports an occurrence (start "is
     /// placed just prior to the first user specified logical event").
-    pub fn activate(&mut self, env: &dyn MaskEnv) -> Result<(), MaskError> {
+    pub fn activate<E: Scope + ?Sized>(&mut self, env: &E) -> Result<(), MaskError> {
         let sym = self.compiled.alphabet.start_symbol(env)?;
         self.state = self.compiled.dfa.step(self.state, sym);
         Ok(())
@@ -130,11 +130,11 @@ impl Detector {
     /// Post a basic event. Returns `Ok(true)` exactly when the composite
     /// event occurs at this point. Events outside the trigger's alphabet
     /// are invisible and leave the state untouched.
-    pub fn post(
+    pub fn post<E: Scope + ?Sized>(
         &mut self,
         basic: &BasicEvent,
         args: &[Value],
-        env: &dyn MaskEnv,
+        env: &E,
     ) -> Result<bool, MaskError> {
         match self.compiled.alphabet.classify(basic, args, env)? {
             Some(sym) => Ok(self.step_symbol(sym)),

@@ -76,7 +76,9 @@ pub use error::{EventError, MaskError};
 pub use event::{BasicEvent, EventKind, Qualifier, TimeEvent, TimeSpec};
 pub use expr::{EventExpr, LogicalEvent};
 pub use lower::SymExpr;
-pub use mask::{BinOp, Bindings, EmptyEnv, Func, MaskEnv, MaskExpr, Resolved, UnOp};
+pub use mask::{
+    BinOp, EmptyEnv, Func, MaskEnv, MaskExpr, MaskFn, ObjectScope, Resolved, Scope, UnOp,
+};
 pub use parser::{parse_event, parse_mask};
 pub use router::{ClassRouter, EventCode, EventInterner, MaskMemo, Route};
 pub use simplify::simplify;

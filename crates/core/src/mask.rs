@@ -17,14 +17,19 @@
 //! the current database state (Section 3.3); the same AST is used, and
 //! the compiler enforces the no-parameters rule.
 //!
-//! [`MaskExpr::eval`] resolves every name through a [`MaskEnv`] at each
-//! step. A class's method and mask-function bodies are instead bound
-//! once, by [`MaskExpr::resolve`], and the [`Resolved`] tree is walked by
-//! reference; both share one set of operator rules.
+//! Every mask the system evaluates is bound once, by
+//! [`MaskExpr::resolve`]: a trigger's group and composite masks when its
+//! alphabet is built, a class's method and mask-function bodies when the
+//! class is defined. The [`Resolved`] tree is walked by reference
+//! against a [`Scope`], which every [`MaskEnv`] is. [`MaskExpr::eval`],
+//! which resolves every name through a [`MaskEnv`] at each step, is the
+//! reference the tests compare against; both share one set of operator
+//! rules.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -149,13 +154,31 @@ pub trait MaskEnv {
     fn param(&self, name: &str) -> Option<Value>;
     /// Look up a field of the object the event was posted to.
     fn field(&self, name: &str) -> Option<Value>;
-    /// Invoke a registered (side-effect-free) function.
+    /// Invoke a registered (side-effect-free) function; `user()` is the
+    /// call of `user` with no arguments.
     fn call(&self, name: &str, args: &[Value]) -> Option<Value>;
-    /// Invoke a registered function, saying why it failed. The default
-    /// answers [`MaskError::UnknownFunction`] whenever [`MaskEnv::call`]
-    /// answers `None`; an environment whose functions fail in other ways
-    /// overrides it, and [`MaskExpr::eval`] calls only this.
-    fn try_call(&self, name: &str, args: &[Value]) -> Result<Value, MaskError> {
+}
+
+/// What a [`Resolved`] expression reads besides its arguments. Every
+/// [`MaskEnv`] is one; the engine lends an object's fields, the
+/// transaction's user and the class's mask functions without copying.
+pub trait Scope {
+    /// The object's field `name`.
+    fn read_field(&self, name: &str) -> Option<Cow<'_, Value>>;
+    /// The calling transaction's user, where there is one.
+    fn user(&self) -> Option<Cow<'_, Value>>;
+    /// Call the class's mask function `name`.
+    fn call_fn(&self, name: &str, args: &[Value]) -> Result<Value, MaskError>;
+}
+
+impl<E: MaskEnv + ?Sized> Scope for E {
+    fn read_field(&self, name: &str) -> Option<Cow<'_, Value>> {
+        self.field(name).map(Cow::Owned)
+    }
+    fn user(&self) -> Option<Cow<'_, Value>> {
+        self.call("user", &[]).map(Cow::Owned)
+    }
+    fn call_fn(&self, name: &str, args: &[Value]) -> Result<Value, MaskError> {
         self.call(name, args)
             .ok_or_else(|| MaskError::UnknownFunction(name.into()))
     }
@@ -263,7 +286,8 @@ impl MaskExpr {
             MaskExpr::Call(f, args) => {
                 let vals: Vec<Value> =
                     args.iter().map(|a| a.eval(env)).collect::<Result<_, _>>()?;
-                env.try_call(f, &vals)
+                env.call(f, &vals)
+                    .ok_or_else(|| MaskError::UnknownFunction(f.clone()))
             }
             MaskExpr::Unary(op, e) => eval_unary(*op, &e.eval(env)?),
             MaskExpr::Binary(op @ (BinOp::And | BinOp::Or), a, b) => {
@@ -280,33 +304,31 @@ impl MaskExpr {
         truth(&self.eval(env)?)
     }
 
-    /// Bind this expression's names once, for a body declared with
-    /// `params`: a parameter becomes its position (parameters shadow
-    /// fields), any other name an object field looked up by name when
-    /// evaluated. The builtins `get`, `put`, `ifelse` and `type`, and
-    /// `user()` when `user` is set, are bound here; any other function
-    /// fails with [`MaskError::UnknownFunction`] when it is called.
-    pub fn resolve(&self, params: &[String], user: bool) -> Resolved {
-        let sub = |e: &MaskExpr| Box::new(e.resolve(params, user));
+    /// Bind this expression's names once, for a body or event declared
+    /// with `params`: a parameter becomes its position (parameters
+    /// shadow fields), any other name an object field looked up by name
+    /// when evaluated. A call binds the builtins `get`, `put`, `ifelse`
+    /// and `type`, and `user()`, first; any other name is a mask
+    /// function of the class, which the [`Scope`] answers when called.
+    pub fn resolve(&self, params: &[String]) -> Resolved {
+        let sub = |e: &MaskExpr| Box::new(e.resolve(params));
         match self {
-            MaskExpr::Bool(_) | MaskExpr::Int(_) | MaskExpr::Float(_) | MaskExpr::Str(_) => {
-                Resolved::Lit(
-                    self.eval(&EmptyEnv)
-                        .expect("a literal needs no environment"),
-                )
-            }
+            MaskExpr::Bool(b) => Resolved::Lit(Value::Bool(*b)),
+            MaskExpr::Int(i) => Resolved::Lit(Value::Int(*i)),
+            MaskExpr::Float(f) => Resolved::Lit(Value::Float(f.as_f64())),
+            MaskExpr::Str(s) => Resolved::Lit(Value::Str(s.clone())),
             MaskExpr::Name(n) => Resolved::Name(params.iter().position(|p| p == n), n.clone()),
             MaskExpr::Member(e, m) => Resolved::Member(sub(e), m.clone()),
             MaskExpr::Call(f, args) => {
+                let args: Vec<_> = args.iter().map(|a| a.resolve(params)).collect();
                 let func = match f.as_str() {
                     "get" => Func::Get,
                     "put" => Func::Put,
                     "ifelse" => Func::IfElse,
                     "type" => Func::Type,
-                    "user" if user && args.is_empty() => Func::User,
-                    _ => Func::Unknown,
+                    "user" if args.is_empty() => return Resolved::User,
+                    _ => return Resolved::MaskFn(f.clone(), args),
                 };
-                let args = args.iter().map(|a| a.resolve(params, user)).collect();
                 Resolved::Call(func, f.clone(), args)
             }
             MaskExpr::Unary(op, e) => Resolved::Unary(*op, sub(e)),
@@ -316,7 +338,7 @@ impl MaskExpr {
 }
 
 /// A mask expression whose names were bound once, by
-/// [`MaskExpr::resolve`]. Evaluation borrows parameters, fields and
+/// [`MaskExpr::resolve`]. Evaluation borrows arguments, fields and
 /// literals; only values the expression computes are allocated.
 #[derive(Clone, Debug)]
 pub enum Resolved {
@@ -328,16 +350,20 @@ pub enum Resolved {
     Name(Option<usize>, String),
     /// Member access.
     Member(Box<Resolved>, String),
-    /// A call: the function bound at define time, its name as written,
-    /// and its arguments.
+    /// A builtin call: the builtin, its name as written, and its
+    /// arguments.
     Call(Func, String, Vec<Resolved>),
+    /// `user()`: the calling transaction's user value.
+    User,
+    /// A call of the class's mask function of that name.
+    MaskFn(String, Vec<Resolved>),
     /// Unary operation.
     Unary(UnOp, Box<Resolved>),
     /// Binary operation.
     Binary(BinOp, Box<Resolved>, Box<Resolved>),
 }
 
-/// A function of a [`Resolved`] expression.
+/// A builtin function of a [`Resolved`] expression.
 #[derive(Clone, Copy, Debug)]
 pub enum Func {
     /// `get(rec, key)`; `get(rec, key, default)` answers `default` for
@@ -349,59 +375,97 @@ pub enum Func {
     IfElse,
     /// `type(v)`: the value's type name (`"string"`, `"int"`, …).
     Type,
-    /// `user()`: the calling transaction's user value.
-    User,
-    /// Any other name: fails with [`MaskError::UnknownFunction`].
-    Unknown,
 }
 
-/// What a [`Resolved`] expression reads: the call's arguments, the
-/// object's fields, and the value `user()` answers.
-pub struct Bindings<'a> {
-    /// Arguments, by the declared parameters' positions.
-    pub args: &'a [Value],
+/// A side-effect-free function usable inside masks (the paper's
+/// `authorized(user())`, `reorder(i)`, …). Reads its arguments and the
+/// object's scope; an error it answers fails the mask that called it.
+pub type MaskFn = Arc<dyn Fn(&[Value], &ObjectScope<'_>) -> Result<Value, MaskError> + Send + Sync>;
+
+/// An object's [`Scope`], all borrowed: its fields, the calling
+/// transaction's user where there is one, and the class's mask
+/// functions where a mask may call them. A mask function's body calls
+/// none.
+pub struct ObjectScope<'a> {
     /// The object's fields.
     pub fields: &'a BTreeMap<String, Value>,
     /// The calling transaction's user value.
-    pub user: &'a Value,
+    pub user: Option<&'a Value>,
+    /// The class's mask functions, by name.
+    pub fns: Option<&'a BTreeMap<String, MaskFn>>,
+}
+
+impl Scope for ObjectScope<'_> {
+    fn read_field(&self, name: &str) -> Option<Cow<'_, Value>> {
+        self.fields.get(name).map(Cow::Borrowed)
+    }
+    fn user(&self) -> Option<Cow<'_, Value>> {
+        self.user.map(Cow::Borrowed)
+    }
+    fn call_fn(&self, name: &str, args: &[Value]) -> Result<Value, MaskError> {
+        let f = self.fns.and_then(|fns| fns.get(name));
+        let f = f.ok_or_else(|| MaskError::UnknownFunction(name.into()))?;
+        f(args, &ObjectScope { fns: None, ..*self })
+    }
 }
 
 impl Resolved {
-    /// Evaluate against `b`, borrowing what the expression only reads.
-    pub fn eval<'a>(&'a self, b: &Bindings<'a>) -> Result<Cow<'a, Value>, MaskError> {
+    /// Evaluate with `args` bound to the declared parameters and `s`
+    /// answering the rest, borrowing what the expression only reads.
+    pub fn eval<'a, S: Scope + ?Sized>(
+        &'a self,
+        args: &'a [Value],
+        s: &'a S,
+    ) -> Result<Cow<'a, Value>, MaskError> {
         Ok(match self {
             Resolved::Lit(v) => Cow::Borrowed(v),
-            Resolved::Name(i, n) => Cow::Borrowed(
-                i.and_then(|i| b.args.get(i))
-                    .or_else(|| b.fields.get(n))
-                    .ok_or_else(|| MaskError::UnknownField(n.clone()))?,
-            ),
-            Resolved::Member(e, m) => member(e.eval(b)?, m)?,
-            Resolved::Call(f, name, args) => {
+            Resolved::Name(i, n) => i
+                .and_then(|i| args.get(i))
+                .map(Cow::Borrowed)
+                .or_else(|| s.read_field(n))
+                .ok_or_else(|| MaskError::UnknownField(n.clone()))?,
+            Resolved::Member(e, m) => member(e.eval(args, s)?, m)?,
+            Resolved::Call(f, name, call_args) => {
                 // No builtin reads past its third argument, but every
                 // argument is evaluated, so its errors surface.
                 let mut vals = [None, None, None];
-                for (k, a) in args.iter().enumerate() {
-                    let v = Some(a.eval(b)?);
+                for (k, a) in call_args.iter().enumerate() {
+                    let v = Some(a.eval(args, s)?);
                     if k < vals.len() {
                         vals[k] = v;
                     }
                 }
-                f.apply(name, vals, b.user)?
+                f.apply(name, vals)?
             }
-            Resolved::Unary(op, e) => Cow::Owned(eval_unary(*op, &*e.eval(b)?)?),
+            Resolved::User => s
+                .user()
+                .ok_or_else(|| MaskError::UnknownFunction("user".into()))?,
+            Resolved::MaskFn(name, call_args) => {
+                let vals = call_args
+                    .iter()
+                    .map(|a| a.eval(args, s).map(Cow::into_owned))
+                    .collect::<Result<Vec<_>, _>>()?;
+                Cow::Owned(s.call_fn(name, &vals)?)
+            }
+            Resolved::Unary(op, e) => Cow::Owned(eval_unary(*op, &*e.eval(args, s)?)?),
             Resolved::Binary(op @ (BinOp::And | BinOp::Or), x, y) => {
-                let lx = truth(&*x.eval(b)?)?;
+                let lx = truth(&*x.eval(args, s)?)?;
                 let short = lx == (*op == BinOp::Or);
-                Cow::Owned(Value::Bool(if short { lx } else { truth(&*y.eval(b)?)? }))
+                Cow::Owned(Value::Bool(if short {
+                    lx
+                } else {
+                    truth(&*y.eval(args, s)?)?
+                }))
             }
-            Resolved::Binary(op, x, y) => Cow::Owned(eval_binary(*op, &*x.eval(b)?, &*y.eval(b)?)?),
+            Resolved::Binary(op, x, y) => {
+                Cow::Owned(eval_binary(*op, &*x.eval(args, s)?, &*y.eval(args, s)?)?)
+            }
         })
     }
 
     /// Evaluate as a boolean.
-    pub fn eval_bool(&self, b: &Bindings<'_>) -> Result<bool, MaskError> {
-        truth(&*self.eval(b)?)
+    pub fn eval_bool<S: Scope + ?Sized>(&self, args: &[Value], s: &S) -> Result<bool, MaskError> {
+        truth(&*self.eval(args, s)?)
     }
 }
 
@@ -412,12 +476,9 @@ impl Func {
         self,
         name: &str,
         [a, k, c]: [Option<Cow<'a, Value>>; 3],
-        user: &'a Value,
     ) -> Result<Cow<'a, Value>, MaskError> {
         let types = [&a, &k, &c].map(|v| v.as_deref().map_or("", Value::type_name));
         let out = match self {
-            Func::User => Some(Cow::Borrowed(user)),
-            Func::Unknown => return Err(MaskError::UnknownFunction(name.into())),
             Func::Get => match (a, k.as_deref()) {
                 (Some(rec), Some(Value::Str(key))) => member(rec, key).ok().or(c),
                 _ => None,

@@ -19,9 +19,10 @@
 //!   code at registration time), not one per trigger;
 //! * a relevance index maps each code to the [`Route`]s of the triggers
 //!   that mention it — irrelevant triggers are skipped without any work;
-//! * group masks and composite masks are deduplicated class-wide, and a
-//!   per-posting [`MaskMemo`] guarantees each *distinct* mask is
-//!   evaluated at most once per posting;
+//! * group masks and composite masks are deduplicated class-wide, each
+//!   kept in the form its alphabet bound once, and a per-posting
+//!   [`MaskMemo`] guarantees each *distinct* mask is evaluated at most
+//!   once per posting;
 //! * each route carries a precomputed remap (class mask ids in the
 //!   trigger's own bit order, plus the trigger's group base and global
 //!   shift), so the class-level mask outcomes translate into each
@@ -36,10 +37,10 @@ use std::collections::HashMap;
 
 use ode_automata::Symbol;
 
-use crate::alphabet::{Alphabet, BoundEnv};
+use crate::alphabet::Alphabet;
 use crate::error::MaskError;
 use crate::event::BasicEvent;
-use crate::mask::{MaskEnv, MaskExpr};
+use crate::mask::{MaskExpr, Resolved, Scope};
 use crate::value::Value;
 
 /// Dense identifier of a basic event within one class's union alphabet.
@@ -148,42 +149,34 @@ impl MaskMemo {
         }
     }
 
-    fn eval_group(
+    fn eval_group<E: Scope + ?Sized>(
         &mut self,
         router: &ClassRouter,
         id: u32,
         args: &[Value],
-        env: &dyn MaskEnv,
+        env: &E,
     ) -> Result<bool, MaskError> {
         let slot = &mut self.group[id as usize];
         if slot.0 != self.epoch {
-            let (params, mask) = &router.group_masks[id as usize];
-            let bound = BoundEnv {
-                names: params,
-                args,
-                inner: env,
-            };
-            *slot = (self.epoch, mask.eval_bool(&bound));
+            *slot = (
+                self.epoch,
+                router.group_masks[id as usize].1.eval_bool(args, env),
+            );
         }
         slot.1.clone()
     }
 
-    fn eval_global(
+    fn eval_global<E: Scope + ?Sized>(
         &mut self,
         router: &ClassRouter,
         id: u32,
-        env: &dyn MaskEnv,
+        env: &E,
     ) -> Result<bool, MaskError> {
         let slot = &mut self.global[id as usize];
         if slot.0 != self.epoch {
-            let bound = BoundEnv {
-                names: &[],
-                args: &[],
-                inner: env,
-            };
             *slot = (
                 self.epoch,
-                router.global_masks[id as usize].eval_bool(&bound),
+                router.global_masks[id as usize].1.eval_bool(&[], env),
             );
         }
         slot.1.clone()
@@ -196,10 +189,11 @@ impl MaskMemo {
 pub struct ClassRouter {
     interner: EventInterner,
     /// Distinct `(declared-params, mask)` pairs across all groups of all
-    /// trigger alphabets.
-    group_masks: Vec<(Vec<String>, MaskExpr)>,
-    /// Distinct composite masks across all trigger alphabets.
-    global_masks: Vec<MaskExpr>,
+    /// trigger alphabets, each with its bound form.
+    group_masks: Vec<((Vec<String>, MaskExpr), Resolved)>,
+    /// Distinct composite masks across all trigger alphabets, each with
+    /// its bound form.
+    global_masks: Vec<(MaskExpr, Resolved)>,
     /// Routes per event code, in trigger registration order.
     routes: Vec<Vec<Route>>,
 }
@@ -215,7 +209,8 @@ impl ClassRouter {
             let global_bits: Vec<u32> = alphabet
                 .global_masks()
                 .iter()
-                .map(|m| router.intern_global(m))
+                .zip(&alphabet.global_lowered)
+                .map(|(m, r)| intern(&mut router.global_masks, m, r))
                 .collect();
             let shift = global_bits.len() as u32;
             for (slot, group) in alphabet.groups().iter().enumerate() {
@@ -223,7 +218,8 @@ impl ClassRouter {
                 let group_bits = group
                     .masks
                     .iter()
-                    .map(|key| router.intern_group_mask(key))
+                    .zip(&group.lowered)
+                    .map(|(key, r)| intern(&mut router.group_masks, key, r))
                     .collect();
                 if router.routes.len() <= code.index() {
                     router.routes.resize_with(code.index() + 1, Vec::new);
@@ -239,26 +235,6 @@ impl ClassRouter {
             }
         }
         router
-    }
-
-    fn intern_group_mask(&mut self, key: &(Vec<String>, MaskExpr)) -> u32 {
-        match self.group_masks.iter().position(|k| k == key) {
-            Some(i) => i as u32,
-            None => {
-                self.group_masks.push(key.clone());
-                (self.group_masks.len() - 1) as u32
-            }
-        }
-    }
-
-    fn intern_global(&mut self, mask: &MaskExpr) -> u32 {
-        match self.global_masks.iter().position(|m| m == mask) {
-            Some(i) => i as u32,
-            None => {
-                self.global_masks.push(mask.clone());
-                (self.global_masks.len() - 1) as u32
-            }
-        }
     }
 
     /// The event interner (pre-resolve codes at registration time).
@@ -297,11 +273,11 @@ impl ClassRouter {
     ///
     /// Equals `alphabet.classify(basic, args, env)` of the route's
     /// trigger, bit for bit.
-    pub fn symbol(
+    pub fn symbol<E: Scope + ?Sized>(
         &self,
         route: &Route,
         args: &[Value],
-        env: &dyn MaskEnv,
+        env: &E,
         memo: &mut MaskMemo,
     ) -> Result<Symbol, MaskError> {
         let mut minterm = 0usize;
@@ -320,12 +296,28 @@ impl ClassRouter {
     }
 }
 
+/// The id of `key` among the distinct masks `masks`, adding it with its
+/// bound form `lowered` if it is new.
+fn intern<K: Clone + PartialEq>(
+    masks: &mut Vec<(K, Resolved)>,
+    key: &K,
+    lowered: &Resolved,
+) -> u32 {
+    match masks.iter().position(|(k, _)| k == key) {
+        Some(i) => i as u32,
+        None => {
+            masks.push((key.clone(), lowered.clone()));
+            (masks.len() - 1) as u32
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventKind;
     use crate::expr::{EventExpr, LogicalEvent};
-    use crate::mask::EmptyEnv;
+    use crate::mask::{EmptyEnv, MaskEnv};
     use std::cell::Cell;
 
     fn masked_withdraw(n: i64) -> EventExpr {

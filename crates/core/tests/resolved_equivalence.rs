@@ -1,20 +1,27 @@
 //! The resolved evaluator agrees with the reference.
 //!
-//! A class's method and mask-function bodies are bound once by
-//! [`MaskExpr::resolve`] and evaluated by reference; [`MaskExpr::eval`]
-//! over a map-backed [`MaskEnv`] that answers every name by string, and
-//! the builtins through a string `match`, is the reference. For random
+//! A class's method and mask-function bodies, and a trigger's group and
+//! composite masks, are bound once by [`MaskExpr::resolve`] and
+//! evaluated by reference; [`MaskExpr::eval`] over a map-backed
+//! [`MaskEnv`] that answers every name by string, and the builtins
+//! through a string `match`, is the reference. For random
 //! expressions over names that are parameters, fields, both (a
 //! parameter shadows the field) or neither, calls to the builtins with
 //! good and bad arguments, short-circuit operators, int/float mixes,
 //! division by zero and overflow, both give the same value or the same
 //! error. The one difference is intended: a builtin given arguments it
 //! cannot use is a `TypeMismatch` naming it, where the reference can
-//! only answer "unknown function".
+//! only answer "unknown function". As a trigger mask, each expression
+//! puts a posting in the minterm its reference value says, both through
+//! the trigger's own [`Alphabet::classify`] and through the class's
+//! [`ClassRouter`].
 
 use std::collections::BTreeMap;
 
-use ode_core::{BinOp, Bindings, MaskEnv, MaskError, MaskExpr, UnOp, Value};
+use ode_core::{
+    Alphabet, BasicEvent, BinOp, ClassRouter, EventExpr, LogicalEvent, MaskEnv, MaskError,
+    MaskExpr, MaskMemo, ObjectScope, UnOp, Value,
+};
 use proptest::prelude::*;
 
 /// Declared parameters: `f` is also a field, so it shadows it.
@@ -165,16 +172,47 @@ proptest! {
         let params: Vec<String> = PARAMS.iter().map(|p| p.to_string()).collect();
         let reference = RefEnv { args: &args, fields: &fields, user: user.as_ref() };
         let want = e.eval(&reference);
-        let resolved = e.resolve(&params, user.is_some());
-        let null = Value::Null;
-        let bindings = Bindings { args: &args, fields: &fields, user: user.as_ref().unwrap_or(&null) };
-        let got = resolved.eval(&bindings).map(|v| v.into_owned());
+        let resolved = e.resolve(&params);
+        let scope = ObjectScope { fields: &fields, user: user.as_ref(), fns: None };
+        let got = resolved.eval(&args, &scope).map(|v| v.into_owned());
         prop_assert!(agrees(&want, &got), "{e}: reference {want:?}, resolved {got:?}");
         let want_bool = e.eval_bool(&reference);
-        let got_bool = resolved.eval_bool(&bindings);
+        let got_bool = resolved.eval_bool(&args, &scope);
         prop_assert!(
             agrees(&want_bool.clone().map(Value::Bool), &got_bool.clone().map(Value::Bool)),
             "{e}: reference {want_bool:?}, resolved {got_bool:?}"
         );
+    }
+
+    #[test]
+    fn event_masks_classify_as_the_reference_evaluates(
+        e in expr(),
+        args in prop::collection::vec(value(), 0..4),
+        fields in fields(),
+        user in prop::option::of(value()),
+    ) {
+        let m = BasicEvent::after_method("m");
+        let masked = LogicalEvent::bare(m.clone()).with_params(PARAMS).with_mask(e.clone());
+        let group = Alphabet::build(&EventExpr::Logical(masked.clone())).unwrap();
+        let composite = Alphabet::build(&EventExpr::after_method("m").masked(e.clone())).unwrap();
+        // Classification reads no parameter by name: it binds `args` by
+        // position itself.
+        let env = RefEnv { args: &[], fields: &fields, user: user.as_ref() };
+        let router = ClassRouter::build([(0, &group), (1, &composite)]);
+        let mut memo = MaskMemo::default();
+        memo.begin(&router);
+        let code = router.code(&m).unwrap();
+        for (trigger, alphabet, holds, reference) in [
+            (0, &group, group.symbols_for_logical(&masked).unwrap(), RefEnv { args: &args, ..env }),
+            (1, &composite, composite.symbols_for_composite_mask(&e), RefEnv { args: &[], ..env }),
+        ] {
+            let want = e.eval_bool(&reference).map(Value::Bool);
+            let classified = alphabet.classify(&m, &args, &env);
+            let got = classified.clone().map(|s| Value::Bool(holds.contains(&s.unwrap())));
+            prop_assert!(agrees(&want, &got), "{e}: reference {want:?}, classified {got:?}");
+            let route = router.routes(code).iter().find(|r| r.trigger == trigger).unwrap();
+            let routed = router.symbol(route, &args, &env, &mut memo);
+            prop_assert_eq!(routed, classified.map(Option::unwrap), "{}", e);
+        }
     }
 }

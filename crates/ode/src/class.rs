@@ -22,7 +22,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use ode_core::{parse_event, Bindings, CompiledEvent, EventExpr, MaskError, Value};
+pub use ode_core::MaskFn;
+use ode_core::{parse_event, CompiledEvent, EventExpr, MaskError, ObjectScope, Value};
 
 use crate::error::OdeError;
 use crate::ids::ObjectId;
@@ -119,12 +120,6 @@ impl fmt::Debug for MethodDef {
             .finish_non_exhaustive()
     }
 }
-
-/// A side-effect-free function usable inside masks (the paper's
-/// `authorized(user())`, `reorder(i)`, …). Reads its arguments, the
-/// object's fields and the calling transaction's user value; an error
-/// it answers fails the mask that called it.
-pub type MaskFn = Arc<dyn Fn(&Bindings<'_>) -> Result<Value, MaskError> + Send + Sync>;
 
 /// Which history a trigger monitors (Section 6): the committed history
 /// (automaton state stored "inside" the object and rolled back on abort)
@@ -505,7 +500,7 @@ impl ClassBuilder {
     pub fn mask_fn(
         mut self,
         name: impl Into<String>,
-        f: impl Fn(&Bindings<'_>) -> Result<Value, MaskError> + Send + Sync + 'static,
+        f: impl Fn(&[Value], &ObjectScope<'_>) -> Result<Value, MaskError> + Send + Sync + 'static,
     ) -> Self {
         self.def.mask_fns.insert(name.into(), Arc::new(f));
         self

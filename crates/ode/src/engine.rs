@@ -44,13 +44,11 @@
 //! observers through the event tap ([`Database::set_event_tap`]), which
 //! feeds the event-history store.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use ode_automata::StateId;
-use ode_core::{
-    BasicEvent, Bindings, ClassRouter, EventKind, MaskEnv, MaskError, MaskMemo, Qualifier, Value,
-};
+use ode_core::{BasicEvent, ClassRouter, EventKind, MaskMemo, ObjectScope, Qualifier, Value};
 
 use crate::class::{Action, ActionCtx, ClassDef, ClassRuntime, MethodCtx, MethodKind, Monitoring};
 use crate::clock::{Clock, TimerScope};
@@ -1102,7 +1100,7 @@ impl Database {
                 trigger: name.to_string(),
             })?;
         let tdef = &class.triggers[idx];
-        let user = self.txns[&txn.0].user.clone();
+        let user = &self.txns[&txn.0].user;
 
         // Snapshot for rollback, mutate, feed `start`.
         {
@@ -1126,10 +1124,10 @@ impl Database {
             };
             inst.active = true;
             inst.params = params.to_vec();
-            let env = EngineEnv {
+            let env = ObjectScope {
                 fields: &o.fields,
-                class: class.as_ref(),
-                user: &user,
+                user: Some(user),
+                fns: Some(&class.mask_fns),
             };
             let start_sym = tdef.event.alphabet().start_symbol(&env)?;
             inst.state = tdef.event.dfa().step(tdef.event.dfa().start(), start_sym);
@@ -1378,10 +1376,6 @@ impl Database {
         let class_id = o.class;
         let class = Arc::clone(self.class(o.class));
         let runtime = Arc::clone(&self.runtimes[o.class.0 as usize]);
-        let user = match self.txns.get(&txn.0) {
-            Some(s) => s.user.clone(),
-            None => Value::Str("system".into()),
-        };
 
         self.seq += 1;
         self.stats.events_posted += 1;
@@ -1415,12 +1409,19 @@ impl Database {
             let Object {
                 fields, triggers, ..
             } = self.objects.get_mut(&obj.0).expect("checked above");
-            let env = EngineEnv {
-                fields,
-                class: class.as_ref(),
-                user: &user,
+            let system;
+            let (user, mut txn_undo) = match self.txns.get_mut(&txn.0) {
+                Some(s) => (&s.user, Some(&mut s.undo)),
+                None => {
+                    system = Value::Str("system".into());
+                    (&system, None)
+                }
             };
-            let mut txn_undo = self.txns.get_mut(&txn.0).map(|s| &mut s.undo);
+            let env = ObjectScope {
+                fields,
+                user: Some(user),
+                fns: Some(&class.mask_fns),
+            };
             self.router_memo.begin(&runtime.router);
             for route in runtime.router.routes(code) {
                 if let Some(only) = scope {
@@ -1855,42 +1856,6 @@ fn flatten_inheritance(parent: &ClassDef, child: ClassDef) -> Result<ClassDef, O
     })
 }
 
-/// Mask environment backed by an object's fields, the class's mask
-/// functions, and the transaction user. Event parameters are layered on
-/// top by the alphabet's classification (positional binding).
-struct EngineEnv<'a> {
-    fields: &'a BTreeMap<String, Value>,
-    class: &'a ClassDef,
-    user: &'a Value,
-}
-
-impl MaskEnv for EngineEnv<'_> {
-    fn param(&self, _name: &str) -> Option<Value> {
-        None
-    }
-    fn field(&self, name: &str) -> Option<Value> {
-        self.fields.get(name).cloned()
-    }
-    fn call(&self, name: &str, args: &[Value]) -> Option<Value> {
-        self.try_call(name, args).ok()
-    }
-    fn try_call(&self, name: &str, args: &[Value]) -> Result<Value, MaskError> {
-        if name == "user" && args.is_empty() {
-            return Ok(self.user.clone());
-        }
-        let f = self
-            .class
-            .mask_fns
-            .get(name)
-            .ok_or_else(|| MaskError::UnknownFunction(name.into()))?;
-        f(&Bindings {
-            args,
-            fields: self.fields,
-            user: self.user,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1968,7 +1933,7 @@ mod tests {
         let mut builder =
             ClassDef::builder("c")
                 .update_method("m", &[])
-                .mask_fn("probe", move |_| {
+                .mask_fn("probe", move |_, _| {
                     probe.fetch_add(1, Ordering::SeqCst);
                     Ok(Value::Bool(true))
                 });
@@ -2022,8 +1987,8 @@ mod tests {
             .unwrap();
         // Neither trigger below ever fires, so its firing count stays put.
         let masked = set_x(ClassDef::builder("masked"))
-            .mask_fn("big", |b| {
-                Ok(Value::Bool(b.fields.get("x") == Some(&Value::Int(9))))
+            .mask_fn("big", |_, s| {
+                Ok(Value::Bool(s.fields.get("x") == Some(&Value::Int(9))))
             })
             .trigger("T", true, "after m && big()", Action::Emit("big".into()))
             .full_history()

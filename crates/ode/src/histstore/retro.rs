@@ -14,12 +14,12 @@
 //! Two deliberate limitations, both surfaced as typed errors or
 //! documented gaps rather than silently-wrong answers:
 //!
-//! * masks that read **object fields** (or call mask functions)
-//!   replay against [`EmptyEnv`] and fail with
-//!   [`OdeError::Mask`] — historical field values are not recorded,
-//!   and evaluating against current fields would be wrong. Masks over
-//!   the posting's own arguments work: the alphabet binds them from
-//!   the stored `args`.
+//! * masks that read **object fields**, `user()` or a mask function
+//!   replay against [`EmptyEnv`] and fail with [`OdeError::Mask`] —
+//!   historical field values and users are not recorded, and evaluating
+//!   against current ones, or a placeholder, would be wrong. Masks over
+//!   the posting's own arguments work, builtins included: the alphabet
+//!   binds them from the stored `args`.
 //! * trigger **actions do not run** for past occurrences — a
 //!   retroactive firing is a notification (with the firing seq of the
 //!   completing posting), not a re-execution of history.
@@ -115,4 +115,49 @@ pub fn replay_trigger(
         state: det.state(),
         active,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::class::{Action, ClassDef};
+    use ode_core::MaskError;
+
+    /// Replay knows no user and no past field: a mask that reads either
+    /// is refused, as it is by a detector over [`EmptyEnv`]; a builtin
+    /// over the posting's own arguments replays.
+    #[test]
+    fn replay_refuses_what_history_does_not_record() {
+        let trigger = |event: &str| {
+            let class = ClassDef::builder("c")
+                .field("f", 1i64)
+                .update_method("m", &["x"])
+                .trigger("T", true, event, Action::Emit("hit".into()))
+                .build()
+                .unwrap();
+            class.triggers[0].clone()
+        };
+        let m = BasicEvent::after_method("m");
+        let events = [(7, m.clone(), vec![Value::record([("k", Value::Int(3))])])];
+        let unknown_user = MaskError::UnknownFunction("user".into());
+        for (event, want) in [
+            ("after m && user() == \"alice\"", unknown_user.clone()),
+            ("(after m) && user() == \"alice\"", unknown_user.clone()),
+            ("after m && f > 0", MaskError::UnknownField("f".into())),
+        ] {
+            match replay_trigger(&events, &trigger(event)) {
+                Err(OdeError::Mask(e)) => assert_eq!(e, want, "{event}"),
+                other => panic!("{event}: expected a mask error, got {other:?}"),
+            }
+        }
+        let mut det = Detector::new(trigger("after m && user() == \"alice\"").event);
+        det.activate(&EmptyEnv).unwrap();
+        assert_eq!(det.post(&m, &[], &EmptyEnv), Err(unknown_user));
+
+        let replay = replay_trigger(&events, &trigger("after m(x) && get(x, \"k\") == 3")).unwrap();
+        assert_eq!(
+            replay.firings.iter().map(|f| f.seq).collect::<Vec<_>>(),
+            [7]
+        );
+    }
 }

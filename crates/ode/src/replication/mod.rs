@@ -103,12 +103,19 @@ impl From<ApplyError> for OdeError {
     }
 }
 
+/// An id no engine gives a transaction (they count from 1): ops on a
+/// closed transaction are applied to it, and fail.
+const CLOSED_TXN: TxnId = TxnId(0);
+
 /// A stateful, exactly-once re-applier of logged operations. See the
 /// module docs for the contract.
 pub struct Applier {
     next_lsn: u64,
     epoch: u64,
+    /// The open transactions, by recording-time id.
     txn_map: HashMap<u64, TxnId>,
+    /// The highest recording-time id a `Begin` has mapped.
+    last_begun: Option<u64>,
     obj_map: HashMap<u64, ObjectId>,
 }
 
@@ -126,6 +133,7 @@ impl Applier {
             next_lsn: 0,
             epoch: 0,
             txn_map: HashMap::new(),
+            last_begun: None,
             obj_map: HashMap::new(),
         }
     }
@@ -224,15 +232,22 @@ impl Applier {
             });
         }
         self.apply_inner(db, op)?;
+        // Forget the transactions the op closed: by commit, by abort, or
+        // by a trigger's `tabort`, which logs no `Abort`.
+        self.txn_map.retain(|_, t| db.txn_open(*t));
         self.next_lsn += 1;
         Ok(Applied::Applied)
     }
 
+    /// The engine transaction of recording-time id `t`. One that was
+    /// begun and has since closed maps to [`CLOSED_TXN`], so an op the
+    /// recording engine refused for that reason fails here the same way.
     fn map_txn(&self, t: u64) -> Result<TxnId, ApplyError> {
-        self.txn_map
-            .get(&t)
-            .copied()
-            .ok_or(ApplyError::Logical(OdeError::UnknownTxn(TxnId(t))))
+        match self.txn_map.get(&t) {
+            Some(&id) => Ok(id),
+            None if t == CLOSED_TXN.0 || self.last_begun.is_some_and(|b| t <= b) => Ok(CLOSED_TXN),
+            None => Err(ApplyError::Logical(OdeError::UnknownTxn(TxnId(t)))),
+        }
     }
 
     fn map_obj(&self, o: u64) -> Result<ObjectId, ApplyError> {
@@ -247,6 +262,7 @@ impl Applier {
             LogOp::Begin { txn, user } => {
                 let t = db.begin_as(user.clone());
                 self.txn_map.insert(*txn, t);
+                self.last_begun = self.last_begun.max(Some(*txn));
             }
             LogOp::Create {
                 txn,
@@ -419,6 +435,48 @@ mod tests {
         assert_eq!(a.abort_open(&mut replica), 0, "drained");
         // The room is unlocked again: a fresh transaction can use it.
         demo::withdraw_txn(&mut replica, "bob", room, "gear", 5).unwrap();
+    }
+
+    /// The applier forgets a transaction once it is closed, whether by
+    /// its `Commit` or by a trigger's `tabort` (which logs no `Abort`);
+    /// an op later logged on a closed transaction fails again, and a
+    /// transaction the log leaves open keeps its mapping.
+    #[test]
+    fn closed_transactions_are_forgotten() {
+        let (mut primary, room) = demo::setup();
+        let log = demo::record_ops(&mut primary);
+        let bolt = [Value::Str("bolt".into()), Value::Int(1)];
+        for i in 0..50 {
+            if i % 10 == 0 {
+                // T1 aborts mallory's withdrawal; her commit is refused.
+                let t = primary.begin_as(Value::Str("mallory".into()));
+                assert!(primary.call(t, room, "withdraw", &bolt).is_err());
+                assert!(primary.commit(t).is_err());
+            } else {
+                assert!(demo::withdraw_txn(&mut primary, "alice", room, "bolt", 1).unwrap());
+            }
+        }
+        let (mut replica, _) = demo::setup();
+        let mut a = Applier::resume(&replica, 0);
+        let apply_all = |a: &mut Applier, replica: &mut Database, from: usize| {
+            for (i, op) in log.lock().iter().enumerate().skip(from) {
+                a.apply(replica, i as u64, op).unwrap();
+            }
+        };
+        apply_all(&mut a, &mut replica, 0);
+        assert!(a.txn_map.is_empty(), "{} mapped", a.txn_map.len());
+        assert_eq!(
+            primary.peek_field(room, "items"),
+            replica.peek_field(room, "items")
+        );
+        assert_eq!(a.abort_open(&mut replica), 0);
+
+        let applied = log.lock().len();
+        let open = primary.begin_as(Value::Str("alice".into()));
+        primary.call(open, room, "withdraw", &bolt).unwrap();
+        apply_all(&mut a, &mut replica, applied);
+        assert_eq!(a.txn_map.keys().collect::<Vec<_>>(), [&open.0]);
+        assert_eq!(a.abort_open(&mut replica), 1);
     }
 
     /// Applying an EpochBump raises the applier's epoch; streams stamped

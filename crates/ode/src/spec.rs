@@ -23,7 +23,9 @@
 //! update), `ifelse(cond, a, b)`, and `type(v)` (the value's type name:
 //! `"string"`, `"int"`, …); mask-function bodies also see `user()`, the
 //! calling transaction's user value. Any other function fails when it
-//! is called. Bodies are evaluated by reference ([`ode_core::Resolved`]):
+//! is called. Trigger masks bind the same way, when the class's
+//! alphabets are built, and may also call the class's mask functions.
+//! Bodies are evaluated by reference ([`ode_core::Resolved`]):
 //! fields, arguments and literals are borrowed, and only computed values
 //! are allocated. `Emit` and `Require` texts are split into literal and
 //! `{param}` pieces at define time. A `Set` refuses a value nested
@@ -35,7 +37,7 @@ use std::borrow::Cow;
 use std::fmt::Write;
 use std::sync::Arc;
 
-use ode_core::{parse_mask, Bindings, Resolved, Value};
+use ode_core::{parse_mask, ObjectScope, Resolved, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::class::{Action, ActionCtx, ClassDef, MethodCtx, MethodKind};
@@ -177,7 +179,7 @@ enum CompiledOp {
 }
 
 fn compile_ops(body: &[MethodOp], params: &[String]) -> Result<Vec<CompiledOp>, OdeError> {
-    let resolve = |expr: &str| parse_mask(expr).map(|e| e.resolve(params, false));
+    let resolve = |expr: &str| parse_mask(expr).map(|e| e.resolve(params));
     body.iter()
         .map(|op| {
             Ok(match op {
@@ -232,12 +234,13 @@ impl Template {
     }
 }
 
-/// What a method body's expressions read: its arguments and fields.
-fn bindings<'a>(ctx: &'a MethodCtx<'_>) -> Bindings<'a> {
-    Bindings {
-        args: ctx.args,
+/// What a method body's expressions read besides its arguments: the
+/// object's fields.
+fn scope<'a>(ctx: &'a MethodCtx<'_>) -> ObjectScope<'a> {
+    ObjectScope {
         fields: ctx.fields,
-        user: &Value::Null,
+        user: None,
+        fns: None,
     }
 }
 
@@ -246,7 +249,7 @@ fn run_ops(ops: &[CompiledOp], ctx: &mut MethodCtx<'_>) -> Result<Value, OdeErro
         match op {
             CompiledOp::Set { field, expr } => {
                 let v = expr
-                    .eval(&bindings(ctx))
+                    .eval(ctx.args, &scope(ctx))
                     .map_err(OdeError::Mask)?
                     .into_owned();
                 v.check_depth().map_err(OdeError::Mask)?;
@@ -257,7 +260,10 @@ fn run_ops(ops: &[CompiledOp], ctx: &mut MethodCtx<'_>) -> Result<Value, OdeErro
                 ctx.emit(line);
             }
             CompiledOp::Require { expr, message } => {
-                if !expr.eval_bool(&bindings(ctx)).map_err(OdeError::Mask)? {
+                if !expr
+                    .eval_bool(ctx.args, &scope(ctx))
+                    .map_err(OdeError::Mask)?
+                {
                     return Err(OdeError::Method(message.render(ctx.args)));
                 }
             }
@@ -338,8 +344,10 @@ pub fn compile_class(spec: &ClassSpec) -> Result<ClassDef, OdeError> {
     for mf in &spec.masks {
         let body = parse_mask(&mf.expr)
             .map_err(OdeError::Event)?
-            .resolve(&mf.params, true);
-        b = b.mask_fn(&mf.name, move |b| body.eval(b).map(Cow::into_owned));
+            .resolve(&mf.params);
+        b = b.mask_fn(&mf.name, move |args, s| {
+            body.eval(args, s).map(Cow::into_owned)
+        });
     }
     for t in &spec.triggers {
         b = b.trigger(&t.name, t.perpetual, &t.event, compile_action(&t.action));
@@ -697,6 +705,51 @@ mod tests {
             matches!(&fired[..], [line] if line.ends_with("] low")),
             "{fired:?}"
         );
+    }
+
+    /// A trigger mask binds calls as a mask-function body does: the
+    /// builtins first, in a group mask and in a composite mask alike.
+    #[test]
+    fn a_trigger_mask_may_call_a_builtin() {
+        for event in [
+            "after withdraw(i, q) && get(items, i) < 10",
+            "(after withdraw) && type(items) == \"record\"",
+        ] {
+            let spec = ClassSpec {
+                name: "room".into(),
+                fields: vec![FieldSpec {
+                    name: "items".into(),
+                    default: Value::record([("bolt", Value::Int(5))]),
+                }],
+                methods: vec![two_param_method("withdraw", vec![])],
+                masks: vec![],
+                triggers: vec![TriggerSpec {
+                    name: "low".into(),
+                    perpetual: true,
+                    event: event.into(),
+                    action: ActionSpec::Emit("low".into()),
+                    capture: false,
+                    full_history: false,
+                }],
+                activate_on_create: vec!["low".into()],
+            };
+            let mut db = Database::new();
+            db.define_class(compile_class(&spec).unwrap()).unwrap();
+            let txn = db.begin();
+            let room = db.create_object(txn, "room", &[]).unwrap();
+            db.call(
+                txn,
+                room,
+                "withdraw",
+                &[Value::Str("bolt".into()), Value::Int(1)],
+            )
+            .unwrap_or_else(|e| panic!("{event}: {e:?}"));
+            let fired = db.take_output();
+            assert!(
+                matches!(&fired[..], [line] if line.ends_with("] low")),
+                "{event}: {fired:?}"
+            );
+        }
     }
 
     /// `CallWithEventArgsAt` calls with the completing event's arguments

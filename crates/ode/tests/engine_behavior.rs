@@ -228,8 +228,8 @@ fn trigger_t1_unauthorized_abort() {
                 ctx.set("qty", qty - q);
                 Ok(Value::Null)
             })
-            .mask_fn("authorized", |b| {
-                let alice = matches!(b.args.first(), Some(Value::Str(s)) if s == "alice");
+            .mask_fn("authorized", |args, _| {
+                let alice = matches!(args.first(), Some(Value::Str(s)) if s == "alice");
                 Ok(Value::Bool(alice))
             })
             .trigger(
